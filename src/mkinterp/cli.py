@@ -14,27 +14,23 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
-from .exceptions import DuplicateNodes, PointOutsideDomain
+from .exceptions import DuplicateNodes, NotConverged
 from .features import Domain, FeatureModel
 from .interpolant import (
     Interpolant,
     NodeSet,
+    banach_norm_direct,
     banach_norm_via_tensor,
-    evaluate,
+    evaluate_many,
     from_json,
     to_json,
 )
-from .power import (
-    convergence_study,
-    domain_grid,
-    fill_distance,
-    power_function,
-    power_function_p2_closed,
-)
+from .power import convergence_study, domain_grid, power_report
 from .solver import SolverOptions, solve_multilinear
 from .tensors import FeatureGram
 
@@ -111,13 +107,17 @@ def _merge_settings(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    cfg["order"] = int(cfg["order"])
-    cfg["truncation"] = int(cfg["truncation"])
-    cfg["decay"] = float(cfg["decay"])
-    cfg["tol"] = float(cfg["tol"])
-    cfg["seed"] = int(cfg["seed"])
-    cfg["grid"] = int(cfg["grid"])
-    cfg["fnorm"] = float(cfg["fnorm"])
+    try:
+        for key in ("order", "truncation", "seed", "grid"):
+            cfg[key] = int(cfg[key])
+        for key in ("decay", "tol", "fnorm"):
+            cfg[key] = float(cfg[key])
+    except ValueError as err:
+        raise CliInputError(f"bad setting: {err}") from None
+    if cfg["order"] < 2 or cfg["order"] % 2:
+        raise CliInputError(f"order must be even and >= 2, got {cfg['order']}")
+    if cfg["grid"] < 2:
+        raise CliInputError(f"grid must be at least 2 points per dimension, got {cfg['grid']}")
     return cfg
 
 
@@ -164,6 +164,8 @@ def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
                     nums = [float(cell) for cell in row]
                 except ValueError:
                     raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
+                if not all(math.isfinite(v) for v in nums):
+                    raise CliInputError(f"{path}:{lineno}: non-finite field")
                 if has_values:
                     points.append(nums[:-1])
                     values.append(nums[-1])
@@ -210,6 +212,11 @@ def cmd_fit(args) -> int:
 
     opts = SolverOptions(residual_tol=cfg["tol"], rng_seed=cfg["seed"])
     report = solve_multilinear(gram, cfg["order"], nodes.values, opts)
+    if not np.isfinite(report.residual_norm):
+        # an overflowed iterate has no faithful JSON form; write nothing
+        print("error: solver overflowed (non-finite residual); no output written",
+              file=sys.stderr)
+        return EXIT_CONVERGENCE
     s = Interpolant(model, nodes, cfg["order"], report.coefficients, gram, report)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(to_json(s) + "\n")
@@ -224,7 +231,7 @@ def cmd_fit(args) -> int:
         "truncation": model.truncation,
     }
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=2)
+        json.dump(report_doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
     if not report.converged:
         print(f"error: solver stopped at residual {report.residual_norm:.3e}",
@@ -249,16 +256,18 @@ def cmd_eval(args) -> int:
 
     d = s.model.domain.dim
     header = [f"x{i + 1}" for i in range(d)] + ["s", "flag"]
+    # a points file of another dimension has no row inside the domain
+    if points.shape[1] == d:
+        inside = s.model.domain.contains(points)
+    else:
+        inside = np.zeros(points.shape[0], dtype=bool)
+    values = iter(evaluate_many(s, points[inside]))
     rows = []
-    any_outside = False
-    for x in points:
-        try:
-            rows.append([_fmt(v) for v in x] + [_fmt(evaluate(s, x)), ""])
-        except PointOutsideDomain:
-            any_outside = True
-            rows.append([_fmt(v) for v in x] + ["", "outside_domain"])
+    for x, ok in zip(points, inside):
+        cells = [_fmt(next(values)), ""] if ok else ["", "outside_domain"]
+        rows.append([_fmt(v) for v in x] + cells)
     _write_csv(args.out, header, rows)
-    return EXIT_DOMAIN if any_outside else EXIT_OK
+    return EXIT_OK if np.all(inside) else EXIT_DOMAIN
 
 
 def cmd_power(args) -> int:
@@ -268,16 +277,13 @@ def cmd_power(args) -> int:
     model = build_model(cfg, points.shape[1])
     opts = SolverOptions(residual_tol=cfg["tol"], rng_seed=cfg["seed"])
     grid = domain_grid(model.domain, cfg["grid"])
-    m = cfg["order"]
+    report = power_report(model, nodes, cfg["order"], grid, f_norm=cfg["fnorm"],
+                          opts=opts, grid_per_dim=cfg["grid"])
 
     d = model.domain.dim
     header = [f"x{i + 1}" for i in range(d)] + ["p_m", "p_2", "bound"]
-    rows = []
-    for x in grid:
-        pm = power_function(model, nodes, m, x, opts)
-        p2 = power_function_p2_closed(model, nodes, x)
-        rows.append([_fmt(v) for v in x]
-                    + [_fmt(pm), _fmt(p2), _fmt(2.0 * cfg["fnorm"] * pm)])
+    rows = [[_fmt(v) for v in x] + [_fmt(pm), _fmt(p2), _fmt(bound)]
+            for x, pm, p2, bound in zip(grid, report.p_m, report.p_2, report.bound)]
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
@@ -298,8 +304,6 @@ def cmd_study(args) -> int:
     opts = SolverOptions(residual_tol=cfg["tol"], rng_seed=cfg["seed"])
     eval_grid = domain_grid(model.domain, cfg["grid"])
 
-    from .exceptions import NotConverged
-    from .interpolant import banach_norm_direct
     try:
         result = convergence_study(model, f_alpha, cfg["order"], counts,
                                    eval_grid, opts)

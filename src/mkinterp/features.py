@@ -42,6 +42,10 @@ FACE_TOLERANCE = 1e-12
 # Matching tolerance for custom-table point lookup.
 TABLE_TOLERANCE = 1e-9
 
+# Batched evaluation works through blocks of about this many feature values
+# (0.5 MiB of float64), so its temporaries stay small whatever N is.
+BLOCK_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -64,17 +68,31 @@ class Domain:
     def dim(self) -> int:
         return self.lower.size
 
+    def contains(self, points) -> np.ndarray:
+        """In-box test of a point (d,) or of each row of an (N, d) array.
+
+        Coordinates up to ``FACE_TOLERANCE`` beyond a face count as inside.
+        """
+        x = np.asarray(points, dtype=float)
+        return np.all(
+            (x >= self.lower - FACE_TOLERANCE) & (x <= self.upper + FACE_TOLERANCE),
+            axis=-1,
+        )
+
     def project(self, x) -> np.ndarray:
-        """Validate membership and clamp coordinates near a face onto it."""
+        """Validate membership and clamp coordinates near a face onto it.
+
+        Takes a point (d,) or an (N, d) array of points.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != self.lower.shape:
+        if x.ndim > 2 or x.shape[-1] != self.dim:
             raise PointOutsideDomain(
-                f"point has dimension {x.size}, domain has dimension {self.dim}"
+                f"point has dimension {x.shape[-1]}, domain has dimension {self.dim}"
             )
-        if np.any(x < self.lower - FACE_TOLERANCE) or np.any(
-            x > self.upper + FACE_TOLERANCE
-        ):
-            raise PointOutsideDomain(f"point {x.tolist()} outside the domain box")
+        inside = self.contains(x)
+        if not np.all(inside):
+            bad = x if x.ndim == 1 else x[np.argmin(inside)]
+            raise PointOutsideDomain(f"point {bad.tolist()} outside the domain box")
         return np.clip(x, self.lower, self.upper)
 
 
@@ -199,26 +217,56 @@ class FeatureModel:
                                 weights=doc.get("weights"), domain=domain)
 
 
-def eval_features(model: FeatureModel, x) -> np.ndarray:
-    """Evaluate ``(phi_1(x), ..., phi_K(x))`` at a point in the domain."""
-    x = model.domain.project(x)
-    scale = np.sqrt(model.weights)
+def point_blocks(model: FeatureModel, count: int) -> list:
+    """Row slices covering ``range(count)``, each about ``BLOCK_VALUES`` features."""
+    width = model.truncation
+    if model.family == "custom":
+        width = max(width, model.table_points.size)  # lookup compares every entry
+    step = max(1, BLOCK_VALUES // width)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _features_block(model: FeatureModel, X: np.ndarray) -> np.ndarray:
+    """Unscaled basis values ``b_k`` at the rows of a projected (B, d) block."""
     if model.family == "power":
-        return scale * np.prod(x[None, :] ** model.exponents, axis=1)
+        vals = np.ones((X.shape[0], model.truncation))
+        for j in range(model.domain.dim):
+            vals *= X[:, j:j + 1] ** model.exponents[:, j]
+        return vals
     if model.family == "trig":
-        arg = np.pi * model.frequencies * x[None, :]
-        vals = np.where(
-            model.trig_kinds == 1, np.cos(arg),
-            np.where(model.trig_kinds == 2, np.sin(arg), 1.0),
-        )
-        return scale * np.prod(vals, axis=1)
+        vals = np.ones((X.shape[0], model.truncation))
+        for j in range(model.domain.dim):
+            arg = (np.pi * model.frequencies[:, j]) * X[:, j:j + 1]
+            kinds = model.trig_kinds[:, j]
+            vals *= np.where(kinds == 1, np.cos(arg), np.where(kinds == 2, np.sin(arg), 1.0))
+        return vals
     # custom table: exact lookup only
-    hits = np.where(
-        np.all(np.abs(model.table_points - x[None, :]) <= TABLE_TOLERANCE, axis=1)
-    )[0]
-    if hits.size == 0:
-        raise UntabulatedPoint(f"point {x.tolist()} is not tabulated")
-    return scale * model.table_features[hits[0]]
+    match = np.all(
+        np.abs(model.table_points[None, :, :] - X[:, None, :]) <= TABLE_TOLERANCE, axis=2
+    )
+    hits = np.argmax(match, axis=1)
+    missing = ~match[np.arange(X.shape[0]), hits]
+    if np.any(missing):
+        raise UntabulatedPoint(f"point {X[np.argmax(missing)].tolist()} is not tabulated")
+    return model.table_features[hits]
+
+
+def eval_features(model: FeatureModel, x) -> np.ndarray:
+    """Evaluate ``(phi_1, ..., phi_K)`` at points of the domain.
+
+    A point of shape (d,) gives a (K,) vector; an (N, d) array gives the
+    (N, K) array whose row i holds the features at point i.  The work runs
+    in blocks of rows (see :func:`point_blocks`), so its temporaries do not
+    grow with N.
+    """
+    X = model.domain.project(x)
+    if X.ndim == 1:
+        return np.sqrt(model.weights) * _features_block(model, X[None, :])[0]
+    out = np.empty((X.shape[0], model.truncation))
+    for rows in point_blocks(model, X.shape[0]):
+        out[rows] = _features_block(model, X[rows])
+    out *= np.sqrt(model.weights)
+    return out
 
 
 def eval_kernel2(model: FeatureModel, z1, z2) -> float:
@@ -266,13 +314,16 @@ def check_summability(model: FeatureModel, grid) -> SummabilityReport:
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
+    X = np.asarray(grid, dtype=float).reshape(len(grid), -1)
     K = model.truncation
     max_abs_sum = 0.0
     tail_ratio = 0.0
-    for x in grid:
-        a = np.abs(eval_features(model, x))
-        total = float(a.sum())
-        max_abs_sum = max(max_abs_sum, total)
-        if K > 1 and total > 0:
-            tail_ratio = max(tail_ratio, float(a[K // 2:].sum()) / total)
+    for rows in point_blocks(model, X.shape[0]):
+        a = np.abs(eval_features(model, X[rows]))
+        total = a.sum(axis=1)
+        max_abs_sum = max(max_abs_sum, float(total.max()))
+        positive = total > 0
+        if K > 1 and np.any(positive):
+            tails = a[positive, K // 2:].sum(axis=1) / total[positive]
+            tail_ratio = max(tail_ratio, float(tails.max()))
     return SummabilityReport(max_abs_sum=max_abs_sum, tail_ratio=tail_ratio)

@@ -23,7 +23,7 @@ from .exceptions import (
     NotConverged,
     ZeroFunction,
 )
-from .features import Domain, FeatureModel, eval_features, eval_multikernel
+from .features import Domain, FeatureModel, eval_features, eval_multikernel, point_blocks
 from .solver import SolverOptions, SolveReport, solve_multilinear
 from .tensors import FeatureGram, contract_m
 
@@ -92,14 +92,21 @@ def feature_coefficients(s: Interpolant) -> np.ndarray:
 
 def evaluate(s: Interpolant, x) -> float:
     """Evaluate ``s_m(x) = sum_k alpha_k phi_k(x)`` in O(K)."""
-    return float(feature_coefficients(s) @ eval_features(s.model, x))
+    return float(evaluate_many(s, [x])[0])
 
 
 def evaluate_many(s: Interpolant, points) -> np.ndarray:
+    """Evaluate the interpolant at the rows of an (N, d) array, O(K) each.
+
+    Points are taken in blocks (see :func:`point_blocks`), so memory does
+    not grow with N beyond the result.
+    """
+    X = np.atleast_2d(np.asarray(points, dtype=float))
     alpha = feature_coefficients(s)
-    return np.array(
-        [float(alpha @ eval_features(s.model, x)) for x in np.atleast_2d(points)]
-    )
+    values = np.empty(X.shape[0])
+    for rows in point_blocks(s.model, X.shape[0]):
+        values[rows] = eval_features(s.model, X[rows]) @ alpha
+    return values
 
 
 def evaluate_tensor_basis(s: Interpolant, x) -> float:

@@ -22,8 +22,8 @@ from itertools import product as _cartesian
 import numpy as np
 
 from .exceptions import SingularGram
-from .features import Domain, FeatureModel, eval_features, eval_kernel2, require_even_order
-from .interpolant import NodeSet, banach_norm_direct, evaluate_many, fit
+from .features import Domain, FeatureModel, eval_features, point_blocks, require_even_order
+from .interpolant import NodeSet, banach_norm_direct, feature_coefficients, fit
 from .solver import SolverOptions
 from .tensors import FeatureGram
 
@@ -35,27 +35,18 @@ def _power_objective(Vt, b, theta, m):
     return float(np.sum(r ** m)), r
 
 
-def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
-                   opts: SolverOptions | None = None) -> float:
-    """Order-m power function at x via convex minimization in feature space.
+def _power_newton(V, b, theta, m, opts: SolverOptions) -> float:
+    """Damped Newton on ``sum_k (b - V^T theta)_k^m`` from the l2 start theta.
 
-    Returns ``q*^{1/m}`` where ``q*`` is the minimum of the even-power
-    objective above; zero (up to solver tolerance) whenever x is a node or
-    the features are exactly representable on the nodes.
+    ``V`` holds the node features (n x K), ``b`` the features at the point.
+    Returns ``q*^{1/m}``; for m = 2 the l2 start is already the minimizer.
     """
-    require_even_order(m)
-    opts = opts or SolverOptions()
-    V = FeatureGram.from_model(model, nodes.points).V  # n x K
     Vt = V.T  # K x n
-    b = eval_features(model, x)
-
-    # l2 minimizer: exact for m = 2 and a scale-correct warm start otherwise.
-    theta, *_ = np.linalg.lstsq(Vt, b, rcond=None)
     q, r = _power_objective(Vt, b, theta, m)
     if m == 2:
         return float(max(q, 0.0) ** 0.5)
 
-    n = nodes.n
+    n = V.shape[0]
     for _ in range(opts.max_iterations):
         grad = -m * V @ (r ** (m - 1))
         if float(np.linalg.norm(grad)) <= 1e-13 * (1.0 + q):
@@ -93,17 +84,50 @@ def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
     return float(max(q, 0.0) ** (1.0 / m))
 
 
-def power_function_p2_closed(model: FeatureModel, nodes: NodeSet, x) -> float:
-    """Classical power function from the Gram matrix closed form."""
-    V = FeatureGram.from_model(model, nodes.points).V
-    A2 = V @ V.T
-    b2 = np.array([eval_kernel2(model, x, xi) for xi in nodes.points])
+def _power_values(V, B, m, opts: SolverOptions) -> np.ndarray:
+    """P_m at each row of the feature block B (N x K), nodes V (n x K).
+
+    One least-squares solve with N right-hand sides gives every l2
+    minimizer: exact for m = 2 and a scale-correct warm start otherwise.
+    """
+    thetas, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
+    return np.array([_power_newton(V, b, theta, m, opts)
+                     for b, theta in zip(B, thetas.T)])
+
+
+def _p2_closed(V, B) -> np.ndarray:
+    """Classical P_2 at each row of the feature block B, nodes V.
+
+    ``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` with
+    ``A_2 = V V^T`` and ``B_2(x) = V phi(x)``, one solve for all rows.
+    """
+    B2 = V @ B.T  # n x N
     try:
-        weights = np.linalg.solve(A2, b2)
+        weights = np.linalg.solve(V @ V.T, B2)
     except np.linalg.LinAlgError as err:
         raise SingularGram("Gram matrix A_2 is singular") from err
-    value = eval_kernel2(model, x, x) - float(b2 @ weights)
-    return float(max(value, 0.0) ** 0.5)
+    value = np.sum(B * B, axis=1) - np.sum(B2 * weights, axis=0)
+    return np.sqrt(np.maximum(value, 0.0))
+
+
+def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
+                   opts: SolverOptions | None = None) -> float:
+    """Order-m power function at x via convex minimization in feature space.
+
+    Returns ``q*^{1/m}`` where ``q*`` is the minimum of the even-power
+    objective above; zero (up to solver tolerance) whenever x is a node or
+    the features are exactly representable on the nodes.
+    """
+    require_even_order(m)
+    V = eval_features(model, nodes.points)  # n x K
+    B = eval_features(model, x)[None, :]
+    return float(_power_values(V, B, m, opts or SolverOptions())[0])
+
+
+def power_function_p2_closed(model: FeatureModel, nodes: NodeSet, x) -> float:
+    """Classical power function from the Gram matrix closed form."""
+    V = eval_features(model, nodes.points)
+    return float(_p2_closed(V, eval_features(model, x)[None, :])[0])
 
 
 def power_function_dense_oracle(model: FeatureModel, nodes: NodeSet, m: int, x,
@@ -157,9 +181,10 @@ def fill_distance(nodes: NodeSet, domain: Domain, grid_per_dim: int) -> float:
     to the grid spacing (see :func:`grid_spacing`).
     """
     grid = domain_grid(domain, grid_per_dim)
-    diffs = grid[:, None, :] - nodes.points[None, :, :]
-    dist = np.sqrt(np.sum(diffs ** 2, axis=2))
-    return float(dist.min(axis=1).max())
+    nearest_sq = np.full(grid.shape[0], np.inf)
+    for node in nodes.points:
+        np.minimum(nearest_sq, np.sum((grid - node) ** 2, axis=1), out=nearest_sq)
+    return float(np.sqrt(nearest_sq.max()))
 
 
 def error_bound(f_norm: float, p_m: float) -> float:
@@ -184,13 +209,26 @@ class PowerReport:
 def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
                  f_norm: float = 1.0, opts: SolverOptions | None = None,
                  grid_per_dim: int = 101) -> PowerReport:
-    """Evaluate P_m, the classical P_2, and the error bound at each point."""
+    """Evaluate P_m, the classical P_2, and the error bound at each point.
+
+    The node features are built once; the points go through in blocks
+    (see :func:`point_blocks`), one feature evaluation, one multi-RHS
+    least-squares solve and one multi-RHS A_2 solve per block.  If A_2 is
+    singular, P_2 comes from the m = 2 minimization instead.
+    """
+    require_even_order(m)
+    opts = opts or SolverOptions()
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    p_m = np.array([power_function(model, nodes, m, x, opts) for x in eval_points])
-    try:
-        p_2 = np.array([power_function_p2_closed(model, nodes, x) for x in eval_points])
-    except SingularGram:
-        p_2 = np.array([power_function(model, nodes, 2, x, opts) for x in eval_points])
+    V = eval_features(model, nodes.points)
+    p_m = np.empty(eval_points.shape[0])
+    p_2 = np.empty(eval_points.shape[0])
+    for rows in point_blocks(model, eval_points.shape[0]):
+        B = eval_features(model, eval_points[rows])
+        p_m[rows] = _power_values(V, B, m, opts)
+        try:
+            p_2[rows] = _p2_closed(V, B)
+        except SingularGram:
+            p_2[rows] = _power_values(V, B, 2, opts)
     bound = 2.0 * f_norm * p_m
     h = fill_distance(nodes, model.domain, grid_per_dim)
     return PowerReport(eval_points, p_m, p_2, bound, h, m)
@@ -236,26 +274,28 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
     ``2 ||f|| P_m``.
     """
     require_even_order(m)
+    opts = opts or SolverOptions()
     f_alpha = np.asarray(f_alpha, dtype=float)
     eval_grid = np.atleast_2d(np.asarray(eval_grid, dtype=float))
     f_norm = banach_norm_direct(f_alpha, m / (m - 1))
     rows = []
     for n in node_counts:
         pts = node_generator(n) if node_generator else _equispaced_nodes(model.domain, n)
-        V = FeatureGram.from_model(model, pts).V
+        V = eval_features(model, pts)
         nodes = NodeSet(pts, V @ f_alpha)
-        s = fit(model, nodes, m, opts)
-        f_vals = np.array([float(f_alpha @ eval_features(model, x)) for x in eval_grid])
-        errors = np.abs(f_vals - evaluate_many(s, eval_grid))
-        bounds = np.array(
-            [error_bound(f_norm, power_function(model, nodes, m, x, opts))
-             for x in eval_grid]
-        )
+        alpha = feature_coefficients(fit(model, nodes, m, opts))
+        max_error = max_bound = 0.0
+        for block in point_blocks(model, eval_grid.shape[0]):
+            B = eval_features(model, eval_grid[block])
+            errors = np.abs(B @ f_alpha - B @ alpha)
+            bounds = 2.0 * f_norm * _power_values(V, B, m, opts)
+            max_error = max(max_error, float(errors.max()))
+            max_bound = max(max_bound, float(bounds.max()))
         rows.append(StudyRow(
             n=int(n),
             h=fill_distance(nodes, model.domain, grid_per_dim),
-            max_error=float(errors.max()),
-            max_bound=float(bounds.max()),
+            max_error=max_error,
+            max_bound=max_bound,
         ))
     slope = None
     if len(rows) >= 2 and all(r.max_error > 0 for r in rows):

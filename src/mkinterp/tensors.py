@@ -15,7 +15,8 @@ A dense tensor with an entry budget is kept purely as a test oracle.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,16 +31,17 @@ class FeatureGram:
     """n x K array whose column k holds feature k at all nodes."""
 
     V: np.ndarray
-    full_row_rank: bool = field(init=False)
 
     def __post_init__(self):
         V = np.atleast_2d(np.asarray(self.V, dtype=float))
         if V.ndim != 2 or V.size == 0:
             raise DimensionMismatch("feature Gram must be a nonempty 2-d array")
         object.__setattr__(self, "V", V)
-        object.__setattr__(
-            self, "full_row_rank", int(np.linalg.matrix_rank(V)) == V.shape[0]
-        )
+
+    @cached_property
+    def full_row_rank(self) -> bool:
+        """Rank test by SVD, computed on first read only."""
+        return int(np.linalg.matrix_rank(self.V)) == self.n
 
     @property
     def n(self) -> int:
@@ -51,8 +53,7 @@ class FeatureGram:
 
     @classmethod
     def from_model(cls, model: FeatureModel, points) -> "FeatureGram":
-        rows = [eval_features(model, x) for x in np.atleast_2d(points)]
-        return cls(np.stack(rows))
+        return cls(eval_features(model, np.atleast_2d(points)))
 
 
 def _check_vector(gram: FeatureGram, c) -> np.ndarray:

@@ -73,6 +73,45 @@ class TestFit:
         assert report["converged"] is False
         assert out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, value):
+        data = write(tmp_path / "bad.csv", f"x1,y\n0,8\n1,{value}\n")
+        out = tmp_path / "o.json"
+        assert main(["fit", data, "--out", str(out)]) == 2
+        assert ":3: non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["0", "3", "-2"])
+    def test_bad_order_exits_2(self, tmp_path, capsys, order):
+        data = write(tmp_path / "d.csv", DATA_2ROW)
+        code = main(["fit", data, "--out", str(tmp_path / "o.json"),
+                     "--order", order, "--truncation", "2"])
+        assert code == 2
+        assert "order must be even" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_overflow_exits_3_without_writing_nan(self, tmp_path, capsys):
+        data = write(tmp_path / "big.csv", "x1,y\n0,1e308\n0.5,-1e308\n1,1e308\n")
+        out = tmp_path / "o.json"
+        assert main(["fit", data, "--out", str(out), "--order", "4"]) == 3
+        assert "overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_config_setting_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", "order = four\n")
+        data = write(tmp_path / "d.csv", DATA_2ROW)
+        assert main(["fit", data, "--out", str(tmp_path / "o.json"), "--config", cfg]) == 2
+        assert "bad setting" in capsys.readouterr().err
+
+    def test_report_is_strict_json(self, fitted_paths):
+        _, out, _ = fitted_paths
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        text = (out.parent / "interp.json.report.json").read_text()
+        assert json.loads(text, parse_constant=reject)["converged"] is True
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = write(tmp_path / "run.cfg",
                     "kernel = power\norder = 2\ntruncation = 2\n"
@@ -112,6 +151,39 @@ class TestEval:
         assert rows[2][2] == "outside_domain"
         assert rows[1][2] == ""
 
+    def test_mixed_inside_outside(self, fitted_paths):
+        _, out, tmp = fitted_paths
+        pts = write(tmp / "pts.csv", "x1\n-1.5\n0\n1.0000000000001\n3\n0.5\n-1\n")
+        result = tmp / "vals.csv"
+        assert main(["eval", str(out), "--points", pts, "--out", str(result)]) == 5
+        rows = read_rows(result)[1:]
+        assert [r[2] for r in rows] == ["outside_domain", "", "", "outside_domain", "", ""]
+        assert [r[1] for r in rows if r[2]] == ["", ""]
+        values = [float(r[1]) for r in rows if not r[2]]
+        np.testing.assert_allclose(values, [8.0, 9.0, 8.5, 7.0], atol=1e-7)
+
+    def test_wrong_dimension_flags_every_row(self, fitted_paths):
+        _, out, tmp = fitted_paths
+        pts = write(tmp / "pts.csv", "x1,x2\n0,0\n0.5,0.5\n")
+        result = tmp / "vals.csv"
+        assert main(["eval", str(out), "--points", pts, "--out", str(result)]) == 5
+        rows = read_rows(result)
+        assert rows[0] == ["x1", "s", "flag"]
+        assert [r[-1] for r in rows[1:]] == ["outside_domain"] * 2
+
+    def test_empty_points_file_of_other_dimension(self, fitted_paths):
+        _, out, tmp = fitted_paths
+        pts = write(tmp / "empty.csv", "x1,x2\n")
+        result = tmp / "vals.csv"
+        assert main(["eval", str(out), "--points", pts, "--out", str(result)]) == 0
+        assert read_rows(result) == [["x1", "s", "flag"]]
+
+    def test_non_finite_point_exits_2(self, fitted_paths):
+        _, out, tmp = fitted_paths
+        pts = write(tmp / "pts.csv", "x1\n0\nnan\n")
+        assert main(["eval", str(out), "--points", pts,
+                     "--out", str(tmp / "vals.csv")]) == 2
+
     def test_schema_mismatch_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", "{}")
         assert main(["eval", bad, "--out", str(tmp_path / "v.csv")]) == 2
@@ -149,6 +221,25 @@ class TestPower:
             assert float(row[1]) <= float(row[2]) + 1e-8
             if float(row[0]) in (0.0, 1.0):
                 assert float(row[1]) <= 1e-6
+
+
+    def test_singular_gram_exits_0(self, tmp_path):
+        # three nodes, one feature: A_2 is singular, so p_2 comes from the
+        # m = 2 minimization instead of the closed form
+        nodes = write(tmp_path / "three.csv", "x1,y\n0,0\n0.5,1\n1,2\n")
+        result = tmp_path / "power.csv"
+        code = main(["power", nodes, "--out", str(result), "--truncation", "1",
+                     "--grid", "5"])
+        assert code == 0
+        rows = read_rows(result)
+        assert len(rows) == 6
+        for row in rows[1:]:
+            assert float(row[1]) <= 1e-6 and float(row[2]) <= 1e-6
+
+    def test_grid_below_two_exits_2(self, tmp_path):
+        nodes = write(tmp_path / "nodes.csv", "x1,y\n0,0\n1,0\n")
+        code = main(["power", nodes, "--out", str(tmp_path / "p.csv"), "--grid", "1"])
+        assert code == 2
 
 
 class TestStudy:

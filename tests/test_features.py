@@ -15,6 +15,7 @@ from mkinterp import (
     eval_multikernel,
     graded_multi_indices,
 )
+from mkinterp.features import BLOCK_VALUES, point_blocks
 
 BOX = Domain([-1.0], [1.0])
 
@@ -39,6 +40,20 @@ class TestDomain:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(PointOutsideDomain):
             BOX.project([0.0, 0.0])
+
+    def test_contains_is_per_row(self):
+        box2 = Domain([-1.0, 0.0], [1.0, 2.0])
+        pts = np.array([[0.0, 1.0], [1.0 + 5e-13, 2.0], [1.5, 1.0], [0.0, -0.1],
+                        [np.nan, 1.0]])
+        assert box2.contains(pts).tolist() == [True, True, False, False, False]
+        assert box2.contains([0.0, 1.0])
+
+    def test_project_batch_clamps_and_rejects(self):
+        np.testing.assert_array_equal(
+            BOX.project([[0.5], [-1.0 - 5e-13]]), [[0.5], [-1.0]]
+        )
+        with pytest.raises(PointOutsideDomain):
+            BOX.project([[0.5], [1.5]])
 
 
 class TestGradedIndices:
@@ -70,6 +85,65 @@ class TestEvalFeatures:
         np.testing.assert_allclose(
             got, [1.0, np.cos(np.pi * 0.5), np.sin(np.pi * 0.5)], atol=1e-15
         )
+
+
+def row_by_row(model, X):
+    return np.stack([eval_features(model, x) for x in X]).reshape(len(X), -1)
+
+
+class TestBatchedEvalFeatures:
+    """An (N, d) call equals the stack of single-point calls, exactly:
+    the per-entry arithmetic is the same whatever the block."""
+
+    BOX2 = Domain([-1.0, -1.0], [1.0, 1.0])
+    MODELS = {
+        "power": FeatureModel.power_series(BOX2, 15, decay=0.6),
+        "trig": FeatureModel.trigonometric(BOX2, 40, decay=0.6),
+        "wide_trig": FeatureModel.trigonometric(BOX2, 3000, decay=0.99),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_rows_across_blocks(self, name):
+        model = self.MODELS[name]
+        step = point_blocks(model, 10 ** 6)[0].stop
+        N = 2 * step + 3  # three blocks, the last one partial
+        X = np.random.default_rng(3).uniform(-1, 1, size=(N, 2))
+        got = eval_features(model, X)
+        assert got.shape == (N, model.truncation)
+        np.testing.assert_array_equal(got, row_by_row(model, X))
+
+    def test_custom_table_lookup(self):
+        pts = np.linspace(0.0, 1.0, 7)[:, None]
+        feats = np.column_stack([np.ones(7), pts[:, 0], pts[:, 0] ** 2])
+        model = FeatureModel.custom_table(pts, feats, weights=[1.0, 4.0, 9.0])
+        X = pts[[6, 0, 3, 3, 5]]
+        X[2:] += 1e-10  # within the lookup tolerance
+        got = eval_features(model, X)
+        np.testing.assert_array_equal(got, row_by_row(model, X))
+        np.testing.assert_allclose(got, feats[[6, 0, 3, 3, 5]] * [1.0, 2.0, 3.0])
+        with pytest.raises(UntabulatedPoint):
+            eval_features(model, np.array([[0.0], [0.25]]))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_empty_batch(self, name):
+        model = self.MODELS[name]
+        assert eval_features(model, np.empty((0, 2))).shape == (0, model.truncation)
+
+    def test_single_point_shape(self):
+        model = self.MODELS["trig"]
+        assert eval_features(model, [0.1, 0.2]).shape == (40,)
+        assert eval_features(model, [[0.1, 0.2]]).shape == (1, 40)
+
+    def test_outside_row_rejected(self):
+        with pytest.raises(PointOutsideDomain):
+            eval_features(self.MODELS["power"], [[0.0, 0.0], [0.0, 1.5]])
+
+    def test_blocks_cover_every_row_once(self):
+        model = self.MODELS["wide_trig"]
+        blocks = point_blocks(model, 50)
+        assert blocks[0].stop - blocks[0].start == BLOCK_VALUES // 3000
+        assert np.concatenate([np.arange(50)[b] for b in blocks]).tolist() == list(range(50))
+        assert point_blocks(model, 0) == []
 
 
 class TestKernel2:

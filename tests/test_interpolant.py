@@ -110,6 +110,35 @@ class TestEvaluate:
             )
 
 
+class TestEvaluateMany:
+    """The batched path against the point-by-point dot products.  Block
+    products sum in another order than a single dot product, so rows agree
+    to the rounding bound of a K-term dot product, 2 K eps sum |alpha_k phi_k|."""
+
+    @pytest.fixture(scope="class")
+    def trig_fit(self):
+        box2 = Domain([-1.0, -1.0], [1.0, 1.0])
+        model = FeatureModel.trigonometric(box2, 60, decay=0.6)
+        pts = np.random.default_rng(50).uniform(-1, 1, size=(12, 2))
+        return fit(model, NodeSet(pts, np.sin(2 * pts[:, 0]) + pts[:, 1]), 4)
+
+    def test_matches_evaluate_row_by_row(self, trig_fit):
+        X = np.random.default_rng(51).uniform(-1, 1, size=(2500, 2))  # three blocks
+        alpha = feature_coefficients(trig_fit)
+        terms = np.abs(alpha * eval_features(trig_fit.model, X))
+        bound = 2 * alpha.size * np.finfo(float).eps * terms.sum(axis=1)
+        got = evaluate_many(trig_fit, X)
+        one_by_one = np.array([evaluate(trig_fit, x) for x in X])
+        seed_loop = np.array([float(alpha @ eval_features(trig_fit.model, x)) for x in X])
+        assert np.all(np.abs(got - one_by_one) <= bound)
+        assert np.all(np.abs(got - seed_loop) <= bound)
+
+    def test_empty_and_single(self, trig_fit):
+        assert evaluate_many(trig_fit, np.empty((0, 2))).shape == (0,)
+        x = np.array([0.3, -0.2])
+        assert evaluate_many(trig_fit, x).tolist() == [evaluate(trig_fit, x)]
+
+
 class TestFeatureCoefficients:
     def test_example(self, fitted):
         np.testing.assert_allclose(feature_coefficients(fitted), [8.0, 1.0],
@@ -244,3 +273,19 @@ class TestSerialization:
     def test_missing_key_rejected(self):
         with pytest.raises(KeyError):
             from_json("{}")
+
+    def test_load_and_evaluate_pay_no_rank_test(self, fitted, monkeypatch):
+        calls = []
+        real_rank = np.linalg.matrix_rank
+
+        def counting_rank(*args, **kwargs):
+            calls.append(1)
+            return real_rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+        loaded = from_json(to_json(fitted))
+        evaluate_many(loaded, [[0.0], [0.5]])
+        assert calls == []
+        assert loaded.gram.full_row_rank
+        assert loaded.gram.full_row_rank
+        assert calls == [1]

@@ -115,6 +115,16 @@ class TestFillDistance:
         assert h == pytest.approx(np.sqrt(2.0), abs=1e-8)
 
 
+    def test_matches_pairwise_oracle(self):
+        # the (grid, node, dim) brute force the streaming minimum replaces
+        box2 = Domain([-1.0, -1.0], [1.0, 1.0])
+        pts = np.random.default_rng(43).uniform(-1, 1, size=(17, 2))
+        grid = domain_grid(box2, 31)
+        diffs = grid[:, None, :] - pts[None, :, :]
+        expected = float(np.sqrt(np.sum(diffs ** 2, axis=2)).min(axis=1).max())
+        assert fill_distance(NodeSet(pts, np.zeros(17)), box2, 31) == expected
+
+
 class TestErrorBound:
     def test_arithmetic(self):
         assert error_bound(0.0, 3.0) == 0.0
@@ -138,6 +148,40 @@ class TestPowerReport:
         node_idx = [0, len(grid) // 2]  # grid includes -1 and 0
         assert report.p_m[np.argmin(np.abs(grid[:, 0]))] <= 1e-6
         assert report.order == 4
+
+
+class TestBatchedPowerReport:
+    """power_report shares one node Gram, one multi-RHS least-squares solve
+    and one multi-RHS A_2 solve over a block of points; the per-point public
+    functions stay the reference."""
+
+    BOX2 = Domain([-1.0, -1.0], [1.0, 1.0])
+    MODEL = FeatureModel.trigonometric(BOX2, 30, decay=0.6)
+    NODES = NodeSet(np.random.default_rng(44).uniform(-1, 1, size=(9, 2)), np.zeros(9))
+
+    def test_p2_matches_closed_form_per_point(self):
+        grid = domain_grid(self.BOX2, 9)
+        report = power_report(self.MODEL, self.NODES, 4, grid)
+        closed = np.array([power_function_p2_closed(self.MODEL, self.NODES, x)
+                           for x in grid])
+        # compare P_2^2: the closed form cancels near nodes, and the square
+        # root would magnify rounding there
+        np.testing.assert_allclose(report.p_2 ** 2, closed ** 2, rtol=0, atol=1e-12)
+
+    def test_pm_matches_power_function_per_point(self):
+        grid = domain_grid(self.BOX2, 7)
+        report = power_report(self.MODEL, self.NODES, 4, grid)
+        solved = np.array([power_function(self.MODEL, self.NODES, 4, x) for x in grid])
+        np.testing.assert_allclose(report.p_m, solved, rtol=1e-8, atol=1e-10)
+
+    def test_singular_gram_falls_back_to_minimization(self):
+        model1 = FeatureModel.power_series(BOX, 1, weights=np.ones(1))
+        nodes = NodeSet(np.array([[0.0], [0.5], [1.0]]), np.zeros(3))
+        grid = domain_grid(BOX, 5)
+        report = power_report(model1, nodes, 4, grid)
+        expected = [power_function(model1, nodes, 2, x) for x in grid]
+        np.testing.assert_allclose(report.p_2, expected, atol=1e-12)
+        assert np.all(report.p_m <= 1e-6)
 
 
 class TestConvergenceStudy:
