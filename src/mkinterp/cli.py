@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 success, 2 malformed input,
 3 solver not converged, 4 singular design (feature Gram without full row
-rank), 5 evaluation points outside the domain.
+rank), 5 evaluation points outside the domain (or, for a custom feature
+table, not tabulated).
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed)
 whose keys mirror the command-line flags; flags override file values.
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from .exceptions import DuplicateNodes, NotConverged
-from .features import Domain, FeatureModel
+from .features import Domain, FeatureModel, tabulated
 from .interpolant import (
     Interpolant,
     NodeSet,
@@ -39,6 +40,9 @@ EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 EXIT_DESIGN = 4
 EXIT_DOMAIN = 5
+
+# Output rows are formatted and written this many at a time.
+CSV_CHUNK_ROWS = 4096
 
 _DEFAULTS = {
     "kernel": "power",
@@ -187,6 +191,17 @@ def _node_set(points, values) -> NodeSet:
         raise CliInputError(f"duplicate points at rows {i + 2} and {j + 2}") from err
 
 
+def _chunked_rows(*arrays):
+    """Zip the rows of equal-length arrays as Python values.
+
+    Converts ``CSV_CHUNK_ROWS`` rows at a time with ``tolist``: fast, and
+    a large output's Python objects are never all alive at once.  ``repr``
+    of the resulting floats is the shortest round-trip form.
+    """
+    for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
+        yield from zip(*(a[start:start + CSV_CHUNK_ROWS].tolist() for a in arrays))
+
+
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -261,13 +276,20 @@ def cmd_eval(args) -> int:
         inside = s.model.domain.contains(points)
     else:
         inside = np.zeros(points.shape[0], dtype=bool)
-    values = iter(evaluate_many(s, points[inside]))
-    rows = []
-    for x, ok in zip(points, inside):
-        cells = [_fmt(next(values)), ""] if ok else ["", "outside_domain"]
-        rows.append([_fmt(v) for v in x] + cells)
-    _write_csv(args.out, header, rows)
-    return EXIT_OK if np.all(inside) else EXIT_DOMAIN
+    found = inside.copy()
+    found[inside] = tabulated(s.model, points[inside])
+    values = np.zeros(points.shape[0])
+    values[found] = evaluate_many(s, points[found])
+
+    def rows():
+        for x, value, ok, hit in _chunked_rows(points, values, inside, found):
+            if hit:
+                yield [*map(repr, x), repr(value), ""]
+            else:
+                yield [*map(repr, x), "", "untabulated" if ok else "outside_domain"]
+
+    _write_csv(args.out, header, rows())
+    return EXIT_OK if np.all(found) else EXIT_DOMAIN
 
 
 def cmd_power(args) -> int:
@@ -282,8 +304,8 @@ def cmd_power(args) -> int:
 
     d = model.domain.dim
     header = [f"x{i + 1}" for i in range(d)] + ["p_m", "p_2", "bound"]
-    rows = [[_fmt(v) for v in x] + [_fmt(pm), _fmt(p2), _fmt(bound)]
-            for x, pm, p2, bound in zip(grid, report.p_m, report.p_2, report.bound)]
+    rows = ([*map(repr, x), *map(repr, cells)]
+            for x, *cells in _chunked_rows(grid, report.p_m, report.p_2, report.bound))
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

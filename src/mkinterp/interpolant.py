@@ -77,7 +77,12 @@ def fit(model: FeatureModel, nodes: NodeSet, m: int,
     Raises :class:`NotConverged` (carrying the best-effort report) if the
     solver cannot meet its residual tolerance.
     """
-    gram = FeatureGram.from_model(model, nodes.points)
+    return _fit_gram(model, nodes, m, FeatureGram.from_model(model, nodes.points), opts)
+
+
+def _fit_gram(model: FeatureModel, nodes: NodeSet, m: int, gram: FeatureGram,
+              opts: SolverOptions | None = None) -> Interpolant:
+    """:func:`fit` on the node Gram ``gram`` of `model` at ``nodes.points``."""
     report = solve_multilinear(gram, m, nodes.values, opts)
     if not report.converged:
         raise NotConverged(report)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import SingularGram
 from .features import Domain, FeatureModel, eval_features, point_blocks, require_even_order
-from .interpolant import NodeSet, banach_norm_direct, feature_coefficients, fit
+from .interpolant import NodeSet, _fit_gram, banach_norm_direct, feature_coefficients
 from .solver import SolverOptions
 from .tensors import FeatureGram
 
@@ -283,7 +283,7 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
         pts = node_generator(n) if node_generator else _equispaced_nodes(model.domain, n)
         V = eval_features(model, pts)
         nodes = NodeSet(pts, V @ f_alpha)
-        alpha = feature_coefficients(fit(model, nodes, m, opts))
+        alpha = feature_coefficients(_fit_gram(model, nodes, m, FeatureGram(V), opts))
         max_error = max_bound = 0.0
         for block in point_blocks(model, eval_grid.shape[0]):
             B = eval_features(model, eval_grid[block])

@@ -137,7 +137,9 @@ def solve_multilinear(gram: FeatureGram, m: int, y,
 
     Returns a report whose ``converged`` flag certifies
     ``||A_m c^{m-1} - y||_2 <= residual_tol``; on failure the best iterate
-    and its diagnostics are returned with ``converged=False``.
+    and its diagnostics are returned with ``converged=False``.  An iterate
+    whose residual or potential is not finite (overflow) ends the solve at
+    once.
     """
     opts = opts or SolverOptions()
     require_even_order(m)
@@ -153,17 +155,22 @@ def solve_multilinear(gram: FeatureGram, m: int, y,
         )
 
     V = gram.V
-    c = _initial_guess(gram, m, y, opts)
+    # an overflowed iterate is reported below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _initial_guess(gram, m, y, opts)
     trace = []
     iterations = 0
     while True:
-        t = V.T @ c
-        grad = V @ (t ** (m - 1)) - y
-        res = float(np.linalg.norm(grad))
-        trace.append(_potential(V, c, y, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = V.T @ c
+            grad = V @ (t ** (m - 1)) - y
+            res = float(np.linalg.norm(grad))
+            potential = _potential(V, c, y, m)
+        trace.append(potential)
         if res <= opts.residual_tol:
             return SolveReport(c, res, iterations, True, trace)
-        if iterations >= opts.max_iterations:
+        finite = np.isfinite(res) and np.isfinite(potential)
+        if iterations >= opts.max_iterations or not finite:
             return SolveReport(c, res, iterations, False, trace)
         direction = _newton_direction(V, t, grad, m, opts)
         c = _armijo(V, c, y, m, direction, grad, opts)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mkinterp import FeatureModel, NodeSet, evaluate, fit, to_json
 from mkinterp.cli import main
 
 DATA_2ROW = "x1,y\n0,8\n1,9\n"
@@ -183,6 +184,22 @@ class TestEval:
         pts = write(tmp / "pts.csv", "x1\n0\nnan\n")
         assert main(["eval", str(out), "--points", pts,
                      "--out", str(tmp / "vals.csv")]) == 2
+
+    def test_custom_table_untabulated_flagged_exit_5(self, tmp_path):
+        table = [[0.0], [0.5], [1.0]]
+        model = FeatureModel.custom_table(table, [[1.0, 0.0, 0.0], [1.0, 0.5, 0.25],
+                                                  [1.0, 1.0, 1.0]])
+        s = fit(model, NodeSet(np.array(table), np.array([1.0, 2.0, 4.0])), 2)
+        path = write(tmp_path / "custom.json", to_json(s))
+        pts = write(tmp_path / "pts.csv", "x1\n0.5\n0.25\n2\n")
+        result = tmp_path / "vals.csv"
+        assert main(["eval", path, "--points", pts, "--out", str(result)]) == 5
+        assert read_rows(result) == [
+            ["x1", "s", "flag"],
+            ["0.5", repr(evaluate(s, [0.5])), ""],
+            ["0.25", "", "untabulated"],
+            ["2.0", "", "outside_domain"],
+        ]
 
     def test_schema_mismatch_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", "{}")

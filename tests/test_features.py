@@ -146,6 +146,88 @@ class TestBatchedEvalFeatures:
         assert point_blocks(model, 0) == []
 
 
+def reference_features(model, X):
+    """Direct per-column oracle: each coordinate's factor is computed for
+    all K columns (both cos and sin for trig, one kept by ``np.where``)."""
+    X = model.domain.project(X)
+    vals = np.ones((X.shape[0], model.truncation))
+    for j in range(model.domain.dim):
+        if model.family == "power":
+            vals *= X[:, j:j + 1] ** model.exponents[:, j]
+        else:
+            arg = (np.pi * model.frequencies[:, j]) * X[:, j:j + 1]
+            kinds = model.trig_kinds[:, j]
+            vals *= np.where(kinds == 1, np.cos(arg), np.where(kinds == 2, np.sin(arg), 1.0))
+    return vals * np.sqrt(model.weights)
+
+
+def build(family, domain, K, **kwargs):
+    factory = FeatureModel.power_series if family == "power" else FeatureModel.trigonometric
+    return factory(domain, K, **kwargs)
+
+
+def degrees(model):
+    table = model.exponents if model.family == "power" else model.frequencies
+    return table.sum(axis=1)
+
+
+class TestFactorTables:
+    """The factor-table evaluation does the oracle's float operations on
+    each entry, so the two agree bit for bit."""
+
+    # K ends mid-degree for every case but 1-d power, where each degree
+    # holds one feature
+    TRUNCATION = {1: 10, 2: 23, 3: 47, 4: 90}
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_reference_exactly(self, family, dim):
+        box = Domain([-1.0] * dim, [1.5] * dim)
+        K = self.TRUNCATION[dim]
+        rng = np.random.default_rng(dim)
+        model = build(family, box, K, weights=rng.uniform(0.1, 3.0, K))
+        if (family, dim) != ("power", 1):
+            assert degrees(build(family, box, K + 1))[K] == degrees(model)[K - 1]
+        step = point_blocks(model, 10 ** 6)[0].stop
+        X = rng.uniform(-1.0, 1.5, size=(2 * step + 3, dim))  # last block partial
+        X[:3] = 1.5 + 5e-13  # clamped onto the upper face
+        X[3:6, -1] = -1.0 - 5e-13
+        X[6, 0] = 0.0
+        got = eval_features(model, X)
+        assert got.shape == (X.shape[0], K)
+        np.testing.assert_array_equal(got, reference_features(model, X))
+        np.testing.assert_array_equal(eval_features(model, X[5]),
+                                      reference_features(model, X[5:6])[0])
+        assert eval_features(model, np.empty((0, dim))).shape == (0, K)
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_large_model_matches_reference_exactly(self, family):
+        model = build(family, Domain([-1.0] * 3, [1.0] * 3), 800)
+        X = np.random.default_rng(7).uniform(-1, 1, size=(300, 3))
+        np.testing.assert_array_equal(eval_features(model, X), reference_features(model, X))
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_one_column_per_distinct_factor(self, family):
+        model = build(family, Domain([-1.0, -1.0], [1.0, 1.0]), 120)
+        widths = [int(gather.max()) + 1 for *_, gather in model.coordinate_factors]
+        if family == "power":
+            distinct = [len(set(e)) for e in model.exponents.T]
+        else:
+            distinct = [len(set(zip(f, k)))
+                        for f, k in zip(model.frequencies.T, model.trig_kinds.T)]
+        assert widths == distinct
+        assert distinct == ([15, 15] if family == "power" else [17, 15])
+
+    def test_tables_built_once_per_model(self):
+        model = FeatureModel.trigonometric(Domain([-1.0, -1.0], [1.0, 1.0]), 40)
+        assert "coordinate_factors" not in vars(model)
+        eval_features(model, [[0.1, 0.2], [0.3, -0.4]])
+        tables = vars(model)["coordinate_factors"]
+        eval_features(model, [0.5, 0.5])
+        eval_features(model, np.zeros((5000, 2)))
+        assert model.coordinate_factors is tables
+
+
 class TestKernel2:
     def test_example_values(self):
         model = monomials(2)  # features (1, x)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mkinterp.power
+import mkinterp.tensors
 from mkinterp import (
     Domain,
     FeatureModel,
@@ -10,6 +12,7 @@ from mkinterp import (
     convergence_study,
     domain_grid,
     error_bound,
+    eval_features,
     fill_distance,
     power_function,
     power_function_p2_closed,
@@ -200,6 +203,21 @@ class TestConvergenceStudy:
         f_norm = np.sum(np.abs(f_alpha) ** (4 / 3)) ** 0.75
         assert result.bound_dominates(1e-6 * (1 + f_norm))
         assert result.slope is not None and result.slope > 0
+
+    def test_node_features_evaluated_once_per_row(self, monkeypatch):
+        calls = []
+
+        def counting(model, x):
+            calls.append(np.shape(x))
+            return eval_features(model, x)
+
+        monkeypatch.setattr(mkinterp.power, "eval_features", counting)
+        monkeypatch.setattr(mkinterp.tensors, "eval_features", counting)
+        model = FeatureModel.trigonometric(BOX, 21, decay=0.7)
+        f_alpha = np.random.default_rng(42).standard_normal(21)
+        convergence_study(model, f_alpha, 4, [4, 8], domain_grid(BOX, 101))
+        # per row: the nodes once, then the grid in one block
+        assert calls == [(4, 1), (101, 1), (8, 1), (101, 1)]
 
     def test_target_in_reach_gives_tiny_error(self):
         model = FeatureModel.power_series(BOX, 3, weights=np.ones(3))

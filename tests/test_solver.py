@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from mkinterp import (
     DimensionMismatch,
+    Domain,
     FeatureGram,
+    FeatureModel,
     OddOrderUnsupported,
     SingularDesignWarning,
     SolverOptions,
@@ -125,6 +128,17 @@ class TestSolveMultilinear:
         assert not report.converged
         assert report.iterations == 1
         assert len(report.objective_trace) == 2
+
+    def test_non_finite_iterate_stops_at_once(self):
+        # |y| = 1e308 overflows the initial guess; nothing is left to iterate on
+        model = FeatureModel.power_series(Domain([-1.0], [1.0]), 8)
+        gram = FeatureGram.from_model(model, [[0.0], [0.5], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = solve_multilinear(gram, 4, [1e308, -1e308, 1e308])
+        assert not report.converged
+        assert report.iterations == 0
+        assert not np.isfinite(report.residual_norm)
 
     def test_singular_design_warns(self):
         gram = FeatureGram(np.array([[1.0], [1.0]]))
