@@ -238,6 +238,7 @@ def cmd_fit(args) -> int:
     report_path = args.report or args.out + ".report.json"
     report_doc = {
         "converged": report.converged,
+        "stop_reason": report.stop_reason,
         "residual_norm": report.residual_norm,
         "iterations": report.iterations,
         "norm": banach_norm_via_tensor(s),
@@ -249,8 +250,8 @@ def cmd_fit(args) -> int:
         json.dump(report_doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
     if not report.converged:
-        print(f"error: solver stopped at residual {report.residual_norm:.3e}",
-              file=sys.stderr)
+        print(f"error: solver stopped ({report.stop_reason}) at residual "
+              f"{report.residual_norm:.3e}", file=sys.stderr)
         return EXIT_CONVERGENCE
     return EXIT_OK
 

@@ -39,8 +39,8 @@ class NotConverged(RuntimeError):
         self.report = report
         super().__init__(
             message
-            or f"solver stopped at residual {report.residual_norm:.3e} "
-            f"after {report.iterations} iterations"
+            or f"solver stopped ({report.stop_reason}) at residual "
+            f"{report.residual_norm:.3e} after {report.iterations} iterations"
         )
 
 

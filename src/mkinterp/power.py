@@ -7,8 +7,9 @@ convex minimization
 
     P_m(x)^m = min_theta sum_k ( phi_k(x) - sum_i theta_i phi_k(x_i) )^m,
 
-solved here by the same damped-Newton machinery as the interpolation
-system.  For m = 2 the classical closed form
+solved by the same damped-Newton core as the interpolation system
+(``solver._minimize_even_power``), started from the l2 minimizer.  For
+m = 2 the classical closed form
 ``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` is available as an
 independent cross-check.  The pointwise interpolation error of any target
 with known norm is bounded by ``2 ||f|| P_m(x)``.
@@ -24,64 +25,23 @@ import numpy as np
 from .exceptions import SingularGram
 from .features import Domain, FeatureModel, eval_features, point_blocks, require_even_order
 from .interpolant import NodeSet, _fit_gram, banach_norm_direct, feature_coefficients
-from .solver import SolverOptions
+from .solver import SolverOptions, _minimize_even_power
 from .tensors import FeatureGram
-
-_MAX_BACKTRACKS = 60
-
-
-def _power_objective(Vt, b, theta, m):
-    r = b - Vt @ theta
-    return float(np.sum(r ** m)), r
 
 
 def _power_newton(V, b, theta, m, opts: SolverOptions) -> float:
-    """Damped Newton on ``sum_k (b - V^T theta)_k^m`` from the l2 start theta.
+    """``min_theta q`` with ``q = sum_k (b - V^T theta)_k^m``, to the power 1/m.
 
-    ``V`` holds the node features (n x K), ``b`` the features at the point.
-    Returns ``q*^{1/m}``; for m = 2 the l2 start is already the minimizer.
+    ``V`` holds the node features (n x K), ``b`` the features at the point
+    and theta the l2 start, already the minimizer for m = 2.  ``q = m F``
+    for the solver's core with ``u = -b``, ``W = V^T`` and no linear term
+    (m is even, so the sign of the residual does not matter); it stops once
+    ``||grad q|| <= 1e-13 (1 + q)``.
     """
-    Vt = V.T  # K x n
-    q, r = _power_objective(Vt, b, theta, m)
-    if m == 2:
-        return float(max(q, 0.0) ** 0.5)
-
-    n = V.shape[0]
-    for _ in range(opts.max_iterations):
-        grad = -m * V @ (r ** (m - 1))
-        if float(np.linalg.norm(grad)) <= 1e-13 * (1.0 + q):
-            break
-        H = m * (m - 1) * (V * r ** (m - 2)) @ V.T
-        ridge = opts.ridge_floor * max(1.0, np.trace(H) / n)
-        step = None
-        for _ in range(20):
-            try:
-                step = -np.linalg.solve(H + ridge * np.eye(n), grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and grad @ step < 0:
-                break
-            ridge *= 100.0
-        if step is None or grad @ step >= 0:
-            step = -grad
-        slope = float(grad @ step)
-        noise = 1e-15 * (1.0 + abs(q))
-        eta = 1.0
-        improved = False
-        for _ in range(_MAX_BACKTRACKS):
-            cand = theta + eta * step
-            cand_q, cand_r = _power_objective(Vt, b, cand, m)
-            if cand_q <= q + opts.armijo_constant * eta * slope + noise:
-                improved = True
-                break
-            eta *= opts.line_search_shrink
-        if not improved:
-            break
-        stalled = q - cand_q <= 1e-16 * (1.0 + abs(q))
-        theta, q, r = cand, cand_q, cand_r
-        if stalled:
-            break
-    return float(max(q, 0.0) ** (1.0 / m))
+    _, F, *_ = _minimize_even_power(
+        V.T, -b, None, theta, m, opts.max_iterations if m > 2 else 0,
+        lambda gnorm, F: m * gnorm <= 1e-13 * (1.0 + m * F))
+    return float(max(m * F, 0.0) ** (1.0 / m))
 
 
 def _power_values(V, B, m, opts: SolverOptions) -> np.ndarray:
@@ -150,7 +110,7 @@ def power_function_dense_oracle(model: FeatureModel, nodes: NodeSet, m: int, x,
         best = None
         for combo in _cartesian(*axes):
             theta = np.asarray(combo)
-            q, _ = _power_objective(Vt, b, theta, m)
+            q = float(np.sum((b - Vt @ theta) ** m))
             if best is None or q < best[0]:
                 best = (q, theta)
         center = best[1]

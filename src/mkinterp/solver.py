@@ -7,14 +7,20 @@ the potential
     F(c) = (1/m) A_m c^m - y . c
 
 is convex with gradient ``A_m c^{m-1} - y`` (the system residual itself)
-and Hessian ``(m-1) sum_k (v_k . c)^{m-2} v_k v_k^T``.  A damped Newton
-iteration with Armijo backtracking therefore solves the system; for m = 2
-it reduces to the plain linear solve ``(V V^T) c = y``.  Convergence is
-declared on the residual 2-norm.
+and Hessian ``(m-1) sum_k (v_k . c)^{m-2} v_k v_k^T``.  The power function
+(:mod:`mkinterp.power`) minimizes a potential of the same shape, so one
+damped Newton core, ``_minimize_even_power``, serves both problems:
+
+    F(z) = (1/m) sum_k (u + W z)_k^m + l . z
+
+with ``u = 0``, ``W = V^T``, ``l = -y`` here.  Each caller brings its own
+stop test; interpolation stops on the residual 2-norm.  For m = 2 the core
+reduces to the linear solve ``(V V^T) c = y``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +30,13 @@ from .exceptions import DimensionMismatch, SingularDesignWarning
 from .features import require_even_order
 from .tensors import FeatureGram, contract_m_minus_1
 
+# Newton and line-search constants, shared by every descent in this module.
+_RIDGE_FLOOR = 1e-12
+_ARMIJO = 1e-4
+_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
+# Rounding noise of F, relative to the summed magnitude of its terms.
+_NOISE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -39,9 +51,6 @@ class SolverOptions:
 
     residual_tol: float = 1e-10
     max_iterations: int = 200
-    ridge_floor: float = 1e-12
-    line_search_shrink: float = 0.5
-    armijo_constant: float = 1e-4
     init: str = "linear"
     multistart: int = 8
     rng_seed: int = 0
@@ -49,22 +58,29 @@ class SolverOptions:
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
-        if not 0 < self.line_search_shrink < 1:
-            raise ValueError("line_search_shrink must lie in (0, 1)")
-        if not 0 < self.armijo_constant < 1:
-            raise ValueError("armijo_constant must lie in (0, 1)")
         if self.init not in ("zero", "linear"):
             raise ValueError("init must be 'zero' or 'linear'")
 
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of a solve.
+
+    ``stop_reason`` is ``"converged"``, ``"max_iterations"``, ``"stalled"``
+    (no step passes the line search, so the last iterate is kept) or
+    ``"non_finite"`` (the residual or the potential overflowed).
+    """
+
     coefficients: np.ndarray
     residual_norm: float
     iterations: int
-    converged: bool
+    stop_reason: str
     objective_trace: list = field(default_factory=list)
     local_minima: list | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def residual_norm(gram: FeatureGram, m: int, c, y) -> float:
@@ -75,46 +91,83 @@ def residual_norm(gram: FeatureGram, m: int, c, y) -> float:
     return float(np.linalg.norm(contract_m_minus_1(gram, m, c) - y))
 
 
-def _potential(V, c, y, m):
-    t = V.T @ c
-    return float(np.sum(t ** m) / m - y @ c)
-
-
-def _hessian(V, t, m):
-    # (m-1) * V diag(t^{m-2}) V^T; t^{m-2} >= 0 for even m, so PSD.
-    return (m - 1) * (V * t ** (m - 2)) @ V.T
-
-
-def _newton_direction(V, t, grad, m, opts):
-    n = V.shape[0]
-    H = _hessian(V, t, m)
-    scale = max(1.0, np.trace(H) / n)
-    ridge = opts.ridge_floor * scale
+def _newton_direction(W, r, grad, m):
+    # a helper, so that the n x n Hessian is freed before the next is built
+    n = W.shape[1]
+    # (m-1) * W^T diag(r^{m-2}) W; r^{m-2} >= 0 for even m, so PSD.
+    H = (m - 1) * (W.T * r ** (m - 2)) @ W
+    ridge = _RIDGE_FLOOR * max(1.0, H.trace() / n)
+    diagonal = H.diagonal().copy()
     for _ in range(20):
+        H.flat[:: n + 1] = diagonal + ridge
         try:
-            step = -np.linalg.solve(H + ridge * np.eye(n), grad)
+            step = -np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
             step = None
         if step is not None and grad @ step < 0:
             return step
         ridge *= 100.0
-    return -grad  # degenerate Hessian (e.g. c = 0 with m >= 4)
+    return -grad  # degenerate Hessian (e.g. z = 0 with u = 0 and m >= 4)
 
 
-def _armijo(V, c, y, m, direction, grad, opts):
-    f0 = _potential(V, c, y, m)
-    slope = float(grad @ direction)
-    # floor the sufficient-decrease test at rounding noise so full Newton
-    # steps are still taken once the objective change is below precision
-    noise = 1e-15 * (1.0 + abs(f0))
-    eta = 1.0
-    cand = c + direction
-    for _ in range(_MAX_BACKTRACKS):
-        cand = c + eta * direction
-        if _potential(V, cand, y, m) <= f0 + opts.armijo_constant * eta * slope + noise:
-            break
-        eta *= opts.line_search_shrink
-    return cand
+def _minimize_even_power(W, u, ell, z, m, max_iterations, done):
+    """Damped Newton on ``F(z) = (1/m) sum_k (u + W z)_k^m + ell . z``.
+
+    ``W`` is K x n, ``u`` a K-vector or 0, ``ell`` an n-vector or None for
+    zero, m even; ``done(gnorm, F)`` is the caller's stop test.  Returns
+    ``(z, F, gnorm, iterations, stop_reason, trace)``, F per iterate in trace.
+
+    The line search tests the difference ``F(cand) - F`` (the sum
+    ``F + c eta slope`` rounds back to F) and trusts a fall only beyond F's
+    rounding noise, relative to the summed magnitude of its terms.  Within
+    the noise a candidate must lower the gradient norm strictly, by the
+    Armijo fraction (the approximate-Wolfe idea of Hager and Zhang, SIAM J.
+    Optim. 16(1), 2005).  Overflow fails the line search or ends the solve.
+    """
+    def evaluate(z):  # r = u + W z, F and the magnitude of F's terms
+        r = W @ z + u
+        power_sum = float((r ** m).sum()) / m
+        if ell is None:
+            return r, power_sum, power_sum
+        return r, power_sum + float(ell @ z), power_sum + float(np.abs(ell) @ np.abs(z))
+
+    def gradient(r):
+        grad = W.T @ (r ** (m - 1))
+        return grad if ell is None else grad + ell
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, F, magnitude = evaluate(z)
+        grad = gradient(r)
+        trace = []
+        iterations = 0
+        while True:
+            gnorm = math.sqrt(grad @ grad)
+            trace.append(F)
+            if done(gnorm, F):
+                return z, F, gnorm, iterations, "converged", trace
+            if not (math.isfinite(gnorm) and math.isfinite(F)):
+                return z, F, gnorm, iterations, "non_finite", trace
+            if iterations >= max_iterations:
+                return z, F, gnorm, iterations, "max_iterations", trace
+            step = _newton_direction(W, r, grad, m)
+            slope = float(grad @ step)
+            noise = _NOISE * magnitude
+            eta = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                cand = z + eta * step
+                cand_r, cand_F, cand_magnitude = evaluate(cand)
+                drop = cand_F - F
+                decrease = _ARMIJO * eta * slope
+                if drop <= decrease + noise:
+                    cand_grad = gradient(cand_r)
+                    if (drop <= min(decrease, -noise) or math.sqrt(cand_grad @ cand_grad)
+                            < (1.0 - _ARMIJO * eta) * gnorm):
+                        break
+                eta *= _SHRINK
+            else:
+                return z, F, gnorm, iterations, "stalled", trace
+            z, r, F, magnitude, grad = cand, cand_r, cand_F, cand_magnitude, cand_grad
+            iterations += 1
 
 
 def _initial_guess(gram: FeatureGram, m: int, y, opts: SolverOptions):
@@ -136,10 +189,8 @@ def solve_multilinear(gram: FeatureGram, m: int, y,
     """Solve ``A_m c^{m-1} = y`` by damped Newton on the convex potential.
 
     Returns a report whose ``converged`` flag certifies
-    ``||A_m c^{m-1} - y||_2 <= residual_tol``; on failure the best iterate
-    and its diagnostics are returned with ``converged=False``.  An iterate
-    whose residual or potential is not finite (overflow) ends the solve at
-    once.
+    ``||A_m c^{m-1} - y||_2 <= residual_tol``; otherwise its ``stop_reason``
+    says why the solve ended, with the last iterate and its diagnostics.
     """
     opts = opts or SolverOptions()
     require_even_order(m)
@@ -154,27 +205,13 @@ def solve_multilinear(gram: FeatureGram, m: int, y,
             stacklevel=2,
         )
 
-    V = gram.V
-    # an overflowed iterate is reported below rather than warned about
+    # an overflowed start is reported as non_finite rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         c = _initial_guess(gram, m, y, opts)
-    trace = []
-    iterations = 0
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = V.T @ c
-            grad = V @ (t ** (m - 1)) - y
-            res = float(np.linalg.norm(grad))
-            potential = _potential(V, c, y, m)
-        trace.append(potential)
-        if res <= opts.residual_tol:
-            return SolveReport(c, res, iterations, True, trace)
-        finite = np.isfinite(res) and np.isfinite(potential)
-        if iterations >= opts.max_iterations or not finite:
-            return SolveReport(c, res, iterations, False, trace)
-        direction = _newton_direction(V, t, grad, m, opts)
-        c = _armijo(V, c, y, m, direction, grad, opts)
-        iterations += 1
+    tol = opts.residual_tol
+    c, _, res, iterations, reason, trace = _minimize_even_power(
+        gram.V.T, 0.0, -y, c, m, opts.max_iterations, lambda gnorm, F: gnorm <= tol)
+    return SolveReport(c, res, iterations, reason, trace)
 
 
 def _reg_objective(V, c, y, sigma, m):
@@ -201,9 +238,9 @@ def _descend(V, y, sigma, m, c, opts, grad_tol):
         for _ in range(_MAX_BACKTRACKS):
             cand = c - eta * grad
             cand_obj, cand_r, cand_t = _reg_objective(V, cand, y, sigma, m)
-            if cand_obj <= obj - opts.armijo_constant * eta * float(grad @ grad):
+            if cand_obj <= obj - _ARMIJO * eta * float(grad @ grad):
                 break
-            eta *= opts.line_search_shrink
+            eta *= _SHRINK
         new_grad = _reg_gradient(V, cand_r, cand_t, sigma, m)
         s = cand - c
         g_diff = new_grad - grad
@@ -260,7 +297,7 @@ def solve_regularized(gram: FeatureGram, m: int, y, sigma: float,
         coefficients=best_c,
         residual_norm=residual_norm(gram, m, best_c, y),
         iterations=total_iterations,
-        converged=best_gnorm <= grad_tol,
+        stop_reason="converged" if best_gnorm <= grad_tol else "max_iterations",
         objective_trace=[best_obj],
         local_minima=minima,
     )

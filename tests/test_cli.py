@@ -63,7 +63,7 @@ class TestFit:
                      "--truncation", "2", "--order", "4"])
         assert code == 4
 
-    def test_not_converged_exits_3_but_writes_report(self, tmp_path):
+    def test_not_converged_exits_3_but_writes_report(self, tmp_path, capsys):
         # non-integer data keeps the residual above an unreachable tolerance
         data = write(tmp_path / "d.csv", "x1,y\n0,8.1\n1,9.7\n")
         out = tmp_path / "o.json"
@@ -72,6 +72,8 @@ class TestFit:
         assert code == 3
         report = json.loads((tmp_path / "o.json.report.json").read_text())
         assert report["converged"] is False
+        assert report["stop_reason"] in ("max_iterations", "stalled")
+        assert f"({report['stop_reason']})" in capsys.readouterr().err
         assert out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])

@@ -219,6 +219,18 @@ class TestConvergenceStudy:
         # per row: the nodes once, then the grid in one block
         assert calls == [(4, 1), (101, 1), (8, 1), (101, 1)]
 
+    @pytest.mark.parametrize("seed", [8, 11])
+    def test_study_fits_converge_for_every_target(self, seed):
+        # for these targets a line search that tests F alone stalls just
+        # above the default tolerance
+        model = FeatureModel.trigonometric(BOX, 81, decay=0.5)
+        f_alpha = np.random.default_rng(seed).standard_normal(81)
+        result = convergence_study(model, f_alpha, 4, [8, 16, 32, 64],
+                                   domain_grid(BOX, 101))
+        assert [row.n for row in result.rows] == [8, 16, 32, 64]
+        f_norm = np.sum(np.abs(f_alpha) ** (4 / 3)) ** 0.75
+        assert result.bound_dominates(1e-6 * (1 + f_norm))
+
     def test_target_in_reach_gives_tiny_error(self):
         model = FeatureModel.power_series(BOX, 3, weights=np.ones(3))
         f_alpha = np.array([1.0, -2.0, 0.5])

@@ -21,6 +21,11 @@ from mkinterp import (
 GRAM = FeatureGram(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+def three_node_gram():
+    model = FeatureModel.power_series(Domain([-1.0], [1.0]), 8)
+    return FeatureGram.from_model(model, [[0.0], [0.5], [1.0]])
+
+
 def potential(V, c, y, m):
     t = V.T @ c
     return float(np.sum(t ** m) / m - y @ c)
@@ -128,17 +133,51 @@ class TestSolveMultilinear:
         assert not report.converged
         assert report.iterations == 1
         assert len(report.objective_trace) == 2
+        assert report.stop_reason == "max_iterations"
 
     def test_non_finite_iterate_stops_at_once(self):
         # |y| = 1e308 overflows the initial guess; nothing is left to iterate on
-        model = FeatureModel.power_series(Domain([-1.0], [1.0]), 8)
-        gram = FeatureGram.from_model(model, [[0.0], [0.5], [1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = solve_multilinear(gram, 4, [1e308, -1e308, 1e308])
+            report = solve_multilinear(three_node_gram(), 4, [1e308, -1e308, 1e308])
         assert not report.converged
+        assert report.stop_reason == "non_finite"
         assert report.iterations == 0
         assert not np.isfinite(report.residual_norm)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_overflowing_steps_keep_the_finite_start(self, scale):
+        # every Newton candidate overflows; the line search must reject them
+        gram = three_node_gram()
+        y = [scale, -scale, scale]
+        start = solve_multilinear(gram, 4, y, SolverOptions(max_iterations=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = solve_multilinear(gram, 4, y)
+        assert report.stop_reason == "stalled"
+        np.testing.assert_array_equal(report.coefficients, start.coefficients)
+        assert np.all(np.isfinite(report.coefficients))
+        assert report.residual_norm == start.residual_norm
+        assert np.isfinite(report.residual_norm)
+
+    def test_tolerance_below_rounding_floor_stalls_early(self):
+        # the residual cannot fall below about |y| * 1e-16 >> residual_tol
+        report = solve_multilinear(three_node_gram(), 4, [1e50, -1e50, 1e50])
+        assert report.stop_reason == "stalled"
+        assert report.iterations < SolverOptions().max_iterations // 2
+        assert report.residual_norm < 1e-12 * 1e50
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
+    def test_ill_conditioned_power_series_converges(self, m):
+        # cond(V) = 1.2e4; at m = 6 the potential's rounding (|F| ~ 20 with
+        # |c| ~ 7e3) hides the late steps from a line search that tests F alone
+        model = FeatureModel.power_series(Domain([-1.0], [1.0]), 20, 0.7)
+        pts = np.linspace(-0.95, 0.95, 10)[:, None]
+        report = solve_multilinear(FeatureGram.from_model(model, pts), m,
+                                   np.sin(3 * pts[:, 0]))
+        assert report.converged
+        assert report.stop_reason == "converged"
+        assert report.iterations <= 30
 
     def test_singular_design_warns(self):
         gram = FeatureGram(np.array([[1.0], [1.0]]))
