@@ -6,7 +6,6 @@ by convex minimization over the rank-one-sum form of ``A_m``.
 """
 
 from .exceptions import (
-    BudgetExceeded,
     DimensionMismatch,
     DuplicateNodes,
     InvalidExponent,
@@ -36,7 +35,6 @@ from .interpolant import (
     dual_pairing,
     evaluate,
     evaluate_many,
-    evaluate_tensor_basis,
     feature_coefficients,
     fit,
     from_json,
@@ -63,7 +61,6 @@ from .solver import (
     solve_regularized,
 )
 from .tensors import (
-    DenseTensor,
     FeatureGram,
     MonotoneReport,
     SemiPDReport,
@@ -71,24 +68,23 @@ from .tensors import (
     check_strict_monotone,
     contract_m,
     contract_m_minus_1,
-    dense_tensor,
 )
 
 __all__ = [
-    "BudgetExceeded", "DimensionMismatch", "DuplicateNodes", "InvalidExponent",
+    "DimensionMismatch", "DuplicateNodes", "InvalidExponent",
     "NotConverged", "OddOrderUnsupported", "PointOutsideDomain",
     "SingularDesignWarning", "SingularGram", "UntabulatedPoint", "ZeroFunction",
     "Domain", "FeatureModel", "SummabilityReport", "check_summability", "eval_features",
     "eval_kernel2", "eval_multikernel", "graded_multi_indices",
     "Interpolant", "NodeSet", "banach_norm_direct", "banach_norm_via_tensor",
-    "dual_pairing", "evaluate", "evaluate_many", "evaluate_tensor_basis",
+    "dual_pairing", "evaluate", "evaluate_many",
     "feature_coefficients", "fit", "from_json", "gateaux_coefficients", "to_json",
     "PowerReport", "StudyResult", "StudyRow", "convergence_study", "domain_grid",
     "error_bound", "fill_distance", "power_function", "power_function_p2_closed",
     "power_report",
     "SolveReport", "SolverOptions", "residual_norm", "solve_multilinear",
     "solve_regularized",
-    "DenseTensor", "FeatureGram", "MonotoneReport", "SemiPDReport", "check_semi_pd",
-    "check_strict_monotone", "contract_m", "contract_m_minus_1", "dense_tensor",
+    "FeatureGram", "MonotoneReport", "SemiPDReport", "check_semi_pd",
+    "check_strict_monotone", "contract_m", "contract_m_minus_1",
 ]
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command-line front end: fit, evaluate, power reports, convergence studies.
 
-Exit codes are part of the contract: 0 success, 2 malformed input,
-3 solver not converged, 4 singular design (feature Gram without full row
-rank), 5 evaluation points outside the domain (or, for a custom feature
-table, not tabulated).
+Exit codes are part of the contract: 0 success, 2 malformed input
+(including a malformed model file or an unwritable output), 3 solver not
+converged, 4 singular design (feature Gram without full row rank),
+5 evaluation points outside the domain (or, for a custom feature table,
+not tabulated).
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed)
 whose keys mirror the command-line flags; flags override file values.
@@ -225,7 +226,7 @@ def cmd_fit(args) -> int:
         print(f"error: singular design ({detail})", file=sys.stderr)
         return EXIT_DESIGN
 
-    opts = SolverOptions(residual_tol=cfg["tol"], rng_seed=cfg["seed"])
+    opts = SolverOptions(residual_tol=cfg["tol"])
     report = solve_multilinear(gram, cfg["order"], nodes.values, opts)
     if not np.isfinite(report.residual_norm):
         # an overflowed iterate has no faithful JSON form; write nothing
@@ -260,7 +261,7 @@ def cmd_eval(args) -> int:
     try:
         with open(args.interpolant, "r", encoding="utf-8") as fh:
             s = from_json(fh.read())
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as err:
         raise CliInputError(f"cannot load interpolant: {err}") from err
 
     if args.points:
@@ -298,7 +299,7 @@ def cmd_power(args) -> int:
     points, values = read_points_csv(args.nodes, expect_values=False)
     nodes = _node_set(points, values if values is not None else np.zeros(len(points)))
     model = build_model(cfg, points.shape[1])
-    opts = SolverOptions(residual_tol=cfg["tol"], rng_seed=cfg["seed"])
+    opts = SolverOptions(residual_tol=cfg["tol"])
     grid = domain_grid(model.domain, cfg["grid"])
     report = power_report(model, nodes, cfg["order"], grid, f_norm=cfg["fnorm"],
                           opts=opts, grid_per_dim=cfg["grid"])
@@ -324,7 +325,7 @@ def cmd_study(args) -> int:
     model = build_model(cfg, domain.dim)
     rng = np.random.default_rng(cfg["seed"])
     f_alpha = rng.standard_normal(model.truncation)
-    opts = SolverOptions(residual_tol=cfg["tol"], rng_seed=cfg["seed"])
+    opts = SolverOptions(residual_tol=cfg["tol"])
     eval_grid = domain_grid(model.domain, cfg["grid"])
 
     try:
@@ -355,7 +356,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--decay", type=float, help="weight decay parameter")
     p.add_argument("--domain", help="box as lo:hi[,lo:hi...]")
     p.add_argument("--tol", type=float, help="solver residual tolerance")
-    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--seed", type=int,
+                   help="RNG seed; only study uses it, to draw its target")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,6 +405,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliInputError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as err:  # reads raise CliInputError, so this is a write
+        print(f"error: cannot write output: {err}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -17,10 +17,6 @@ class DimensionMismatch(ValueError):
     """Array shapes are inconsistent with the operation's contract."""
 
 
-class BudgetExceeded(ValueError):
-    """A dense n^m tensor would exceed the configured entry budget."""
-
-
 class DuplicateNodes(ValueError):
     """Two data points coincide (pairwise distance below 1e-12)."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .exceptions import (
     NotConverged,
     ZeroFunction,
 )
-from .features import Domain, FeatureModel, eval_features, eval_multikernel, point_blocks
+from .features import Domain, FeatureModel, eval_features, point_blocks, require_even_order
 from .solver import SolverOptions, SolveReport, solve_multilinear
 from .tensors import FeatureGram, contract_m
 
@@ -114,23 +113,6 @@ def evaluate_many(s: Interpolant, points) -> np.ndarray:
     return values
 
 
-def evaluate_tensor_basis(s: Interpolant, x) -> float:
-    """Evaluate via ``B_m(x) c^{m-1}``: the O(n^{m-1}) oracle form.
-
-    Sums the multi-kernel over all (m-1)-tuples of nodes; intended only for
-    small n in tests.
-    """
-    c = s.coefficients
-    pts = s.nodes.points
-    total = 0.0
-    for idx in _cartesian(range(s.nodes.n), repeat=s.order - 1):
-        weight = float(np.prod([c[i] for i in idx]))
-        total += weight * eval_multikernel(
-            s.model, s.order, [x] + [pts[i] for i in idx]
-        )
-    return total
-
-
 def _check_exponent(p: float) -> float:
     p = float(p)
     if not 1.0 < p < np.inf:
@@ -214,19 +196,26 @@ def _model_from_doc(doc) -> FeatureModel:
 
 
 def from_json(text: str) -> Interpolant:
-    """Rebuild an interpolant from its JSON form (inverse of :func:`to_json`)."""
+    """Rebuild an interpolant from its JSON form (inverse of :func:`to_json`).
+
+    Rejects an odd order or one below 2, non-finite nodes or values, and
+    coefficients that are not one finite number per node.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("interpolant document must be a JSON object")
     for key in ("family", "domain", "truncation", "order", "nodes", "values",
                 "coefficients"):
         if key not in doc:
             raise KeyError(f"interpolant document missing {key!r}")
     model = _model_from_doc(doc)
     nodes = NodeSet(np.asarray(doc["nodes"], float), np.asarray(doc["values"], float))
-    gram = FeatureGram.from_model(model, nodes.points)
-    return Interpolant(
-        model=model,
-        nodes=nodes,
-        order=int(doc["order"]),
-        coefficients=np.asarray(doc["coefficients"], dtype=float),
-        gram=gram,
-    )
+    order = int(doc["order"])
+    require_even_order(order)
+    coefficients = np.asarray(doc["coefficients"], dtype=float)
+    if not (np.all(np.isfinite(nodes.points)) and np.all(np.isfinite(nodes.values))):
+        raise ValueError("nodes and values must be finite")
+    if coefficients.shape != (nodes.n,) or not np.all(np.isfinite(coefficients)):
+        raise ValueError(f"coefficients must be {nodes.n} finite numbers, one per node")
+    return Interpolant(model, nodes, order, coefficients,
+                       FeatureGram.from_model(model, nodes.points))

@@ -8,17 +8,17 @@ convex minimization
     P_m(x)^m = min_theta sum_k ( phi_k(x) - sum_i theta_i phi_k(x_i) )^m,
 
 solved by the same damped-Newton core as the interpolation system
-(``solver._minimize_even_power``), started from the l2 minimizer.  For
-m = 2 the classical closed form
-``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` is available as an
-independent cross-check.  The pointwise interpolation error of any target
-with known norm is bounded by ``2 ||f|| P_m(x)``.
+(``solver._minimize_even_power``), started from the l2 minimizer.  That
+start comes from one least-squares solve per block of points, and the norm
+of its residual is P_2 itself, the classical power function.  The closed
+form ``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` stays available
+as an independent cross-check.  The pointwise interpolation error of any
+target with known norm is bounded by ``2 ||f|| P_m(x)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -33,41 +33,31 @@ def _power_newton(V, b, theta, m, opts: SolverOptions) -> float:
     """``min_theta q`` with ``q = sum_k (b - V^T theta)_k^m``, to the power 1/m.
 
     ``V`` holds the node features (n x K), ``b`` the features at the point
-    and theta the l2 start, already the minimizer for m = 2.  ``q = m F``
-    for the solver's core with ``u = -b``, ``W = V^T`` and no linear term
-    (m is even, so the sign of the residual does not matter); it stops once
+    and theta the l2 start.  ``q = m F`` for the solver's core with
+    ``u = -b``, ``W = V^T`` and no linear term (m is even, so the sign of
+    the residual does not matter); it stops once
     ``||grad q|| <= 1e-13 (1 + q)``.
     """
     _, F, *_ = _minimize_even_power(
-        V.T, -b, None, theta, m, opts.max_iterations if m > 2 else 0,
+        V.T, -b, None, theta, m, opts.max_iterations,
         lambda gnorm, F: m * gnorm <= 1e-13 * (1.0 + m * F))
     return float(max(m * F, 0.0) ** (1.0 / m))
 
 
-def _power_values(V, B, m, opts: SolverOptions) -> np.ndarray:
-    """P_m at each row of the feature block B (N x K), nodes V (n x K).
+def _power_values(V, B, m, opts: SolverOptions):
+    """``(P_2, P_m)`` at each row of the feature block B (N x K), nodes V (n x K).
 
     One least-squares solve with N right-hand sides gives every l2
-    minimizer: exact for m = 2 and a scale-correct warm start otherwise.
+    minimizer theta.  The row norms of the residual ``B - theta^T V`` are
+    P_2, the distance from phi(x) to the span of the node sections; for
+    m > 2 each theta starts the order-m descent.
     """
     thetas, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
-    return np.array([_power_newton(V, b, theta, m, opts)
-                     for b, theta in zip(B, thetas.T)])
-
-
-def _p2_closed(V, B) -> np.ndarray:
-    """Classical P_2 at each row of the feature block B, nodes V.
-
-    ``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` with
-    ``A_2 = V V^T`` and ``B_2(x) = V phi(x)``, one solve for all rows.
-    """
-    B2 = V @ B.T  # n x N
-    try:
-        weights = np.linalg.solve(V @ V.T, B2)
-    except np.linalg.LinAlgError as err:
-        raise SingularGram("Gram matrix A_2 is singular") from err
-    value = np.sum(B * B, axis=1) - np.sum(B2 * weights, axis=0)
-    return np.sqrt(np.maximum(value, 0.0))
+    p_2 = np.linalg.norm(B - thetas.T @ V, axis=1)
+    if m == 2:
+        return p_2, p_2
+    return p_2, np.array([_power_newton(V, b, theta, m, opts)
+                          for b, theta in zip(B, thetas.T)])
 
 
 def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
@@ -81,41 +71,24 @@ def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
     require_even_order(m)
     V = eval_features(model, nodes.points)  # n x K
     B = eval_features(model, x)[None, :]
-    return float(_power_values(V, B, m, opts or SolverOptions())[0])
+    return float(_power_values(V, B, m, opts or SolverOptions())[1][0])
 
 
 def power_function_p2_closed(model: FeatureModel, nodes: NodeSet, x) -> float:
-    """Classical power function from the Gram matrix closed form."""
-    V = eval_features(model, nodes.points)
-    return float(_p2_closed(V, eval_features(model, x)[None, :])[0])
+    """Classical power function from the Gram matrix closed form.
 
-
-def power_function_dense_oracle(model: FeatureModel, nodes: NodeSet, m: int, x,
-                                grid: int = 41, rounds: int = 6,
-                                half_width: float = 2.0) -> float:
-    """Brute-force P_m for n <= 2 nodes: zoomed grid search over theta.
-
-    Test oracle only; scans an (n-dimensional) grid around the l2 warm
-    start and refines it `rounds` times.
+    ``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` with ``A_2 = V V^T``
+    and ``B_2(x) = V phi(x)``, which cancels near the nodes: an independent
+    cross-check of m = 2.  Raises :class:`SingularGram` for a singular A_2.
     """
-    V = FeatureGram.from_model(model, nodes.points).V
-    Vt = V.T
+    V = eval_features(model, nodes.points)
     b = eval_features(model, x)
-    center, *_ = np.linalg.lstsq(Vt, b, rcond=None)
-    width = half_width
-    best = None
-    for _ in range(rounds):
-        axes = [np.linspace(center[i] - width, center[i] + width, grid)
-                for i in range(nodes.n)]
-        best = None
-        for combo in _cartesian(*axes):
-            theta = np.asarray(combo)
-            q = float(np.sum((b - Vt @ theta) ** m))
-            if best is None or q < best[0]:
-                best = (q, theta)
-        center = best[1]
-        width *= 2.0 / (grid - 1)
-    return float(max(best[0], 0.0) ** (1.0 / m))
+    b2 = V @ b
+    try:
+        weights = np.linalg.solve(V @ V.T, b2)
+    except np.linalg.LinAlgError as err:
+        raise SingularGram("Gram matrix A_2 is singular") from err
+    return float(np.sqrt(max(b @ b - b2 @ weights, 0.0)))
 
 
 def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
@@ -172,9 +145,8 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
     """Evaluate P_m, the classical P_2, and the error bound at each point.
 
     The node features are built once; the points go through in blocks
-    (see :func:`point_blocks`), one feature evaluation, one multi-RHS
-    least-squares solve and one multi-RHS A_2 solve per block.  If A_2 is
-    singular, P_2 comes from the m = 2 minimization instead.
+    (see :func:`point_blocks`), one feature evaluation and one multi-RHS
+    least-squares solve per block, which gives P_2 and starts P_m.
     """
     require_even_order(m)
     opts = opts or SolverOptions()
@@ -184,11 +156,7 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
     p_2 = np.empty(eval_points.shape[0])
     for rows in point_blocks(model, eval_points.shape[0]):
         B = eval_features(model, eval_points[rows])
-        p_m[rows] = _power_values(V, B, m, opts)
-        try:
-            p_2[rows] = _p2_closed(V, B)
-        except SingularGram:
-            p_2[rows] = _power_values(V, B, 2, opts)
+        p_2[rows], p_m[rows] = _power_values(V, B, m, opts)
     bound = 2.0 * f_norm * p_m
     h = fill_distance(nodes, model.domain, grid_per_dim)
     return PowerReport(eval_points, p_m, p_2, bound, h, m)
@@ -248,7 +216,7 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
         for block in point_blocks(model, eval_grid.shape[0]):
             B = eval_features(model, eval_grid[block])
             errors = np.abs(B @ f_alpha - B @ alpha)
-            bounds = 2.0 * f_norm * _power_values(V, B, m, opts)
+            bounds = 2.0 * f_norm * _power_values(V, B, m, opts)[1]
             max_error = max(max_error, float(errors.max()))
             max_bound = max(max_bound, float(bounds.max()))
         rows.append(StudyRow(

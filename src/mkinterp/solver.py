@@ -37,6 +37,8 @@ _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 # Rounding noise of F, relative to the summed magnitude of its terms.
 _NOISE = 1e-15
+# Starting points descended by solve_regularized.
+_MULTISTART = 8
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,12 @@ class SolverOptions:
 
     ``init`` selects the starting point: ``"zero"`` or ``"linear"`` (solve
     the m = 2 system, then rescale to the right homogeneity).
-    ``multistart`` only affects :func:`solve_regularized`; the
-    interpolation problem is strictly convex and needs a single start.
+    ``rng_seed`` draws the random starts of :func:`solve_regularized`.
     """
 
     residual_tol: float = 1e-10
     max_iterations: int = 200
     init: str = "linear"
-    multistart: int = 8
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -96,7 +96,8 @@ def _newton_direction(W, r, grad, m):
     n = W.shape[1]
     # (m-1) * W^T diag(r^{m-2}) W; r^{m-2} >= 0 for even m, so PSD.
     H = (m - 1) * (W.T * r ** (m - 2)) @ W
-    ridge = _RIDGE_FLOOR * max(1.0, H.trace() / n)
+    # relative to H's scale, which tiny residuals (P_m near nodes) make tiny
+    ridge = _RIDGE_FLOOR * (H.trace() / n or 1.0)
     diagonal = H.diagonal().copy()
     for _ in range(20):
         H.flat[:: n + 1] = diagonal + ridge
@@ -256,7 +257,7 @@ def solve_regularized(gram: FeatureGram, m: int, y, sigma: float,
                       opts: SolverOptions | None = None) -> SolveReport:
     """Minimize ``||A_m c^{m-1} - y||^2 + sigma A_m c^m`` by multistart descent.
 
-    The objective is not provably convex, so ``opts.multistart`` seeded
+    The objective is not provably convex, so ``_MULTISTART`` seeded
     starting points are descended independently; the best minimizer is
     returned and all distinct local minima found are reported in
     ``local_minima``.
@@ -275,12 +276,12 @@ def solve_regularized(gram: FeatureGram, m: int, y, sigma: float,
     starts = [_initial_guess(gram, m, y, replace(opts, init="linear")),
               np.zeros(gram.n)]
     scale = 1.0 + float(np.linalg.norm(starts[0]))
-    while len(starts) < max(1, opts.multistart):
+    while len(starts) < _MULTISTART:
         starts.append(scale * rng.standard_normal(gram.n))
 
     results = []
     total_iterations = 0
-    for c0 in starts[: max(1, opts.multistart)]:
+    for c0 in starts:
         c, obj, gnorm, iters = _descend(V, y, sigma, m, c0, opts, grad_tol)
         total_iterations += iters
         results.append((obj, gnorm, c))

@@ -1,4 +1,4 @@
-"""Rank-one-sum representation of the interpolation tensor and its oracles.
+"""Rank-one-sum representation of the interpolation tensor.
 
 The order-m tensor ``A_m`` induced by the multi-kernel at n nodes is never
 materialized: with ``v_k`` the k-th column of the n x K feature Gram ``V``
@@ -8,23 +8,17 @@ the inner products ``t_k = v_k . c``:
 
     A_m c^{m-1} = sum_k t_k^{m-1} v_k        (vector)
     A_m c^m     = sum_k t_k^m                (scalar)
-
-A dense tensor with an entry budget is kept purely as a test oracle.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exceptions import BudgetExceeded, DimensionMismatch
+from .exceptions import DimensionMismatch
 from .features import FeatureModel, eval_features, require_even_order
-
-DENSE_ENTRY_BUDGET = 10_000_000
-
 
 @dataclass(frozen=True)
 class FeatureGram:
@@ -77,45 +71,6 @@ def contract_m(gram: FeatureGram, m: int, c) -> float:
     c = _check_vector(gram, c)
     t = gram.V.T @ c
     return float(np.sum(t ** m))
-
-
-@dataclass(frozen=True)
-class DenseTensor:
-    """Explicit symmetric n^m tensor; test oracle only, never serialized."""
-
-    m: int
-    n: int
-    entries: np.ndarray
-
-    def contract_m_minus_1(self, c) -> np.ndarray:
-        """Brute-force ``A_m c^{m-1}``: explicit sum over all index tuples."""
-        c = np.asarray(c, dtype=float)
-        letters = string.ascii_lowercase[: self.m]
-        spec = letters + "," + ",".join(letters[1:]) + "->" + letters[0]
-        return np.einsum(spec, self.entries, *([c] * (self.m - 1)))
-
-    def contract_m(self, c) -> float:
-        c = np.asarray(c, dtype=float)
-        letters = string.ascii_lowercase[: self.m]
-        spec = letters + "," + ",".join(letters) + "->"
-        return float(np.einsum(spec, self.entries, *([c] * self.m)))
-
-
-def dense_tensor(gram: FeatureGram, m: int,
-                 budget: int = DENSE_ENTRY_BUDGET) -> DenseTensor:
-    """Materialize ``A_m`` as an explicit array of n^m entries."""
-    require_even_order(m)
-    n = gram.n
-    if n ** m > budget:
-        raise BudgetExceeded(f"{n}^{m} entries exceed the budget of {budget}")
-    entries = np.zeros((n,) * m)
-    for k in range(gram.K):
-        col = gram.V[:, k]
-        block = col
-        for _ in range(m - 1):
-            block = np.multiply.outer(block, col)
-        entries += block
-    return DenseTensor(m=m, n=n, entries=entries)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,10 @@ from mkinterp import (
     contract_m,
     contract_m_minus_1,
     convergence_study,
-    dense_tensor,
     domain_grid,
     eval_kernel2,
     evaluate,
     evaluate_many,
-    evaluate_tensor_basis,
     feature_coefficients,
     fit,
     power_function,
@@ -36,6 +34,7 @@ from mkinterp import (
     solve_multilinear,
 )
 from mkinterp.cli import main as cli_main
+from oracles import dense_tensor, evaluate_tensor_basis
 
 BOX = Domain([-1.0], [1.0])
 

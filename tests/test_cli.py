@@ -243,8 +243,7 @@ class TestPower:
 
 
     def test_singular_gram_exits_0(self, tmp_path):
-        # three nodes, one feature: A_2 is singular, so p_2 comes from the
-        # m = 2 minimization instead of the closed form
+        # three nodes, one feature: A_2 is singular, and p_2 needs no A_2 solve
         nodes = write(tmp_path / "three.csv", "x1,y\n0,0\n0.5,1\n1,2\n")
         result = tmp_path / "power.csv"
         code = main(["power", nodes, "--out", str(result), "--truncation", "1",
@@ -296,6 +295,50 @@ class TestStudy:
         text1 = first.read_bytes()
         _, second = self.run_study(tmp_path)
         assert second.read_bytes() == text1
+
+
+DATA_3ROW = "x1,y\n0,1\n0.5,2\n1,3\n"
+
+
+def _edited_model(edit):
+    """argv for ``eval`` of the 3-node model after ``edit`` of its JSON."""
+    def argv(tmp_path, model):
+        bad = write(tmp_path / "bad.json", json.dumps(edit(json.loads(model.read_text()))))
+        return ["eval", bad, "--grid", "5", "--out", str(tmp_path / "v.csv")]
+    return argv
+
+
+MALFORMED = {
+    "short_coefficients": _edited_model(
+        lambda doc: {**doc, "coefficients": doc["coefficients"][:2]}),
+    "odd_order": _edited_model(lambda doc: {**doc, "order": 3}),
+    "nan_coefficients": _edited_model(lambda doc: {**doc, "coefficients": [np.nan] * 3}),
+    "nan_values": _edited_model(lambda doc: {**doc, "values": [1.0, np.nan, 3.0]}),
+    "number_document": _edited_model(lambda doc: 5),
+    "string_domain": _edited_model(lambda doc: {**doc, "domain": "x"}),
+    "null_truncation": _edited_model(lambda doc: {**doc, "truncation": None}),
+    "fit_out_missing_dir": lambda tmp_path, model: [
+        "fit", write(tmp_path / "d.csv", DATA_3ROW),
+        "--out", str(tmp_path / "missing" / "o.json")],
+    "eval_out_missing_dir": lambda tmp_path, model: [
+        "eval", str(model), "--grid", "5", "--out", str(tmp_path / "missing" / "v.csv")],
+    "power_out_missing_dir": lambda tmp_path, model: [
+        "power", write(tmp_path / "n.csv", DATA_3ROW), "--grid", "5",
+        "--out", str(tmp_path / "missing" / "p.csv")],
+    "study_out_missing_dir": lambda tmp_path, model: [
+        "study", "--node-counts", "4", "--grid", "5",
+        "--out", str(tmp_path / "missing" / "s.csv")],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_model_or_unwritable_output_exits_2(tmp_path, capsys, case):
+    model = tmp_path / "m.json"
+    assert main(["fit", write(tmp_path / "d.csv", DATA_3ROW), "--out", str(model),
+                 "--order", "4", "--truncation", "6"]) == 0
+    capsys.readouterr()
+    assert main(MALFORMED[case](tmp_path, model)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDeterminism:

@@ -16,7 +16,6 @@ from mkinterp import (
     eval_features,
     evaluate,
     evaluate_many,
-    evaluate_tensor_basis,
     feature_coefficients,
     fit,
     from_json,
@@ -24,6 +23,7 @@ from mkinterp import (
     to_json,
 )
 from mkinterp.tensors import FeatureGram
+from oracles import evaluate_tensor_basis
 
 BOX = Domain([-1.0], [1.0])
 MODEL2 = FeatureModel.power_series(BOX, 2, weights=np.ones(2))  # features (1, x)

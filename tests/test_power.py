@@ -18,7 +18,8 @@ from mkinterp import (
     power_function_p2_closed,
     power_report,
 )
-from mkinterp.power import grid_spacing, power_function_dense_oracle
+from mkinterp.power import grid_spacing
+from oracles import power_function_dense_oracle, power_values_long_double
 
 BOX = Domain([-1.0], [1.0])
 # documented 3-feature instance: features (1, x, x^2), nodes {0, 1}
@@ -154,9 +155,9 @@ class TestPowerReport:
 
 
 class TestBatchedPowerReport:
-    """power_report shares one node Gram, one multi-RHS least-squares solve
-    and one multi-RHS A_2 solve over a block of points; the per-point public
-    functions stay the reference."""
+    """power_report shares one node Gram and one multi-RHS least-squares
+    solve over a block of points; its residual gives P_2 and its solution
+    starts P_m.  The per-point public functions stay the reference."""
 
     BOX2 = Domain([-1.0, -1.0], [1.0, 1.0])
     MODEL = FeatureModel.trigonometric(BOX2, 30, decay=0.6)
@@ -176,6 +177,16 @@ class TestBatchedPowerReport:
         report = power_report(self.MODEL, self.NODES, 4, grid)
         solved = np.array([power_function(self.MODEL, self.NODES, 4, x) for x in grid])
         np.testing.assert_allclose(report.p_m, solved, rtol=1e-8, atol=1e-10)
+
+    def test_p2_vanishes_at_nodes(self):
+        # the closed form cancels to about 3e-8 here
+        report = power_report(self.MODEL, self.NODES, 4, self.NODES.points)
+        assert np.all(report.p_2 <= 1e-13)
+        assert np.all(report.p_m <= 1e-13)
+
+    def test_m2_pm_is_p2(self):
+        report = power_report(self.MODEL, self.NODES, 2, domain_grid(self.BOX2, 9))
+        np.testing.assert_array_equal(report.p_m, report.p_2)
 
     def test_singular_gram_falls_back_to_minimization(self):
         model1 = FeatureModel.power_series(BOX, 1, weights=np.ones(1))
@@ -230,6 +241,20 @@ class TestConvergenceStudy:
         assert [row.n for row in result.rows] == [8, 16, 32, 64]
         f_norm = np.sum(np.abs(f_alpha) ** (4 / 3)) ** 0.75
         assert result.bound_dominates(1e-6 * (1 + f_norm))
+
+    def test_max_pm_matches_long_double_newton(self):
+        # the n = 32 row of the trig K = 81 study: P_m is about 1e-4 near
+        # the nodes, where the Newton Hessian scales with the residuals
+        model = FeatureModel.trigonometric(BOX, 81, decay=0.5)
+        f_alpha = np.random.default_rng(0).standard_normal(81)
+        grid = domain_grid(BOX, 101)
+        row = convergence_study(model, f_alpha, 4, [32], grid).rows[0]
+        f_norm = np.sum(np.abs(f_alpha) ** (4 / 3)) ** 0.75
+        midpoints = (np.arange(32) + 0.5) / 16 - 1.0
+        reference = power_values_long_double(
+            model, NodeSet(midpoints[:, None], np.zeros(32)), 4, grid)
+        assert row.max_bound / (2.0 * f_norm) == pytest.approx(
+            float(reference.max()), rel=1e-10, abs=0.0)
 
     def test_target_in_reach_gives_tiny_error(self):
         model = FeatureModel.power_series(BOX, 3, weights=np.ones(3))

@@ -3,16 +3,16 @@ from itertools import product
 import numpy as np
 import pytest
 
+import mkinterp
 from mkinterp import (
-    BudgetExceeded,
     DimensionMismatch,
     FeatureGram,
     check_semi_pd,
     check_strict_monotone,
     contract_m,
     contract_m_minus_1,
-    dense_tensor,
 )
+from oracles import BudgetExceeded, dense_tensor
 
 # Features (1, x) at nodes {0, 1}: columns v_1 = (1, 1), v_2 = (0, 1).
 GRAM = FeatureGram(np.array([[1.0, 0.0], [1.0, 1.0]]))
@@ -135,6 +135,11 @@ class TestDenseOracle:
                 assert t.contract_m(c) == pytest.approx(
                     contract_m(gram, m, c), rel=1e-10, abs=1e-12
                 )
+
+    def test_oracles_not_exported(self):
+        moved = {"DenseTensor", "dense_tensor", "DENSE_ENTRY_BUDGET", "BudgetExceeded",
+                 "evaluate_tensor_basis", "power_function_dense_oracle"}
+        assert moved.isdisjoint(mkinterp.__all__)
 
     def test_budget_enforced(self):
         rng = np.random.default_rng(10)
