@@ -71,6 +71,8 @@ class Domain:
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("domain bounds must be vectors of equal length")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("domain bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("domain box must have nonempty interior")
 
@@ -177,8 +179,8 @@ class FeatureModel:
         if self.truncation < 1:
             raise ValueError("truncation K must be at least 1")
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.truncation,) or np.any(w <= 0):
-            raise ValueError("weights must be K positive reals")
+        if w.shape != (self.truncation,) or not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("weights must be K finite positive reals")
         object.__setattr__(self, "weights", w)
 
     @classmethod

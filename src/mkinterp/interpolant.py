@@ -178,10 +178,18 @@ def to_json(s: Interpolant) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _integer(doc, key) -> int:
+    """``doc[key]`` as an int: a JSON integer or a float equal to its int."""
+    value = doc[key]
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _model_from_doc(doc) -> FeatureModel:
     domain = Domain(doc["domain"]["lower"], doc["domain"]["upper"])
     family = doc["family"]
-    K = int(doc["truncation"])
+    K = _integer(doc, "truncation")
     weights = np.asarray(doc["weights"], dtype=float)
     if family == "power":
         return FeatureModel.power_series(domain, K, weights=weights)
@@ -198,8 +206,9 @@ def _model_from_doc(doc) -> FeatureModel:
 def from_json(text: str) -> Interpolant:
     """Rebuild an interpolant from its JSON form (inverse of :func:`to_json`).
 
-    Rejects an odd order or one below 2, non-finite nodes or values, and
-    coefficients that are not one finite number per node.
+    Rejects a non-integral order or truncation, an odd order or one below 2,
+    non-finite nodes or values, and coefficients that are not one finite
+    number per node.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -210,7 +219,7 @@ def from_json(text: str) -> Interpolant:
             raise KeyError(f"interpolant document missing {key!r}")
     model = _model_from_doc(doc)
     nodes = NodeSet(np.asarray(doc["nodes"], float), np.asarray(doc["values"], float))
-    order = int(doc["order"])
+    order = _integer(doc, "order")
     require_even_order(order)
     coefficients = np.asarray(doc["coefficients"], dtype=float)
     if not (np.all(np.isfinite(nodes.points)) and np.all(np.isfinite(nodes.values))):

@@ -16,13 +16,19 @@ damped Newton core, ``_minimize_even_power``, serves both problems:
 with ``u = 0``, ``W = V^T``, ``l = -y`` here.  Each caller brings its own
 stop test; interpolation stops on the residual 2-norm.  For m = 2 the core
 reduces to the linear solve ``(V V^T) c = y``.
+
+The regularized fit minimizes ``||A_m c^{m-1} - y||^2 + sigma A_m c^m``, a
+strictly convex problem in ``alpha = (V^T c)^{m-1}``, at the unique root of
+``A_m c^{m-1} + lam c = y``, ``lam = sigma m / (2(m-1))`` (the representer
+theorem in a reproducing kernel Banach space; Zhang, Xu and Zhang, JMLR 10,
+2009).  That root minimizes F plus ``(lam/2)|c|^2``, one more core solve.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +43,6 @@ _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 # Rounding noise of F, relative to the summed magnitude of its terms.
 _NOISE = 1e-15
-# Starting points descended by solve_regularized.
-_MULTISTART = 8
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,8 @@ class SolverOptions:
 
     ``init`` selects the starting point: ``"zero"`` or ``"linear"`` (solve
     the m = 2 system, then rescale to the right homogeneity).
-    ``rng_seed`` draws the random starts of :func:`solve_regularized`.
+    ``rng_seed`` has no reader; it stays because the benchmark harness
+    (``bench/workloads.py``) sets it.
     """
 
     residual_tol: float = 1e-10
@@ -76,7 +81,6 @@ class SolveReport:
     iterations: int
     stop_reason: str
     objective_trace: list = field(default_factory=list)
-    local_minima: list | None = None
 
     @property
     def converged(self) -> bool:
@@ -91,14 +95,14 @@ def residual_norm(gram: FeatureGram, m: int, c, y) -> float:
     return float(np.linalg.norm(contract_m_minus_1(gram, m, c) - y))
 
 
-def _newton_direction(W, r, grad, m):
+def _newton_direction(W, r, grad, m, lam):
     # a helper, so that the n x n Hessian is freed before the next is built
     n = W.shape[1]
     # (m-1) * W^T diag(r^{m-2}) W; r^{m-2} >= 0 for even m, so PSD.
     H = (m - 1) * (W.T * r ** (m - 2)) @ W
     # relative to H's scale, which tiny residuals (P_m near nodes) make tiny
     ridge = _RIDGE_FLOOR * (H.trace() / n or 1.0)
-    diagonal = H.diagonal().copy()
+    diagonal = H.diagonal() + lam
     for _ in range(20):
         H.flat[:: n + 1] = diagonal + ridge
         try:
@@ -111,12 +115,13 @@ def _newton_direction(W, r, grad, m):
     return -grad  # degenerate Hessian (e.g. z = 0 with u = 0 and m >= 4)
 
 
-def _minimize_even_power(W, u, ell, z, m, max_iterations, done):
-    """Damped Newton on ``F(z) = (1/m) sum_k (u + W z)_k^m + ell . z``.
+def _minimize_even_power(W, u, ell, z, m, max_iterations, done, lam=0.0):
+    """Damped Newton on ``F(z) = (1/m) sum_k (u + W z)_k^m + ell . z + (lam/2)|z|^2``.
 
     ``W`` is K x n, ``u`` a K-vector or 0, ``ell`` an n-vector or None for
-    zero, m even; ``done(gnorm, F)`` is the caller's stop test.  Returns
-    ``(z, F, gnorm, iterations, stop_reason, trace)``, F per iterate in trace.
+    zero, m even, ``lam >= 0``; ``done(gnorm, F)`` is the caller's stop
+    test.  Returns ``(z, F, gnorm, iterations, stop_reason, trace)``, F per
+    iterate in trace.
 
     The line search tests the difference ``F(cand) - F`` (the sum
     ``F + c eta slope`` rounds back to F) and trusts a fall only beyond F's
@@ -128,17 +133,21 @@ def _minimize_even_power(W, u, ell, z, m, max_iterations, done):
     def evaluate(z):  # r = u + W z, F and the magnitude of F's terms
         r = W @ z + u
         power_sum = float((r ** m).sum()) / m
+        if lam:
+            power_sum += 0.5 * lam * float(z @ z)
         if ell is None:
             return r, power_sum, power_sum
         return r, power_sum + float(ell @ z), power_sum + float(np.abs(ell) @ np.abs(z))
 
-    def gradient(r):
+    def gradient(r, z):
         grad = W.T @ (r ** (m - 1))
+        if lam:
+            grad = grad + lam * z
         return grad if ell is None else grad + ell
 
     with np.errstate(over="ignore", invalid="ignore"):
         r, F, magnitude = evaluate(z)
-        grad = gradient(r)
+        grad = gradient(r, z)
         trace = []
         iterations = 0
         while True:
@@ -150,7 +159,7 @@ def _minimize_even_power(W, u, ell, z, m, max_iterations, done):
                 return z, F, gnorm, iterations, "non_finite", trace
             if iterations >= max_iterations:
                 return z, F, gnorm, iterations, "max_iterations", trace
-            step = _newton_direction(W, r, grad, m)
+            step = _newton_direction(W, r, grad, m, lam)
             slope = float(grad @ step)
             noise = _NOISE * magnitude
             eta = 1.0
@@ -160,7 +169,7 @@ def _minimize_even_power(W, u, ell, z, m, max_iterations, done):
                 drop = cand_F - F
                 decrease = _ARMIJO * eta * slope
                 if drop <= decrease + noise:
-                    cand_grad = gradient(cand_r)
+                    cand_grad = gradient(cand_r, cand)
                     if (drop <= min(decrease, -noise) or math.sqrt(cand_grad @ cand_grad)
                             < (1.0 - _ARMIJO * eta) * gnorm):
                         break
@@ -185,6 +194,31 @@ def _initial_guess(gram: FeatureGram, m: int, y, opts: SolverOptions):
     return c0
 
 
+def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | None):
+    """Root of ``A_m c^{m-1} + lam c = y``; see the module docstring."""
+    opts = opts or SolverOptions()
+    require_even_order(m)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (gram.n,):
+        raise DimensionMismatch(f"expected y of length {gram.n}, got shape {y.shape}")
+    lam = sigma * m / (2 * (m - 1))
+    # lam > 0 makes the potential strictly convex whatever the rank
+    if not lam and not gram.full_row_rank:
+        warnings.warn("feature Gram lacks full row rank; the multi-linear system may be "
+                      "inconsistent and the solution non-unique",
+                      SingularDesignWarning, stacklevel=3)
+
+    # an overflowed start is reported as non_finite rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _initial_guess(gram, m, y, opts)
+        c, _, res, iterations, reason, trace = _minimize_even_power(
+            gram.V.T, 0.0, -y, c, m, opts.max_iterations,
+            lambda gnorm, F: gnorm <= opts.residual_tol, lam)
+        if lam:  # the misfit, not the root residual the core stopped on
+            res = residual_norm(gram, m, c, y)
+    return SolveReport(c, res, iterations, reason, trace)
+
+
 def solve_multilinear(gram: FeatureGram, m: int, y,
                       opts: SolverOptions | None = None) -> SolveReport:
     """Solve ``A_m c^{m-1} = y`` by damped Newton on the convex potential.
@@ -193,112 +227,17 @@ def solve_multilinear(gram: FeatureGram, m: int, y,
     ``||A_m c^{m-1} - y||_2 <= residual_tol``; otherwise its ``stop_reason``
     says why the solve ended, with the last iterate and its diagnostics.
     """
-    opts = opts or SolverOptions()
-    require_even_order(m)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (gram.n,):
-        raise DimensionMismatch(f"expected y of length {gram.n}, got shape {y.shape}")
-    if not gram.full_row_rank:
-        warnings.warn(
-            "feature Gram lacks full row rank; the multi-linear system may be "
-            "inconsistent and the solution non-unique",
-            SingularDesignWarning,
-            stacklevel=2,
-        )
-
-    # an overflowed start is reported as non_finite rather than warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _initial_guess(gram, m, y, opts)
-    tol = opts.residual_tol
-    c, _, res, iterations, reason, trace = _minimize_even_power(
-        gram.V.T, 0.0, -y, c, m, opts.max_iterations, lambda gnorm, F: gnorm <= tol)
-    return SolveReport(c, res, iterations, reason, trace)
-
-
-def _reg_objective(V, c, y, sigma, m):
-    t = V.T @ c
-    r = V @ (t ** (m - 1)) - y
-    return float(r @ r + sigma * np.sum(t ** m)), r, t
-
-
-def _reg_gradient(V, r, t, sigma, m):
-    # d/dc ||A_m c^{m-1} - y||^2 = 2 J r with J the (symmetric) Jacobian
-    # of c -> A_m c^{m-1}; d/dc sigma A_m c^m = sigma m A_m c^{m-1}.
-    jr = (m - 1) * V @ (t ** (m - 2) * (V.T @ r))
-    return 2.0 * jr + sigma * m * V @ (t ** (m - 1))
-
-
-def _descend(V, y, sigma, m, c, opts, grad_tol):
-    """Gradient descent with Barzilai-Borwein steps and Armijo backtracking."""
-    obj, r, t = _reg_objective(V, c, y, sigma, m)
-    grad = _reg_gradient(V, r, t, sigma, m)
-    step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
-    iterations = 0
-    while float(np.linalg.norm(grad)) > grad_tol and iterations < opts.max_iterations:
-        eta = step
-        for _ in range(_MAX_BACKTRACKS):
-            cand = c - eta * grad
-            cand_obj, cand_r, cand_t = _reg_objective(V, cand, y, sigma, m)
-            if cand_obj <= obj - _ARMIJO * eta * float(grad @ grad):
-                break
-            eta *= _SHRINK
-        new_grad = _reg_gradient(V, cand_r, cand_t, sigma, m)
-        s = cand - c
-        g_diff = new_grad - grad
-        denom = float(s @ g_diff)
-        step = float(s @ s) / denom if denom > 0 else 1.0 / max(1.0, float(np.linalg.norm(new_grad)))
-        step = min(max(step, 1e-12), 1e12)
-        c, obj, grad = cand, cand_obj, new_grad
-        iterations += 1
-    return c, obj, float(np.linalg.norm(grad)), iterations
+    return _solve(gram, m, y, 0.0, opts)
 
 
 def solve_regularized(gram: FeatureGram, m: int, y, sigma: float,
                       opts: SolverOptions | None = None) -> SolveReport:
-    """Minimize ``||A_m c^{m-1} - y||^2 + sigma A_m c^m`` by multistart descent.
+    """Minimize ``||A_m c^{m-1} - y||^2 + sigma A_m c^m`` by one Newton solve.
 
-    The objective is not provably convex, so ``_MULTISTART`` seeded
-    starting points are descended independently; the best minimizer is
-    returned and all distinct local minima found are reported in
-    ``local_minima``.
+    ``converged`` certifies ``||A_m c^{m-1} + lam c - y||_2 <= residual_tol``
+    with ``lam = sigma m / (2(m-1))``; ``residual_norm`` is the misfit
+    ``||A_m c^{m-1} - y||_2``, ``objective_trace`` the potential per iterate.
     """
-    opts = opts or SolverOptions()
-    require_even_order(m)
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (gram.n,):
-        raise DimensionMismatch(f"expected y of length {gram.n}, got shape {y.shape}")
-
-    V = gram.V
-    grad_tol = max(opts.residual_tol, 1e-12) * (1.0 + float(np.linalg.norm(y)))
-    rng = np.random.default_rng(opts.rng_seed)
-    starts = [_initial_guess(gram, m, y, replace(opts, init="linear")),
-              np.zeros(gram.n)]
-    scale = 1.0 + float(np.linalg.norm(starts[0]))
-    while len(starts) < _MULTISTART:
-        starts.append(scale * rng.standard_normal(gram.n))
-
-    results = []
-    total_iterations = 0
-    for c0 in starts:
-        c, obj, gnorm, iters = _descend(V, y, sigma, m, c0, opts, grad_tol)
-        total_iterations += iters
-        results.append((obj, gnorm, c))
-    results.sort(key=lambda item: item[0])
-    best_obj, best_gnorm, best_c = results[0]
-
-    minima = []
-    for _, _, c in results:
-        if all(np.linalg.norm(c - other) > 1e-4 * (1 + np.linalg.norm(other))
-               for other in minima):
-            minima.append(c)
-
-    return SolveReport(
-        coefficients=best_c,
-        residual_norm=residual_norm(gram, m, best_c, y),
-        iterations=total_iterations,
-        stop_reason="converged" if best_gnorm <= grad_tol else "max_iterations",
-        objective_trace=[best_obj],
-        local_minima=minima,
-    )
+    return _solve(gram, m, y, sigma, opts)

@@ -317,6 +317,16 @@ MALFORMED = {
     "number_document": _edited_model(lambda doc: 5),
     "string_domain": _edited_model(lambda doc: {**doc, "domain": "x"}),
     "null_truncation": _edited_model(lambda doc: {**doc, "truncation": None}),
+    "fractional_order": _edited_model(lambda doc: {**doc, "order": 4.5}),
+    "string_order": _edited_model(lambda doc: {**doc, "order": "4"}),
+    "boolean_order": _edited_model(lambda doc: {**doc, "order": True}),
+    "fractional_truncation": _edited_model(lambda doc: {**doc, "truncation": 6.9}),
+    "nan_weights": _edited_model(lambda doc: {**doc, "weights": [np.nan] * 6}),
+    "infinite_domain": _edited_model(
+        lambda doc: {**doc, "domain": {"lower": [0.0], "upper": [np.inf]}}),
+    "fit_infinite_domain": lambda tmp_path, model: [
+        "fit", write(tmp_path / "d.csv", DATA_3ROW), "--domain=0:inf",
+        "--out", str(tmp_path / "o.json")],
     "fit_out_missing_dir": lambda tmp_path, model: [
         "fit", write(tmp_path / "d.csv", DATA_3ROW),
         "--out", str(tmp_path / "missing" / "o.json")],
@@ -331,14 +341,24 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", list(MALFORMED))
-def test_malformed_model_or_unwritable_output_exits_2(tmp_path, capsys, case):
+def fit_3node_model(tmp_path):
     model = tmp_path / "m.json"
     assert main(["fit", write(tmp_path / "d.csv", DATA_3ROW), "--out", str(model),
                  "--order", "4", "--truncation", "6"]) == 0
+    return model
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_model_or_unwritable_output_exits_2(tmp_path, capsys, case):
+    model = fit_3node_model(tmp_path)
     capsys.readouterr()
     assert main(MALFORMED[case](tmp_path, model)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integral_float_order_and_truncation_load(tmp_path):
+    edit = _edited_model(lambda doc: {**doc, "order": 4.0, "truncation": 6.0})
+    assert main(edit(tmp_path, fit_3node_model(tmp_path))) == 0
 
 
 class TestDeterminism:

@@ -29,6 +29,12 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("lower, upper", [([0.0], [np.inf]), ([-np.inf], [0.0]),
+                                              ([np.nan], [1.0])])
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError):
+            Domain(lower, upper)
+
     def test_clamps_near_face(self):
         x = BOX.project([1.0 + 5e-13])
         assert x[0] == 1.0
@@ -74,6 +80,11 @@ class TestEvalFeatures:
 
     def test_monomial_parity(self):
         assert eval_features(monomials(3), [-1.0]).tolist() == [1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_weights(self, bad):
+        with pytest.raises(ValueError):
+            FeatureModel.power_series(BOX, 2, weights=[1.0, bad])
 
     def test_weights_enter_as_square_roots(self):
         model = FeatureModel.power_series(BOX, 2, weights=[4.0, 9.0])

@@ -13,12 +13,14 @@ from mkinterp import (
     SingularDesignWarning,
     SolverOptions,
     contract_m,
+    contract_m_minus_1,
     residual_norm,
     solve_multilinear,
     solve_regularized,
 )
 
 GRAM = FeatureGram(np.array([[1.0, 0.0], [1.0, 1.0]]))
+SIGMAS = (1e-6, 0.01, 0.5, 10.0)
 
 
 def three_node_gram():
@@ -231,12 +233,66 @@ class TestSolveRegularized:
         b = solve_regularized(GRAM, 4, y, 0.1, opts)
         np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
-    def test_reports_local_minima(self):
-        report = solve_regularized(GRAM, 4, np.array([1.0, 2.0]), 0.5,
-                                   SolverOptions(max_iterations=500))
-        assert report.local_minima
-        np.testing.assert_array_equal(report.local_minima[0], report.coefficients)
-
     def test_sigma_validated(self):
         with pytest.raises(ValueError):
             solve_regularized(GRAM, 4, np.zeros(2), 0.0)
+
+
+def trig_2d_case():
+    """Trig K=120 on [-1, 1]^2 at 30 uniform points, y = sin 3x1 cos 2x2."""
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, (30, 2))
+    model = FeatureModel.trigonometric(Domain([-1.0, -1.0], [1.0, 1.0]), 120)
+    return FeatureGram.from_model(model, X), np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1])
+
+
+def penalized_misfit(gram, m, c, y, sigma):
+    r = contract_m_minus_1(gram, m, c) - y
+    return float(r @ r) + sigma * contract_m(gram, m, c)
+
+
+# ||A_m c^{m-1} - y||^2 + sigma A_m c^m at the coefficients that the former
+# multistart descent (Barzilai-Borwein steps from 8 seeded starts, default
+# SolverOptions) returned on trig_2d_case; every run stopped at max_iterations.
+MULTISTART_OBJECTIVE = {
+    (4, 1e-6): 0.027290798181305954,
+    (4, 0.01): 0.048346050884144176,
+    (4, 0.5): 0.9751542712736726,
+    (4, 10.0): 5.522743418894151,
+    (6, 1e-6): 0.10895787382993825,
+    (6, 0.01): 0.1370649601436542,
+    (6, 0.5): 1.0417408410366873,
+    (6, 10.0): 5.8276690268317735,
+}
+
+
+class TestRegularizedRoot:
+    """The penalized minimizer is the root of ``A_m c^{m-1} + lam c = y``."""
+
+    @pytest.mark.parametrize("case", ["two_nodes", "trig_2d"])
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_root_residual_within_tolerance(self, case, m, sigma):
+        gram, y = (GRAM, np.array([8.0, 9.0])) if case == "two_nodes" else trig_2d_case()
+        report = solve_regularized(gram, m, y, sigma)
+        assert report.stop_reason == "converged"
+        lam = sigma * m / (2 * (m - 1))
+        c = report.coefficients
+        root = np.linalg.norm(contract_m_minus_1(gram, m, c) + lam * c - y)
+        assert root <= SolverOptions().residual_tol
+        assert report.residual_norm == residual_norm(gram, m, c, y)
+
+    @pytest.mark.parametrize("m, sigma", list(MULTISTART_OBJECTIVE))
+    def test_objective_not_above_multistart(self, m, sigma):
+        gram, y = trig_2d_case()
+        report = solve_regularized(gram, m, y, sigma)
+        assert penalized_misfit(gram, m, report.coefficients, y, sigma) \
+            <= MULTISTART_OBJECTIVE[m, sigma]
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_small_sigma_gap_is_order_sigma(self, m):
+        y = np.array([8.0, 9.0])
+        c0 = solve_multilinear(GRAM, m, y).coefficients
+        for sigma in (1e-2, 1e-4, 1e-6):
+            c = solve_regularized(GRAM, m, y, sigma).coefficients
+            gap = np.linalg.norm(c - c0)
+            assert 0.01 * sigma <= gap <= 0.1 * sigma
