@@ -62,10 +62,6 @@ from .solver import (
 )
 from .tensors import (
     FeatureGram,
-    MonotoneReport,
-    SemiPDReport,
-    check_semi_pd,
-    check_strict_monotone,
     contract_m,
     contract_m_minus_1,
 )
@@ -84,7 +80,6 @@ __all__ = [
     "power_report",
     "SolveReport", "SolverOptions", "residual_norm", "solve_multilinear",
     "solve_regularized",
-    "FeatureGram", "MonotoneReport", "SemiPDReport", "check_semi_pd",
-    "check_strict_monotone", "contract_m", "contract_m_minus_1",
+    "FeatureGram", "contract_m", "contract_m_minus_1",
 ]
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
 """Command-line front end: fit, evaluate, power reports, convergence studies.
 
-Exit codes are part of the contract: 0 success, 2 malformed input
-(including a malformed model file or an unwritable output), 3 solver not
+Exit codes are part of the contract: 0 success, 1 a study whose error
+exceeded its bound, 2 malformed input (including a malformed model file,
+a node outside the domain or an unwritable output), 3 solver not
 converged, 4 singular design (feature Gram without full row rank),
 5 evaluation points outside the domain (or, for a custom feature table,
-not tabulated).
+not tabulated).  Subcommands raise; ``main`` alone turns an exception into
+an exit code, through ``_EXIT_CODES``.
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed)
 whose keys mirror the command-line flags; flags override file values.
@@ -21,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import DuplicateNodes, NotConverged
+from .exceptions import DuplicateNodes, NotConverged, SingularGram
 from .features import Domain, FeatureModel, tabulated
 from .interpolant import (
     Interpolant,
@@ -37,10 +39,20 @@ from .solver import SolverOptions, solve_multilinear
 from .tensors import FeatureGram
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CONVERGENCE = 3
-EXIT_DESIGN = 4
 EXIT_DOMAIN = 5
+
+# Exception type -> exit code, used by main alone; the first match wins.
+# Every library check on outside input raises a ValueError subclass.
+_EXIT_CODES = {
+    NotConverged: 3,
+    SingularGram: 4,  # a ValueError, so it must precede ValueError
+    ValueError: 2,
+    KeyError: 2,  # a model document missing a field
+    TypeError: 2,  # a model document field of the wrong JSON type
+    OverflowError: 2,  # a model document integer too large for a float
+    OSError: 2,  # a file that cannot be read or written
+    csv.Error: 2,  # a CSV line the csv module cannot split, such as an overlong field
+}
 
 # Output rows are formatted and written this many at a time.
 CSV_CHUNK_ROWS = 4096
@@ -58,12 +70,8 @@ _DEFAULTS = {
 }
 
 
-class CliInputError(Exception):
+class CliInputError(ValueError):
     """Malformed input; maps to exit code 2."""
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def parse_domain(text: str) -> Domain:
@@ -78,26 +86,20 @@ def parse_domain(text: str) -> Domain:
             raise CliInputError(f"bad domain segment {part!r}") from err
         lowers.append(lo)
         uppers.append(hi)
-    try:
-        return Domain(lowers, uppers)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    return Domain(lowers, uppers)
 
 
 def read_config(path: str) -> dict:
     cfg = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CliInputError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (piece.strip() for piece in line.split("=", 1))
-                cfg[key] = value
-    except OSError as err:
-        raise CliInputError(f"cannot read config {path}: {err}") from err
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise CliInputError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (piece.strip() for piece in line.split("=", 1))
+            cfg[key] = value
     return cfg
 
 
@@ -144,40 +146,36 @@ def build_model(cfg: dict, dim: int) -> FeatureModel:
 
 def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
     """Read a CSV with header x1..xd[,y]; returns (points, values or None)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CliInputError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        has_values = header[-1:] == ["y"]
+        coord_names = header[:-1] if has_values else header
+        d = len(coord_names)
+        if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
+            raise CliInputError(f"{path}: header must be x1,...,xd[,y]")
+        if expect_values and not has_values:
+            raise CliInputError(f"{path}: missing y column")
+        points, values = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise CliInputError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise CliInputError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            has_values = header[-1] == "y"
-            coord_names = header[:-1] if has_values else header
-            d = len(coord_names)
-            if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
-                raise CliInputError(f"{path}: header must be x1,...,xd[,y]")
-            if expect_values and not has_values:
-                raise CliInputError(f"{path}: missing y column")
-            points, values = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise CliInputError(f"{path}:{lineno}: expected {len(header)} fields")
-                try:
-                    nums = [float(cell) for cell in row]
-                except ValueError:
-                    raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
-                if not all(math.isfinite(v) for v in nums):
-                    raise CliInputError(f"{path}:{lineno}: non-finite field")
-                if has_values:
-                    points.append(nums[:-1])
-                    values.append(nums[-1])
-                else:
-                    points.append(nums)
-    except OSError as err:
-        raise CliInputError(f"cannot read {path}: {err}") from err
+                nums = [float(cell) for cell in row]
+            except ValueError:
+                raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
+            if not all(math.isfinite(v) for v in nums):
+                raise CliInputError(f"{path}:{lineno}: non-finite field")
+            if has_values:
+                points.append(nums[:-1])
+                values.append(nums[-1])
+            else:
+                points.append(nums)
     pts = np.asarray(points, dtype=float).reshape(len(points), d)
     if pts.shape[0] == 0 and not allow_empty:
         raise CliInputError(f"{path}: no data rows")
@@ -192,22 +190,30 @@ def _node_set(points, values) -> NodeSet:
         raise CliInputError(f"duplicate points at rows {i + 2} and {j + 2}") from err
 
 
-def _chunked_rows(*arrays):
-    """Zip the rows of equal-length arrays as Python values.
+def _cells(chunk: np.ndarray) -> list:
+    """CSV cells of a column chunk: ``repr`` of a float, blank for NaN, else ``str``.
 
-    Converts ``CSV_CHUNK_ROWS`` rows at a time with ``tolist``: fast, and
-    a large output's Python objects are never all alive at once.  ``repr``
-    of the resulting floats is the shortest round-trip form.
+    ``repr`` is the shortest round-trip form and never needs CSV quoting.
     """
-    for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
-        yield from zip(*(a[start:start + CSV_CHUNK_ROWS].tolist() for a in arrays))
+    if chunk.dtype.kind != "f":
+        return list(map(str, chunk.tolist()))
+    cells = list(map(repr, chunk.tolist()))
+    for i in np.flatnonzero(np.isnan(chunk)).tolist():
+        cells[i] = ""
+    return cells
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, *columns) -> None:
+    """Write equal-length 1-d arrays as CSV columns under ``header`` (see ``_cells``).
+
+    Each ``CSV_CHUNK_ROWS`` rows are built as one string and written at once,
+    so a large output's Python objects are never all alive together.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            cells = [_cells(column[start:start + CSV_CHUNK_ROWS]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +226,17 @@ def cmd_fit(args) -> int:
     nodes = _node_set(points, values)
     model = build_model(cfg, points.shape[1])
     gram = FeatureGram.from_model(model, nodes.points)
-    if not gram.full_row_rank:
+    if not gram.full_row_rank:  # A_2 = V V^T is singular exactly then
         detail = (f"truncation K={model.truncation} < n={nodes.n}"
                   if model.truncation < nodes.n else "rank-deficient feature Gram")
-        print(f"error: singular design ({detail})", file=sys.stderr)
-        return EXIT_DESIGN
+        raise SingularGram(f"singular design ({detail})")
 
     opts = SolverOptions(residual_tol=cfg["tol"])
     report = solve_multilinear(gram, cfg["order"], nodes.values, opts)
     if not np.isfinite(report.residual_norm):
         # an overflowed iterate has no faithful JSON form; write nothing
-        print("error: solver overflowed (non-finite residual); no output written",
-              file=sys.stderr)
-        return EXIT_CONVERGENCE
+        raise NotConverged(report, "solver overflowed (non-finite residual); "
+                           "no output written")
     s = Interpolant(model, nodes, cfg["order"], report.coefficients, gram, report)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(to_json(s) + "\n")
@@ -251,22 +255,15 @@ def cmd_fit(args) -> int:
         json.dump(report_doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
     if not report.converged:
-        print(f"error: solver stopped ({report.stop_reason}) at residual "
-              f"{report.residual_norm:.3e}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        raise NotConverged(report)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    try:
-        with open(args.interpolant, "r", encoding="utf-8") as fh:
-            s = from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as err:
-        raise CliInputError(f"cannot load interpolant: {err}") from err
-
+    with open(args.interpolant, "r", encoding="utf-8") as fh:
+        s = from_json(fh.read())
     if args.points:
-        points, _ = read_points_csv(args.points, expect_values=False,
-                                    allow_empty=True)
+        points, _ = read_points_csv(args.points, expect_values=False, allow_empty=True)
     else:
         cfg = _merge_settings(args)
         points = domain_grid(s.model.domain, cfg["grid"])
@@ -280,17 +277,12 @@ def cmd_eval(args) -> int:
         inside = np.zeros(points.shape[0], dtype=bool)
     found = inside.copy()
     found[inside] = tabulated(s.model, points[inside])
-    values = np.zeros(points.shape[0])
+    values = np.full(points.shape[0], np.nan)
     values[found] = evaluate_many(s, points[found])
-
-    def rows():
-        for x, value, ok, hit in _chunked_rows(points, values, inside, found):
-            if hit:
-                yield [*map(repr, x), repr(value), ""]
-            else:
-                yield [*map(repr, x), "", "untabulated" if ok else "outside_domain"]
-
-    _write_csv(args.out, header, rows())
+    flags = np.full(points.shape[0], "outside_domain", dtype=object)
+    flags[inside] = "untabulated"
+    flags[found] = ""
+    _write_csv(args.out, header, *points.T, values, flags)
     return EXIT_OK if np.all(found) else EXIT_DOMAIN
 
 
@@ -303,12 +295,8 @@ def cmd_power(args) -> int:
     grid = domain_grid(model.domain, cfg["grid"])
     report = power_report(model, nodes, cfg["order"], grid, f_norm=cfg["fnorm"],
                           opts=opts, grid_per_dim=cfg["grid"])
-
-    d = model.domain.dim
-    header = [f"x{i + 1}" for i in range(d)] + ["p_m", "p_2", "bound"]
-    rows = ([*map(repr, x), *map(repr, cells)]
-            for x, *cells in _chunked_rows(grid, report.p_m, report.p_2, report.bound))
-    _write_csv(args.out, header, rows)
+    header = [f"x{i + 1}" for i in range(model.domain.dim)] + ["p_m", "p_2", "bound"]
+    _write_csv(args.out, header, *grid.T, report.p_m, report.p_2, report.bound)
     return EXIT_OK
 
 
@@ -328,17 +316,11 @@ def cmd_study(args) -> int:
     opts = SolverOptions(residual_tol=cfg["tol"])
     eval_grid = domain_grid(model.domain, cfg["grid"])
 
-    try:
-        result = convergence_study(model, f_alpha, cfg["order"], counts,
-                                   eval_grid, opts)
-    except NotConverged as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-
-    slope_text = "" if result.slope is None else _fmt(result.slope)
-    rows = [[str(r.n), _fmt(r.h), _fmt(r.max_error), _fmt(r.max_bound), slope_text]
-            for r in result.rows]
-    _write_csv(args.out, ["n", "h", "max_error", "max_bound", "slope"], rows)
+    result = convergence_study(model, f_alpha, cfg["order"], counts, eval_grid, opts)
+    slope = np.nan if result.slope is None else result.slope
+    table = np.array([[r.h, r.max_error, r.max_bound, slope] for r in result.rows], dtype=float)
+    _write_csv(args.out, ["n", "h", "max_error", "max_bound", "slope"],
+               np.array([r.n for r in result.rows]), *table.T)
 
     f_norm = banach_norm_direct(f_alpha, cfg["order"] / (cfg["order"] - 1))
     return EXIT_OK if result.bound_dominates(1e-6 * (1.0 + f_norm)) else 1
@@ -403,12 +385,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as err:  # reads raise CliInputError, so this is a write
-        print(f"error: cannot write output: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 if __name__ == "__main__":

@@ -128,7 +128,7 @@ def graded_multi_indices(dim: int, count: int) -> np.ndarray:
             if len(out) == count:
                 break
         degree += 1
-    return np.asarray(out, dtype=int)
+    return np.asarray(out, dtype=int).reshape(-1, dim)
 
 
 def _trig_indices(dim, count):
@@ -149,7 +149,7 @@ def _trig_indices(dim, count):
                 if len(freqs) == count:
                     return np.asarray(freqs, int), np.asarray(kinds, int)
         degree += 1
-    return np.asarray(freqs, int), np.asarray(kinds, int)
+    return np.zeros((0, dim), int), np.zeros((0, dim), int)  # count < 1
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -217,6 +217,9 @@ class FeatureModel:
             lo = np.where(flat, lo - 0.5, lo)
             hi = np.where(flat, hi + 0.5, hi)
             domain = Domain(lo, hi)
+        if points.shape[1] != domain.dim:
+            raise DimensionMismatch(
+                f"table points have dimension {points.shape[1]}, domain has {domain.dim}")
         K = features.shape[1]
         if weights is None:
             weights = np.ones(K)

@@ -207,8 +207,8 @@ def from_json(text: str) -> Interpolant:
     """Rebuild an interpolant from its JSON form (inverse of :func:`to_json`).
 
     Rejects a non-integral order or truncation, an odd order or one below 2,
-    non-finite nodes or values, and coefficients that are not one finite
-    number per node.
+    non-finite nodes or values, coefficients that are not one finite number
+    per node, and an order so large that the feature coefficients overflow.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -226,5 +226,10 @@ def from_json(text: str) -> Interpolant:
         raise ValueError("nodes and values must be finite")
     if coefficients.shape != (nodes.n,) or not np.all(np.isfinite(coefficients)):
         raise ValueError(f"coefficients must be {nodes.n} finite numbers, one per node")
-    return Interpolant(model, nodes, order, coefficients,
-                       FeatureGram.from_model(model, nodes.points))
+    s = Interpolant(model, nodes, order, coefficients,
+                    FeatureGram.from_model(model, nodes.points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite(feature_coefficients(s)))
+    if not finite:
+        raise ValueError(f"feature coefficients overflow at order {doc['order']!r}")
+    return s

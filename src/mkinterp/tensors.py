@@ -71,54 +71,3 @@ def contract_m(gram: FeatureGram, m: int, c) -> float:
     c = _check_vector(gram, c)
     t = gram.V.T @ c
     return float(np.sum(t ** m))
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Sampled strict-monotonicity gaps of ``c -> A_m c^{m-1}``."""
-
-    min_gap: float
-    witnesses: list
-
-
-def check_strict_monotone(gram: FeatureGram, m: int, trials: int,
-                          rng_seed: int) -> MonotoneReport:
-    """Sample random pairs c != d and record the smallest monotonicity gap.
-
-    A positive ``min_gap`` is expected whenever the Gram has full row rank;
-    any nonpositive gap is returned as a witness.  Sampling can falsify
-    strict positive definiteness but never certify it.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    min_gap = np.inf
-    witnesses = []
-    for _ in range(trials):
-        c = rng.standard_normal(gram.n)
-        d = rng.standard_normal(gram.n)
-        while np.array_equal(c, d):
-            d = rng.standard_normal(gram.n)
-        gap = float(
-            (c - d) @ (contract_m_minus_1(gram, m, c) - contract_m_minus_1(gram, m, d))
-        )
-        if gap < min_gap:
-            min_gap = gap
-        if gap <= 0.0:
-            witnesses.append((c, d, gap))
-    return MonotoneReport(min_gap=min_gap, witnesses=witnesses)
-
-
-@dataclass(frozen=True)
-class SemiPDReport:
-    min_value: float
-
-
-def check_semi_pd(gram: FeatureGram, m: int, trials: int,
-                  rng_seed: int) -> SemiPDReport:
-    """Sample ``A_m c^m`` over random c; even m must keep it nonnegative."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    values = [contract_m(gram, m, rng.standard_normal(gram.n)) for _ in range(trials)]
-    return SemiPDReport(min_value=float(min(values)))

@@ -2,7 +2,9 @@
 
 None of these is fast or meant for use outside the tests: a dense n^m
 tensor with an entry budget, interpolant evaluation through the tensor
-basis, a grid search for P_m, and a long-double Newton for P_m.
+basis, a grid search for P_m, a long-double Newton for P_m, and sampling
+checks that can falsify (never certify) the monotonicity and semi-definiteness
+of the tensor.
 """
 
 import string
@@ -13,7 +15,7 @@ import numpy as np
 
 from mkinterp.features import FeatureModel, eval_features, eval_multikernel, require_even_order
 from mkinterp.interpolant import Interpolant, NodeSet
-from mkinterp.tensors import FeatureGram
+from mkinterp.tensors import FeatureGram, contract_m, contract_m_minus_1
 
 DENSE_ENTRY_BUDGET = 10_000_000
 
@@ -171,3 +173,54 @@ def power_values_long_double(model: FeatureModel, nodes: NodeSet, m: int,
             eta /= 2
         active[pending] = False
     return np.maximum(q, 0.0) ** (np.longdouble(1.0) / m)
+
+
+@dataclass(frozen=True)
+class MonotoneReport:
+    """Sampled strict-monotonicity gaps of ``c -> A_m c^{m-1}``."""
+
+    min_gap: float
+    witnesses: list
+
+
+def check_strict_monotone(gram: FeatureGram, m: int, trials: int,
+                          rng_seed: int) -> MonotoneReport:
+    """Sample random pairs c != d and record the smallest monotonicity gap.
+
+    A positive ``min_gap`` is expected whenever the Gram has full row rank;
+    any nonpositive gap is returned as a witness.  Sampling can falsify
+    strict positive definiteness but never certify it.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    rng = np.random.default_rng(rng_seed)
+    min_gap = np.inf
+    witnesses = []
+    for _ in range(trials):
+        c = rng.standard_normal(gram.n)
+        d = rng.standard_normal(gram.n)
+        while np.array_equal(c, d):
+            d = rng.standard_normal(gram.n)
+        gap = float(
+            (c - d) @ (contract_m_minus_1(gram, m, c) - contract_m_minus_1(gram, m, d))
+        )
+        if gap < min_gap:
+            min_gap = gap
+        if gap <= 0.0:
+            witnesses.append((c, d, gap))
+    return MonotoneReport(min_gap=min_gap, witnesses=witnesses)
+
+
+@dataclass(frozen=True)
+class SemiPDReport:
+    min_value: float
+
+
+def check_semi_pd(gram: FeatureGram, m: int, trials: int,
+                  rng_seed: int) -> SemiPDReport:
+    """Sample ``A_m c^m`` over random c; even m must keep it nonnegative."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    rng = np.random.default_rng(rng_seed)
+    values = [contract_m(gram, m, rng.standard_normal(gram.n)) for _ in range(trials)]
+    return SemiPDReport(min_value=float(min(values)))

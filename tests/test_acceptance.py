@@ -19,7 +19,6 @@ from mkinterp import (
     SolverOptions,
     banach_norm_direct,
     banach_norm_via_tensor,
-    check_strict_monotone,
     contract_m,
     contract_m_minus_1,
     convergence_study,
@@ -34,7 +33,7 @@ from mkinterp import (
     solve_multilinear,
 )
 from mkinterp.cli import main as cli_main
-from oracles import dense_tensor, evaluate_tensor_basis
+from oracles import check_strict_monotone, dense_tensor, evaluate_tensor_basis
 
 BOX = Domain([-1.0], [1.0])
 

@@ -100,6 +100,14 @@ class TestFit:
         assert "overflowed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kernel", ["power", "trig"])
+    @pytest.mark.parametrize("truncation", ["0", "-3"])
+    def test_truncation_below_one_exits_2(self, tmp_path, capsys, kernel, truncation):
+        data = write(tmp_path / "d.csv", DATA_2ROW)
+        assert main(["fit", data, "--out", str(tmp_path / "o.json"), "--kernel", kernel,
+                     "--truncation", truncation]) == 2
+        assert "truncation K must be at least 1" in capsys.readouterr().err
+
     def test_non_numeric_config_setting_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", "order = four\n")
         data = write(tmp_path / "d.csv", DATA_2ROW)
@@ -125,6 +133,14 @@ class TestFit:
                      "--order", "4"])
         assert code == 0
         assert json.loads(out.read_text())["order"] == 4
+
+
+def fit_custom_model():
+    """A 1-d custom-table interpolant tabulated at 0, 0.5 and 1."""
+    table = [[0.0], [0.5], [1.0]]
+    model = FeatureModel.custom_table(table, [[1.0, 0.0, 0.0], [1.0, 0.5, 0.25],
+                                              [1.0, 1.0, 1.0]])
+    return fit(model, NodeSet(np.array(table), np.array([1.0, 2.0, 4.0])), 2)
 
 
 class TestEval:
@@ -188,10 +204,7 @@ class TestEval:
                      "--out", str(tmp / "vals.csv")]) == 2
 
     def test_custom_table_untabulated_flagged_exit_5(self, tmp_path):
-        table = [[0.0], [0.5], [1.0]]
-        model = FeatureModel.custom_table(table, [[1.0, 0.0, 0.0], [1.0, 0.5, 0.25],
-                                                  [1.0, 1.0, 1.0]])
-        s = fit(model, NodeSet(np.array(table), np.array([1.0, 2.0, 4.0])), 2)
+        s = fit_custom_model()
         path = write(tmp_path / "custom.json", to_json(s))
         pts = write(tmp_path / "pts.csv", "x1\n0.5\n0.25\n2\n")
         result = tmp_path / "vals.csv"
@@ -308,6 +321,14 @@ def _edited_model(edit):
     return argv
 
 
+def _fit_3node(*flags):
+    """argv for ``fit`` of the 3-node data with extra ``flags``."""
+    return lambda tmp_path, model: [
+        "fit", write(tmp_path / "d.csv", DATA_3ROW), "--out", str(tmp_path / "o.json"), *flags]
+
+
+OUTSIDE_NODE = "x1,y\n0,1\n2,2\n"  # x = 2 lies outside the default -1:1 domain
+
 MALFORMED = {
     "short_coefficients": _edited_model(
         lambda doc: {**doc, "coefficients": doc["coefficients"][:2]}),
@@ -338,6 +359,29 @@ MALFORMED = {
     "study_out_missing_dir": lambda tmp_path, model: [
         "study", "--node-counts", "4", "--grid", "5",
         "--out", str(tmp_path / "missing" / "s.csv")],
+    "fit_node_outside_domain": lambda tmp_path, model: [
+        "fit", write(tmp_path / "far.csv", OUTSIDE_NODE), "--out", str(tmp_path / "o.json")],
+    "power_node_outside_domain": lambda tmp_path, model: [
+        "power", write(tmp_path / "far.csv", OUTSIDE_NODE), "--grid", "5",
+        "--out", str(tmp_path / "p.csv")],
+    "study_2d_domain": lambda tmp_path, model: [
+        "study", "--node-counts", "4", "--grid", "5", "--domain=-1:1,-1:1",
+        "--out", str(tmp_path / "s.csv")],
+    "fit_zero_truncation": _fit_3node("--truncation", "0"),
+    "fit_negative_decay": _fit_3node("--decay", "-1"),
+    "fit_zero_decay": _fit_3node("--decay", "0"),
+    "fit_negative_tol": _fit_3node("--tol", "-1"),
+    "fit_blank_header": lambda tmp_path, model: [
+        "fit", write(tmp_path / "blank.csv", "\n0,1\n"), "--out", str(tmp_path / "o.json")],
+    "fit_overlong_field": lambda tmp_path, model: [
+        "fit", write(tmp_path / "long.csv", "x1,y\n" + "1" * 200_000 + ",2\n"),
+        "--out", str(tmp_path / "o.json")],
+    "huge_order": _edited_model(lambda doc: {**doc, "order": 1e300}),
+    "table_point_dimension": lambda tmp_path, model: [
+        "eval", write(tmp_path / "bad.json", json.dumps(
+            {**json.loads(to_json(fit_custom_model())),
+             "table_points": [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]})),
+        "--grid", "3", "--out", str(tmp_path / "v.csv")],
 }
 
 
@@ -353,7 +397,8 @@ def test_malformed_model_or_unwritable_output_exits_2(tmp_path, capsys, case):
     model = fit_3node_model(tmp_path)
     capsys.readouterr()
     assert main(MALFORMED[case](tmp_path, model)) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_integral_float_order_and_truncation_load(tmp_path):

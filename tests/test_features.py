@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mkinterp import (
+    DimensionMismatch,
     Domain,
     FeatureModel,
     OddOrderUnsupported,
@@ -69,6 +70,12 @@ class TestGradedIndices:
     def test_2d_order(self):
         expected = [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
         assert graded_multi_indices(2, 6).tolist() == expected
+
+    @pytest.mark.parametrize("family", ["power_series", "trigonometric"])
+    @pytest.mark.parametrize("truncation", [0, -2])
+    def test_truncation_below_one_rejected(self, family, truncation):
+        with pytest.raises(ValueError, match="at least 1"):
+            getattr(FeatureModel, family)(Domain([-1.0, -1.0], [1.0, 1.0]), truncation)
 
 
 class TestEvalFeatures:
@@ -329,6 +336,10 @@ class TestCustomTable:
         model = FeatureModel.custom_table_from_json(path)
         np.testing.assert_allclose(eval_features(model, [0.5]), [1.0, 0.5])
         assert eval_kernel2(model, [0.0], [1.0]) == pytest.approx(1.0)
+
+    def test_point_dimension_must_match_domain(self):
+        with pytest.raises(DimensionMismatch, match="dimension 2"):
+            FeatureModel.custom_table([[0.0, 0.0], [1.0, 1.0]], [[1.0], [1.0]], domain=BOX)
 
     def test_untabulated_point_rejected(self):
         model = FeatureModel.custom_table([[0.0], [1.0]], [[1.0], [1.0]])

@@ -1,3 +1,4 @@
+import json
 import numpy as np
 import pytest
 
@@ -273,6 +274,11 @@ class TestSerialization:
     def test_missing_key_rejected(self):
         with pytest.raises(KeyError):
             from_json("{}")
+
+    def test_order_overflowing_coefficients_rejected(self, fitted):
+        doc = json.loads(to_json(fitted))
+        with pytest.raises(ValueError, match="overflow"):
+            from_json(json.dumps({**doc, "order": 1e300}))
 
     def test_load_and_evaluate_pay_no_rank_test(self, fitted, monkeypatch):
         calls = []

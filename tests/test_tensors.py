@@ -7,12 +7,10 @@ import mkinterp
 from mkinterp import (
     DimensionMismatch,
     FeatureGram,
-    check_semi_pd,
-    check_strict_monotone,
     contract_m,
     contract_m_minus_1,
 )
-from oracles import BudgetExceeded, dense_tensor
+from oracles import BudgetExceeded, check_semi_pd, check_strict_monotone, dense_tensor
 
 # Features (1, x) at nodes {0, 1}: columns v_1 = (1, 1), v_2 = (0, 1).
 GRAM = FeatureGram(np.array([[1.0, 0.0], [1.0, 1.0]]))
@@ -138,7 +136,8 @@ class TestDenseOracle:
 
     def test_oracles_not_exported(self):
         moved = {"DenseTensor", "dense_tensor", "DENSE_ENTRY_BUDGET", "BudgetExceeded",
-                 "evaluate_tensor_basis", "power_function_dense_oracle"}
+                 "evaluate_tensor_basis", "power_function_dense_oracle",
+                 "check_strict_monotone", "check_semi_pd", "MonotoneReport", "SemiPDReport"}
         assert moved.isdisjoint(mkinterp.__all__)
 
     def test_budget_enforced(self):
