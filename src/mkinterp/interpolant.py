@@ -196,17 +196,22 @@ def _model_from_doc(doc) -> FeatureModel:
     if family == "trig":
         return FeatureModel.trigonometric(domain, K, weights=weights)
     if family == "custom":
-        return FeatureModel.custom_table(
+        model = FeatureModel.custom_table(
             doc["table_points"], doc["table_features"],
             weights=weights, domain=domain,
         )
+        if model.truncation != K:
+            raise ValueError(f"truncation {K} does not match the {model.truncation} "
+                             "tabulated features")
+        return model
     raise ValueError(f"unknown feature family {family!r}")
 
 
 def from_json(text: str) -> Interpolant:
     """Rebuild an interpolant from its JSON form (inverse of :func:`to_json`).
 
-    Rejects a non-integral order or truncation, an odd order or one below 2,
+    Rejects a non-integral order or truncation, a custom table whose width
+    is not the truncation, an odd order or one below 2,
     non-finite nodes or values, coefficients that are not one finite number
     per node, and an order so large that the feature coefficients overflow.
     """

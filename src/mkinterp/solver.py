@@ -95,11 +95,23 @@ def residual_norm(gram: FeatureGram, m: int, c, y) -> float:
     return float(np.linalg.norm(contract_m_minus_1(gram, m, c) - y))
 
 
+def _hessian(W, r, m):
+    """``(m-1) W^T diag(r^{m-2}) W``, PSD for even m, as ``(m-1) Y^T Y``.
+
+    ``Y = diag(r^{(m-2)/2}) W``; numpy forms ``Y^T Y`` on one buffer by a
+    symmetric rank-K update, which halves the flops of a general product
+    and makes H exactly symmetric.
+    """
+    Y = W * (r ** ((m - 2) // 2))[:, None]
+    H = Y.T @ Y
+    H *= m - 1
+    return H
+
+
 def _newton_direction(W, r, grad, m, lam):
     # a helper, so that the n x n Hessian is freed before the next is built
     n = W.shape[1]
-    # (m-1) * W^T diag(r^{m-2}) W; r^{m-2} >= 0 for even m, so PSD.
-    H = (m - 1) * (W.T * r ** (m - 2)) @ W
+    H = _hessian(W, r, m)
     # relative to H's scale, which tiny residuals (P_m near nodes) make tiny
     ridge = _RIDGE_FLOOR * (H.trace() / n or 1.0)
     diagonal = H.diagonal() + lam
@@ -184,7 +196,10 @@ def _initial_guess(gram: FeatureGram, m: int, y, opts: SolverOptions):
     if opts.init == "zero":
         return np.zeros(gram.n)
     V = gram.V
-    c0, *_ = np.linalg.lstsq(V @ V.T, y, rcond=None)
+    if gram.well_conditioned:
+        c0 = np.linalg.solve(V @ V.T, y)
+    else:
+        c0, *_ = np.linalg.lstsq(V @ V.T, y, rcond=None)
     if m > 2:
         t = V.T @ c0
         denom = float(np.sum(t ** m))

@@ -33,9 +33,31 @@ class FeatureGram:
         object.__setattr__(self, "V", V)
 
     @cached_property
+    def well_conditioned(self) -> bool:
+        """Eigenvalue certificate of full row rank, computed on first read only.
+
+        True when the eigenvalues of ``V V^T`` satisfy
+        ``lambda_min > delta lambda_max`` with ``delta = 1e4 n K eps``.  The
+        rounding of forming and diagonalizing ``V V^T`` moves an eigenvalue
+        by about ``n K eps lambda_max``, four orders of magnitude less, so a
+        certified V has full row rank and cond(V) below about
+        ``1/sqrt(delta)``.  False proves nothing: near-singular designs, and
+        an overflowed Gram (non-finite eigenvalues), are left to the SVD.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            eigenvalues = np.linalg.eigvalsh(self.V @ self.V.T)
+        delta = 1e4 * self.n * self.K * np.finfo(float).eps
+        return bool(eigenvalues[0] > delta * eigenvalues[-1])
+
+    @cached_property
     def full_row_rank(self) -> bool:
-        """Rank test by SVD, computed on first read only."""
-        return int(np.linalg.matrix_rank(self.V)) == self.n
+        """Rank test, computed on first read only.
+
+        A design that :attr:`well_conditioned` certifies has full row rank;
+        only the others pay for the SVD of ``np.linalg.matrix_rank``, the
+        reference that decides near-singular designs.
+        """
+        return self.well_conditioned or int(np.linalg.matrix_rank(self.V)) == self.n
 
     @property
     def n(self) -> int:

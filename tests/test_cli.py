@@ -382,6 +382,10 @@ MALFORMED = {
             {**json.loads(to_json(fit_custom_model())),
              "table_points": [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]})),
         "--grid", "3", "--out", str(tmp_path / "v.csv")],
+    "custom_truncation": lambda tmp_path, model: [
+        "eval", write(tmp_path / "bad.json", json.dumps(
+            {**json.loads(to_json(fit_custom_model())), "truncation": 7})),
+        "--grid", "3", "--out", str(tmp_path / "v.csv")],
 }
 
 

@@ -19,6 +19,8 @@ from mkinterp import (
     solve_regularized,
 )
 
+from mkinterp.solver import _hessian
+
 GRAM = FeatureGram(np.array([[1.0, 0.0], [1.0, 1.0]]))
 SIGMAS = (1e-6, 0.01, 0.5, 10.0)
 
@@ -193,6 +195,18 @@ class TestSolveMultilinear:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_multilinear(GRAM, 4, np.zeros(3))
+
+
+class TestHessian:
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_rank_k_update_matches_general_product(self, m):
+        rng = np.random.default_rng(41)
+        W = rng.standard_normal((50, 120)).T  # K x n view, as the solvers pass V^T
+        r = rng.standard_normal(120)
+        H = _hessian(W, r, m)
+        reference = (m - 1) * (W.T * r ** (m - 2)) @ W
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 class TestResidualNorm:

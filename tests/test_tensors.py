@@ -6,9 +6,12 @@ import pytest
 import mkinterp
 from mkinterp import (
     DimensionMismatch,
+    Domain,
     FeatureGram,
+    FeatureModel,
     contract_m,
     contract_m_minus_1,
+    eval_features,
 )
 from oracles import BudgetExceeded, check_semi_pd, check_strict_monotone, dense_tensor
 
@@ -187,3 +190,59 @@ class TestDefinitenessChecks:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             check_strict_monotone(GRAM, 4, trials=0, rng_seed=0)
+
+
+LINE = Domain([-1.0], [1.0])
+
+
+def study_design(n, extra=()):
+    """The convergence study's 1-d trig K=81 design at n cell midpoints."""
+    points = np.concatenate([-1.0 + (np.arange(n) + 0.5) * 2.0 / n, extra])
+    return eval_features(FeatureModel.trigonometric(LINE, 81, 0.5), points[:, None])
+
+
+def large_design():
+    """400 nodes of a 3-d trig K=800 model, the shape of the benchmark's fits."""
+    points = np.random.default_rng(0).uniform(-1.0, 1.0, (400, 3))
+    return eval_features(FeatureModel.trigonometric(Domain([-1.0] * 3, [1.0] * 3), 800, 0.5),
+                         points)
+
+
+# name: (design, whether the eigenvalue certificate clears it)
+RANK_DESIGNS = {
+    "large": (large_design, True),
+    # the ill-conditioned power series of the solver tests, cond(V) ~ 1.2e4
+    "repro": (lambda: eval_features(FeatureModel.power_series(LINE, 20, 0.7),
+                                    np.linspace(-0.95, 0.95, 10)[:, None]), True),
+    "study_n64": (lambda: study_design(64), False),  # cond(V) ~ 6.5e4
+    # one more node 1e-6 (cond ~ 1.7e6) or 1e-14 (rank 16 of 17) from the one at -0.8125
+    "near_duplicate": (lambda: study_design(16, [-0.8125 + 1e-6]), False),
+    "duplicate": (lambda: study_design(16, [-0.8125 + 1e-14]), False),
+    "two_features": (lambda: GRAM.V, True),
+    "single_feature": (lambda: np.array([[1.0], [1.0]]), False),
+    "more_nodes_than_features": (
+        lambda: np.random.default_rng(15).standard_normal((5, 3)), False),
+}
+
+
+class TestRankCertificate:
+    @pytest.mark.parametrize("name", list(RANK_DESIGNS))
+    def test_full_row_rank_matches_svd_reference(self, name):
+        design, certified = RANK_DESIGNS[name]
+        V = design()
+        gram = FeatureGram(V)
+        assert gram.well_conditioned == certified
+        assert gram.full_row_rank == (np.linalg.matrix_rank(V) == V.shape[0])
+
+    def test_near_duplicate_is_past_the_certificate(self):
+        V = study_design(16, [-0.8125 + 1e-6])
+        delta = 1e4 * V.size * np.finfo(float).eps
+        assert np.linalg.cond(V) > 1.0 / np.sqrt(delta)
+        assert FeatureGram(V).full_row_rank
+
+    def test_certified_design_pays_no_svd(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda *args, **kw: calls.append(1))
+        gram = FeatureGram(large_design())
+        assert gram.full_row_rank
+        assert calls == []
