@@ -291,10 +291,8 @@ def cmd_power(args) -> int:
     points, values = read_points_csv(args.nodes, expect_values=False)
     nodes = _node_set(points, values if values is not None else np.zeros(len(points)))
     model = build_model(cfg, points.shape[1])
-    opts = SolverOptions(residual_tol=cfg["tol"])
     grid = domain_grid(model.domain, cfg["grid"])
-    report = power_report(model, nodes, cfg["order"], grid, f_norm=cfg["fnorm"],
-                          opts=opts, grid_per_dim=cfg["grid"])
+    report = power_report(model, nodes, cfg["order"], grid, f_norm=cfg["fnorm"])
     header = [f"x{i + 1}" for i in range(model.domain.dim)] + ["p_m", "p_2", "bound"]
     _write_csv(args.out, header, *grid.T, report.p_m, report.p_2, report.bound)
     return EXIT_OK
@@ -337,7 +335,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--truncation", type=int, help="number of features K")
     p.add_argument("--decay", type=float, help="weight decay parameter")
     p.add_argument("--domain", help="box as lo:hi[,lo:hi...]")
-    p.add_argument("--tol", type=float, help="solver residual tolerance")
     p.add_argument("--seed", type=int,
                    help="RNG seed; only study uses it, to draw its target")
 
@@ -351,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("data", help="CSV with header x1,...,xd,y")
     p_fit.add_argument("--out", required=True, help="interpolant JSON path")
     p_fit.add_argument("--report", help="fit report JSON path")
+    p_fit.add_argument("--tol", type=float, help="solver residual tolerance")
     _add_model_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -375,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="strictly increasing list, e.g. 4,8,16,32")
     p_study.add_argument("--out", required=True, help="output CSV path")
     p_study.add_argument("--grid", type=int, help="evaluation grid per dimension")
+    p_study.add_argument("--tol", type=float, help="solver residual tolerance")
     _add_model_flags(p_study)
     p_study.set_defaults(func=cmd_study)
 

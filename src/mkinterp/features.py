@@ -189,7 +189,8 @@ class FeatureModel:
         """Monomial features over graded multi-indices on the box."""
         exponents = graded_multi_indices(domain.dim, truncation)
         if weights is None:
-            weights = decay ** exponents.sum(axis=1)
+            with np.errstate(over="ignore"):  # __post_init__ rejects an inf weight
+                weights = decay ** exponents.sum(axis=1)
         return cls(domain, "power", truncation, np.asarray(weights, float),
                    exponents=exponents)
 
@@ -199,7 +200,8 @@ class FeatureModel:
         """Tensorized Fourier features with decaying weights."""
         freqs, kinds = _trig_indices(domain.dim, truncation)
         if weights is None:
-            weights = decay ** freqs.sum(axis=1).astype(float)
+            with np.errstate(over="ignore"):  # __post_init__ rejects an inf weight
+                weights = decay ** freqs.sum(axis=1).astype(float)
         return cls(domain, "trig", truncation, np.asarray(weights, float),
                    frequencies=freqs, trig_kinds=kinds)
 

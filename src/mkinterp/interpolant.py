@@ -45,12 +45,15 @@ class NodeSet:
             raise DimensionMismatch("values must be one per point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-        diffs = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diffs ** 2, axis=2))
-        iu = np.triu_indices(pts.shape[0], k=1)
-        if iu[0].size and dist[iu].min() <= MIN_NODE_SEPARATION:
-            flat = int(np.argmin(dist[iu]))
-            raise DuplicateNodes(int(iu[0][flat]), int(iu[1][flat]))
+        # the closest pair i < j, scanned one node at a time in O(n d) memory
+        closest_sq, pair = np.inf, None
+        for i in range(pts.shape[0] - 1):
+            dist_sq = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
+            j = int(np.argmin(dist_sq))
+            if dist_sq[j] < closest_sq:
+                closest_sq, pair = float(dist_sq[j]), (i, i + 1 + j)
+        if np.sqrt(closest_sq) <= MIN_NODE_SEPARATION:
+            raise DuplicateNodes(*pair)
 
     @property
     def n(self) -> int:

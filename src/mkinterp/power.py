@@ -62,16 +62,13 @@ def _power_values(V, B, m, opts: SolverOptions):
 
 def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
                    opts: SolverOptions | None = None) -> float:
-    """Order-m power function at x via convex minimization in feature space.
+    """Order-m power function at the one point x: :func:`power_report` there.
 
     Returns ``q*^{1/m}`` where ``q*`` is the minimum of the even-power
     objective above; zero (up to solver tolerance) whenever x is a node or
     the features are exactly representable on the nodes.
     """
-    require_even_order(m)
-    V = eval_features(model, nodes.points)  # n x K
-    B = eval_features(model, x)[None, :]
-    return float(_power_values(V, B, m, opts or SolverOptions())[1][0])
+    return float(power_report(model, nodes, m, np.atleast_2d(x), opts=opts).p_m[0])
 
 
 def power_function_p2_closed(model: FeatureModel, nodes: NodeSet, x) -> float:
@@ -120,11 +117,22 @@ def fill_distance(nodes: NodeSet, domain: Domain, grid_per_dim: int) -> float:
     return float(np.sqrt(nearest_sq.max()))
 
 
-def error_bound(f_norm: float, p_m: float) -> float:
-    """Pointwise bound ``2 ||f|| P_m(x)`` on the interpolation error."""
-    if f_norm < 0 or p_m < 0:
-        raise ValueError("f_norm and p_m must be nonnegative")
-    return 2.0 * f_norm * p_m
+def error_bound(f_norm: float, p_m):
+    """Pointwise bound ``2 ||f|| P_m(x)`` on the interpolation error, elementwise.
+
+    Raises ValueError for a negative or non-finite ``f_norm``, a negative
+    ``p_m``, or a bound that is not finite (an overflow or a non-finite p_m).
+    """
+    if not 0.0 <= f_norm < np.inf:
+        raise ValueError(f"f_norm must be finite and nonnegative, got {f_norm}")
+    p_m = np.asarray(p_m, dtype=float)
+    if np.any(p_m < 0):
+        raise ValueError("p_m must be nonnegative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 2.0 * (f_norm * p_m)
+    if not np.all(np.isfinite(bound)):
+        raise ValueError(f"error bound 2 ||f|| P_m is not finite for f_norm {f_norm}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -135,13 +143,11 @@ class PowerReport:
     p_m: np.ndarray
     p_2: np.ndarray
     bound: np.ndarray
-    fill_distance: float
     order: int
 
 
 def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
-                 f_norm: float = 1.0, opts: SolverOptions | None = None,
-                 grid_per_dim: int = 101) -> PowerReport:
+                 f_norm: float = 1.0, opts: SolverOptions | None = None) -> PowerReport:
     """Evaluate P_m, the classical P_2, and the error bound at each point.
 
     The node features are built once; the points go through in blocks
@@ -149,6 +155,7 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
     least-squares solve per block, which gives P_2 and starts P_m.
     """
     require_even_order(m)
+    error_bound(f_norm, 0.0)  # a bad f_norm fails before any P_m work
     opts = opts or SolverOptions()
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
     V = eval_features(model, nodes.points)
@@ -157,9 +164,7 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
     for rows in point_blocks(model, eval_points.shape[0]):
         B = eval_features(model, eval_points[rows])
         p_2[rows], p_m[rows] = _power_values(V, B, m, opts)
-    bound = 2.0 * f_norm * p_m
-    h = fill_distance(nodes, model.domain, grid_per_dim)
-    return PowerReport(eval_points, p_m, p_2, bound, h, m)
+    return PowerReport(eval_points, p_m, p_2, error_bound(f_norm, p_m), m)
 
 
 @dataclass(frozen=True)
@@ -183,23 +188,21 @@ def _equispaced_nodes(domain: Domain, n: int) -> np.ndarray:
     # cell midpoints: quasi-uniform, and avoids coincident feature rows at
     # the two endpoints for periodic families
     if domain.dim != 1:
-        raise ValueError("default node placement is 1-d; pass node_generator")
+        raise ValueError(f"convergence studies need a 1-d domain, got {domain.dim}-d")
     lo, hi = domain.lower[0], domain.upper[0]
     return (lo + (np.arange(n) + 0.5) * (hi - lo) / n)[:, None]
 
 
 def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
                       eval_grid, opts: SolverOptions | None = None,
-                      grid_per_dim: int = 201,
-                      node_generator=None) -> StudyResult:
+                      grid_per_dim: int = 201) -> StudyResult:
     """Fill-distance refinement study for a target in the truncated span.
 
     The target is ``f = sum_k f_alpha[k] phi_k``, whose norm with exponent
     m/(m-1) is exact from its coefficients.  Each row fits the order-m
-    interpolant on `n` nodes (equispaced for 1-d domains unless a
-    `node_generator(n)` is supplied) and records the fill distance, the
-    worst error over `eval_grid`, and the worst pointwise bound
-    ``2 ||f|| P_m``.
+    interpolant on `n` equispaced nodes of the 1-d domain and records the
+    fill distance, the worst error over `eval_grid`, and the worst pointwise
+    bound ``2 ||f|| P_m``.
     """
     require_even_order(m)
     opts = opts or SolverOptions()
@@ -208,7 +211,7 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
     f_norm = banach_norm_direct(f_alpha, m / (m - 1))
     rows = []
     for n in node_counts:
-        pts = node_generator(n) if node_generator else _equispaced_nodes(model.domain, n)
+        pts = _equispaced_nodes(model.domain, n)
         V = eval_features(model, pts)
         nodes = NodeSet(pts, V @ f_alpha)
         alpha = feature_coefficients(_fit_gram(model, nodes, m, FeatureGram(V), opts))
@@ -216,15 +219,11 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
         for block in point_blocks(model, eval_grid.shape[0]):
             B = eval_features(model, eval_grid[block])
             errors = np.abs(B @ f_alpha - B @ alpha)
-            bounds = 2.0 * f_norm * _power_values(V, B, m, opts)[1]
+            bounds = error_bound(f_norm, _power_values(V, B, m, opts)[1])
             max_error = max(max_error, float(errors.max()))
             max_bound = max(max_bound, float(bounds.max()))
-        rows.append(StudyRow(
-            n=int(n),
-            h=fill_distance(nodes, model.domain, grid_per_dim),
-            max_error=max_error,
-            max_bound=max_bound,
-        ))
+        h = fill_distance(nodes, model.domain, grid_per_dim)
+        rows.append(StudyRow(n=int(n), h=h, max_error=max_error, max_bound=max_bound))
     slope = None
     if len(rows) >= 2 and all(r.max_error > 0 for r in rows):
         hs = np.log([r.h for r in rows])

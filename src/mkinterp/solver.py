@@ -61,8 +61,8 @@ class SolverOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
         if self.init not in ("zero", "linear"):
             raise ValueError("init must be 'zero' or 'linear'")
 
@@ -112,19 +112,15 @@ def _newton_direction(W, r, grad, m, lam):
     # a helper, so that the n x n Hessian is freed before the next is built
     n = W.shape[1]
     H = _hessian(W, r, m)
-    # relative to H's scale, which tiny residuals (P_m near nodes) make tiny
+    # relative to H's scale, which tiny residuals (P_m near nodes) make tiny;
+    # it also makes a zero Hessian (z = 0 with u = 0 and m >= 4) solvable
     ridge = _RIDGE_FLOOR * (H.trace() / n or 1.0)
-    diagonal = H.diagonal() + lam
-    for _ in range(20):
-        H.flat[:: n + 1] = diagonal + ridge
-        try:
-            step = -np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and grad @ step < 0:
-            return step
-        ridge *= 100.0
-    return -grad  # degenerate Hessian (e.g. z = 0 with u = 0 and m >= 4)
+    H.flat[:: n + 1] = (H.diagonal() + lam) + ridge
+    try:
+        step = -np.linalg.solve(H, grad)
+    except np.linalg.LinAlgError:
+        return -grad
+    return step if grad @ step < 0 else -grad
 
 
 def _minimize_even_power(W, u, ell, z, m, max_iterations, done, lam=0.0):

@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkinterp import FeatureModel, NodeSet, evaluate, fit, to_json
 from mkinterp.cli import main
@@ -272,6 +279,21 @@ class TestPower:
         code = main(["power", nodes, "--out", str(tmp_path / "p.csv"), "--grid", "1"])
         assert code == 2
 
+    def test_tol_flag_is_not_a_power_flag(self, tmp_path):
+        # the power function's Newton stop test has no user tolerance
+        nodes = write(tmp_path / "nodes.csv", "x1,y\n0,0\n1,0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["power", nodes, "--out", str(tmp_path / "p.csv"), "--tol", "1e-3"])
+        assert exc.value.code == 2
+
+    def test_config_tol_key_is_accepted(self, tmp_path):
+        nodes = write(tmp_path / "nodes.csv", "x1,y\n0,0\n1,0\n")
+        cfg = write(tmp_path / "run.cfg", "tol = 1e-3\norder = 4\n")
+        result = tmp_path / "p.csv"
+        assert main(["power", nodes, "--out", str(result), "--grid", "3",
+                     "--config", cfg]) == 0
+        assert len(read_rows(result)) == 4
+
 
 class TestStudy:
     def run_study(self, tmp_path, counts="4,8,16", seed="7"):
@@ -311,6 +333,8 @@ class TestStudy:
 
 
 DATA_3ROW = "x1,y\n0,1\n0.5,2\n1,3\n"
+# fit at order 4 with --tol=inf once wrote its linear start as converged
+DATA_3ROW_MIXED = "x1,y\n-0.5,1\n0,2\n0.5,0.5\n"
 
 
 def _edited_model(edit):
@@ -325,6 +349,20 @@ def _fit_3node(*flags):
     """argv for ``fit`` of the 3-node data with extra ``flags``."""
     return lambda tmp_path, model: [
         "fit", write(tmp_path / "d.csv", DATA_3ROW), "--out", str(tmp_path / "o.json"), *flags]
+
+
+def _fit_mixed(*flags):
+    """argv for ``fit`` at order 4 of the mixed 3-row data with extra ``flags``."""
+    return lambda tmp_path, model: [
+        "fit", write(tmp_path / "d.csv", DATA_3ROW_MIXED), "--order", "4",
+        "--out", str(tmp_path / "o.json"), *flags]
+
+
+def _power_3node(*flags):
+    """argv for ``power`` at order 4 on the 3-node data with extra ``flags``."""
+    return lambda tmp_path, model: [
+        "power", write(tmp_path / "n.csv", DATA_3ROW), "--order", "4", "--grid", "5",
+        "--out", str(tmp_path / "p.csv"), *flags]
 
 
 OUTSIDE_NODE = "x1,y\n0,1\n2,2\n"  # x = 2 lies outside the default -1:1 domain
@@ -371,6 +409,11 @@ MALFORMED = {
     "fit_negative_decay": _fit_3node("--decay", "-1"),
     "fit_zero_decay": _fit_3node("--decay", "0"),
     "fit_negative_tol": _fit_3node("--tol", "-1"),
+    "fit_nan_tol": _fit_mixed("--tol=nan"),
+    "fit_inf_tol": _fit_mixed("--tol=inf"),
+    "power_negative_fnorm": _power_3node("--fnorm=-1"),
+    "power_nan_fnorm": _power_3node("--fnorm=nan"),
+    "power_inf_fnorm": _power_3node("--fnorm=inf"),
     "fit_blank_header": lambda tmp_path, model: [
         "fit", write(tmp_path / "blank.csv", "\n0,1\n"), "--out", str(tmp_path / "o.json")],
     "fit_overlong_field": lambda tmp_path, model: [
@@ -400,9 +443,11 @@ def fit_3node_model(tmp_path):
 def test_malformed_model_or_unwritable_output_exits_2(tmp_path, capsys, case):
     model = fit_3node_model(tmp_path)
     capsys.readouterr()
-    assert main(MALFORMED[case](tmp_path, model)) == 2
+    argv = MALFORMED[case](tmp_path, model)
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
 def test_integral_float_order_and_truncation_load(tmp_path):
@@ -421,3 +466,50 @@ class TestDeterminism:
         a = out1.read_bytes()
         b = out2.read_bytes()
         assert a == b
+
+
+# Numeric flag values: special floats first, then any float.
+FLAG_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308]),
+                        st.floats())
+FLAG_INTS = st.integers(-3, 40)
+
+
+def _run_in_process(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_outputs(paths):
+    for path in paths:
+        if not path.exists():
+            continue
+        text = path.read_text().lower()
+        assert "nan" not in text and "inf" not in text, path.name
+        if path.suffix == ".csv":
+            assert all(all(cells) for cells in read_rows(path)), path.name
+
+
+@settings(max_examples=20)
+@given(tol=FLAG_FLOATS, fnorm=FLAG_FLOATS, decay=FLAG_FLOATS, grid=FLAG_INTS,
+       truncation=FLAG_INTS)
+def test_numeric_flags_end_in_a_documented_exit(tol, fnorm, decay, grid, truncation):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = write(tmp / "d.csv", DATA_3ROW_MIXED)
+        common = ["--order", "4", f"--decay={decay!r}", f"--truncation={truncation}"]
+        runs = [
+            (["fit", data, "--out", str(tmp / "o.json"), f"--tol={tol!r}", *common],
+             [tmp / "o.json", tmp / "o.json.report.json"]),
+            (["power", data, "--out", str(tmp / "p.csv"), f"--fnorm={fnorm!r}",
+              f"--grid={grid}", *common],
+             [tmp / "p.csv"]),
+        ]
+        for argv, outputs in runs:
+            code, err = _run_in_process(argv)
+            assert code in range(6), argv
+            assert "Traceback" not in err
+            if 2 <= code <= 4:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            _assert_clean_outputs(outputs)

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from mkinterp import (
     FeatureModel,
     InvalidExponent,
     NodeSet,
+    NotConverged,
     SolverOptions,
     ZeroFunction,
     banach_norm_direct,
@@ -59,6 +62,24 @@ class TestNodeSet:
         with pytest.raises(DuplicateNodes):
             NodeSet(np.array([[0.0], [1e-13]]), np.array([1.0, 2.0]))
 
+    def test_closest_pair_reported(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(DuplicateNodes) as exc:
+            NodeSet(pts, np.zeros(5))
+        assert exc.value.pair == (0, 4)
+
+    def test_duplicate_scan_memory_is_linear_in_n(self):
+        # 400 3-d nodes: all n^2 pairs at once would be 400 * 400 * 3 doubles
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(400, 3))
+        values = np.zeros(400)
+        tracemalloc.start()
+        try:
+            NodeSet(pts, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestFit:
     def test_documented_example(self, fitted):
@@ -68,6 +89,14 @@ class TestFit:
         tol = 10 * SolverOptions().residual_tol
         assert abs(evaluate(fitted, [0.0]) - 8.0) <= tol
         assert abs(evaluate(fitted, [1.0]) - 9.0) <= tol
+
+    def test_not_converged_raises_with_report(self):
+        with pytest.raises(NotConverged) as exc:
+            fit(MODEL2, NODES, 4, SolverOptions(max_iterations=1, residual_tol=1e-15))
+        report = exc.value.report
+        assert report.stop_reason == "max_iterations"
+        assert report.iterations == 1
+        assert np.all(np.isfinite(report.coefficients))
 
     def test_zero_values_give_zero_interpolant(self):
         nodes = NodeSet(np.array([[0.0], [1.0]]), np.zeros(2))

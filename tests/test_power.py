@@ -141,6 +141,20 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(-1.0, 1.0)
 
+    def test_elementwise_over_arrays(self):
+        np.testing.assert_array_equal(error_bound(1.5, np.array([0.0, 0.25, 2.0])),
+                                      [0.0, 0.75, 6.0])
+
+    @pytest.mark.parametrize("f_norm", [np.nan, np.inf])
+    def test_non_finite_norm_rejected(self, f_norm):
+        with pytest.raises(ValueError, match="f_norm"):
+            error_bound(f_norm, np.array([0.0, 1.0]))
+
+    def test_overflowing_bound_rejected(self):
+        assert error_bound(1e308, 0.25) == 5e307  # 2 f_norm alone would overflow
+        with pytest.raises(ValueError, match="not finite"):
+            error_bound(1e308, np.array([0.0, 1.0]))
+
 
 class TestPowerReport:
     def test_invariants(self):
@@ -152,6 +166,15 @@ class TestPowerReport:
         node_idx = [0, len(grid) // 2]  # grid includes -1 and 0
         assert report.p_m[np.argmin(np.abs(grid[:, 0]))] <= 1e-6
         assert report.order == 4
+
+    @pytest.mark.parametrize("f_norm", [-1.0, np.nan, np.inf])
+    def test_bad_norm_rejected_before_any_work(self, monkeypatch, f_norm):
+        calls = []
+        monkeypatch.setattr(mkinterp.power, "eval_features",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="f_norm"):
+            power_report(MODEL3, NODES01, 4, domain_grid(BOX, 5), f_norm=f_norm)
+        assert calls == []
 
 
 class TestBatchedPowerReport:
@@ -177,6 +200,12 @@ class TestBatchedPowerReport:
         report = power_report(self.MODEL, self.NODES, 4, grid)
         solved = np.array([power_function(self.MODEL, self.NODES, 4, x) for x in grid])
         np.testing.assert_allclose(report.p_m, solved, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_power_function_is_power_report_at_one_point(self, m):
+        for x in domain_grid(self.BOX2, 5):
+            assert (power_function(self.MODEL, self.NODES, m, x)
+                    == power_report(self.MODEL, self.NODES, m, [x]).p_m[0])
 
     def test_p2_vanishes_at_nodes(self):
         # the closed form cancels to about 3e-8 here

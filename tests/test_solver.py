@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import mkinterp.solver
 from mkinterp import (
     DimensionMismatch,
     Domain,
@@ -138,6 +139,20 @@ class TestSolveMultilinear:
         assert report.iterations == 1
         assert len(report.objective_trace) == 2
         assert report.stop_reason == "max_iterations"
+
+    def test_failed_newton_solve_falls_back_to_descent(self, monkeypatch):
+        gram = three_node_gram()
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(mkinterp.solver.np.linalg, "solve", singular)
+        report = solve_multilinear(gram, 4, np.array([1.0, 2.0, 3.0]),
+                                   SolverOptions(max_iterations=20, init="zero"))
+        assert report.iterations > 0
+        assert np.all(np.isfinite(report.coefficients))
+        trace = np.array(report.objective_trace)
+        assert np.all(np.diff(trace) <= 0)
 
     def test_non_finite_iterate_stops_at_once(self):
         # |y| = 1e308 overflows the initial guess; nothing is left to iterate on
