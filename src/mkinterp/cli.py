@@ -278,7 +278,11 @@ def cmd_eval(args) -> int:
     found = inside.copy()
     found[inside] = tabulated(s.model, points[inside])
     values = np.full(points.shape[0], np.nan)
-    values[found] = evaluate_many(s, points[found])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[found] = evaluate_many(s, points[found])
+    overflow = found & ~np.isfinite(values)
+    if np.any(overflow):
+        raise ValueError(f"interpolant overflows at point {points[np.argmax(overflow)].tolist()}")
     flags = np.full(points.shape[0], "outside_domain", dtype=object)
     flags[inside] = "untabulated"
     flags[found] = ""

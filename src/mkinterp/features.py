@@ -22,12 +22,14 @@ and can only be evaluated there; its JSON schema is
 
 Both built-in families are products of one-dimensional factors, and each
 coordinate has only a few distinct ones (a 2-d trig model with K = 120 has
-17 and 15).  :func:`eval_features` therefore evaluates, per block of
-points and per coordinate, each distinct factor once into a small table
-(``x**e``; ``cos`` only at cosine frequencies, ``sin`` only at sine ones)
-and gathers its columns into the K features.  Every entry takes the same
-float operations as the direct per-feature formula, so the result is
-bit-identical to it.
+17 and 15).  Per block of points and per coordinate, each distinct factor
+is evaluated once into a small table (``x**e``; ``cos`` only at cosine
+frequencies, ``sin`` only at sine ones).  :func:`eval_features` gathers the
+table columns into the K features; every entry takes the same float
+operations as the direct per-feature formula, so the result is bit-identical
+to it.  :func:`_feature_sum`, which evaluates an expansion
+``sum_k alpha_k phi_k``, contracts the same tables with the coefficients one
+coordinate at a time (sum factorization) and builds no (N, K) array.
 """
 
 from __future__ import annotations
@@ -71,8 +73,10 @@ class Domain:
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("domain bounds must be vectors of equal length")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("domain bounds must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.all(np.isfinite(upper - lower))  # inf - inf is NaN
+        if not finite:
+            raise ValueError("domain bounds and widths must be finite")
         if not np.all(lower < upper):
             raise ValueError("domain box must have nonempty interior")
 
@@ -275,6 +279,25 @@ class FeatureModel:
             out.append((np.pi * cos_freqs, np.pi * sin_freqs, gather))
         return tuple(out)
 
+    @cached_property
+    def _sum_plan(self) -> tuple:
+        """How :func:`_feature_sum` groups the features; built once per model.
+
+        Feature k takes column ``gather[k]`` of each coordinate's factor
+        table (see :attr:`coordinate_factors`).  Grouped by their first d-1
+        indices, the features have P distinct prefixes.  Returns the (P, d-1)
+        array of prefixes in order of first appearance, the place of each
+        feature in a (J_d, P) matrix (its last index, its prefix) and that
+        matrix's shape.  Distinct features take distinct places.  Plain
+        Python, for the reason :func:`_distinct` gives.
+        """
+        gathers = np.stack([factors[-1] for factors in self.coordinate_factors], axis=1)
+        ids = {}
+        prefix_of = [ids.setdefault(tuple(g[:-1]), len(ids)) for g in gathers.tolist()]
+        prefixes = np.array(list(ids), dtype=int).reshape(len(ids), self.domain.dim - 1)
+        width = _factor_tables(self, np.empty((0, self.domain.dim)))[-1].shape[1]
+        return prefixes, (gathers[:, -1], np.array(prefix_of)), (width, len(ids))
+
 
 def point_blocks(model: FeatureModel, count: int) -> list:
     """Row slices covering ``range(count)``, each about ``BLOCK_VALUES`` features."""
@@ -294,30 +317,32 @@ def _table_lookup(model: FeatureModel, X: np.ndarray):
     return hits, match[np.arange(X.shape[0]), hits]
 
 
+def _factor_tables(model: FeatureModel, X: np.ndarray) -> list:
+    """Per coordinate, the (B, J_j) factor table (see
+    :attr:`FeatureModel.coordinate_factors`) at the rows of a projected block."""
+    if model.family == "power":
+        return [X[:, j:j + 1] ** exponents
+                for j, (exponents, _) in enumerate(model.coordinate_factors)]
+    ones = np.ones((X.shape[0], 1))
+    return [np.hstack([np.cos(cos_scales * X[:, j:j + 1]),
+                       np.sin(sin_scales * X[:, j:j + 1]), ones])
+            for j, (cos_scales, sin_scales, _) in enumerate(model.coordinate_factors)]
+
+
 def _features_block(model: FeatureModel, X: np.ndarray) -> np.ndarray:
     """Unscaled basis values ``b_k`` at the rows of a projected (B, d) block.
 
-    Each coordinate's distinct factors are evaluated once into a (B, J)
-    table and gathered into the K columns (see
-    :attr:`FeatureModel.coordinate_factors`).
+    Each coordinate's factor table is gathered into the K columns.
     """
-    if model.family == "power":
-        vals = np.ones((X.shape[0], model.truncation))
-        for j, (exponents, gather) in enumerate(model.coordinate_factors):
-            vals *= np.take(X[:, j:j + 1] ** exponents, gather, axis=1)
-        return vals
-    if model.family == "trig":
-        vals = np.ones((X.shape[0], model.truncation))
-        ones = np.ones((X.shape[0], 1))
-        for j, (cos_scales, sin_scales, gather) in enumerate(model.coordinate_factors):
-            x = X[:, j:j + 1]
-            table = np.hstack([np.cos(cos_scales * x), np.sin(sin_scales * x), ones])
-            vals *= np.take(table, gather, axis=1)
-        return vals
-    hits, found = _table_lookup(model, X)
-    if not np.all(found):
-        raise UntabulatedPoint(f"point {X[np.argmin(found)].tolist()} is not tabulated")
-    return model.table_features[hits]
+    if model.family == "custom":
+        hits, found = _table_lookup(model, X)
+        if not np.all(found):
+            raise UntabulatedPoint(f"point {X[np.argmin(found)].tolist()} is not tabulated")
+        return model.table_features[hits]
+    vals = np.ones((X.shape[0], model.truncation))
+    for table, factors in zip(_factor_tables(model, X), model.coordinate_factors):
+        vals *= np.take(table, factors[-1], axis=1)
+    return vals
 
 
 def eval_features(model: FeatureModel, x) -> np.ndarray:
@@ -336,6 +361,37 @@ def eval_features(model: FeatureModel, x) -> np.ndarray:
         out[rows] = _features_block(model, X[rows])
     out *= np.sqrt(model.weights)
     return out
+
+
+def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``sum_k alpha_k phi_k(x)`` at each row x of an (N, d) array, by sum factorization.
+
+    ``power``, ``trig``: the products ``sqrt(w_k) alpha_k`` fill a (J_d, P)
+    matrix C (see :attr:`FeatureModel._sum_plan`); per block, ``S = T_d @ C``
+    is multiplied by each earlier coordinate's table at the prefix columns and
+    summed over the P prefixes.  Per point that is ``sum_j J_j`` factors,
+    ``J_d P`` multiply-adds and ``(d-1) P`` gathers, and no (N, K) array is
+    built.  ``custom`` looks its rows up.  Rows agree with
+    ``eval_features(model, X) @ alpha`` to the rounding of a K-term sum.  An
+    empty array of any width gives (0,) without a check.
+    """
+    beta = np.sqrt(model.weights) * alpha
+    if model.family != "custom":
+        prefixes, places, shape = model._sum_plan
+        C = np.zeros(shape)
+        C[places] = beta
+    values = np.empty(X.shape[0])
+    for rows in point_blocks(model, X.shape[0]):
+        block = model.domain.project(X[rows])
+        if model.family == "custom":
+            values[rows] = _features_block(model, block) @ beta
+            continue
+        *tables, last = _factor_tables(model, block)
+        S = last @ C
+        for j, table in enumerate(tables):
+            S *= np.take(table, prefixes[:, j], axis=1)
+        values[rows] = S.sum(axis=1)
+    return values
 
 
 def tabulated(model: FeatureModel, points) -> np.ndarray:

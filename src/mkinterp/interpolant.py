@@ -3,7 +3,9 @@
 A fitted interpolant of even order m expands in the feature basis as
 ``s_m = sum_k alpha_k phi_k`` with ``alpha_k = (v_k . c)^{m-1}``, which is
 mathematically identical to the tensor-basis form ``B_m(x) c^{m-1}`` but
-costs O(K) per evaluation.  Its norm in the sequence space with exponent
+costs O(K) per evaluation.  :func:`evaluate_many` contracts the
+per-coordinate factor tables with ``sqrt(w) alpha`` and never forms the
+(N, K) feature array.  Its norm in the sequence space with exponent
 ``p = m/(m-1)`` equals ``(A_m c^m)^{1-1/m}``; both routes are exposed so
 the identity can be checked numerically.
 """
@@ -22,7 +24,7 @@ from .exceptions import (
     NotConverged,
     ZeroFunction,
 )
-from .features import Domain, FeatureModel, eval_features, point_blocks, require_even_order
+from .features import Domain, FeatureModel, _feature_sum, require_even_order
 from .solver import SolverOptions, SolveReport, solve_multilinear
 from .tensors import FeatureGram, contract_m
 
@@ -41,6 +43,8 @@ class NodeSet:
         if pts.ndim == 1:
             pts = pts[:, None]
         vals = np.asarray(self.values, dtype=float)
+        if pts.ndim != 2:
+            raise DimensionMismatch("points must be an (n, d) array")
         if vals.ndim != 1 or vals.size != pts.shape[0]:
             raise DimensionMismatch("values must be one per point")
         object.__setattr__(self, "points", pts)
@@ -103,17 +107,14 @@ def evaluate(s: Interpolant, x) -> float:
 
 
 def evaluate_many(s: Interpolant, points) -> np.ndarray:
-    """Evaluate the interpolant at the rows of an (N, d) array, O(K) each.
+    """Evaluate the interpolant at the rows of an (N, d) array.
 
-    Points are taken in blocks (see :func:`point_blocks`), so memory does
-    not grow with N beyond the result.
+    Contracts the per-coordinate factor tables with the coefficients (see
+    :func:`~mkinterp.features._feature_sum`), block by block, so no (N, K)
+    feature array is built and memory does not grow with N beyond the result.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
-    alpha = feature_coefficients(s)
-    values = np.empty(X.shape[0])
-    for rows in point_blocks(s.model, X.shape[0]):
-        values[rows] = eval_features(s.model, X[rows]) @ alpha
-    return values
+    return _feature_sum(s.model, X, feature_coefficients(s))
 
 
 def _check_exponent(p: float) -> float:
@@ -194,6 +195,8 @@ def _model_from_doc(doc) -> FeatureModel:
     family = doc["family"]
     K = _integer(doc, "truncation")
     weights = np.asarray(doc["weights"], dtype=float)
+    if weights.shape != (K,):  # before a huge K is enumerated
+        raise ValueError(f"weights must be {K} numbers, one per feature")
     if family == "power":
         return FeatureModel.power_series(domain, K, weights=weights)
     if family == "trig":

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkinterp import FeatureModel, NodeSet, evaluate, fit, to_json
+from mkinterp import Domain, FeatureModel, NodeSet, evaluate, fit, to_json
 from mkinterp.cli import main
 
 DATA_2ROW = "x1,y\n0,8\n1,9\n"
@@ -373,6 +374,7 @@ MALFORMED = {
     "odd_order": _edited_model(lambda doc: {**doc, "order": 3}),
     "nan_coefficients": _edited_model(lambda doc: {**doc, "coefficients": [np.nan] * 3}),
     "nan_values": _edited_model(lambda doc: {**doc, "values": [1.0, np.nan, 3.0]}),
+    "scalar_nodes": _edited_model(lambda doc: {**doc, "nodes": 1.5}),
     "number_document": _edited_model(lambda doc: 5),
     "string_domain": _edited_model(lambda doc: {**doc, "domain": "x"}),
     "null_truncation": _edited_model(lambda doc: {**doc, "truncation": None}),
@@ -383,6 +385,10 @@ MALFORMED = {
     "nan_weights": _edited_model(lambda doc: {**doc, "weights": [np.nan] * 6}),
     "infinite_domain": _edited_model(
         lambda doc: {**doc, "domain": {"lower": [0.0], "upper": [np.inf]}}),
+    "overflowing_domain_width": _edited_model(
+        lambda doc: {**doc, "domain": {"lower": [-1e308], "upper": [1e308]}}),
+    "overflowing_value": _edited_model(
+        lambda doc: {**doc, "domain": {"lower": [-1e308], "upper": [1.0]}}),
     "fit_infinite_domain": lambda tmp_path, model: [
         "fit", write(tmp_path / "d.csv", DATA_3ROW), "--domain=0:inf",
         "--out", str(tmp_path / "o.json")],
@@ -513,3 +519,58 @@ def test_numeric_flags_end_in_a_documented_exit(tol, fnorm, decay, grid, truncat
             if 2 <= code <= 4:
                 assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             _assert_clean_outputs(outputs)
+
+
+@functools.cache
+def _fitted_model_text(family):
+    """JSON of a 2-d order-4 ``power`` or ``trig`` fit on three nodes."""
+    box = Domain([-1.0, -1.0], [1.0, 1.0])
+    build = FeatureModel.power_series if family == "power" else FeatureModel.trigonometric
+    nodes = NodeSet(np.array([[-0.5, 0.2], [0.0, -0.4], [0.6, 0.5]]), np.array([1.0, 2.0, 0.5]))
+    return to_json(fit(build(box, 8, decay=0.7), nodes, 4))
+
+
+WRONG_TYPES = [None, True, "x", 1.5, [], {}, [[]], ["x"], {"lower": 1}]
+BAD_NUMBERS = [math.nan, 1e308, -1e308, -1.0]
+BAD_INTEGERS = [4.5, 0.5, -2, 10**6, 2**63, 1e300, 10**400]
+
+
+@st.composite
+def mutated_model_docs(draw):
+    """A fitted model document with one field dropped, retyped, changed or resized."""
+    doc = json.loads(_fitted_model_text(draw(st.sampled_from(["power", "trig"]))))
+    kind = draw(st.sampled_from(["drop", "retype", "number", "resize", "integer"]))
+    if kind in ("drop", "retype"):
+        key = draw(st.sampled_from(sorted(doc)))
+        if kind == "drop":
+            del doc[key]
+        else:
+            doc[key] = draw(st.sampled_from(WRONG_TYPES))
+    elif kind == "number":
+        field = draw(st.sampled_from(["weights", "lower", "upper", "coefficients"]))
+        array = doc["domain"][field] if field in ("lower", "upper") else doc[field]
+        array[draw(st.integers(0, len(array) - 1))] = draw(st.sampled_from(BAD_NUMBERS))
+    elif kind == "resize":
+        key = draw(st.sampled_from(["nodes", "values", "coefficients", "weights"]))
+        doc[key] = (doc[key] * 2)[:draw(st.integers(0, len(doc[key]) + 2))]
+    else:
+        doc[draw(st.sampled_from(["order", "truncation"]))] = draw(st.sampled_from(BAD_INTEGERS))
+    return doc
+
+
+@settings(max_examples=40)
+@given(doc=mutated_model_docs())
+def test_mutated_model_files_end_in_a_documented_exit(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        model = write(tmp / "m.json", json.dumps(doc))
+        out = tmp / "v.csv"
+        code, err = _run_in_process(["eval", model, "--grid", "4", "--out", str(out)])
+        assert code in range(6)
+        assert "Traceback" not in err
+        if code >= 2:  # every grid row lies in the model's own domain, so none is flagged
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if out.exists():
+            text = out.read_text().lower()
+            assert "nan" not in text and "inf" not in text
+            assert all(row[-2] for row in read_rows(out)[1:] if not row[-1])

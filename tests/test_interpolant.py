@@ -13,7 +13,9 @@ from mkinterp import (
     InvalidExponent,
     NodeSet,
     NotConverged,
+    PointOutsideDomain,
     SolverOptions,
+    UntabulatedPoint,
     ZeroFunction,
     banach_norm_direct,
     banach_norm_via_tensor,
@@ -28,6 +30,8 @@ from mkinterp import (
     gateaux_coefficients,
     to_json,
 )
+from mkinterp import features
+from mkinterp.features import FACE_TOLERANCE, TABLE_TOLERANCE
 from mkinterp.tensors import FeatureGram
 from oracles import evaluate_tensor_basis
 
@@ -142,10 +146,52 @@ class TestEvaluate:
             )
 
 
+def within_sum_bound(s, X, got):
+    """Rows of ``got`` lie within 2 K eps sum |alpha_k phi_k| of the feature-matrix product."""
+    alpha = feature_coefficients(s)
+    feats = eval_features(s.model, X)
+    bound = 2 * alpha.size * np.finfo(float).eps * np.abs(alpha * feats).sum(axis=1)
+    return np.all(np.abs(got - feats @ alpha) <= bound)
+
+
+FAMILIES = {"power": FeatureModel.power_series, "trig": FeatureModel.trigonometric}
+TRUNCATION_BY_DIM = {1: 9, 2: 24, 3: 50}
+
+
+def family_fit(family, dim):
+    """An order-4 fit of a ``power`` or ``trig`` model on the box [-1, 2]^dim."""
+    rng = np.random.default_rng(70 + dim)
+    box = Domain([-1.0] * dim, [2.0] * dim)
+    model = FAMILIES[family](box, TRUNCATION_BY_DIM[dim], decay=0.6)
+    pts = rng.uniform(-1, 2, size=(5, dim))
+    return fit(model, NodeSet(pts, np.cos(pts.sum(axis=1))), 4)
+
+
+def custom_fit():
+    """A 1-d custom-table interpolant tabulated at 0, 0.5 and 1."""
+    table = np.array([[0.0], [0.5], [1.0]])
+    model = FeatureModel.custom_table(table, [[1.0, 0.0, 0.0], [1.0, 0.5, 0.25],
+                                              [1.0, 1.0, 1.0]])
+    return fit(model, NodeSet(table, np.array([1.0, 2.0, 4.0])), 2)
+
+
+def face_points(dim):
+    """Points on the faces of [-1, 2]^dim and within FACE_TOLERANCE beyond them."""
+    inside = np.full(dim, 0.3)
+    out = []
+    for j in range(dim):
+        for value in (-1.0, 2.0, -1.0 - FACE_TOLERANCE / 2, 2.0 + FACE_TOLERANCE / 2):
+            x = inside.copy()
+            x[j] = value
+            out.append(x)
+    out.append(np.full(dim, 2.0 + FACE_TOLERANCE / 2))  # a corner
+    return np.array(out)
+
+
 class TestEvaluateMany:
-    """The batched path against the point-by-point dot products.  Block
-    products sum in another order than a single dot product, so rows agree
-    to the rounding bound of a K-term dot product, 2 K eps sum |alpha_k phi_k|."""
+    """The contraction against the feature-matrix product and the point-by-point
+    dot products.  They sum in other orders, so rows agree to the rounding bound
+    of a K-term dot product, 2 K eps sum |alpha_k phi_k|."""
 
     @pytest.fixture(scope="class")
     def trig_fit(self):
@@ -169,6 +215,73 @@ class TestEvaluateMany:
         assert evaluate_many(trig_fit, np.empty((0, 2))).shape == (0,)
         x = np.array([0.3, -0.2])
         assert evaluate_many(trig_fit, x).tolist() == [evaluate(trig_fit, x)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_every_family_and_dimension(self, family, dim):
+        s = family_fit(family, dim)
+        X = np.vstack([np.random.default_rng(72).uniform(-1, 2, size=(3000, dim)),
+                       face_points(dim)])
+        assert within_sum_bound(s, X, evaluate_many(s, X))
+
+    def test_custom_table(self):
+        s = custom_fit()
+        X = np.array([[0.0], [1.0], [0.5 + TABLE_TOLERANCE / 2], [0.5], [1.0]])
+        got = evaluate_many(s, X)
+        assert within_sum_bound(s, X, got)
+        np.testing.assert_allclose(got[[0, 1, 3]], [1.0, 4.0, 2.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_point_outside_the_box_raises(self, family):
+        s = family_fit(family, 2)
+        with pytest.raises(PointOutsideDomain):
+            evaluate_many(s, [[0.0, 0.0], [0.0, 2.0 + 10 * FACE_TOLERANCE]])
+
+    def test_untabulated_custom_point_raises(self):
+        with pytest.raises(UntabulatedPoint):
+            evaluate_many(custom_fit(), [[0.0], [0.25]])
+
+    @pytest.mark.parametrize("make", [lambda: family_fit("power", 2),
+                                      lambda: family_fit("trig", 3), custom_fit],
+                             ids=["power", "trig", "custom"])
+    def test_empty_input_of_any_width(self, make):
+        s = make()
+        d = s.model.domain.dim
+        for width in (d, d + 1):
+            assert evaluate_many(s, np.empty((0, width))).shape == (0,)
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_builds_no_feature_matrix(self, family, monkeypatch):
+        s = family_fit(family, 3)
+        X = np.random.default_rng(73).uniform(-1, 2, size=(500, 3))
+        expected = evaluate_many(s, X)
+
+        def gather(*args):
+            raise AssertionError("evaluation gathered the (N, K) feature array")
+
+        monkeypatch.setattr(features, "_features_block", gather)
+        np.testing.assert_array_equal(evaluate_many(s, X), expected)
+
+
+def _coarse(value):
+    """0, or a value at least 1e-3 in magnitude: no product of the drawn numbers
+    falls into the subnormal range, where a relative bound does not hold."""
+    return value if abs(value) >= 1e-3 else 0.0
+
+
+@settings(max_examples=40)
+@given(family=st.sampled_from(sorted(FAMILIES)), dim=st.integers(1, 3),
+       truncation=st.integers(1, 60), decay=st.floats(0.1, 1.0), data=st.data())
+def test_contraction_within_sum_bound(family, dim, truncation, decay, data):
+    model = FAMILIES[family](Domain([-1.0] * dim, [1.0] * dim), truncation, decay=decay)
+    coordinate = st.floats(-1.0, 1.0).map(_coarse)
+    X = np.array(data.draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                                    min_size=1, max_size=8)))
+    alpha = np.array(data.draw(st.lists(st.floats(-10.0, 10.0).map(_coarse),
+                                        min_size=truncation, max_size=truncation)))
+    feats = eval_features(model, X)
+    bound = 2 * truncation * np.finfo(float).eps * np.abs(alpha * feats).sum(axis=1)
+    assert np.all(np.abs(features._feature_sum(model, X, alpha) - feats @ alpha) <= bound)
 
 
 class TestFeatureCoefficients:
