@@ -23,8 +23,6 @@ from .features import (
     SummabilityReport,
     check_summability,
     eval_features,
-    eval_kernel2,
-    eval_multikernel,
     graded_multi_indices,
 )
 from .interpolant import (
@@ -32,7 +30,6 @@ from .interpolant import (
     NodeSet,
     banach_norm_direct,
     banach_norm_via_tensor,
-    dual_pairing,
     evaluate,
     evaluate_many,
     feature_coefficients,
@@ -50,7 +47,6 @@ from .power import (
     error_bound,
     fill_distance,
     power_function,
-    power_function_p2_closed,
     power_report,
 )
 from .solver import (
@@ -71,13 +67,12 @@ __all__ = [
     "NotConverged", "OddOrderUnsupported", "PointOutsideDomain",
     "SingularDesignWarning", "SingularGram", "UntabulatedPoint", "ZeroFunction",
     "Domain", "FeatureModel", "SummabilityReport", "check_summability", "eval_features",
-    "eval_kernel2", "eval_multikernel", "graded_multi_indices",
+    "graded_multi_indices",
     "Interpolant", "NodeSet", "banach_norm_direct", "banach_norm_via_tensor",
-    "dual_pairing", "evaluate", "evaluate_many",
+    "evaluate", "evaluate_many",
     "feature_coefficients", "fit", "from_json", "gateaux_coefficients", "to_json",
     "PowerReport", "StudyResult", "StudyRow", "convergence_study", "domain_grid",
-    "error_bound", "fill_distance", "power_function", "power_function_p2_closed",
-    "power_report",
+    "error_bound", "fill_distance", "power_function", "power_report",
     "SolveReport", "SolverOptions", "residual_norm", "solve_multilinear",
     "solve_regularized",
     "FeatureGram", "contract_m", "contract_m_minus_1",

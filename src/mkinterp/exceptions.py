@@ -20,9 +20,9 @@ class DimensionMismatch(ValueError):
 class DuplicateNodes(ValueError):
     """Two data points coincide (pairwise distance below 1e-12)."""
 
-    def __init__(self, i, j, message=None):
+    def __init__(self, i, j):
         self.pair = (i, j)
-        super().__init__(message or f"nodes {i} and {j} coincide")
+        super().__init__(f"nodes {i} and {j} coincide")
 
 
 class NotConverged(RuntimeError):

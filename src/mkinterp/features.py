@@ -319,10 +319,16 @@ def _table_lookup(model: FeatureModel, X: np.ndarray):
 
 def _factor_tables(model: FeatureModel, X: np.ndarray) -> list:
     """Per coordinate, the (B, J_j) factor table (see
-    :attr:`FeatureModel.coordinate_factors`) at the rows of a projected block."""
+    :attr:`FeatureModel.coordinate_factors`) at the rows of a projected block;
+    ValueError at a point where a ``power`` table overflows (cos, sin cannot)."""
     if model.family == "power":
-        return [X[:, j:j + 1] ** exponents
-                for j, (exponents, _) in enumerate(model.coordinate_factors)]
+        with np.errstate(over="ignore"):
+            tables = [X[:, j:j + 1] ** exponents
+                      for j, (exponents, _) in enumerate(model.coordinate_factors)]
+        finite = np.all([np.isfinite(table).all(axis=1) for table in tables], axis=0)
+        if not np.all(finite):
+            raise ValueError(f"features overflow at point {X[np.argmin(finite)].tolist()}")
+        return tables
     ones = np.ones((X.shape[0], 1))
     return [np.hstack([np.cos(cos_scales * X[:, j:j + 1]),
                        np.sin(sin_scales * X[:, j:j + 1]), ones])
@@ -409,32 +415,9 @@ def tabulated(model: FeatureModel, points) -> np.ndarray:
     return found
 
 
-def eval_kernel2(model: FeatureModel, z1, z2) -> float:
-    """Base kernel ``Phi2(z1, z2) = sum_k phi_k(z1) phi_k(z2)``.
-
-    Uses the same reduction order as :func:`eval_multikernel` so the two
-    agree exactly at m = 2.
-    """
-    return float(np.sum(eval_features(model, z1) * eval_features(model, z2)))
-
-
 def require_even_order(m: int) -> None:
     if m < 2 or m % 2 != 0:
         raise OddOrderUnsupported(f"order m must be even and >= 2, got {m}")
-
-
-def eval_multikernel(model: FeatureModel, m: int, points) -> float:
-    """Order-m multi-kernel ``sum_k prod_i phi_k(z_i)``.
-
-    Symmetric under any permutation of the m arguments; reduces to
-    ``eval_kernel2`` at m = 2.
-    """
-    require_even_order(m)
-    points = list(points)
-    if len(points) != m:
-        raise DimensionMismatch(f"expected {m} points, got {len(points)}")
-    feats = np.stack([eval_features(model, z) for z in points])
-    return float(np.sum(np.prod(feats, axis=0)))
 
 
 @dataclass(frozen=True)

@@ -49,13 +49,15 @@ class NodeSet:
             raise DimensionMismatch("values must be one per point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-        # the closest pair i < j, scanned one node at a time in O(n d) memory
+        # the closest pair i < j, scanned one node at a time in O(n d) memory;
+        # a squared distance that overflows is inf, which is not a duplicate
         closest_sq, pair = np.inf, None
-        for i in range(pts.shape[0] - 1):
-            dist_sq = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
-            j = int(np.argmin(dist_sq))
-            if dist_sq[j] < closest_sq:
-                closest_sq, pair = float(dist_sq[j]), (i, i + 1 + j)
+        with np.errstate(over="ignore"):
+            for i in range(pts.shape[0] - 1):
+                dist_sq = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
+                j = int(np.argmin(dist_sq))
+                if dist_sq[j] < closest_sq:
+                    closest_sq, pair = float(dist_sq[j]), (i, i + 1 + j)
         if np.sqrt(closest_sq) <= MIN_NODE_SEPARATION:
             raise DuplicateNodes(*pair)
 
@@ -150,11 +152,6 @@ def gateaux_coefficients(alpha, p: float) -> np.ndarray:
         raise ZeroFunction("Gateaux derivative undefined at the zero function")
     # sign(a)|a|^{p-1} avoids 0 * inf at zero coefficients when p < 2
     return np.sign(alpha) * np.abs(alpha) ** (p - 1) / norm ** (p - 1)
-
-
-def dual_pairing(alpha, beta) -> float:
-    """Dual bilinear product of coefficient sequences (plain dot product)."""
-    return float(np.asarray(alpha, float) @ np.asarray(beta, float))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ convex minimization
 solved by the same damped-Newton core as the interpolation system
 (``solver._minimize_even_power``), started from the l2 minimizer.  That
 start comes from one least-squares solve per block of points, and the norm
-of its residual is P_2 itself, the classical power function.  The closed
-form ``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` stays available
-as an independent cross-check.  The pointwise interpolation error of any
-target with known norm is bounded by ``2 ||f|| P_m(x)``.
+of its residual is P_2 itself, the classical power function; its closed form
+through ``A_2^{-1}`` is a test oracle (``tests/oracles.py``), not a second
+route here.  The pointwise interpolation error of any target with known
+norm is bounded by ``2 ||f|| P_m(x)``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SingularGram
 from .features import Domain, FeatureModel, eval_features, point_blocks, require_even_order
 from .interpolant import NodeSet, _fit_gram, banach_norm_direct, feature_coefficients
 from .solver import SolverOptions, _minimize_even_power
@@ -71,23 +70,6 @@ def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
     return float(power_report(model, nodes, m, np.atleast_2d(x), opts=opts).p_m[0])
 
 
-def power_function_p2_closed(model: FeatureModel, nodes: NodeSet, x) -> float:
-    """Classical power function from the Gram matrix closed form.
-
-    ``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` with ``A_2 = V V^T``
-    and ``B_2(x) = V phi(x)``, which cancels near the nodes: an independent
-    cross-check of m = 2.  Raises :class:`SingularGram` for a singular A_2.
-    """
-    V = eval_features(model, nodes.points)
-    b = eval_features(model, x)
-    b2 = V @ b
-    try:
-        weights = np.linalg.solve(V @ V.T, b2)
-    except np.linalg.LinAlgError as err:
-        raise SingularGram("Gram matrix A_2 is singular") from err
-    return float(np.sqrt(max(b @ b - b2 @ weights, 0.0)))
-
-
 def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
     """Uniform tensor grid over the box, endpoints included, row-major."""
     if per_dim < 2:
@@ -108,13 +90,18 @@ def fill_distance(nodes: NodeSet, domain: Domain, grid_per_dim: int) -> float:
     """Grid approximation of ``sup_x min_i ||x - x_i||_2``.
 
     The sup is taken over a uniform tensor grid, so the result is accurate
-    to the grid spacing (see :func:`grid_spacing`).
+    to the grid spacing (see :func:`grid_spacing`).  Raises ValueError if
+    it overflows.
     """
     grid = domain_grid(domain, grid_per_dim)
     nearest_sq = np.full(grid.shape[0], np.inf)
-    for node in nodes.points:
-        np.minimum(nearest_sq, np.sum((grid - node) ** 2, axis=1), out=nearest_sq)
-    return float(np.sqrt(nearest_sq.max()))
+    with np.errstate(over="ignore"):
+        for node in nodes.points:
+            np.minimum(nearest_sq, np.sum((grid - node) ** 2, axis=1), out=nearest_sq)
+    h = float(np.sqrt(nearest_sq.max()))
+    if not np.isfinite(h):
+        raise ValueError("fill distance overflows on this domain")
+    return h
 
 
 def error_bound(f_norm: float, p_m):

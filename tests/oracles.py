@@ -1,10 +1,13 @@
 """Brute-force references that the tests compare the package against.
 
 None of these is fast or meant for use outside the tests: a dense n^m
-tensor with an entry budget, interpolant evaluation through the tensor
-basis, a grid search for P_m, a long-double Newton for P_m, and sampling
-checks that can falsify (never certify) the monotonicity and semi-definiteness
-of the tensor.
+tensor with an entry budget, the kernels Phi_2 and Phi_m formed point by
+point, interpolant evaluation through the tensor basis, the closed form of
+P_2 through ``A_2^{-1}``, a grid search for P_m, a long-double Newton for
+P_m, the dual pairing as a dot product, and sampling checks that can
+falsify (never certify) the monotonicity and semi-definiteness of the
+tensor.  The package computes each of these quantities by one route only;
+these are the second routes the tests hold it to.
 """
 
 import string
@@ -13,7 +16,8 @@ from itertools import product as _cartesian
 
 import numpy as np
 
-from mkinterp.features import FeatureModel, eval_features, eval_multikernel, require_even_order
+from mkinterp.exceptions import DimensionMismatch, SingularGram
+from mkinterp.features import FeatureModel, eval_features, require_even_order
 from mkinterp.interpolant import Interpolant, NodeSet
 from mkinterp.tensors import FeatureGram, contract_m, contract_m_minus_1
 
@@ -63,6 +67,29 @@ def dense_tensor(gram: FeatureGram, m: int,
     return DenseTensor(m=m, n=n, entries=entries)
 
 
+def eval_kernel2(model: FeatureModel, z1, z2) -> float:
+    """Base kernel ``Phi2(z1, z2) = sum_k phi_k(z1) phi_k(z2)``.
+
+    Uses the same reduction order as :func:`eval_multikernel` so the two
+    agree exactly at m = 2.
+    """
+    return float(np.sum(eval_features(model, z1) * eval_features(model, z2)))
+
+
+def eval_multikernel(model: FeatureModel, m: int, points) -> float:
+    """Order-m multi-kernel ``sum_k prod_i phi_k(z_i)``.
+
+    Symmetric under any permutation of the m arguments; reduces to
+    ``eval_kernel2`` at m = 2.
+    """
+    require_even_order(m)
+    points = list(points)
+    if len(points) != m:
+        raise DimensionMismatch(f"expected {m} points, got {len(points)}")
+    feats = np.stack([eval_features(model, z) for z in points])
+    return float(np.sum(np.prod(feats, axis=0)))
+
+
 def evaluate_tensor_basis(s: Interpolant, x) -> float:
     """Evaluate via ``B_m(x) c^{m-1}``: the O(n^{m-1}) oracle form.
 
@@ -78,6 +105,23 @@ def evaluate_tensor_basis(s: Interpolant, x) -> float:
             s.model, s.order, [x] + [pts[i] for i in idx]
         )
     return total
+
+
+def power_function_p2_closed(model: FeatureModel, nodes: NodeSet, x) -> float:
+    """Classical power function from the Gram matrix closed form.
+
+    ``P_2(x)^2 = Phi2(x, x) - B_2(x)^T A_2^{-1} B_2(x)`` with ``A_2 = V V^T``
+    and ``B_2(x) = V phi(x)``, which cancels near the nodes: an independent
+    cross-check of m = 2.  Raises :class:`SingularGram` for a singular A_2.
+    """
+    V = eval_features(model, nodes.points)
+    b = eval_features(model, x)
+    b2 = V @ b
+    try:
+        weights = np.linalg.solve(V @ V.T, b2)
+    except np.linalg.LinAlgError as err:
+        raise SingularGram("Gram matrix A_2 is singular") from err
+    return float(np.sqrt(max(b @ b - b2 @ weights, 0.0)))
 
 
 def power_function_dense_oracle(model: FeatureModel, nodes: NodeSet, m: int, x,
@@ -173,6 +217,11 @@ def power_values_long_double(model: FeatureModel, nodes: NodeSet, m: int,
             eta /= 2
         active[pending] = False
     return np.maximum(q, 0.0) ** (np.longdouble(1.0) / m)
+
+
+def dual_pairing(alpha, beta) -> float:
+    """Dual bilinear product of coefficient sequences (plain dot product)."""
+    return float(np.asarray(alpha, float) @ np.asarray(beta, float))
 
 
 @dataclass(frozen=True)

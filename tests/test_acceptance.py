@@ -23,17 +23,21 @@ from mkinterp import (
     contract_m_minus_1,
     convergence_study,
     domain_grid,
-    eval_kernel2,
     evaluate,
     evaluate_many,
     feature_coefficients,
     fit,
     power_function,
-    power_function_p2_closed,
     solve_multilinear,
 )
 from mkinterp.cli import main as cli_main
-from oracles import check_strict_monotone, dense_tensor, evaluate_tensor_basis
+from oracles import (
+    check_strict_monotone,
+    dense_tensor,
+    eval_kernel2,
+    evaluate_tensor_basis,
+    power_function_p2_closed,
+)
 
 BOX = Domain([-1.0], [1.0])
 

@@ -5,14 +5,23 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mkinterp import Domain, FeatureModel, NodeSet, evaluate, fit, to_json
+from mkinterp import (
+    Domain,
+    FeatureModel,
+    NodeSet,
+    SingularDesignWarning,
+    evaluate,
+    fit,
+    to_json,
+)
 from mkinterp.cli import main
 
 DATA_2ROW = "x1,y\n0,8\n1,9\n"
@@ -435,6 +444,14 @@ MALFORMED = {
         "eval", write(tmp_path / "bad.json", json.dumps(
             {**json.loads(to_json(fit_custom_model())), "truncation": 7})),
         "--grid", "3", "--out", str(tmp_path / "v.csv")],
+    # features (power) or the fill distance (trig) overflow on a huge domain
+    "power_huge_domain": _power_3node("--domain=-1e200:1"),
+    "study_huge_domain": lambda tmp_path, model: [
+        "study", "--node-counts", "4,8", "--grid", "5", "--domain=-1e200:1",
+        "--out", str(tmp_path / "s.csv")],
+    "study_trig_huge_domain": lambda tmp_path, model: [
+        "study", "--node-counts", "4,8", "--grid", "5", "--domain=-1e200:1",
+        "--kernel", "trig", "--out", str(tmp_path / "s.csv")],
 }
 
 
@@ -446,13 +463,15 @@ def fit_3node_model(tmp_path):
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
-def test_malformed_model_or_unwritable_output_exits_2(tmp_path, capsys, case):
+def test_malformed_model_or_unwritable_output_exits_2(tmp_path, capfd, case):
     model = fit_3node_model(tmp_path)
-    capsys.readouterr()
+    capfd.readouterr()
     argv = MALFORMED[case](tmp_path, model)
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    out, err = capfd.readouterr()  # at fd level, where LAPACK's error printer writes
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
     assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
@@ -574,3 +593,123 @@ def test_mutated_model_files_end_in_a_documented_exit(doc):
             text = out.read_text().lower()
             assert "nan" not in text and "inf" not in text
             assert all(row[-2] for row in read_rows(out)[1:] if not row[-1])
+
+
+BASE_FILES = {
+    "nodes": [["x1", "y"], ["-0.5", "1"], ["0", "2"], ["0.5", "0.5"]],
+    "points": [["x1"], ["-1"], ["0.25"], ["0.9"]],
+}
+BASE_CONFIG = {"order": "4", "truncation": "6", "grid": "5", "node_counts": "2,4"}
+BAD_FIELDS = ["", " ", "abc", "nan", "inf", "-inf", "1e400", "0x10", " 1 ",
+              "1e200", "-1e200", "1e-300"]
+BAD_SETTINGS = {
+    "order": ["3", "0", "x", ""], "truncation": ["0", "1", "-1", "x"],
+    "grid": ["1", "0", "x"], "node_counts": ["8,4", "4,4", "x", ""],
+    "decay": ["nan", "inf", "-1", "0", "1e308", "1e-300"], "tol": ["nan", "-1", "0"],
+    "fnorm": ["nan", "inf", "-1"], "seed": ["-1", "x"], "kernel": ["trig", "custom", "x"],
+    "domain": ["-1e200:1", "-1:1e200", "1:-1", "0:inf", "x", "-1:1,-1:1", "-1:0:1"],
+}
+
+
+@st.composite
+def mutated_csv_inputs(draw):
+    """(which file, its text): one header, cell, field, row or setting changed."""
+    target = draw(st.sampled_from(["nodes", "points", "config"]))
+    if target == "config":
+        cfg = dict(BASE_CONFIG)
+        kind = draw(st.sampled_from(["setting", "unknown_key", "no_equals", "bom"]))
+        if kind == "setting":
+            key = draw(st.sampled_from(sorted(BAD_SETTINGS)))
+            cfg[key] = draw(st.sampled_from(BAD_SETTINGS[key]))
+        lines = [f"{key} = {value}" for key, value in cfg.items()]
+        if kind == "unknown_key":
+            lines.append("bogus = 1")
+        elif kind == "no_equals":
+            lines.append("order 4")
+        text = "\n".join(lines) + "\n"
+        return target, "\ufeff" + text if kind == "bom" else text
+    rows = [list(row) for row in BASE_FILES[target]]
+    width = len(rows[0])
+    row = draw(st.integers(1, len(rows) - 1))
+    cell = draw(st.integers(0, width - 1))
+    kind = draw(st.sampled_from(["bom", "header_spaces", "header_name", "field", "extra_cell",
+                                 "missing_cell", "blank_line", "duplicate", "near"]))
+    if kind == "header_spaces":
+        rows[0] = [f" {name} " for name in rows[0]]
+    elif kind == "header_name":
+        rows[0][cell] = draw(st.sampled_from(["X1", "x0", "x2", "y", "", "x 1"]))
+    elif kind == "field":
+        rows[row][cell] = draw(st.sampled_from(BAD_FIELDS))
+    elif kind == "extra_cell":
+        rows[draw(st.integers(0, len(rows) - 1))].append(draw(st.sampled_from(["", "1"])))
+    elif kind == "missing_cell":
+        del rows[row][cell]
+    elif kind == "blank_line":
+        rows.insert(row, [])
+    elif kind in ("duplicate", "near"):
+        copy = list(rows[row])
+        if kind == "near":
+            copy[0] = repr(float(copy[0]) + draw(st.sampled_from([1e-13, 1e-11])))
+        rows.append(copy)
+    text = _csv_text(rows)
+    return target, "\ufeff" + text if kind == "bom" else text
+
+
+def _csv_text(rows):
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+def _assert_eval_output_clean(path):
+    """Coordinates filled; exactly one of the value and the flag is blank."""
+    for row in read_rows(path)[1:]:
+        assert all(row[:-2]) and bool(row[-2]) != bool(row[-1]), row
+
+
+@functools.cache
+def _base_model_text():
+    """Model JSON of ``fit`` on the base nodes with the base config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        nodes = write(tmp / "n.csv", _csv_text(BASE_FILES["nodes"]))
+        assert main(["fit", nodes, "--order", "4", "--truncation", "6",
+                     "--out", str(tmp / "m.json")]) == 0
+        return (tmp / "m.json").read_text()
+
+
+@settings(max_examples=25)
+@given(case=mutated_csv_inputs())
+@example(case=("nodes", "x1,y\n1e200,1\n0,2\n0.5,0.5\n"))
+@example(case=("config", "order = 4\ntruncation = 6\ngrid = 5\nnode_counts = 2,4\n"
+                         "domain = -1e200:1\n"))
+def test_mutated_csv_inputs_end_in_a_documented_exit(case):
+    target, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {name: _csv_text(rows) for name, rows in BASE_FILES.items()}
+        files["config"] = "".join(f"{key} = {value}\n" for key, value in BASE_CONFIG.items())
+        files[target] = text
+        paths = {name: write(tmp / f"{name}.txt", body) for name, body in files.items()}
+        model = write(tmp / "m.json", _base_model_text())
+        config = ["--config", paths["config"]]
+        runs = {
+            "nodes": [(["fit", paths["nodes"], "--out", str(tmp / "o.json"), *config],
+                       [tmp / "o.json", tmp / "o.json.report.json"]),
+                      (["power", paths["nodes"], "--out", str(tmp / "p.csv"), *config],
+                       [tmp / "p.csv"])],
+            "points": [(["eval", model, "--points", paths["points"],
+                         "--out", str(tmp / "v.csv")], [])],
+            "config": [(["eval", model, "--out", str(tmp / "v.csv"), *config], []),
+                       (["study", "--out", str(tmp / "s.csv"), *config], [tmp / "s.csv"])],
+        }
+        for argv, outputs in runs[target] + (runs["nodes"] if target == "config" else []):
+            with warnings.catch_warnings():
+                # a study with more nodes than features is consistent (criterion 10)
+                warnings.simplefilter("ignore", SingularDesignWarning)
+                code, err = _run_in_process(argv)
+            assert code in range(6), argv
+            assert "Traceback" not in err
+            if 2 <= code <= 4:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            _assert_clean_outputs(outputs)
+        if (tmp / "v.csv").exists():
+            _assert_eval_output_clean(tmp / "v.csv")

@@ -12,11 +12,10 @@ from mkinterp import (
     UntabulatedPoint,
     check_summability,
     eval_features,
-    eval_kernel2,
-    eval_multikernel,
     graded_multi_indices,
 )
 from mkinterp.features import BLOCK_VALUES, point_blocks
+from oracles import eval_kernel2, eval_multikernel
 
 BOX = Domain([-1.0], [1.0])
 

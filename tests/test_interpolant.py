@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from mkinterp import (
     banach_norm_direct,
     banach_norm_via_tensor,
     contract_m,
-    dual_pairing,
     eval_features,
     evaluate,
     evaluate_many,
@@ -33,7 +33,7 @@ from mkinterp import (
 from mkinterp import features
 from mkinterp.features import FACE_TOLERANCE, TABLE_TOLERANCE
 from mkinterp.tensors import FeatureGram
-from oracles import evaluate_tensor_basis
+from oracles import dual_pairing, evaluate_tensor_basis
 
 BOX = Domain([-1.0], [1.0])
 MODEL2 = FeatureModel.power_series(BOX, 2, weights=np.ones(2))  # features (1, x)
@@ -71,6 +71,13 @@ class TestNodeSet:
         with pytest.raises(DuplicateNodes) as exc:
             NodeSet(pts, np.zeros(5))
         assert exc.value.pair == (0, 4)
+
+    def test_huge_coordinates_construct_without_warning(self):
+        # squared distances of 4e400 overflow to inf, which is no duplicate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes = NodeSet(np.array([[-1e200], [0.0], [1e200]]), np.zeros(3))
+        assert nodes.n == 3
 
     def test_duplicate_scan_memory_is_linear_in_n(self):
         # 400 3-d nodes: all n^2 pairs at once would be 400 * 400 * 3 doubles

@@ -15,11 +15,14 @@ from mkinterp import (
     eval_features,
     fill_distance,
     power_function,
-    power_function_p2_closed,
     power_report,
 )
 from mkinterp.power import grid_spacing
-from oracles import power_function_dense_oracle, power_values_long_double
+from oracles import (
+    power_function_dense_oracle,
+    power_function_p2_closed,
+    power_values_long_double,
+)
 
 BOX = Domain([-1.0], [1.0])
 # documented 3-feature instance: features (1, x, x^2), nodes {0, 1}

@@ -140,7 +140,8 @@ class TestDenseOracle:
     def test_oracles_not_exported(self):
         moved = {"DenseTensor", "dense_tensor", "DENSE_ENTRY_BUDGET", "BudgetExceeded",
                  "evaluate_tensor_basis", "power_function_dense_oracle",
-                 "check_strict_monotone", "check_semi_pd", "MonotoneReport", "SemiPDReport"}
+                 "check_strict_monotone", "check_semi_pd", "MonotoneReport", "SemiPDReport",
+                 "eval_kernel2", "eval_multikernel", "power_function_p2_closed", "dual_pairing"}
         assert moved.isdisjoint(mkinterp.__all__)
 
     def test_budget_enforced(self):
