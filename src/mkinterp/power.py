@@ -33,9 +33,11 @@ def _power_newton(V, b, theta, m, opts: SolverOptions) -> float:
 
     ``V`` holds the node features (n x K), ``b`` the features at the point
     and theta the l2 start.  ``q = m F`` for the solver's core with
-    ``u = -b``, ``W = V^T`` and no linear term (m is even, so the sign of
-    the residual does not matter); it stops once
-    ``||grad q|| <= 1e-13 (1 + q)``.
+    ``u = -b``, ``W = V^T``, no linear term and the even integer exponent
+    m, at which the core's real-exponent powers reduce to ``r**m`` and so
+    the sign of the residual does not matter.  There is no exponent
+    continuation here: the descent starts at theta and stops, through the
+    core's ``done(gnorm, F)``, once ``||grad q|| <= 1e-13 (1 + q)``.
     """
     _, F, *_ = _minimize_even_power(
         V.T, -b, None, theta, m, opts.max_iterations,

@@ -20,6 +20,24 @@ import numpy as np
 from .exceptions import DimensionMismatch
 from .features import FeatureModel, eval_features, require_even_order
 
+
+def _certifies_full_rank(G: np.ndarray, K: int) -> bool:
+    """Eigenvalue certificate that the n x K design behind ``G = V V^T`` has rank n.
+
+    True when the eigenvalues of G satisfy ``lambda_min > delta lambda_max``
+    with ``delta = 1e4 n K eps``.  The rounding of forming and diagonalizing
+    ``V V^T`` moves an eigenvalue by about ``n K eps lambda_max``, four
+    orders of magnitude less, so a certified V has full row rank and cond(V)
+    below about ``1/sqrt(delta)``.  False proves nothing: near-singular
+    designs, and an overflowed Gram (non-finite eigenvalues), are left to
+    the SVD.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigenvalues = np.linalg.eigvalsh(G)
+    delta = 1e4 * G.shape[0] * K * np.finfo(float).eps
+    return bool(eigenvalues[0] > delta * eigenvalues[-1])
+
+
 @dataclass(frozen=True)
 class FeatureGram:
     """n x K array whose column k holds feature k at all nodes."""
@@ -34,20 +52,23 @@ class FeatureGram:
 
     @cached_property
     def well_conditioned(self) -> bool:
-        """Eigenvalue certificate of full row rank, computed on first read only.
+        """Eigenvalue certificate of full row rank (:func:`_certifies_full_rank`),
+        computed on first read unless a fit settled it first (:meth:`outer_gram`)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = self.V @ self.V.T
+        return _certifies_full_rank(G, self.K)
 
-        True when the eigenvalues of ``V V^T`` satisfy
-        ``lambda_min > delta lambda_max`` with ``delta = 1e4 n K eps``.  The
-        rounding of forming and diagonalizing ``V V^T`` moves an eigenvalue
-        by about ``n K eps lambda_max``, four orders of magnitude less, so a
-        certified V has full row rank and cond(V) below about
-        ``1/sqrt(delta)``.  False proves nothing: near-singular designs, and
-        an overflowed Gram (non-finite eigenvalues), are left to the SVD.
+    def outer_gram(self) -> np.ndarray:
+        """``V V^T``, formed anew on each call, so no (n, n) array stays on the Gram.
+
+        The first call also settles :attr:`well_conditioned` from it: a fit
+        forms ``V V^T`` once for the certificate and its l2 start.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            eigenvalues = np.linalg.eigvalsh(self.V @ self.V.T)
-        delta = 1e4 * self.n * self.K * np.finfo(float).eps
-        return bool(eigenvalues[0] > delta * eigenvalues[-1])
+            G = self.V @ self.V.T
+        if "well_conditioned" not in self.__dict__:  # the cached_property's slot
+            self.__dict__["well_conditioned"] = _certifies_full_rank(G, self.K)
+        return G
 
     @cached_property
     def full_row_rank(self) -> bool:

@@ -5,22 +5,31 @@ import numpy as np
 import pytest
 
 import mkinterp.solver
+import mkinterp.tensors
 from mkinterp import (
     DimensionMismatch,
     Domain,
     FeatureGram,
     FeatureModel,
+    NodeSet,
     OddOrderUnsupported,
     SingularDesignWarning,
     SolverOptions,
     contract_m,
     contract_m_minus_1,
+    fit,
     residual_norm,
     solve_multilinear,
     solve_regularized,
 )
 
-from mkinterp.solver import _hessian
+from mkinterp.solver import (
+    _gradient,
+    _hessian,
+    _minimize_even_power,
+    _potential,
+    _rescale,
+)
 
 GRAM = FeatureGram(np.array([[1.0, 0.0], [1.0, 1.0]]))
 SIGMAS = (1e-6, 0.01, 0.5, 10.0)
@@ -222,6 +231,161 @@ class TestHessian:
         reference = (m - 1) * (W.T * r ** (m - 2)) @ W
         assert np.array_equal(H, H.T)
         assert np.max(np.abs(H - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def never(gnorm, F):
+    return False
+
+
+class TestRealExponentCore:
+    """``_minimize_even_power`` at a real exponent p: ``F = sum |r|^p / p + ...``."""
+
+    @staticmethod
+    def problem(seed, n=5, K=40):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((n, K)).T
+        return W, rng.standard_normal(K), rng.standard_normal(n), 0.3 * rng.standard_normal(n)
+
+    def test_integral_float_exponent_gives_the_same_iterates(self):
+        W, u, ell, z = self.problem(42)
+        for k in range(8):
+            as_int = _minimize_even_power(W, u, ell, z, 4, k, never, 0.2)
+            as_float = _minimize_even_power(W, u, ell, z, 4.0, k, never, 0.2)
+            assert np.array_equal(as_int[0], as_float[0])
+            assert as_int[1:5] == as_float[1:5]
+            assert as_int[5] == as_float[5]
+
+    @pytest.mark.parametrize("p", [3, 3.5])
+    def test_gradient_and_hessian_match_central_differences(self, p):
+        W, u, ell, z = self.problem(43)
+        lam, h, n = 0.3, 1e-6, z.size
+
+        def F(z):
+            return _potential(W, u, ell, z, p, lam)[1]
+
+        def grad(z):
+            return _gradient(W, ell, W @ z + u, z, p, lam)
+
+        H = _hessian(W, W @ z + u, p) + lam * np.eye(n)
+        for i, e in enumerate(np.eye(n)):
+            assert grad(z)[i] == pytest.approx((F(z + h * e) - F(z - h * e)) / (2 * h),
+                                               rel=1e-6)
+            np.testing.assert_allclose(H[:, i], (grad(z + h * e) - grad(z - h * e)) / (2 * h),
+                                       rtol=1e-6, atol=1e-8 * np.abs(H).max())
+
+    @pytest.mark.parametrize("p", [3, 3.5, 5])
+    def test_odd_exponent_step_is_finite_and_silent(self, p):
+        # residuals of both signs and exact zeros: |r|^{(p-2)/2} must not
+        # become a NaN power of a negative number
+        W, u, ell, _ = self.problem(44)
+        u[::4] = 0.0
+        z0 = np.zeros(W.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, F, gnorm, iterations, reason, trace = _minimize_even_power(
+                W, u, ell, z0, p, 1, never)
+        assert iterations == 1 and reason == "max_iterations"
+        assert np.all(np.isfinite(z)) and np.isfinite(gnorm)
+        assert F < trace[0]
+
+
+def trig_3d_case():
+    """Trig K=200 on [-1, 1]^3 at 100 uniform points, y = sin 2x1 + cos(3x3)/2."""
+    X = np.random.default_rng([0, 3]).uniform(-1.0, 1.0, (100, 3))
+    model = FeatureModel.trigonometric(Domain([-1.0] * 3, [1.0] * 3), 200)
+    return FeatureGram.from_model(model, X), np.sin(2 * X[:, 0]) + 0.5 * np.cos(3 * X[:, 2])
+
+
+def l2_start(gram, y, m):
+    """The rescaled l2 solution, the start before exponent continuation."""
+    V = gram.V
+    c = np.linalg.solve(V @ V.T, y)
+    t = V.T @ c
+    return c * (float(y @ c) / float(np.sum(t ** m))) ** (1.0 / m)
+
+
+class TestContinuedStart:
+    def test_newton_steps_over_three_orders(self):
+        # exact and repeatable; the rescaled l2 start took 8 + 11 + 13 = 32
+        gram, y = trig_3d_case()
+        reports = [solve_multilinear(gram, m, y) for m in (4, 6, 8)]
+        assert all(r.converged for r in reports)
+        assert sum(r.iterations for r in reports) == 25
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_no_iterations_return_the_rescaled_l2_start(self, m):
+        gram, y = trig_2d_case()
+        report = solve_multilinear(gram, m, y, SolverOptions(max_iterations=0))
+        np.testing.assert_array_equal(report.coefficients, l2_start(gram, y, m))
+        assert report.iterations == 0
+        assert report.stop_reason == "max_iterations"
+
+    @pytest.mark.parametrize("init, exponents", [("zero", [6]), ("linear", [3, 4, 5, 6])])
+    def test_continuation_exponents(self, monkeypatch, init, exponents):
+        core = mkinterp.solver._minimize_even_power
+        seen = []
+
+        def recording(W, u, ell, z, p, *args):
+            seen.append(p)
+            return core(W, u, ell, z, p, *args)
+
+        monkeypatch.setattr(mkinterp.solver, "_minimize_even_power", recording)
+        gram, y = trig_2d_case()
+        report = solve_multilinear(gram, 6, y, SolverOptions(init=init))
+        assert report.converged
+        assert seen == exponents
+        steps = len(exponents) - 1  # one accepted step per continuation order
+        assert report.iterations == steps + len(report.objective_trace) - 1
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_continuation_steps_count_against_max_iterations(self, budget):
+        gram, y = trig_2d_case()
+        report = solve_multilinear(gram, 8, y, SolverOptions(max_iterations=budget))
+        assert report.iterations == budget
+        assert report.stop_reason == "max_iterations"
+        assert len(report.objective_trace) == 1 + max(0, budget - 5)
+
+    def test_higher_continued_start_is_discarded(self):
+        # the p = 3 step does not overflow, but its order-4 rescaling sits far
+        # above the rescaled l2 start, which stays the start
+        gram = three_node_gram()
+        y = np.array([1e100, -1e100, 1e100])
+        W = gram.V.T
+        c = _minimize_even_power(W, 0.0, -y, _rescale(W, np.linalg.solve(gram.V @ W, y), y, 3),
+                                 3, 1, never)[0]
+        continued = _rescale(W, c, y, 4)
+        start = solve_multilinear(gram, 4, y, SolverOptions(max_iterations=0))
+        assert residual_norm(gram, 4, continued, y) > 1e120
+        assert start.residual_norm < 1e101
+        report = solve_multilinear(gram, 4, y, SolverOptions(max_iterations=1))
+        assert report.iterations == 1
+        np.testing.assert_array_equal(report.coefficients, start.coefficients)
+
+
+class TestOuterGram:
+    def test_fit_forms_v_vt_once_and_keeps_no_n_by_n_array(self, monkeypatch):
+        calls = []
+        certify = mkinterp.tensors._certifies_full_rank
+        outer = FeatureGram.outer_gram
+
+        def counting_certify(G, K):
+            calls.append("certify")
+            return certify(G, K)
+
+        def counting_outer(self):
+            calls.append("outer")
+            return outer(self)
+
+        monkeypatch.setattr(mkinterp.tensors, "_certifies_full_rank", counting_certify)
+        monkeypatch.setattr(FeatureGram, "outer_gram", counting_outer)
+        X = np.random.default_rng(5).uniform(-1.0, 1.0, (30, 2))
+        model = FeatureModel.trigonometric(Domain([-1.0, -1.0], [1.0, 1.0]), 120)
+        s = fit(model, NodeSet(X, np.sin(3 * X[:, 0])), 4)
+        assert s.gram.well_conditioned and s.gram.full_row_rank
+        assert calls == ["outer", "certify"]
+        for holder in (s, s.gram, s.report):
+            for value in vars(holder).values():
+                assert np.shape(value) != (30, 30)
 
 
 class TestResidualNorm:

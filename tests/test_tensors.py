@@ -235,6 +235,15 @@ class TestRankCertificate:
         assert gram.well_conditioned == certified
         assert gram.full_row_rank == (np.linalg.matrix_rank(V) == V.shape[0])
 
+    @pytest.mark.parametrize("name", list(RANK_DESIGNS))
+    def test_outer_gram_settles_the_same_certificate(self, name):
+        design, certified = RANK_DESIGNS[name]
+        V = design()
+        gram = FeatureGram(V)
+        np.testing.assert_array_equal(gram.outer_gram(), V @ V.T)
+        assert "well_conditioned" in vars(gram)
+        assert gram.well_conditioned == certified
+
     def test_near_duplicate_is_past_the_certificate(self):
         V = study_design(16, [-0.8125 + 1e-6])
         delta = 1e4 * V.size * np.finfo(float).eps
