@@ -20,10 +20,11 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
-from .exceptions import DuplicateNodes, NotConverged, SingularGram
+from .exceptions import DuplicateNodes, NotConverged, SingularDesignWarning
 from .features import Domain, FeatureModel, tabulated
 from .interpolant import (
     Interpolant,
@@ -45,7 +46,7 @@ EXIT_DOMAIN = 5
 # Every library check on outside input raises a ValueError subclass.
 _EXIT_CODES = {
     NotConverged: 3,
-    SingularGram: 4,  # a ValueError, so it must precede ValueError
+    SingularDesignWarning: 4,  # the solver's rank warning, raised as an error by cmd_fit
     ValueError: 2,
     KeyError: 2,  # a model document missing a field
     TypeError: 2,  # a model document field of the wrong JSON type
@@ -226,13 +227,11 @@ def cmd_fit(args) -> int:
     nodes = _node_set(points, values)
     model = build_model(cfg, points.shape[1])
     gram = FeatureGram.from_model(model, nodes.points)
-    if not gram.full_row_rank:  # A_2 = V V^T is singular exactly then
-        detail = (f"truncation K={model.truncation} < n={nodes.n}"
-                  if model.truncation < nodes.n else "rank-deficient feature Gram")
-        raise SingularGram(f"singular design ({detail})")
-
     opts = SolverOptions(residual_tol=cfg["tol"])
-    report = solve_multilinear(gram, cfg["order"], nodes.values, opts)
+    with warnings.catch_warnings():
+        # the library warns before any Newton step; here that ends the fit
+        warnings.simplefilter("error", SingularDesignWarning)
+        report = solve_multilinear(gram, cfg["order"], nodes.values, opts)
     if not np.isfinite(report.residual_norm):
         # an overflowed iterate has no faithful JSON form; write nothing
         raise NotConverged(report, "solver overflowed (non-finite residual); "
@@ -308,8 +307,8 @@ def cmd_study(args) -> int:
         counts = [int(piece) for piece in str(cfg["node_counts"]).split(",")]
     except (KeyError, ValueError):
         raise CliInputError("node_counts must be a comma-separated integer list") from None
-    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise CliInputError("node_counts must be strictly increasing")
+    if not counts or counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise CliInputError("node_counts must be strictly increasing and at least 1")
 
     domain = parse_domain(str(cfg["domain"]))
     model = build_model(cfg, domain.dim)

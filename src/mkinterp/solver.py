@@ -43,7 +43,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, SingularDesignWarning
 from .features import require_even_order
-from .tensors import FeatureGram, contract_m_minus_1
+from .tensors import FeatureGram, _certifies_full_rank, contract_m_minus_1
 
 # Newton and line-search constants, shared by every descent in this module.
 _RIDGE_FLOOR = 1e-12
@@ -233,11 +233,13 @@ def _rescale(W, c, y, p):
 
 
 def _l2_start(gram: FeatureGram, y):
-    """Solution of ``(V V^T) c = y``; the one ``V V^T`` of the fit is freed on return."""
-    G = gram.outer_gram()
-    if gram.well_conditioned:
-        return np.linalg.solve(G, y)
-    return np.linalg.lstsq(G, y, rcond=None)[0]
+    """``(c, certified)``: the solution of ``(V V^T) c = y`` and whether the eigenvalue
+    certificate (:func:`_certifies_full_rank`) cleared V; the fit's one ``V V^T`` is freed
+    on return."""
+    G = gram.V @ gram.V.T
+    if _certifies_full_rank(G, gram.K):
+        return np.linalg.solve(G, y), True
+    return np.linalg.lstsq(G, y, rcond=None)[0], False
 
 
 def _continued_start(W, c, m, y, lam, max_iterations, done):
@@ -272,12 +274,12 @@ def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | Non
     # an overflowed start is reported as non_finite rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         linear = opts.init == "linear"
-        c = _l2_start(gram, y) if linear else np.zeros(gram.n)
+        c, certified = _l2_start(gram, y) if linear else (np.zeros(gram.n), False)
         # lam > 0 makes the potential strictly convex whatever the rank
-        if not lam and not gram.full_row_rank:
-            warnings.warn("feature Gram lacks full row rank; the multi-linear system may "
-                          "be inconsistent and the solution non-unique",
-                          SingularDesignWarning, stacklevel=3)
+        if not (lam or certified or gram.full_row_rank):
+            detail = (f"truncation K={gram.K} < n={gram.n}" if gram.K < gram.n
+                      else "rank-deficient feature Gram")
+            warnings.warn(f"singular design ({detail})", SingularDesignWarning, stacklevel=3)
         steps = 0
         if linear and m > 2:
             c, steps = _continued_start(gram.V.T, c, m, y, lam, opts.max_iterations, done)

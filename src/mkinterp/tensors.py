@@ -51,34 +51,18 @@ class FeatureGram:
         object.__setattr__(self, "V", V)
 
     @cached_property
-    def well_conditioned(self) -> bool:
-        """Eigenvalue certificate of full row rank (:func:`_certifies_full_rank`),
-        computed on first read unless a fit settled it first (:meth:`outer_gram`)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = self.V @ self.V.T
-        return _certifies_full_rank(G, self.K)
-
-    def outer_gram(self) -> np.ndarray:
-        """``V V^T``, formed anew on each call, so no (n, n) array stays on the Gram.
-
-        The first call also settles :attr:`well_conditioned` from it: a fit
-        forms ``V V^T`` once for the certificate and its l2 start.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = self.V @ self.V.T
-        if "well_conditioned" not in self.__dict__:  # the cached_property's slot
-            self.__dict__["well_conditioned"] = _certifies_full_rank(G, self.K)
-        return G
-
-    @cached_property
     def full_row_rank(self) -> bool:
         """Rank test, computed on first read only.
 
-        A design that :attr:`well_conditioned` certifies has full row rank;
-        only the others pay for the SVD of ``np.linalg.matrix_rank``, the
-        reference that decides near-singular designs.
+        A design that the eigenvalue certificate (:func:`_certifies_full_rank`)
+        clears has full row rank; only the others pay for the SVD of
+        ``np.linalg.matrix_rank``, the reference that decides near-singular
+        designs.  A fit that takes the l2 start reads it only when that
+        start's certificate failed.
         """
-        return self.well_conditioned or int(np.linalg.matrix_rank(self.V)) == self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = self.V @ self.V.T
+        return _certifies_full_rank(G, self.K) or int(np.linalg.matrix_rank(self.V)) == self.n
 
     @property
     def n(self) -> int:

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from mkinterp import (
     Domain,
+    FeatureGram,
     FeatureModel,
     NodeSet,
     SingularDesignWarning,
     evaluate,
     fit,
+    solve_multilinear,
     to_json,
 )
 from mkinterp.cli import main
@@ -74,11 +76,41 @@ class TestFit:
         data = write(tmp_path / "bad.csv", "a,b\n0,8\n")
         assert main(["fit", data, "--out", str(tmp_path / "o.json")]) == 2
 
-    def test_truncation_below_n_exits_4(self, tmp_path):
-        data = write(tmp_path / "d.csv", "x1,y\n0,1\n0.5,2\n1,3\n")
-        code = main(["fit", data, "--out", str(tmp_path / "o.json"),
-                     "--truncation", "2", "--order", "4"])
-        assert code == 4
+    def assert_singular_exit(self, tmp_path, capsys, x, flags, model, cause):
+        """``fit`` exits 4 with one error line and writes nothing; afterwards the
+        library solve of the same design still only warns, with the same text."""
+        y = np.arange(1.0, len(x) + 1.0)
+        data = write(tmp_path / "d.csv", "x1,y\n" + "".join(f"{a},{b}\n" for a, b in zip(x, y)))
+        out = tmp_path / "o.json"
+        message = f"singular design ({cause})"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SingularDesignWarning)
+            assert main(["fit", data, "--out", str(out), "--order", "4", *flags]) == 4
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists() and not (tmp_path / "o.json.report.json").exists()
+            gram = FeatureGram.from_model(model, np.array(x)[:, None])
+            solve_multilinear(gram, 4, y)
+        assert [(w.category, str(w.message)) for w in caught] == [(SingularDesignWarning, message)]
+
+    def test_truncation_below_n_exits_4(self, tmp_path, capsys):
+        model = FeatureModel.power_series(Domain([-1.0], [1.0]), 2, 0.5)
+        self.assert_singular_exit(tmp_path, capsys, [0.0, 0.5, 1.0], ["--truncation", "2"],
+                                  model, "truncation K=2 < n=3")
+
+    def test_rank_deficient_design_exits_4(self, tmp_path, capsys):
+        # the trig features cannot tell x = -1 from x = 1: two equal rows, K >= n
+        model = FeatureModel.trigonometric(Domain([-1.0], [1.0]), 3, 0.5)
+        self.assert_singular_exit(tmp_path, capsys, [-1.0, 1.0],
+                                  ["--kernel", "trig", "--truncation", "3"],
+                                  model, "rank-deficient feature Gram")
+
+    def test_certified_fit_forms_v_vt_once(self, tmp_path, outer_gram_count):
+        x = np.linspace(-0.9, 0.9, 12).tolist()
+        data = write(tmp_path / "d.csv",
+                     "x1,y\n" + "".join(f"{a!r},{math.sin(3 * a)!r}\n" for a in x))
+        assert main(["fit", data, "--out", str(tmp_path / "o.json"), "--kernel", "trig",
+                     "--truncation", "40", "--order", "4"]) == 0
+        assert outer_gram_count == [1]
 
     def test_not_converged_exits_3_but_writes_report(self, tmp_path, capsys):
         # non-integer data keeps the residual above an unreachable tolerance
@@ -334,6 +366,12 @@ class TestStudy:
     def test_non_increasing_counts_exit_2(self, tmp_path):
         code, _ = self.run_study(tmp_path, counts="8,4")
         assert code == 2
+
+    def test_count_below_one_exits_2(self, tmp_path, capsys):
+        code, result = self.run_study(tmp_path, counts="0,4")
+        assert code == 2
+        assert "node_counts must be strictly increasing and at least 1" in capsys.readouterr().err
+        assert not result.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = self.run_study(tmp_path)

@@ -363,29 +363,44 @@ class TestContinuedStart:
 
 
 class TestOuterGram:
-    def test_fit_forms_v_vt_once_and_keeps_no_n_by_n_array(self, monkeypatch):
-        calls = []
+    """The fit's l2 start forms ``V V^T`` and runs the rank certificate, once."""
+
+    def test_fit_forms_v_vt_once_and_keeps_no_n_by_n_array(self, monkeypatch,
+                                                            outer_gram_count):
+        verdicts = []
         certify = mkinterp.tensors._certifies_full_rank
-        outer = FeatureGram.outer_gram
 
         def counting_certify(G, K):
-            calls.append("certify")
-            return certify(G, K)
+            verdicts.append(certify(G, K))
+            return verdicts[-1]
 
-        def counting_outer(self):
-            calls.append("outer")
-            return outer(self)
-
+        monkeypatch.setattr(mkinterp.solver, "_certifies_full_rank", counting_certify)
         monkeypatch.setattr(mkinterp.tensors, "_certifies_full_rank", counting_certify)
-        monkeypatch.setattr(FeatureGram, "outer_gram", counting_outer)
         X = np.random.default_rng(5).uniform(-1.0, 1.0, (30, 2))
         model = FeatureModel.trigonometric(Domain([-1.0, -1.0], [1.0, 1.0]), 120)
         s = fit(model, NodeSet(X, np.sin(3 * X[:, 0])), 4)
-        assert s.gram.well_conditioned and s.gram.full_row_rank
-        assert calls == ["outer", "certify"]
+        assert outer_gram_count == [1]
+        assert verdicts == [True]
+        assert "full_row_rank" not in vars(s.gram)  # the certificate settled the rank
         for holder in (s, s.gram, s.report):
             for value in vars(holder).values():
                 assert np.shape(value) != (30, 30)
+
+    def test_certified_fit_pays_no_svd(self, monkeypatch):
+        calls = count_rank_svds(monkeypatch)
+        gram, y = trig_2d_case()
+        assert solve_multilinear(gram, 4, y).converged
+        assert calls == []
+
+    def test_uncertified_fit_reads_the_svd_rank_test(self, monkeypatch):
+        # the convergence study's n=64 design, cond(V) ~ 6.5e4: full rank, but
+        # past the certificate, so the start is least squares and the SVD decides
+        model = FeatureModel.trigonometric(Domain([-1.0], [1.0]), 81, 0.5)
+        pts = (-1.0 + (np.arange(64) + 0.5) / 32)[:, None]
+        gram = FeatureGram.from_model(model, pts)
+        calls = count_rank_svds(monkeypatch)
+        solve_multilinear(gram, 2, np.sin(3 * pts[:, 0]))
+        assert gram.full_row_rank and calls == [1]
 
 
 class TestResidualNorm:
@@ -429,6 +444,19 @@ class TestSolveRegularized:
     def test_sigma_validated(self):
         with pytest.raises(ValueError):
             solve_regularized(GRAM, 4, np.zeros(2), 0.0)
+
+
+def count_rank_svds(monkeypatch):
+    """The list to which each later SVD rank test (``np.linalg.matrix_rank``) appends."""
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return matrix_rank(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    return calls
 
 
 def trig_2d_case():

@@ -13,6 +13,8 @@ from mkinterp import (
     contract_m_minus_1,
     eval_features,
 )
+from mkinterp.solver import _l2_start
+from mkinterp.tensors import _certifies_full_rank
 from oracles import BudgetExceeded, check_semi_pd, check_strict_monotone, dense_tensor
 
 # Features (1, x) at nodes {0, 1}: columns v_1 = (1, 1), v_2 = (0, 1).
@@ -232,17 +234,21 @@ class TestRankCertificate:
         design, certified = RANK_DESIGNS[name]
         V = design()
         gram = FeatureGram(V)
-        assert gram.well_conditioned == certified
+        assert _certifies_full_rank(V @ V.T, V.shape[1]) == certified
         assert gram.full_row_rank == (np.linalg.matrix_rank(V) == V.shape[0])
 
     @pytest.mark.parametrize("name", list(RANK_DESIGNS))
     def test_outer_gram_settles_the_same_certificate(self, name):
+        # the fit's l2 start forms the outer Gram V V^T once, for the
+        # certificate and for the start: a solve if certified, else least squares
         design, certified = RANK_DESIGNS[name]
         V = design()
-        gram = FeatureGram(V)
-        np.testing.assert_array_equal(gram.outer_gram(), V @ V.T)
-        assert "well_conditioned" in vars(gram)
-        assert gram.well_conditioned == certified
+        y = np.cos(np.arange(V.shape[0]))
+        c, settled = _l2_start(FeatureGram(V), y)
+        assert settled == certified
+        G = V @ V.T
+        expected = np.linalg.solve(G, y) if certified else np.linalg.lstsq(G, y, rcond=None)[0]
+        np.testing.assert_array_equal(c, expected)
 
     def test_near_duplicate_is_past_the_certificate(self):
         V = study_design(16, [-0.8125 + 1e-6])
