@@ -8,11 +8,16 @@ convex minimization
     P_m(x)^m = min_theta sum_k ( phi_k(x) - sum_i theta_i phi_k(x_i) )^m,
 
 solved by the same damped-Newton core as the interpolation system
-(``solver._minimize_even_power``), started from the l2 minimizer.  That
-start comes from one least-squares solve per block of points, and the norm
-of its residual is P_2 itself, the classical power function; its closed form
-through ``A_2^{-1}`` is a test oracle (``tests/oracles.py``), not a second
-route here.  The pointwise interpolation error of any target with known
+(``solver._minimize_even_power``), every point of a block in one stack.
+The l2 minimizers come from one least-squares solve per block, and the norm
+of their residual is P_2 itself, the classical power function; its closed
+form through ``A_2^{-1}`` is a test oracle (``tests/oracles.py``), not a
+second route here.  From there the descent continues through the exponents
+(one Newton step at each of p = 3 and 3.5 for m = 4, at p = 3, ..., m-1
+above), as fits do, and then runs at order m until the Newton decrement is
+small relative to the potential (Boyd and Vandenberghe, Convex
+Optimization, 9.5.1).  That stop is relative, so P_m is accurate where it
+is tiny too.  The pointwise interpolation error of any target with known
 norm is bounded by ``2 ||f|| P_m(x)``.
 """
 
@@ -27,38 +32,38 @@ from .interpolant import NodeSet, _fit_gram, banach_norm_direct, feature_coeffic
 from .solver import SolverOptions, _minimize_even_power
 from .tensors import FeatureGram
 
+# A point stops once its Newton decrement -grad F . step is this small relative to F.
+_DECREMENT_TOL = 1e-12
 
-def _power_newton(V, b, theta, m, opts: SolverOptions) -> float:
-    """``min_theta q`` with ``q = sum_k (b - V^T theta)_k^m``, to the power 1/m.
 
-    ``V`` holds the node features (n x K), ``b`` the features at the point
-    and theta the l2 start.  ``q = m F`` for the solver's core with
-    ``u = -b``, ``W = V^T``, no linear term and the even integer exponent
-    m, at which the core's real-exponent powers reduce to ``r**m`` and so
-    the sign of the residual does not matter.  There is no exponent
-    continuation here: the descent starts at theta and stops, through the
-    core's ``done(gnorm, F)``, once ``||grad q|| <= 1e-13 (1 + q)``.
-    """
-    _, F, *_ = _minimize_even_power(
-        V.T, -b, None, theta, m, opts.max_iterations,
-        lambda gnorm, F: m * gnorm <= 1e-13 * (1.0 + m * F))
-    return float(max(m * F, 0.0) ** (1.0 / m))
+def _small_decrement(gnorm, F, decrement):
+    return decrement is not None and decrement <= _DECREMENT_TOL * F
 
 
 def _power_values(V, B, m, opts: SolverOptions):
-    """``(P_2, P_m)`` at each row of the feature block B (N x K), nodes V (n x K).
+    """``(P_2, P_m, iterations, stop_reasons)`` at each row of the feature block B
+    (N x K), nodes V (n x K).
 
     One least-squares solve with N right-hand sides gives every l2
     minimizer theta.  The row norms of the residual ``B - theta^T V`` are
-    P_2, the distance from phi(x) to the span of the node sections; for
-    m > 2 each theta starts the order-m descent.
+    P_2, the distance from phi(x) to the span of the node sections.  For
+    m > 2 the thetas start the core on ``F = q / m``, ``q = sum_k |b - V^T
+    theta|_k^p``, with ``u = -B``, ``W = V^T`` and no linear term: one step
+    at each continuation exponent, then the order-m descent, all rows in
+    lock-step.  ``iterations`` counts a point's accepted Newton steps, the
+    continuation steps included, within ``opts.max_iterations``.
     """
     thetas, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
     p_2 = np.linalg.norm(B - thetas.T @ V, axis=1)
     if m == 2:
-        return p_2, p_2
-    return p_2, np.array([_power_newton(V, b, theta, m, opts)
-                          for b, theta in zip(B, thetas.T)])
+        return p_2, p_2, np.zeros(len(B), dtype=int), np.full(len(B), "converged")
+    z, steps = thetas.T, 0
+    for p in ((3, 3.5) if m == 4 else range(3, m))[:opts.max_iterations]:
+        z, _, _, taken, _, _ = _minimize_even_power(V.T, -B, None, z, p, 1, _small_decrement)
+        steps = steps + taken
+    _, F, _, iterations, reasons, _ = _minimize_even_power(
+        V.T, -B, None, z, m, opts.max_iterations - steps, _small_decrement)
+    return p_2, np.maximum(m * F, 0.0) ** (1.0 / m), steps + iterations, reasons
 
 
 def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
@@ -126,13 +131,21 @@ def error_bound(f_norm: float, p_m):
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Pointwise power-function values and error bounds on a grid."""
+    """Pointwise power-function values and error bounds on a grid.
+
+    ``iterations`` counts the Newton steps of each point's P_m descent, its
+    continuation steps included; ``stop_reasons`` says how each ended, as
+    :class:`~mkinterp.solver.SolveReport` does (``"converged"`` once the
+    Newton decrement is small relative to P_m^m).
+    """
 
     eval_points: np.ndarray
     p_m: np.ndarray
     p_2: np.ndarray
     bound: np.ndarray
     order: int
+    iterations: np.ndarray
+    stop_reasons: np.ndarray
 
 
 def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
@@ -141,19 +154,21 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
 
     The node features are built once; the points go through in blocks
     (see :func:`point_blocks`), one feature evaluation and one multi-RHS
-    least-squares solve per block, which gives P_2 and starts P_m.
+    least-squares solve per block, which gives P_2 and starts P_m, and one
+    lock-step descent of the block's points per exponent.
     """
     require_even_order(m)
     error_bound(f_norm, 0.0)  # a bad f_norm fails before any P_m work
     opts = opts or SolverOptions()
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
     V = eval_features(model, nodes.points)
-    p_m = np.empty(eval_points.shape[0])
-    p_2 = np.empty(eval_points.shape[0])
-    for rows in point_blocks(model, eval_points.shape[0]):
+    count = eval_points.shape[0]
+    p_m, p_2 = np.empty(count), np.empty(count)
+    iterations, reasons = np.empty(count, dtype=int), np.empty(count, dtype="U14")
+    for rows in point_blocks(model, count):
         B = eval_features(model, eval_points[rows])
-        p_2[rows], p_m[rows] = _power_values(V, B, m, opts)
-    return PowerReport(eval_points, p_m, p_2, error_bound(f_norm, p_m), m)
+        p_2[rows], p_m[rows], iterations[rows], reasons[rows] = _power_values(V, B, m, opts)
+    return PowerReport(eval_points, p_m, p_2, error_bound(f_norm, p_m), m, iterations, reasons)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,14 @@ damped Newton core, ``_minimize_even_power``, serves both problems:
 
     F(z) = (1/m) sum_k (u + W z)_k^m + l . z
 
-with ``u = 0``, ``W = V^T``, ``l = -y`` here.  Each caller brings its own
-stop test; interpolation stops on the residual 2-norm.  For m = 2 the core
+with ``u = 0``, ``W = V^T``, ``l = -y`` here.  The core takes a leading
+batch axis: z is an (N, n) stack and u an (N, K) stack sharing W, and the
+rows descend in lock-step, their Hessians solved together, each row with
+its own step length, fallbacks and stop.  A fit is the N = 1 case.  Each
+caller brings its own stop test, asked before a Newton step is formed and
+again with the Newton decrement ``-grad F . step``: interpolation stops on
+the residual 2-norm before the step, so a converged fit forms no Hessian,
+and the power function on the decrement relative to F.  For m = 2 the core
 reduces to the linear solve ``(V V^T) c = y``.
 
 The core takes any real exponent p >= 2 in place of m, with ``|r|^p`` in F,
@@ -52,6 +58,11 @@ _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 # Rounding noise of F, relative to the summed magnitude of its terms.
 _NOISE = 1e-15
+# Doubles per chunk of stacked Hessians (128 KiB).  At n = 60, chunks of one
+# Hessian took a third longer per Newton step, in numpy's per-call overhead;
+# chunks of 512 KiB took no less time and raised the peak RSS of the
+# convergence study by 0.8 MiB.
+_HESSIAN_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -112,8 +123,8 @@ def residual_norm(gram: FeatureGram, m: int, c, y) -> float:
     return float(np.linalg.norm(contract_m_minus_1(gram, m, c) - y))
 
 
-def _hessian(W, r, p):
-    """``(p-1) W^T diag(|r|^{p-2}) W``, PSD, as ``(p-1) Y^T Y``.
+def _hessian(W, r, p, out=None):
+    """``(p-1) W^T diag(|r|^{p-2}) W``, PSD, as ``(p-1) Y^T Y``, into ``out`` if given.
 
     ``Y = diag(|r|^{(p-2)/2}) W``; numpy forms ``Y^T Y`` on one buffer by a
     symmetric rank-K update, which halves the flops of a general product
@@ -122,41 +133,63 @@ def _hessian(W, r, p):
     """
     scale = r ** ((p - 2) // 2) if p % 2 == 0 else np.abs(r) ** ((p - 2) / 2)
     Y = W * scale[:, None]
-    H = Y.T @ Y
+    H = np.matmul(Y.T, Y, out=out)
     H *= p - 1
     return H
 
 
-def _newton_direction(W, r, grad, p, lam):
-    # a helper, so that the n x n Hessian is freed before the next is built
-    n = W.shape[1]
-    H = _hessian(W, r, p)
-    # relative to H's scale, which tiny residuals (P_m near nodes) make tiny;
-    # it also makes a zero Hessian (z = 0 with u = 0 and p > 2) solvable
-    ridge = _RIDGE_FLOOR * (H.trace() / n or 1.0)
-    H.flat[:: n + 1] = (H.diagonal() + lam) + ridge
-    try:
-        step = -np.linalg.solve(H, grad)
-    except np.linalg.LinAlgError:
-        return -grad
-    return step if grad @ step < 0 else -grad
+def _newton_directions(W, R, G, rows, p, lam):
+    """Newton steps of the given rows of a stack, residuals R (N x K) and gradients G (N x n).
+
+    The Hessians go through in chunks of at most ``_HESSIAN_VALUES`` doubles,
+    one stacked solve per chunk; if LAPACK rejects a chunk its rows are
+    solved one at a time.  A row whose Hessian stays singular, or whose
+    Newton step is not a descent direction, steps along ``-grad``.
+    """
+    n = G.shape[1]
+    steps = np.empty((rows.size, n))
+    chunk = max(1, _HESSIAN_VALUES // (n * n))
+    for lo in range(0, rows.size, chunk):
+        at, part = rows[lo:lo + chunk], steps[lo:lo + chunk]
+        H = np.empty((at.size, n, n))
+        for i, h in zip(at, H):
+            _hessian(W, R[i], p, out=h)
+        # relative to H's scale, which tiny residuals (P_m near nodes) make tiny;
+        # it also makes a zero Hessian (z = 0 with u = 0 and p > 2) solvable
+        diagonal = H.reshape(len(H), n * n)[:, :: n + 1]
+        scale = diagonal.sum(axis=1) / n
+        diagonal += lam
+        diagonal += _RIDGE_FLOOR * np.where(scale != 0, scale, 1.0)[:, None]
+        try:
+            part[:] = -np.linalg.solve(H, G[at, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            for h, g, step in zip(H, G[at], part):
+                try:
+                    step[:] = -np.linalg.solve(h, g)
+                except np.linalg.LinAlgError:
+                    step[:] = -g
+    uphill = ~(np.vecdot(G[rows], steps) < 0)
+    if uphill.any():
+        steps[uphill] = -G[rows[uphill]]
+    return steps
 
 
 def _potential(W, u, ell, z, p, lam):
-    """``(r, F, magnitude)``: ``r = u + W z``, the core's F at z and the
-    summed magnitude of F's terms (the scale of its rounding noise)."""
-    r = W @ z + u
-    power_sum = float((r ** p if p % 2 == 0 else np.abs(r) ** p).sum()) / p
+    """``(r, F, magnitude)`` at each row of the stack z (or at one vector z):
+    ``r = u + W z``, the core's F and the summed magnitude of F's terms
+    (the scale of its rounding noise)."""
+    r = z @ W.T + u
+    power_sum = (r ** p if p % 2 == 0 else np.abs(r) ** p).sum(axis=-1) / p
     if lam:
-        power_sum += 0.5 * lam * float(z @ z)
+        power_sum += 0.5 * lam * np.vecdot(z, z)
     if ell is None:
         return r, power_sum, power_sum
-    return r, power_sum + float(ell @ z), power_sum + float(np.abs(ell) @ np.abs(z))
+    return r, power_sum + np.vecdot(z, ell), power_sum + np.vecdot(np.abs(z), np.abs(ell))
 
 
 def _gradient(W, ell, r, z, p, lam):
-    """The core's gradient at z, from its residual ``r = u + W z``."""
-    grad = W.T @ (r ** (p - 1) if p % 2 == 0 else r * np.abs(r) ** (p - 2))
+    """The core's gradient at each row of z, from its residual ``r = u + W z``."""
+    grad = (r ** (p - 1) if p % 2 == 0 else r * np.abs(r) ** (p - 2)) @ W
     if lam:
         grad = grad + lam * z
     return grad if ell is None else grad + ell
@@ -165,58 +198,102 @@ def _gradient(W, ell, r, z, p, lam):
 def _minimize_even_power(W, u, ell, z, p, max_iterations, done, lam=0.0):
     """Damped Newton on ``F(z) = (1/p) sum_k |u + W z|_k^p + ell . z + (lam/2)|z|^2``.
 
-    ``W`` is K x n, ``u`` a K-vector or 0, ``ell`` an n-vector or None for
+    ``W`` is K x n and shared by the rows of the (N, n) stack z, one
+    problem per row, with u an (N, K) stack or 0; a vector z is the one row
+    of N = 1, with u a K-vector or 0.  ``ell`` is an n-vector or None for
     zero, p a real exponent >= 2 (the potential is an even function of the
-    residual), ``lam >= 0``; ``done(gnorm, F)`` is the caller's stop test.
-    The gradient is ``W^T (sign(r) |r|^{p-1})`` plus the linear terms.  At
-    even integer p (given as an int or as an integral float) the powers are
-    ``r**p``, ``r**(p-1)`` and ``r**((p-2)//2)``, so the iterates do not
-    depend on how p was given.  Returns
-    ``(z, F, gnorm, iterations, stop_reason, trace)``, F per iterate in trace.
+    residual), ``lam >= 0``.  The gradient is ``W^T (sign(r) |r|^{p-1})``
+    plus the linear terms.  At even integer p (given as an int or as an
+    integral float) the powers are ``r**p``, ``r**(p-1)`` and
+    ``r**((p-2)//2)``, so the iterates do not depend on how p was given.
+
+    The rows descend in lock-step, their Newton steps formed together, each
+    row with its own step length, backtracks, fallbacks, iteration count
+    and stop reason.  A row stops when the caller's ``done(gnorm, F,
+    decrement)``, given arrays over the active rows, is true for it: asked
+    with ``decrement=None`` before the Newton step is formed (a stop on the
+    gradient norm costs no Hessian), then with the decrement ``-grad .
+    step``.  ``max_iterations`` is an int or one budget per row.  Returns
+    ``(z, F, gnorm, iterations, stop_reason, trace)`` per row, trace holding
+    the rows' F at the start of each round; for a vector z, the one row's
+    values, with F per iterate in trace.
 
     The line search tests the difference ``F(cand) - F`` (the sum
     ``F + c eta slope`` rounds back to F) and trusts a fall only beyond F's
     rounding noise, relative to the summed magnitude of its terms.  Within
     the noise a candidate must lower the gradient norm strictly, by the
     Armijo fraction (the approximate-Wolfe idea of Hager and Zhang, SIAM J.
-    Optim. 16(1), 2005).  Overflow fails the line search or ends the solve.
+    Optim. 16(1), 2005).  Overflow fails the line search or ends the row.
     """
     if p % 2 == 0:
         p = int(p)
+    single = np.ndim(z) == 1
+    z = np.array(z, dtype=float, ndmin=2)  # a copy: rows are updated in place
+    if np.ndim(u) == 1:
+        u = u[None]
+    N = z.shape[0]
+    budget = np.broadcast_to(max_iterations, N)
+    iterations, reasons = np.zeros(N, dtype=int), np.full(N, "", dtype="U14")
 
     with np.errstate(over="ignore", invalid="ignore"):
         r, F, magnitude = _potential(W, u, ell, z, p, lam)
         grad = _gradient(W, ell, r, z, p, lam)
+        gnorm = np.sqrt(np.vecdot(grad, grad))
         trace = []
-        iterations = 0
-        while True:
-            gnorm = math.sqrt(grad @ grad)
-            trace.append(F)
-            if done(gnorm, F):
-                return z, F, gnorm, iterations, "converged", trace
-            if not (math.isfinite(gnorm) and math.isfinite(F)):
-                return z, F, gnorm, iterations, "non_finite", trace
-            if iterations >= max_iterations:
-                return z, F, gnorm, iterations, "max_iterations", trace
-            step = _newton_direction(W, r, grad, p, lam)
-            slope = float(grad @ step)
-            noise = _NOISE * magnitude
+        rows = np.arange(N)  # the rows still descending
+        while rows.size:
+            trace.append(F.copy())
+            g, f = gnorm[rows], F[rows]
+            converged = done(g, f, None)
+            finite = np.isfinite(g) & np.isfinite(f)
+            spent = iterations[rows] >= budget[rows]
+            go = ~(converged | spent) & finite
+            if not go.all():
+                reasons[rows] = np.where(converged, "converged", np.where(
+                    finite, np.where(spent, "max_iterations", ""), "non_finite"))
+                rows, g, f = rows[go], g[go], f[go]
+                if not rows.size:
+                    break
+            step = _newton_directions(W, r, grad, rows, p, lam)
+            slope = np.vecdot(grad[rows], step)
+            small = done(g, f, -slope)
+            if np.any(small):
+                reasons[rows[small]] = "converged"
+                go = ~small
+                rows, g, step, slope = rows[go], g[go], step[go], slope[go]
+            noise = _NOISE * magnitude[rows]
+            pending = np.arange(rows.size)  # positions in rows still searching
             eta = 1.0
             for _ in range(_MAX_BACKTRACKS):
-                cand = z + eta * step
-                cand_r, cand_F, cand_magnitude = _potential(W, u, ell, cand, p, lam)
-                drop = cand_F - F
-                decrease = _ARMIJO * eta * slope
-                if drop <= decrease + noise:
-                    cand_grad = _gradient(W, ell, cand_r, cand, p, lam)
-                    if (drop <= min(decrease, -noise) or math.sqrt(cand_grad @ cand_grad)
-                            < (1.0 - _ARMIJO * eta) * gnorm):
-                        break
+                at = rows[pending]
+                cand = z[at] + eta * step[pending]
+                cand_r, cand_F, cand_magnitude = _potential(
+                    W, u if np.ndim(u) < 2 else u[at], ell, cand, p, lam)
+                cand_grad = _gradient(W, ell, cand_r, cand, p, lam)
+                cand_gnorm = np.sqrt(np.vecdot(cand_grad, cand_grad))
+                drop = cand_F - F[at]
+                decrease = _ARMIJO * eta * slope[pending]
+                accept = (drop <= decrease + noise[pending]) & (
+                    (drop <= np.minimum(decrease, -noise[pending]))
+                    | (cand_gnorm < (1.0 - _ARMIJO * eta) * g[pending]))
+                hit = at[accept]
+                z[hit], r[hit], F[hit], magnitude[hit] = (
+                    cand[accept], cand_r[accept], cand_F[accept], cand_magnitude[accept])
+                grad[hit], gnorm[hit] = cand_grad[accept], cand_gnorm[accept]
+                iterations[hit] += 1
+                pending = pending[~accept]
+                if not pending.size:
+                    break
                 eta *= _SHRINK
-            else:
-                return z, F, gnorm, iterations, "stalled", trace
-            z, r, F, magnitude, grad = cand, cand_r, cand_F, cand_magnitude, cand_grad
-            iterations += 1
+            if pending.size:
+                reasons[rows[pending]] = "stalled"
+                go = np.ones(rows.size, dtype=bool)
+                go[pending] = False
+                rows = rows[go]
+    if single:
+        return (z[0], float(F[0]), float(gnorm[0]), int(iterations[0]), str(reasons[0]),
+                [float(f[0]) for f in trace])
+    return z, F, gnorm, iterations, reasons, trace
 
 
 def _rescale(W, c, y, p):
@@ -268,15 +345,16 @@ def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | Non
         raise DimensionMismatch(f"expected y of length {gram.n}, got shape {y.shape}")
     lam = sigma * m / (2 * (m - 1))
 
-    def done(gnorm, F):
+    def done(gnorm, F, decrement):
         return gnorm <= opts.residual_tol
 
     # an overflowed start is reported as non_finite rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         linear = opts.init == "linear"
         c, certified = _l2_start(gram, y) if linear else (np.zeros(gram.n), False)
-        # lam > 0 makes the potential strictly convex whatever the rank
-        if not (lam or certified or gram.full_row_rank):
+        # lam > 0 makes the potential strictly convex whatever the rank; past a failed
+        # certificate the SVD (``np.linalg.matrix_rank``) decides
+        if not (lam or certified or int(np.linalg.matrix_rank(gram.V)) == gram.n):
             detail = (f"truncation K={gram.K} < n={gram.n}" if gram.K < gram.n
                       else "rank-deficient feature Gram")
             warnings.warn(f"singular design ({detail})", SingularDesignWarning, stacklevel=3)

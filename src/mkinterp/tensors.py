@@ -57,8 +57,8 @@ class FeatureGram:
         A design that the eigenvalue certificate (:func:`_certifies_full_rank`)
         clears has full row rank; only the others pay for the SVD of
         ``np.linalg.matrix_rank``, the reference that decides near-singular
-        designs.  A fit that takes the l2 start reads it only when that
-        start's certificate failed.
+        designs.  A fit does not read it: its l2 start runs the certificate
+        once, and only past a failed one does the fit take the SVD.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             G = self.V @ self.V.T

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mkinterp import (
     power_function,
     power_report,
 )
+from mkinterp.features import point_blocks
 from mkinterp.power import grid_spacing
 from oracles import (
     power_function_dense_oracle,
@@ -28,6 +31,26 @@ BOX = Domain([-1.0], [1.0])
 # documented 3-feature instance: features (1, x, x^2), nodes {0, 1}
 MODEL3 = FeatureModel.power_series(BOX, 3, weights=np.ones(3))
 NODES01 = NodeSet(np.array([[0.0], [1.0]]), np.zeros(2))
+# the convergence study's model and grid
+STUDY_MODEL = FeatureModel.trigonometric(BOX, 81, decay=0.5)
+STUDY_GRID = domain_grid(BOX, 101)
+
+
+def study_nodes(n):
+    """The convergence study's n cell-midpoint nodes on [-1, 1]."""
+    return NodeSet(((np.arange(n) + 0.5) / (n / 2) - 1.0)[:, None], np.zeros(n))
+
+
+def benchmark_2d_nodes(seed=3, n=60):
+    """n uniform nodes in [-1, 1]^2 from ``default_rng([seed, 2])``, redrawn
+    closer than 0.05: the benchmark's 2-d power-bound design."""
+    rng = np.random.default_rng([seed, 2])
+    pts = []
+    while len(pts) < n:
+        p = rng.uniform(-1.0, 1.0, 2)
+        if not pts or np.min(np.sum((np.array(pts) - p) ** 2, axis=1)) > 0.05 ** 2:
+            pts.append(p)
+    return NodeSet(np.array(pts), np.zeros(n))
 
 
 class TestClosedFormP2:
@@ -230,6 +253,60 @@ class TestBatchedPowerReport:
         assert np.all(report.p_m <= 1e-6)
 
 
+class TestLockStepPowerValues:
+    """Every point of a block descends in one stack through the Newton core."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_report_matches_power_function_at_each_study_point(self, n):
+        nodes = study_nodes(n)
+        report = power_report(STUDY_MODEL, nodes, 4, STUDY_GRID)
+        single = [power_function(STUDY_MODEL, nodes, 4, x) for x in STUDY_GRID]
+        np.testing.assert_allclose(report.p_m, single, rtol=1e-12, atol=0.0)
+
+    def test_hessian_stack_stays_within_its_cap(self):
+        # one block of 160 points at n = 200 nodes: an uncapped (160, 200, 200)
+        # Hessian stack alone would be 51 MB
+        model = FeatureModel.trigonometric(BOX, 400, decay=0.5)
+        points = np.linspace(-1.0, 1.0, 160)[:, None]
+        assert len(point_blocks(model, 160)) == 1
+        tracemalloc.start()
+        try:
+            report = power_report(model, study_nodes(200), 4, points,
+                                  opts=SolverOptions(max_iterations=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(report.p_m)) and np.all(report.iterations <= 1)
+        assert peak < 8 * 2 ** 20
+
+    def test_benchmark_inputs_all_converge(self):
+        box2 = Domain([-1.0, -1.0], [1.0, 1.0])
+        reports = [power_report(FeatureModel.trigonometric(box2, 120, 0.5), benchmark_2d_nodes(),
+                                4, domain_grid(box2, 15))]
+        reports += [power_report(STUDY_MODEL, study_nodes(n), 4, STUDY_GRID)
+                    for n in (8, 16, 32, 64)]
+        for report in reports:
+            assert set(report.stop_reasons) == {"converged"}
+            assert report.iterations.dtype.kind == "i"
+            assert np.all(report.iterations <= SolverOptions().max_iterations)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_iterations_count_the_continuation_steps(self, budget):
+        # m = 4 continues through p = 3 and 3.5, one step each, within the budget
+        report = power_report(STUDY_MODEL, study_nodes(16), 4, STUDY_GRID,
+                              opts=SolverOptions(max_iterations=budget))
+        unlimited = power_report(STUDY_MODEL, study_nodes(16), 4, STUDY_GRID)
+        assert np.all(report.iterations <= budget)
+        assert np.all(report.stop_reasons[report.iterations < budget] == "converged")
+        assert np.all(unlimited.iterations >= 2)
+        np.testing.assert_array_equal(report.iterations, np.minimum(unlimited.iterations, budget))
+
+    def test_order_two_takes_no_newton_step(self):
+        report = power_report(STUDY_MODEL, study_nodes(8), 2, STUDY_GRID)
+        assert np.all(report.iterations == 0)
+        assert set(report.stop_reasons) == {"converged"}
+
+
 class TestConvergenceStudy:
     def test_error_decreases_and_bound_dominates(self):
         model = FeatureModel.trigonometric(BOX, 21, decay=0.7)
@@ -274,19 +351,30 @@ class TestConvergenceStudy:
         f_norm = np.sum(np.abs(f_alpha) ** (4 / 3)) ** 0.75
         assert result.bound_dominates(1e-6 * (1 + f_norm))
 
+    @staticmethod
+    def check_row_against_long_double(m, n):
+        """The study row's max bound, and P_m at every grid point, against the
+        long-double Newton, to 1e-10 relative."""
+        f_alpha = np.random.default_rng(0).standard_normal(81)
+        row = convergence_study(STUDY_MODEL, f_alpha, m, [n], STUDY_GRID).rows[0]
+        f_norm = np.sum(np.abs(f_alpha) ** (m / (m - 1))) ** ((m - 1) / m)
+        nodes = study_nodes(n)
+        reference = power_values_long_double(STUDY_MODEL, nodes, m, STUDY_GRID).astype(float)
+        assert row.max_bound / (2.0 * f_norm) == pytest.approx(
+            float(reference.max()), rel=1e-10, abs=0.0)
+        np.testing.assert_allclose(power_report(STUDY_MODEL, nodes, m, STUDY_GRID).p_m,
+                                   reference, rtol=1e-10, atol=0.0)
+
     def test_max_pm_matches_long_double_newton(self):
         # the n = 32 row of the trig K = 81 study: P_m is about 1e-4 near
         # the nodes, where the Newton Hessian scales with the residuals
-        model = FeatureModel.trigonometric(BOX, 81, decay=0.5)
-        f_alpha = np.random.default_rng(0).standard_normal(81)
-        grid = domain_grid(BOX, 101)
-        row = convergence_study(model, f_alpha, 4, [32], grid).rows[0]
-        f_norm = np.sum(np.abs(f_alpha) ** (4 / 3)) ** 0.75
-        midpoints = (np.arange(32) + 0.5) / 16 - 1.0
-        reference = power_values_long_double(
-            model, NodeSet(midpoints[:, None], np.zeros(32)), 4, grid)
-        assert row.max_bound / (2.0 * f_norm) == pytest.approx(
-            float(reference.max()), rel=1e-10, abs=0.0)
+        self.check_row_against_long_double(4, 32)
+
+    @pytest.mark.parametrize("m, n", [(4, 64), (6, 32), (8, 32)])
+    def test_pm_matches_long_double_newton_at_every_point(self, m, n):
+        # P_m^m is far below 1 on these rows, so a stop on the gradient norm
+        # alone ends the descent several percent above the minimum
+        self.check_row_against_long_double(m, n)
 
     def test_target_in_reach_gives_tiny_error(self):
         model = FeatureModel.power_series(BOX, 3, weights=np.ones(3))

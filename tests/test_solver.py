@@ -233,7 +233,7 @@ class TestHessian:
         assert np.max(np.abs(H - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
-def never(gnorm, F):
+def never(gnorm, F, decrement):
     return False
 
 
@@ -287,6 +287,79 @@ class TestRealExponentCore:
         assert iterations == 1 and reason == "max_iterations"
         assert np.all(np.isfinite(z)) and np.isfinite(gnorm)
         assert F < trace[0]
+
+
+def small_decrement(gnorm, F, decrement):
+    return decrement is not None and decrement <= 1e-12 * F
+
+
+class TestLockStepCore:
+    """``_minimize_even_power`` on an (N, n) stack: one problem per row."""
+
+    @staticmethod
+    def stack(seed=45, N=6, n=5, K=40):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((n, K)).T, rng.standard_normal((N, K)), rng.standard_normal((N, n))
+
+    def test_rows_match_their_own_solves(self):
+        W, U, Z = self.stack()
+        stacked = _minimize_even_power(W, U, None, Z, 4, 50, small_decrement)
+        for i in range(len(Z)):
+            alone = _minimize_even_power(W, U[i], None, Z[i], 4, 50, small_decrement)
+            np.testing.assert_allclose(stacked[0][i], alone[0], rtol=1e-12, atol=1e-14)
+            assert stacked[1][i] == pytest.approx(alone[1], rel=1e-12)
+            assert (stacked[3][i], stacked[4][i]) == (alone[3], alone[4]) == (alone[3], "converged")
+
+    def test_singular_and_node_rows_end_on_their_own(self, monkeypatch):
+        # row 0's residual has one nonzero entry, so its Hessian is rank one
+        # under the ridge, which the patched solve rejects as LAPACK would a
+        # zero pivot; row 1 sits at an exact node: r = 0, a zero Hessian
+        W, U, Z = self.stack()
+        solve, rejected = np.linalg.solve, []
+
+        def rejecting_solve(a, b):
+            if np.any(np.linalg.cond(a) > 1e10):
+                rejected.append(np.ndim(a))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        Z[0], U[0] = 0.0, 0.0
+        U[0, 7] = 1.5
+        Z[1], U[1] = 0.0, 0.0
+        monkeypatch.setattr(np.linalg, "solve", rejecting_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, F, gnorm, iterations, reasons, _ = _minimize_even_power(
+                W, U, None, Z, 4, 50, small_decrement)
+        assert rejected[:2] == [3, 2]  # the chunk, then row 0 alone
+        assert np.all(np.isfinite(z)) and np.all(np.isfinite(F)) and np.all(np.isfinite(gnorm))
+        assert reasons[0] == "converged" and iterations[0] > 0 and F[0] < 1.5 ** 4 / 4
+        assert (reasons[1], iterations[1], F[1]) == ("converged", 0, 0.0)
+        np.testing.assert_array_equal(z[1], 0.0)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        rest = _minimize_even_power(W, U[2:], None, Z[2:], 4, 50, small_decrement)
+        np.testing.assert_allclose(z[2:], rest[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(F[2:], rest[1], rtol=1e-12)
+        np.testing.assert_array_equal(iterations[2:], rest[3])
+        np.testing.assert_array_equal(reasons[2:], rest[4])
+
+    @pytest.mark.parametrize("values", [1, 50, 1 << 20])
+    def test_hessian_chunks_do_not_change_the_steps(self, monkeypatch, values):
+        # one, two or all six 5 x 5 Hessians per stacked solve
+        W, U, Z = self.stack()
+        reference = _minimize_even_power(W, U, None, Z, 4, 50, small_decrement)
+        monkeypatch.setattr(mkinterp.solver, "_HESSIAN_VALUES", values)
+        chunked = _minimize_even_power(W, U, None, Z, 4, 50, small_decrement)
+        for got, want in zip(chunked[:5], reference[:5]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_budgets_per_row(self):
+        W, U, Z = self.stack()
+        z, _, _, iterations, reasons, trace = _minimize_even_power(
+            W, U, None, Z, 4, np.arange(6), never)
+        np.testing.assert_array_equal(iterations, np.arange(6))
+        assert set(reasons) == {"max_iterations"} and len(trace) == 6
+        np.testing.assert_array_equal(z[0], Z[0])
 
 
 def trig_3d_case():
@@ -392,15 +465,28 @@ class TestOuterGram:
         assert solve_multilinear(gram, 4, y).converged
         assert calls == []
 
-    def test_uncertified_fit_reads_the_svd_rank_test(self, monkeypatch):
+    def test_uncertified_fit_reads_the_svd_rank_test(self, monkeypatch, outer_gram_count):
         # the convergence study's n=64 design, cond(V) ~ 6.5e4: full rank, but
-        # past the certificate, so the start is least squares and the SVD decides
+        # past the certificate, so the start is least squares and the SVD decides,
+        # without a second V V^T or certificate
+        verdicts = []
+        certify = mkinterp.tensors._certifies_full_rank
+
+        def counting_certify(G, K):
+            verdicts.append(certify(G, K))
+            return verdicts[-1]
+
+        monkeypatch.setattr(mkinterp.solver, "_certifies_full_rank", counting_certify)
+        monkeypatch.setattr(mkinterp.tensors, "_certifies_full_rank", counting_certify)
         model = FeatureModel.trigonometric(Domain([-1.0], [1.0]), 81, 0.5)
         pts = (-1.0 + (np.arange(64) + 0.5) / 32)[:, None]
         gram = FeatureGram.from_model(model, pts)
         calls = count_rank_svds(monkeypatch)
-        solve_multilinear(gram, 2, np.sin(3 * pts[:, 0]))
-        assert gram.full_row_rank and calls == [1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SingularDesignWarning)
+            solve_multilinear(gram, 2, np.sin(3 * pts[:, 0]))
+        assert calls == [1] and verdicts == [False] and outer_gram_count == [1]
+        assert gram.full_row_rank  # the public test reaches the same verdict
 
 
 class TestResidualNorm:
