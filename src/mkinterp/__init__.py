@@ -20,8 +20,6 @@ from .exceptions import (
 from .features import (
     Domain,
     FeatureModel,
-    SummabilityReport,
-    check_summability,
     eval_features,
     graded_multi_indices,
 )
@@ -66,7 +64,7 @@ __all__ = [
     "DimensionMismatch", "DuplicateNodes", "InvalidExponent",
     "NotConverged", "OddOrderUnsupported", "PointOutsideDomain",
     "SingularDesignWarning", "SingularGram", "UntabulatedPoint", "ZeroFunction",
-    "Domain", "FeatureModel", "SummabilityReport", "check_summability", "eval_features",
+    "Domain", "FeatureModel", "eval_features",
     "graded_multi_indices",
     "Interpolant", "NodeSet", "banach_norm_direct", "banach_norm_via_tensor",
     "evaluate", "evaluate_many",

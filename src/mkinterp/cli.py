@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DuplicateNodes, NotConverged, SingularDesignWarning
-from .features import Domain, FeatureModel, tabulated
+from .features import Domain, FeatureModel, _distinct, tabulated
 from .interpolant import (
     Interpolant,
     NodeSet,
@@ -55,8 +55,9 @@ _EXIT_CODES = {
     csv.Error: 2,  # a CSV line the csv module cannot split, such as an overlong field
 }
 
-# Output rows are formatted and written this many at a time.
-CSV_CHUNK_ROWS = 4096
+# Output rows are formatted and written this many at a time; a chunk's
+# strings set the peak memory of `eval`.
+CSV_CHUNK_ROWS = 2048
 
 _DEFAULTS = {
     "kernel": "power",
@@ -194,14 +195,16 @@ def _node_set(points, values) -> NodeSet:
 def _cells(chunk: np.ndarray) -> list:
     """CSV cells of a column chunk: ``repr`` of a float, blank for NaN, else ``str``.
 
-    ``repr`` is the shortest round-trip form and never needs CSV quoting.
+    ``repr`` is the shortest round-trip form and never needs CSV quoting.  It
+    runs once per distinct float of the chunk, told apart by bit pattern (so
+    ``-0.0`` stays distinct from ``0.0``).
     """
     if chunk.dtype.kind != "f":
         return list(map(str, chunk.tolist()))
-    cells = list(map(repr, chunk.tolist()))
-    for i in np.flatnonzero(np.isnan(chunk)).tolist():
-        cells[i] = ""
-    return cells
+    values, index = _distinct(chunk)
+    texts = np.array(list(map(repr, values.tolist())), dtype=object)
+    texts[np.isnan(values)] = ""
+    return texts[index].tolist()
 
 
 def _write_csv(path: str, header, *columns) -> None:

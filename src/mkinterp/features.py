@@ -24,12 +24,14 @@ Both built-in families are products of one-dimensional factors, and each
 coordinate has only a few distinct ones (a 2-d trig model with K = 120 has
 17 and 15).  Per block of points and per coordinate, each distinct factor
 is evaluated once into a small table (``x**e``; ``cos`` only at cosine
-frequencies, ``sin`` only at sine ones).  :func:`eval_features` gathers the
-table columns into the K features; every entry takes the same float
-operations as the direct per-feature formula, so the result is bit-identical
-to it.  :func:`_feature_sum`, which evaluates an expansion
-``sum_k alpha_k phi_k``, contracts the same tables with the coefficients one
-coordinate at a time (sum factorization) and builds no (N, K) array.
+frequencies, ``sin`` only at sine ones) at each distinct value, by bit
+pattern, that the coordinate takes in the block; its rows are then gathered
+to the points.  :func:`eval_features` gathers the table columns into the K
+features; every entry takes the same float operations as the direct
+per-feature formula, so the result is bit-identical to it.
+:func:`_feature_sum`, which evaluates an expansion ``sum_k alpha_k phi_k``,
+contracts the same tables with the coefficients one coordinate at a time
+(sum factorization) and builds no (N, K) array.
 """
 
 from __future__ import annotations
@@ -156,13 +158,21 @@ def _trig_indices(dim, count):
     return np.zeros((0, dim), int), np.zeros((0, dim), int)  # count < 1
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of a small integer array.
+def _distinct(values: np.ndarray) -> tuple:
+    """Distinct entries of a 1-d array of float64 or int64, and where each lies.
 
-    Plain Python, because ``np.unique`` imports ``numpy.ma`` on first use
-    (about 1 MiB and 18 ms in every process).
+    Returns ``(distinct, index)`` with ``values == distinct[index]``.  Entries
+    are told apart by bit pattern, so ``-0.0`` and ``0.0`` are two values;
+    integers come out in increasing order.  A sort of the int64 view, because
+    ``np.unique`` imports ``numpy.ma`` on first use (about 1 MiB and 18 ms in
+    every process).
     """
-    return np.array(sorted(set(values.tolist())), dtype=values.dtype)
+    bits = values.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    first = np.ones(order.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return values[order[first]], np.searchsorted(ordered[first], bits)
 
 
 @dataclass(frozen=True)
@@ -262,14 +272,13 @@ class FeatureModel:
         It depends on the model only, so it is built on first use and kept.
         """
         if self.family == "power":
-            distinct = [_distinct(e) for e in self.exponents.T]
-            return tuple((d, np.searchsorted(d, e)) for d, e in zip(distinct, self.exponents.T))
+            return tuple(_distinct(e) for e in self.exponents.T)
         if self.family != "trig":
             return ()
         out = []
         for freqs, kinds in zip(self.frequencies.T, self.trig_kinds.T):
-            cos_freqs = _distinct(freqs[kinds == 1])
-            sin_freqs = _distinct(freqs[kinds == 2])
+            cos_freqs = _distinct(freqs[kinds == 1])[0]
+            sin_freqs = _distinct(freqs[kinds == 2])[0]
             gather = np.where(
                 kinds == 1,
                 np.searchsorted(cos_freqs, freqs),
@@ -289,21 +298,29 @@ class FeatureModel:
         array of prefixes in order of first appearance, the place of each
         feature in a (J_d, P) matrix (its last index, its prefix) and that
         matrix's shape.  Distinct features take distinct places.  Plain
-        Python, for the reason :func:`_distinct` gives.
+        Python, for the reason :func:`_distinct` gives.  Last comes the number
+        of values a block holds per point: its factor tables, S and one
+        gathered (B, P) temporary.
         """
         gathers = np.stack([factors[-1] for factors in self.coordinate_factors], axis=1)
         ids = {}
         prefix_of = [ids.setdefault(tuple(g[:-1]), len(ids)) for g in gathers.tolist()]
         prefixes = np.array(list(ids), dtype=int).reshape(len(ids), self.domain.dim - 1)
-        width = _factor_tables(self, np.empty((0, self.domain.dim)))[-1].shape[1]
-        return prefixes, (gathers[:, -1], np.array(prefix_of)), (width, len(ids))
+        widths = [table.shape[1]
+                  for table, _ in _factor_tables(self, np.empty((0, self.domain.dim)))]
+        return (prefixes, (gathers[:, -1], np.array(prefix_of)), (widths[-1], len(ids)),
+                sum(widths) + 2 * len(ids))
 
 
-def point_blocks(model: FeatureModel, count: int) -> list:
-    """Row slices covering ``range(count)``, each about ``BLOCK_VALUES`` features."""
-    width = model.truncation
-    if model.family == "custom":
-        width = max(width, model.table_points.size)  # lookup compares every entry
+def point_blocks(model: FeatureModel, count: int, width: int | None = None) -> list:
+    """Row slices covering ``range(count)``, each about ``BLOCK_VALUES`` values.
+
+    A row holds ``width`` values, by default the K features.
+    """
+    if width is None:
+        width = model.truncation
+        if model.family == "custom":
+            width = max(width, model.table_points.size)  # lookup compares every entry
     step = max(1, BLOCK_VALUES // width)
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
@@ -318,27 +335,33 @@ def _table_lookup(model: FeatureModel, X: np.ndarray):
 
 
 def _factor_tables(model: FeatureModel, X: np.ndarray) -> list:
-    """Per coordinate, the (B, J_j) factor table (see
-    :attr:`FeatureModel.coordinate_factors`) at the rows of a projected block;
-    ValueError at a point where a ``power`` table overflows (cos, sin cannot)."""
+    """Per coordinate j of a projected block, ``(T_j, index_j)``: the (U_j, J_j)
+    factor table (see :attr:`FeatureModel.coordinate_factors`) at the U_j
+    distinct values of ``X[:, j]``, and the row of it that each point takes.
+
+    Each distinct value's factors are computed once, by the same float
+    operations as at every point that holds it.  ValueError at the first
+    point where a ``power`` table overflows (cos, sin cannot).
+    """
+    columns = [_distinct(X[:, j]) for j in range(X.shape[1])]
     if model.family == "power":
         with np.errstate(over="ignore"):
-            tables = [X[:, j:j + 1] ** exponents
-                      for j, (exponents, _) in enumerate(model.coordinate_factors)]
-        finite = np.all([np.isfinite(table).all(axis=1) for table in tables], axis=0)
+            tables = [(values[:, None] ** exponents, index)
+                      for (values, index), (exponents, _) in zip(columns, model.coordinate_factors)]
+        finite = np.all([np.isfinite(table).all(axis=1)[index] for table, index in tables],
+                        axis=0)
         if not np.all(finite):
             raise ValueError(f"features overflow at point {X[np.argmin(finite)].tolist()}")
         return tables
-    ones = np.ones((X.shape[0], 1))
-    return [np.hstack([np.cos(cos_scales * X[:, j:j + 1]),
-                       np.sin(sin_scales * X[:, j:j + 1]), ones])
-            for j, (cos_scales, sin_scales, _) in enumerate(model.coordinate_factors)]
+    return [(np.hstack([np.cos(cos_scales * values[:, None]),
+                        np.sin(sin_scales * values[:, None]), np.ones((values.size, 1))]), index)
+            for (values, index), (cos_scales, sin_scales, _) in zip(columns, model.coordinate_factors)]
 
 
 def _features_block(model: FeatureModel, X: np.ndarray) -> np.ndarray:
     """Unscaled basis values ``b_k`` at the rows of a projected (B, d) block.
 
-    Each coordinate's factor table is gathered into the K columns.
+    Each coordinate's factor table is gathered into the B rows and K columns.
     """
     if model.family == "custom":
         hits, found = _table_lookup(model, X)
@@ -346,8 +369,8 @@ def _features_block(model: FeatureModel, X: np.ndarray) -> np.ndarray:
             raise UntabulatedPoint(f"point {X[np.argmin(found)].tolist()} is not tabulated")
         return model.table_features[hits]
     vals = np.ones((X.shape[0], model.truncation))
-    for table, factors in zip(_factor_tables(model, X), model.coordinate_factors):
-        vals *= np.take(table, factors[-1], axis=1)
+    for (table, index), factors in zip(_factor_tables(model, X), model.coordinate_factors):
+        vals *= np.take(table[index], factors[-1], axis=1)
     return vals
 
 
@@ -375,27 +398,29 @@ def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.nd
     ``power``, ``trig``: the products ``sqrt(w_k) alpha_k`` fill a (J_d, P)
     matrix C (see :attr:`FeatureModel._sum_plan`); per block, ``S = T_d @ C``
     is multiplied by each earlier coordinate's table at the prefix columns and
-    summed over the P prefixes.  Per point that is ``sum_j J_j`` factors,
-    ``J_d P`` multiply-adds and ``(d-1) P`` gathers, and no (N, K) array is
-    built.  ``custom`` looks its rows up.  Rows agree with
-    ``eval_features(model, X) @ alpha`` to the rounding of a K-term sum.  An
-    empty array of any width gives (0,) without a check.
+    summed over the P prefixes.  Per point that is ``J_d P`` multiply-adds and
+    ``(d-1) P`` gathers, the factors are computed once per distinct coordinate
+    value of a block, and no (N, K) array is built; blocks hold about
+    ``BLOCK_VALUES`` of these values.  ``custom`` looks its rows up.  Rows
+    agree with ``eval_features(model, X) @ alpha`` to the rounding of a K-term
+    sum.  An empty array of any width gives (0,) without a check.
     """
     beta = np.sqrt(model.weights) * alpha
+    width = None
     if model.family != "custom":
-        prefixes, places, shape = model._sum_plan
+        prefixes, places, shape, width = model._sum_plan
         C = np.zeros(shape)
         C[places] = beta
     values = np.empty(X.shape[0])
-    for rows in point_blocks(model, X.shape[0]):
+    for rows in point_blocks(model, X.shape[0], width):
         block = model.domain.project(X[rows])
         if model.family == "custom":
             values[rows] = _features_block(model, block) @ beta
             continue
-        *tables, last = _factor_tables(model, block)
-        S = last @ C
-        for j, table in enumerate(tables):
-            S *= np.take(table, prefixes[:, j], axis=1)
+        *tables, (last, index) = _factor_tables(model, block)
+        S = last[index] @ C
+        for j, (table, index) in enumerate(tables):
+            S *= np.take(table[index], prefixes[:, j], axis=1)
         values[rows] = S.sum(axis=1)
     return values
 
@@ -418,35 +443,3 @@ def tabulated(model: FeatureModel, points) -> np.ndarray:
 def require_even_order(m: int) -> None:
     if m < 2 or m % 2 != 0:
         raise OddOrderUnsupported(f"order m must be even and >= 2, got {m}")
-
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    max_abs_sum: float
-    tail_ratio: float
-
-
-def check_summability(model: FeatureModel, grid) -> SummabilityReport:
-    """Diagnose how faithful the truncation is on a sample grid.
-
-    ``max_abs_sum`` is the grid maximum of ``sum_k |phi_k(x)|``;
-    ``tail_ratio`` is the worst ratio of the second-half tail to the whole
-    sum (0 for a single feature).  Small tail ratios indicate the retained
-    features dominate the discarded ones.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    X = np.asarray(grid, dtype=float).reshape(len(grid), -1)
-    K = model.truncation
-    max_abs_sum = 0.0
-    tail_ratio = 0.0
-    for rows in point_blocks(model, X.shape[0]):
-        a = np.abs(eval_features(model, X[rows]))
-        total = a.sum(axis=1)
-        max_abs_sum = max(max_abs_sum, float(total.max()))
-        positive = total > 0
-        if K > 1 and np.any(positive):
-            tails = a[positive, K // 2:].sum(axis=1) / total[positive]
-            tail_ratio = max(tail_ratio, float(tails.max()))
-    return SummabilityReport(max_abs_sum=max_abs_sum, tail_ratio=tail_ratio)

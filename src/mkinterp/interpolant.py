@@ -30,6 +30,43 @@ from .tensors import FeatureGram, contract_m
 
 MIN_NODE_SEPARATION = 1e-12
 
+# The node pair scan holds temporaries of at most this many doubles (128 KiB).
+SCAN_VALUES = 1 << 14
+
+
+def _nearest_later(pts: np.ndarray, start: int, stop: int) -> tuple:
+    """For rows ``start <= i < stop``: the least squared distance to a row
+    j > i, or the first NaN one, and that j.  Sums one coordinate at a time."""
+    block = pts[start:stop]
+    dist_sq = np.zeros((block.shape[0], pts.shape[0] - start - 1))
+    diff = np.empty_like(dist_sq)
+    for j in range(pts.shape[1]):
+        np.subtract(pts[start + 1:, j], block[:, j, None], out=diff)
+        dist_sq += np.multiply(diff, diff, out=diff)
+    dist_sq[np.arange(dist_sq.shape[1]) < np.arange(block.shape[0])[:, None]] = np.inf  # j <= i
+    cols = np.argmin(dist_sq, axis=1)
+    return dist_sq[np.arange(block.shape[0]), cols], start + 1 + cols
+
+
+def _closest_pair(pts: np.ndarray) -> tuple:
+    """Squared distance and ``(i, j)``, i < j, of the first closest pair of rows.
+
+    Scans blocks of rows, each temporary at most ``SCAN_VALUES`` doubles.  A
+    row with a NaN distance counts for nothing, and an overflowed distance
+    is inf; ``(inf, None)`` if no pair is left.
+    """
+    n = pts.shape[0]
+    step = max(1, SCAN_VALUES // max(n, 1))
+    closest_sq, pair = np.inf, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n - 1, step):
+            best, nearest = _nearest_later(pts, start, min(start + step, n - 1))
+            best[np.isnan(best)] = np.inf
+            r = int(np.argmin(best))
+            if best[r] < closest_sq:
+                closest_sq, pair = float(best[r]), (start + r, int(nearest[r]))
+    return closest_sq, pair
+
 
 @dataclass(frozen=True)
 class NodeSet:
@@ -49,15 +86,7 @@ class NodeSet:
             raise DimensionMismatch("values must be one per point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-        # the closest pair i < j, scanned one node at a time in O(n d) memory;
-        # a squared distance that overflows is inf, which is not a duplicate
-        closest_sq, pair = np.inf, None
-        with np.errstate(over="ignore"):
-            for i in range(pts.shape[0] - 1):
-                dist_sq = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
-                j = int(np.argmin(dist_sq))
-                if dist_sq[j] < closest_sq:
-                    closest_sq, pair = float(dist_sq[j]), (i, i + 1 + j)
+        closest_sq, pair = _closest_pair(pts)
         if np.sqrt(closest_sq) <= MIN_NODE_SEPARATION:
             raise DuplicateNodes(*pair)
 

@@ -3,11 +3,13 @@
 None of these is fast or meant for use outside the tests: a dense n^m
 tensor with an entry budget, the kernels Phi_2 and Phi_m formed point by
 point, interpolant evaluation through the tensor basis, the closed form of
-P_2 through ``A_2^{-1}``, a grid search for P_m, a long-double Newton for
-P_m, the dual pairing as a dot product, and sampling checks that can
-falsify (never certify) the monotonicity and semi-definiteness of the
-tensor.  The package computes each of these quantities by one route only;
-these are the second routes the tests hold it to.
+P_2 through ``A_2^{-1}``, a grid search for P_m, a Newton for P_m
+polished in long double, the dual pairing as a dot product, and sampling
+checks that can falsify (never certify) the monotonicity and
+semi-definiteness of the tensor.  The package computes each of these
+quantities by one route only; these are the second routes the tests hold
+it to.  The summability diagnostic of a truncation lives here too, since
+no package code calls it.
 """
 
 import string
@@ -17,7 +19,7 @@ from itertools import product as _cartesian
 import numpy as np
 
 from mkinterp.exceptions import DimensionMismatch, SingularGram
-from mkinterp.features import FeatureModel, eval_features, require_even_order
+from mkinterp.features import FeatureModel, eval_features, point_blocks, require_even_order
 from mkinterp.interpolant import Interpolant, NodeSet
 from mkinterp.tensors import FeatureGram, contract_m, contract_m_minus_1
 
@@ -152,45 +154,22 @@ def power_function_dense_oracle(model: FeatureModel, nodes: NodeSet, m: int, x,
     return float(max(best[0], 0.0) ** (1.0 / m))
 
 
-def _solve_spd(H, g):
-    """Solve ``H[p] s[p] = g[p]`` for a stack of SPD matrices, any float type.
+def _damped_newton(V, B, theta, m, max_iterations):
+    """Damped Newton on ``q = sum_k (B[p, k] - (theta V)[p, k])^m`` for each row p.
 
-    Gaussian elimination without pivoting, which is stable for SPD systems;
-    numpy's LAPACK routines take no long double.
+    Residuals, q and the gradient are formed in the float type of ``V``,
+    ``B`` and ``theta``; the Hessian and the solve for the Newton step in
+    float64 (BLAS products, LAPACK), which moves only how fast the descent
+    goes.  A step is taken only if it lowers q; a row stops once no halving
+    of its Newton step does, so the ridge on the Hessian slows the descent
+    but does not move where it ends.  Returns theta and q.
     """
-    H, g = H.copy(), g.copy()
-    n = g.shape[1]
-    for j in range(n):
-        factor = H[:, j + 1:, j] / H[:, j, j, None]
-        H[:, j + 1:, j:] -= factor[:, :, None] * H[:, None, j, j:]
-        g[:, j + 1:] -= factor * g[:, j, None]
-    s = np.empty_like(g)
-    for j in reversed(range(n)):
-        s[:, j] = (g[:, j] - np.sum(H[:, j, j + 1:] * s[:, j + 1:], axis=1)) / H[:, j, j]
-    return s
-
-
-def power_values_long_double(model: FeatureModel, nodes: NodeSet, m: int,
-                             points, max_iterations: int = 200) -> np.ndarray:
-    """P_m at each row of ``points`` by damped Newton in long double.
-
-    Minimizes ``q = sum_k (phi_k(x) - sum_i theta_i phi_k(x_i))^m`` from
-    the l2 start, with every sum, Hessian and solve in ``np.longdouble``
-    (64-bit significand on x86-64).  A step is taken only if it lowers q;
-    a point stops once no halving of its Newton step does, so the ridge on
-    the Hessian slows the descent but does not move where it ends.  The
-    features themselves are the package's float64 values.
-    """
-    V = eval_features(model, nodes.points)
-    B = eval_features(model, np.atleast_2d(np.asarray(points, dtype=float)))
-    start, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
-    V, B = V.astype(np.longdouble), B.astype(np.longdouble)
-    theta = start.T.astype(np.longdouble)
-
     def objective(theta, rows):
         r = B[rows] - theta @ V
         return r, np.sum(r ** m, axis=1)
 
+    V64 = V.astype(float)
+    theta = theta.copy()
     r, q = objective(theta, slice(None))
     active = np.ones(len(q), dtype=bool)
     for _ in range(max_iterations):
@@ -198,13 +177,13 @@ def power_values_long_double(model: FeatureModel, nodes: NodeSet, m: int,
             break
         ra = r[active]
         grad = -m * (ra ** (m - 1)) @ V.T
-        hess = m * (m - 1) * np.einsum("pk,ik,jk->pij", ra ** (m - 2), V, V)
-        # a ridge far above long-double rounding keeps every pivot positive
-        # where nodes reproduce many features exactly (H nearly singular)
+        hess = m * (m - 1) * ((ra.astype(float) ** (m - 2))[:, None, :] * V64) @ V64.T
+        # a ridge keeps every pivot positive where nodes reproduce many
+        # features exactly (H nearly singular)
         diagonal = np.einsum("pii->pi", hess)
         diagonal += 1e-15 * diagonal.mean(axis=1, keepdims=True)
-        pending, step = np.flatnonzero(active), _solve_spd(hess, -grad)
-        eta = np.longdouble(1.0)
+        step = np.linalg.solve(hess, -grad.astype(float)[..., None])[..., 0]
+        pending, step, eta = np.flatnonzero(active), step.astype(V.dtype), V.dtype.type(1.0)
         for _ in range(60):
             cand = theta[pending] + eta * step
             cand_r, cand_q = objective(cand, pending)
@@ -216,7 +195,58 @@ def power_values_long_double(model: FeatureModel, nodes: NodeSet, m: int,
                 break
             eta /= 2
         active[pending] = False
+    return theta, q
+
+
+def power_values_long_double(model: FeatureModel, nodes: NodeSet, m: int,
+                             points, max_iterations: int = 200) -> np.ndarray:
+    """P_m at each row of ``points`` by damped Newton, polished in long double.
+
+    Minimizes ``q = sum_k (phi_k(x) - sum_i theta_i phi_k(x_i))^m`` from
+    the l2 start, first in float64, then from there with residuals, q and
+    gradients in ``np.longdouble`` (64-bit significand on x86-64) until no
+    halving of a Newton step lowers q (see :func:`_damped_newton`).  The
+    features themselves are the package's float64 values.
+    """
+    V = eval_features(model, nodes.points)
+    B = eval_features(model, np.atleast_2d(np.asarray(points, dtype=float)))
+    start, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
+    theta, _ = _damped_newton(V, B, start.T, m, max_iterations)
+    V, B = V.astype(np.longdouble), B.astype(np.longdouble)
+    _, q = _damped_newton(V, B, theta.astype(np.longdouble), m, max_iterations)
     return np.maximum(q, 0.0) ** (np.longdouble(1.0) / m)
+
+
+@dataclass(frozen=True)
+class SummabilityReport:
+    max_abs_sum: float
+    tail_ratio: float
+
+
+def check_summability(model: FeatureModel, grid) -> SummabilityReport:
+    """Diagnose how faithful the truncation is on a sample grid.
+
+    ``max_abs_sum`` is the grid maximum of ``sum_k |phi_k(x)|``;
+    ``tail_ratio`` is the worst ratio of the second-half tail to the whole
+    sum (0 for a single feature).  Small tail ratios indicate the retained
+    features dominate the discarded ones.
+    """
+    grid = list(grid)
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    X = np.asarray(grid, dtype=float).reshape(len(grid), -1)
+    K = model.truncation
+    max_abs_sum = 0.0
+    tail_ratio = 0.0
+    for rows in point_blocks(model, X.shape[0]):
+        a = np.abs(eval_features(model, X[rows]))
+        total = a.sum(axis=1)
+        max_abs_sum = max(max_abs_sum, float(total.max()))
+        positive = total > 0
+        if K > 1 and np.any(positive):
+            tails = a[positive, K // 2:].sum(axis=1) / total[positive]
+            tail_ratio = max(tail_ratio, float(tails.max()))
+    return SummabilityReport(max_abs_sum=max_abs_sum, tail_ratio=tail_ratio)
 
 
 def dual_pairing(alpha, beta) -> float:

@@ -24,6 +24,7 @@ from mkinterp import (
     solve_multilinear,
     to_json,
 )
+from mkinterp import cli
 from mkinterp.cli import main
 
 DATA_2ROW = "x1,y\n0,8\n1,9\n"
@@ -529,6 +530,46 @@ class TestDeterminism:
         a = out1.read_bytes()
         b = out2.read_bytes()
         assert a == b
+
+
+
+def per_cell_csv(header, *columns):
+    """The CSV text of ``_write_csv`` built one cell at a time."""
+    def cell(value):
+        if isinstance(value, float):
+            return "" if math.isnan(value) else repr(value)
+        return str(value)
+    lines = [",".join(header)]
+    lines += [",".join(cell(v) for v in row) for row in zip(*(c.tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvCells:
+    """A float column's cells are ``repr`` once per distinct bit pattern."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 2048])
+    def test_byte_identical_to_per_cell_repr(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(chunk_rows)
+        negative_nan = -np.float64(np.nan)
+        pool = np.array([0.0, -0.0, np.nan, negative_nan, 0.1, 1 / 3, -1e-300, 5e-324,
+                         1e16, 2.0 ** 60])
+        repeats = pool[rng.integers(0, pool.size, 61)]
+        grid = np.repeat(np.linspace(-1.0, 1.0, 7), 9)[:61]
+        scattered = rng.standard_normal(61)
+        counts = rng.integers(-3, 70, 61)
+        flags = np.where(np.isnan(repeats), "outside_domain", "")
+        header = ["a", "b", "c", "n", "flag"]
+        path = tmp_path / "out.csv"
+        cli._write_csv(str(path), header, repeats, grid, scattered, counts, flags)
+        text = path.read_text(encoding="utf-8")
+        assert text == per_cell_csv(header, repeats, grid, scattered, counts, flags)
+        assert {"-0.0", "0.0", ""} <= set(text.replace("\n", ",").split(","))
+
+    def test_empty_columns_write_the_header_only(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cli._write_csv(str(path), ["x1", "s"], np.empty(0), np.empty(0))
+        assert path.read_text(encoding="utf-8") == "x1,s\n"
 
 
 # Numeric flag values: special floats first, then any float.

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from mkinterp import (
     OddOrderUnsupported,
     PointOutsideDomain,
     UntabulatedPoint,
-    check_summability,
     eval_features,
     graded_multi_indices,
 )
+from mkinterp import features
 from mkinterp.features import BLOCK_VALUES, point_blocks
-from oracles import eval_kernel2, eval_multikernel
+from oracles import check_summability, eval_kernel2, eval_multikernel
 
 BOX = Domain([-1.0], [1.0])
 
@@ -298,6 +299,90 @@ class TestMultiKernel:
     def test_rejects_outside_point(self):
         with pytest.raises(PointOutsideDomain):
             eval_multikernel(monomials(2), 2, [[0.0], [2.0]])
+
+
+def same_bits(a, b):
+    """Equal arrays, bit for bit: ``-0.0`` differs from ``0.0``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def tensor_grid(*axes):
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+class TestDistinctValueTables:
+    """Each block computes a coordinate's factors once per distinct value,
+    told apart by bit pattern, and gathers them into the rows."""
+
+    BOX = Domain([-1.0, -1.0, -1.0], [1.5, 1.5, 1.5])
+
+    @staticmethod
+    def repeated_grid(count):
+        """A 3-d grid with repeats, ``+-0.0``, and points clamped onto a face."""
+        axis = np.array([-0.0, 0.0, 0.25, -1.0 - 5e-13, 1.5 + 5e-13, 1.5, -0.75, 0.25])
+        X = tensor_grid(axis, axis[::-1], axis[2:])
+        return np.resize(X, (count, 3))
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_bit_identical_to_the_per_feature_formula(self, family):
+        K = {"power": 47, "trig": 90}[family]
+        model = build(family, self.BOX, K, weights=np.random.default_rng(5).uniform(0.1, 3.0, K))
+        X = self.repeated_grid(3 * point_blocks(model, 10 ** 6)[0].stop + 5)
+        got = eval_features(model, X)
+        assert same_bits(got, reference_features(model, X))
+        assert same_bits(got, row_by_row(model, X))
+        # the signed zero reaches the output: odd powers and sines keep it
+        first = model.domain.project(X)[:, 0]
+        rows = (first == 0.0) & np.signbit(first)
+        assert np.any(rows) and np.any((got[rows] == 0.0) & np.signbit(got[rows]))
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_repeats_straddling_a_block_boundary(self, family):
+        model = build(family, self.BOX, 60)
+        step = point_blocks(model, 10 ** 6)[0].stop
+        rng = np.random.default_rng(9)
+        values = rng.uniform(-1.0, 1.5, size=(4, 3))
+        X = values[rng.integers(0, 4, size=2 * step + 7)]  # every row repeats across blocks
+        X[step - 1:step + 1] = values[0]  # the last row of a block and the first of the next
+        got = eval_features(model, X)
+        assert same_bits(got, reference_features(model, X))
+        assert same_bits(got[step - 1], got[step])
+        alpha = rng.standard_normal(model.truncation)
+        width = model._sum_plan[-1]
+        sum_step = point_blocks(model, 10 ** 6, width)[0].stop
+        Y = values[rng.integers(0, 4, size=2 * sum_step + 7)]
+        sums = features._feature_sum(model, Y, alpha)
+        singles = np.array([features._feature_sum(model, y[None, :], alpha)[0] for y in Y])
+        bound = 2 * model.truncation * np.finfo(float).eps * np.abs(
+            alpha * eval_features(model, Y)).sum(axis=1)
+        assert np.all(np.abs(sums - singles) <= bound)
+        for i in range(4):  # equal points, equal sums, in whatever block they fall
+            rows = np.flatnonzero((Y == values[i]).all(axis=1))
+            assert np.all(sums[rows] == sums[rows[0]])
+
+    def test_power_overflow_names_the_first_point_in_input_order(self):
+        model = FeatureModel.power_series(Domain([-1e200, -1.0], [1e200, 1.0]), 6)
+        X = np.array([[0.5, 0.0], [1e10, 0.5], [5e170, 0.0], [-3e170, 1.0],
+                      [2e160, 0.0], [5e170, 0.0]])
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(reference_features(model, X)).all(axis=1)
+        first = X[np.argmin(finite)].tolist()
+        assert first == [5e170, 0.0]  # not the least value, nor the least bit pattern
+        with pytest.raises(ValueError, match=re.escape(f"features overflow at point {first}")):
+            eval_features(model, X)
+        with pytest.raises(ValueError, match=re.escape(f"features overflow at point {first}")):
+            features._feature_sum(model, X, np.zeros(model.truncation))
+
+    def test_distinct_tells_signed_zeros_apart(self):
+        column = np.array([0.0, -0.0, 2.0, 0.0, -0.0, np.nan, 2.0])
+        values, index = features._distinct(column)
+        assert np.array_equal(values[index].view(np.int64), column.view(np.int64))
+        assert values.size == 4
+        ints, where = features._distinct(np.array([5, 3, 5, 0, 3]))
+        assert ints.tolist() == [0, 3, 5] and where.tolist() == [2, 1, 2, 0, 1]
+        empty, nowhere = features._distinct(np.empty(0))
+        assert empty.size == 0 and nowhere.size == 0
 
 
 class TestSummability:

@@ -30,7 +30,7 @@ from mkinterp import (
     gateaux_coefficients,
     to_json,
 )
-from mkinterp import features
+from mkinterp import features, interpolant
 from mkinterp.features import FACE_TOLERANCE, TABLE_TOLERANCE
 from mkinterp.tensors import FeatureGram
 from oracles import dual_pairing, evaluate_tensor_basis
@@ -90,6 +90,58 @@ class TestNodeSet:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+    def test_duplicate_scan_temporaries_stay_within_their_cap(self):
+        # a (rows, n) block of squared distances and one of differences, each
+        # at most SCAN_VALUES doubles, plus numpy's own buffers
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(400, 3))
+        NodeSet(pts, np.zeros(400))
+        tracemalloc.start()
+        try:
+            NodeSet(pts, np.zeros(400))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * interpolant.SCAN_VALUES
+
+
+def loop_closest_pair(pts):
+    """The one-node-at-a-time scan: per row i, the first nearest later row."""
+    closest_sq, pair = np.inf, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(pts.shape[0] - 1):
+            dist_sq = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
+            j = int(np.argmin(dist_sq))
+            if dist_sq[j] < closest_sq:
+                closest_sq, pair = float(dist_sq[j]), (i, i + 1 + j)
+    return closest_sq, pair
+
+
+class TestClosestPairScan:
+    """The block scan reports the pair the one-row loop reports."""
+
+    @pytest.mark.parametrize("scan_values", [1, 5, 64, 1 << 14])
+    def test_ties_match_the_loop_across_blocks(self, scan_values, monkeypatch):
+        monkeypatch.setattr(interpolant, "SCAN_VALUES", scan_values)
+        rng = np.random.default_rng(scan_values)
+        for trial in range(60):
+            n, d = int(rng.integers(0, 40)), int(rng.integers(1, 5))
+            pts = rng.integers(0, 3, size=(n, d)).astype(float)  # many equal distances
+            if trial % 3 == 1 and n:
+                pts.flat[rng.integers(0, pts.size, 2)] = [np.nan, np.inf]
+            elif trial % 3 == 2:
+                pts *= 1e200  # squared distances overflow
+            assert interpolant._closest_pair(pts) == loop_closest_pair(pts)
+
+    def test_duplicates_straddling_a_block_boundary(self, monkeypatch):
+        monkeypatch.setattr(interpolant, "SCAN_VALUES", 24)  # 3 rows per block at n = 8
+        pts = np.arange(8.0)[:, None] * np.array([[1.0, 2.0]])
+        pts[5] = pts[2]  # rows 2 and 5 fall in different blocks
+        pts[7] = pts[4]
+        with pytest.raises(DuplicateNodes) as exc:
+            NodeSet(pts, np.zeros(8))
+        assert exc.value.pair == (2, 5) == loop_closest_pair(pts)[1]
 
 
 class TestFit:
@@ -230,6 +282,41 @@ class TestEvaluateMany:
         X = np.vstack([np.random.default_rng(72).uniform(-1, 2, size=(3000, dim)),
                        face_points(dim)])
         assert within_sum_bound(s, X, evaluate_many(s, X))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_grid_matches_evaluate_point_by_point(self, family, dim):
+        # a tensor grid repeats every coordinate value across rows and blocks
+        s = family_fit(family, dim)
+        axis = np.concatenate([np.linspace(-1.0, 2.0, 23 if dim == 2 else 9),
+                               [-0.0, 2.0 + FACE_TOLERANCE / 2]])
+        X = np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1)
+        got = evaluate_many(s, X)
+        one_by_one = np.array([evaluate(s, x) for x in X])
+        alpha = feature_coefficients(s)
+        terms = np.abs(alpha * eval_features(s.model, X))
+        assert np.all(np.abs(got - one_by_one)
+                      <= 2 * alpha.size * np.finfo(float).eps * terms.sum(axis=1))
+        assert within_sum_bound(s, X, got)
+
+    def test_grid_memory_stays_within_blocks(self):
+        # the benchmark's 2-d model shape (trig K = 120) on a 201 x 201 grid:
+        # the result plus about two blocks of BLOCK_VALUES doubles; the
+        # (N, K) features alone would be 37 MiB
+        box2 = Domain([-1.0, -1.0], [1.0, 1.0])
+        model = FeatureModel.trigonometric(box2, 120, decay=0.5)
+        pts = np.random.default_rng(60).uniform(-1, 1, size=(30, 2))
+        s = fit(model, NodeSet(pts, np.sin(2 * pts[:, 0]) + pts[:, 1]), 4)
+        axis = np.linspace(-1.0, 1.0, 201)
+        X = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        evaluate_many(s, X[:10])
+        tracemalloc.start()
+        try:
+            evaluate_many(s, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.shape[0] * 8 + 2 * 8 * features.BLOCK_VALUES
 
     def test_custom_table(self):
         s = custom_fit()

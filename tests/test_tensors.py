@@ -143,7 +143,8 @@ class TestDenseOracle:
         moved = {"DenseTensor", "dense_tensor", "DENSE_ENTRY_BUDGET", "BudgetExceeded",
                  "evaluate_tensor_basis", "power_function_dense_oracle",
                  "check_strict_monotone", "check_semi_pd", "MonotoneReport", "SemiPDReport",
-                 "eval_kernel2", "eval_multikernel", "power_function_p2_closed", "dual_pairing"}
+                 "eval_kernel2", "eval_multikernel", "power_function_p2_closed", "dual_pairing",
+                 "check_summability", "SummabilityReport"}
         assert moved.isdisjoint(mkinterp.__all__)
 
     def test_budget_enforced(self):
