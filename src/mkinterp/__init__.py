@@ -13,7 +13,6 @@ from .exceptions import (
     OddOrderUnsupported,
     PointOutsideDomain,
     SingularDesignWarning,
-    SingularGram,
     UntabulatedPoint,
     ZeroFunction,
 )
@@ -63,7 +62,7 @@ from .tensors import (
 __all__ = [
     "DimensionMismatch", "DuplicateNodes", "InvalidExponent",
     "NotConverged", "OddOrderUnsupported", "PointOutsideDomain",
-    "SingularDesignWarning", "SingularGram", "UntabulatedPoint", "ZeroFunction",
+    "SingularDesignWarning", "UntabulatedPoint", "ZeroFunction",
     "Domain", "FeatureModel", "eval_features",
     "graded_multi_indices",
     "Interpolant", "NodeSet", "banach_norm_direct", "banach_norm_via_tensor",

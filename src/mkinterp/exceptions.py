@@ -50,7 +50,3 @@ class InvalidExponent(ValueError):
 
 class ZeroFunction(ValueError):
     """The norm's Gateaux derivative is undefined at the zero function."""
-
-
-class SingularGram(ValueError):
-    """The n x n Gram matrix is numerically singular."""

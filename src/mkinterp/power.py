@@ -87,17 +87,11 @@ def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def grid_spacing(domain: Domain, per_dim: int) -> float:
-    """Spacing of :func:`domain_grid`; the uncertainty of the reported sup."""
-    widths = (domain.upper - domain.lower) / (per_dim - 1)
-    return float(np.linalg.norm(widths))
-
-
 def fill_distance(nodes: NodeSet, domain: Domain, grid_per_dim: int) -> float:
     """Grid approximation of ``sup_x min_i ||x - x_i||_2``.
 
     The sup is taken over a uniform tensor grid, so the result is accurate
-    to the grid spacing (see :func:`grid_spacing`).  Raises ValueError if
+    to the grid spacing, the diagonal of one grid cell.  Raises ValueError if
     it overflows.
     """
     grid = domain_grid(domain, grid_per_dim)

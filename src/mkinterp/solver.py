@@ -24,7 +24,7 @@ and the power function on the decrement relative to F.  For m = 2 the core
 reduces to the linear solve ``(V V^T) c = y``.
 
 The core takes any real exponent p >= 2 in place of m, with ``|r|^p`` in F,
-so a fit can start by exponent continuation (the p-homotopy of iteratively
+so a fit starts by exponent continuation (the p-homotopy of iteratively
 reweighted least squares; Burrus, Barreto and Selesnick, IEEE Trans. Signal
 Process. 42(11), 1994): from the l2 solution, one damped Newton step at
 each p = 3, ..., m-1 brings the start nearer the order-m minimizer, so
@@ -49,7 +49,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, SingularDesignWarning
 from .features import require_even_order
-from .tensors import FeatureGram, _certifies_full_rank, contract_m_minus_1
+from .tensors import FeatureGram, contract_m_minus_1
 
 # Newton and line-search constants, shared by every descent in this module.
 _RIDGE_FLOOR = 1e-12
@@ -69,26 +69,21 @@ _HESSIAN_VALUES = 1 << 14
 class SolverOptions:
     """Tuning knobs shared by the interpolation and regularized solvers.
 
-    ``init`` selects the starting point: ``"zero"`` or ``"linear"``: solve
-    the m = 2 system, then, for m > 2 and ``max_iterations > 0``, continue
-    it through the exponents p = 3, ..., m-1 with one Newton step each,
-    rescaling to each order's homogeneity.  The continued start is kept only
-    if its order-m potential is no higher than that of the l2 solution
-    rescaled to order m, which is the start otherwise.
-    ``rng_seed`` has no reader; it stays because the benchmark harness
-    (``bench/workloads.py``) sets it.
+    ``max_iterations`` bounds the Newton steps of a solve, those of its
+    start included.  ``rng_seed`` has no reader; it stays because the
+    benchmark harness (``bench/workloads.py``) sets it.
     """
 
     residual_tol: float = 1e-10
     max_iterations: int = 200
-    init: str = "linear"
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
-        if self.init not in ("zero", "linear"):
-            raise ValueError("init must be 'zero' or 'linear'")
+        it = self.max_iterations
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 0:
+            raise ValueError(f"max_iterations must be a nonnegative integer, got {it!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class SolveReport:
     (no step passes the line search, so the last iterate is kept) or
     ``"non_finite"`` (the residual or the potential overflowed).
     ``iterations`` counts every accepted Newton step, the continuation
-    steps of the ``"linear"`` start included, and with them never exceeds
+    steps of the start included, and with them never exceeds
     ``max_iterations``; ``objective_trace`` holds the order-m potential of
     each order-m iterate only.
     """
@@ -309,6 +304,23 @@ def _rescale(W, c, y, p):
     return c
 
 
+def _certifies_full_rank(G: np.ndarray, K: int) -> bool:
+    """Eigenvalue certificate that the n x K design behind ``G = V V^T`` has rank n.
+
+    True when the eigenvalues of G satisfy ``lambda_min > delta lambda_max``
+    with ``delta = 1e4 n K eps``.  The rounding of forming and diagonalizing
+    ``V V^T`` moves an eigenvalue by about ``n K eps lambda_max``, four
+    orders of magnitude less, so a certified V has full row rank and cond(V)
+    below about ``1/sqrt(delta)``.  False proves nothing: near-singular
+    designs, and an overflowed Gram (non-finite eigenvalues), are left to
+    the SVD.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigenvalues = np.linalg.eigvalsh(G)
+    delta = 1e4 * G.shape[0] * K * np.finfo(float).eps
+    return bool(eigenvalues[0] > delta * eigenvalues[-1])
+
+
 def _l2_start(gram: FeatureGram, y):
     """``(c, certified)``: the solution of ``(V V^T) c = y`` and whether the eigenvalue
     certificate (:func:`_certifies_full_rank`) cleared V; the fit's one ``V V^T`` is freed
@@ -320,11 +332,9 @@ def _l2_start(gram: FeatureGram, y):
 
 
 def _continued_start(W, c, m, y, lam, max_iterations, done):
-    """``(start, steps)``: the ``"linear"`` start of :class:`SolverOptions` from
-    the l2 solution c, and the Newton steps spent on it (one per order p)."""
+    """``(start, steps)``: the fit's start, continued from the l2 solution c through
+    p = 3, ..., m-1 (see the module docstring), and the Newton steps spent on it."""
     start = _rescale(W, c, y, m)
-    if max_iterations == 0:
-        return start, 0
     steps = 0
     for p in range(3, min(m, 3 + max_iterations)):
         c, _, _, taken, _, _ = _minimize_even_power(
@@ -350,8 +360,7 @@ def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | Non
 
     # an overflowed start is reported as non_finite rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        linear = opts.init == "linear"
-        c, certified = _l2_start(gram, y) if linear else (np.zeros(gram.n), False)
+        c, certified = _l2_start(gram, y)
         # lam > 0 makes the potential strictly convex whatever the rank; past a failed
         # certificate the SVD (``np.linalg.matrix_rank``) decides
         if not (lam or certified or int(np.linalg.matrix_rank(gram.V)) == gram.n):
@@ -359,7 +368,7 @@ def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | Non
                       else "rank-deficient feature Gram")
             warnings.warn(f"singular design ({detail})", SingularDesignWarning, stacklevel=3)
         steps = 0
-        if linear and m > 2:
+        if m > 2:
             c, steps = _continued_start(gram.V.T, c, m, y, lam, opts.max_iterations, done)
         c, _, res, iterations, reason, trace = _minimize_even_power(
             gram.V.T, 0.0, -y, c, m, opts.max_iterations - steps, done, lam)

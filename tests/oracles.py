@@ -4,9 +4,10 @@ None of these is fast or meant for use outside the tests: a dense n^m
 tensor with an entry budget, the kernels Phi_2 and Phi_m formed point by
 point, interpolant evaluation through the tensor basis, the closed form of
 P_2 through ``A_2^{-1}``, a grid search for P_m, a Newton for P_m
-polished in long double, the dual pairing as a dot product, and sampling
-checks that can falsify (never certify) the monotonicity and
-semi-definiteness of the tensor.  The package computes each of these
+polished in long double, the dual pairing as a dot product, a fit started
+from c = 0 rather than from the package's l2 start, and sampling checks
+that can falsify (never certify) the monotonicity and semi-definiteness
+of the tensor.  The package computes each of these
 quantities by one route only; these are the second routes the tests hold
 it to.  The summability diagnostic of a truncation lives here too, since
 no package code calls it.
@@ -18,9 +19,10 @@ from itertools import product as _cartesian
 
 import numpy as np
 
-from mkinterp.exceptions import DimensionMismatch, SingularGram
+from mkinterp.exceptions import DimensionMismatch
 from mkinterp.features import FeatureModel, eval_features, point_blocks, require_even_order
 from mkinterp.interpolant import Interpolant, NodeSet
+from mkinterp.solver import SolveReport, _minimize_even_power
 from mkinterp.tensors import FeatureGram, contract_m, contract_m_minus_1
 
 DENSE_ENTRY_BUDGET = 10_000_000
@@ -28,6 +30,10 @@ DENSE_ENTRY_BUDGET = 10_000_000
 
 class BudgetExceeded(ValueError):
     """A dense n^m tensor would exceed the configured entry budget."""
+
+
+class SingularGram(ValueError):
+    """The n x n Gram matrix is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,21 @@ def power_function_p2_closed(model: FeatureModel, nodes: NodeSet, x) -> float:
     except np.linalg.LinAlgError as err:
         raise SingularGram("Gram matrix A_2 is singular") from err
     return float(np.sqrt(max(b @ b - b2 @ weights, 0.0)))
+
+
+def zero_start_solve(gram: FeatureGram, m: int, y, residual_tol: float = 1e-10,
+                     max_iterations: int = 200) -> SolveReport:
+    """Fit ``A_m c^{m-1} = y`` by the package's Newton core started from c = 0.
+
+    The package starts every fit from its l2 solution; the potential is
+    strictly convex on a full-row-rank design, so a second start must reach
+    the same root.  No rank test, no warning, no regularization.
+    """
+    y = np.asarray(y, dtype=float)
+    c, _, res, iterations, reason, trace = _minimize_even_power(
+        gram.V.T, 0.0, -y, np.zeros(gram.n), m, max_iterations,
+        lambda gnorm, F, decrement: gnorm <= residual_tol)
+    return SolveReport(c, res, iterations, reason, trace)
 
 
 def power_function_dense_oracle(model: FeatureModel, nodes: NodeSet, m: int, x,

@@ -9,7 +9,6 @@ from mkinterp import (
     Domain,
     FeatureModel,
     NodeSet,
-    SingularGram,
     SolverOptions,
     convergence_study,
     domain_grid,
@@ -20,8 +19,8 @@ from mkinterp import (
     power_report,
 )
 from mkinterp.features import point_blocks
-from mkinterp.power import grid_spacing
 from oracles import (
+    SingularGram,
     power_function_dense_oracle,
     power_function_p2_closed,
     power_values_long_double,
@@ -125,7 +124,8 @@ class TestFillDistance:
         pts = np.linspace(-1, 1, 9)[:, None]
         nodes = NodeSet(pts, np.zeros(9))
         h = fill_distance(nodes, BOX, 9)
-        assert h <= grid_spacing(BOX, 9) + 1e-12
+        spacing = np.linalg.norm((BOX.upper - BOX.lower) / 8)  # one grid cell's diagonal
+        assert h <= spacing + 1e-12
 
     def test_adding_node_never_increases(self):
         rng = np.random.default_rng(41)
@@ -300,6 +300,13 @@ class TestLockStepPowerValues:
         assert np.all(report.stop_reasons[report.iterations < budget] == "converged")
         assert np.all(unlimited.iterations >= 2)
         np.testing.assert_array_equal(report.iterations, np.minimum(unlimited.iterations, budget))
+
+    @pytest.mark.parametrize("budget", [2.5, -1, True])
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        # the budget also slices the P_m continuation's exponents
+        with pytest.raises(ValueError, match="max_iterations"):
+            power_report(STUDY_MODEL, study_nodes(8), 4, STUDY_GRID,
+                         opts=SolverOptions(max_iterations=budget))
 
     def test_order_two_takes_no_newton_step(self):
         report = power_report(STUDY_MODEL, study_nodes(8), 2, STUDY_GRID)

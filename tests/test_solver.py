@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import mkinterp.solver
-import mkinterp.tensors
 from mkinterp import (
     DimensionMismatch,
     Domain,
@@ -24,12 +23,14 @@ from mkinterp import (
 )
 
 from mkinterp.solver import (
+    _certifies_full_rank,
     _gradient,
     _hessian,
     _minimize_even_power,
     _potential,
     _rescale,
 )
+from oracles import zero_start_solve
 
 GRAM = FeatureGram(np.array([[1.0, 0.0], [1.0, 1.0]]))
 SIGMAS = (1e-6, 0.01, 0.5, 10.0)
@@ -92,8 +93,7 @@ class TestSolveMultilinear:
                                        rtol=1e-8, atol=1e-10)
 
     def test_zero_init_converges(self):
-        opts = SolverOptions(init="zero")
-        report = solve_multilinear(GRAM, 4, np.array([8.0, 9.0]), opts)
+        report = zero_start_solve(GRAM, 4, np.array([8.0, 9.0]))
         assert report.converged
         np.testing.assert_allclose(report.coefficients, [1.0, 1.0], atol=1e-8)
 
@@ -107,10 +107,7 @@ class TestSolveMultilinear:
             for m in (4, 6):
                 tol = SolverOptions(residual_tol=1e-12, max_iterations=400)
                 a = solve_multilinear(gram, m, y, tol)
-                b = solve_multilinear(
-                    gram, m, y,
-                    SolverOptions(residual_tol=1e-12, max_iterations=400, init="zero"),
-                )
+                b = zero_start_solve(gram, m, y, 1e-12, 400)
                 assert a.converged and b.converged
                 assert np.linalg.norm(a.coefficients - b.coefficients) <= 1e-6
 
@@ -142,11 +139,13 @@ class TestSolveMultilinear:
         )
 
     def test_not_converged_returns_best_iterate(self):
-        opts = SolverOptions(max_iterations=1, residual_tol=1e-15, init="zero")
+        # one p = 3 continuation step, then one order-4 step, which the trace records
+        opts = SolverOptions(max_iterations=2, residual_tol=1e-15)
         report = solve_multilinear(GRAM, 4, np.array([8.0, 9.0]), opts)
         assert not report.converged
-        assert report.iterations == 1
+        assert report.iterations == 2
         assert len(report.objective_trace) == 2
+        assert report.objective_trace[1] < report.objective_trace[0]
         assert report.stop_reason == "max_iterations"
 
     def test_failed_newton_solve_falls_back_to_descent(self, monkeypatch):
@@ -156,8 +155,8 @@ class TestSolveMultilinear:
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(mkinterp.solver.np.linalg, "solve", singular)
-        report = solve_multilinear(gram, 4, np.array([1.0, 2.0, 3.0]),
-                                   SolverOptions(max_iterations=20, init="zero"))
+        # from c = 0: the fit's own l2 start would meet the failing solve first
+        report = zero_start_solve(gram, 4, np.array([1.0, 2.0, 3.0]), max_iterations=20)
         assert report.iterations > 0
         assert np.all(np.isfinite(report.coefficients))
         trace = np.array(report.objective_trace)
@@ -219,6 +218,22 @@ class TestSolveMultilinear:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_multilinear(GRAM, 4, np.zeros(3))
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("budget", [2.5, 3.0, -1, True, "3", None])
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        # a step count: a fraction or a negative budget has no meaning as one
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve_multilinear(GRAM, 4, np.array([8.0, 9.0]),
+                              SolverOptions(max_iterations=budget))
+
+    @pytest.mark.parametrize("budget", [0, np.int64(3)])
+    def test_integer_budgets_are_kept(self, budget):
+        opts = SolverOptions(max_iterations=budget, residual_tol=1e-15)
+        report = solve_multilinear(GRAM, 4, np.array([8.0, 9.0]), opts)
+        assert report.iterations == budget
+        assert report.stop_reason == "max_iterations"
 
 
 class TestHessian:
@@ -393,8 +408,8 @@ class TestContinuedStart:
         assert report.iterations == 0
         assert report.stop_reason == "max_iterations"
 
-    @pytest.mark.parametrize("init, exponents", [("zero", [6]), ("linear", [3, 4, 5, 6])])
-    def test_continuation_exponents(self, monkeypatch, init, exponents):
+    def test_continuation_exponents(self, monkeypatch):
+        exponents = [3, 4, 5, 6]
         core = mkinterp.solver._minimize_even_power
         seen = []
 
@@ -404,7 +419,7 @@ class TestContinuedStart:
 
         monkeypatch.setattr(mkinterp.solver, "_minimize_even_power", recording)
         gram, y = trig_2d_case()
-        report = solve_multilinear(gram, 6, y, SolverOptions(init=init))
+        report = solve_multilinear(gram, 6, y)
         assert report.converged
         assert seen == exponents
         steps = len(exponents) - 1  # one accepted step per continuation order
@@ -441,20 +456,17 @@ class TestOuterGram:
     def test_fit_forms_v_vt_once_and_keeps_no_n_by_n_array(self, monkeypatch,
                                                             outer_gram_count):
         verdicts = []
-        certify = mkinterp.tensors._certifies_full_rank
 
         def counting_certify(G, K):
-            verdicts.append(certify(G, K))
+            verdicts.append(_certifies_full_rank(G, K))
             return verdicts[-1]
 
         monkeypatch.setattr(mkinterp.solver, "_certifies_full_rank", counting_certify)
-        monkeypatch.setattr(mkinterp.tensors, "_certifies_full_rank", counting_certify)
         X = np.random.default_rng(5).uniform(-1.0, 1.0, (30, 2))
         model = FeatureModel.trigonometric(Domain([-1.0, -1.0], [1.0, 1.0]), 120)
         s = fit(model, NodeSet(X, np.sin(3 * X[:, 0])), 4)
         assert outer_gram_count == [1]
         assert verdicts == [True]
-        assert "full_row_rank" not in vars(s.gram)  # the certificate settled the rank
         for holder in (s, s.gram, s.report):
             for value in vars(holder).values():
                 assert np.shape(value) != (30, 30)
@@ -470,14 +482,12 @@ class TestOuterGram:
         # past the certificate, so the start is least squares and the SVD decides,
         # without a second V V^T or certificate
         verdicts = []
-        certify = mkinterp.tensors._certifies_full_rank
 
         def counting_certify(G, K):
-            verdicts.append(certify(G, K))
+            verdicts.append(_certifies_full_rank(G, K))
             return verdicts[-1]
 
         monkeypatch.setattr(mkinterp.solver, "_certifies_full_rank", counting_certify)
-        monkeypatch.setattr(mkinterp.tensors, "_certifies_full_rank", counting_certify)
         model = FeatureModel.trigonometric(Domain([-1.0], [1.0]), 81, 0.5)
         pts = (-1.0 + (np.arange(64) + 0.5) / 32)[:, None]
         gram = FeatureGram.from_model(model, pts)
@@ -486,7 +496,7 @@ class TestOuterGram:
             warnings.simplefilter("error", SingularDesignWarning)
             solve_multilinear(gram, 2, np.sin(3 * pts[:, 0]))
         assert calls == [1] and verdicts == [False] and outer_gram_count == [1]
-        assert gram.full_row_rank  # the public test reaches the same verdict
+        assert np.linalg.matrix_rank(gram.V) == gram.n  # the SVD reference agrees
 
 
 class TestResidualNorm:

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -13,8 +14,7 @@ from mkinterp import (
     contract_m_minus_1,
     eval_features,
 )
-from mkinterp.solver import _l2_start
-from mkinterp.tensors import _certifies_full_rank
+from mkinterp.solver import _certifies_full_rank, _l2_start
 from oracles import BudgetExceeded, check_semi_pd, check_strict_monotone, dense_tensor
 
 # Features (1, x) at nodes {0, 1}: columns v_1 = (1, 1), v_2 = (0, 1).
@@ -144,8 +144,19 @@ class TestDenseOracle:
                  "evaluate_tensor_basis", "power_function_dense_oracle",
                  "check_strict_monotone", "check_semi_pd", "MonotoneReport", "SemiPDReport",
                  "eval_kernel2", "eval_multikernel", "power_function_p2_closed", "dual_pairing",
-                 "check_summability", "SummabilityReport"}
+                 "check_summability", "SummabilityReport", "zero_start_solve", "SingularGram"}
         assert moved.isdisjoint(mkinterp.__all__)
+
+    def test_unread_names_stay_out_of_the_package(self):
+        for name in ("SingularGram", "grid_spacing"):
+            assert name not in mkinterp.__all__ and not hasattr(mkinterp, name)
+        assert not hasattr(mkinterp.exceptions, "SingularGram")
+        assert not hasattr(mkinterp.power, "grid_spacing")
+        # the fit decides the rank itself: no property, no second certificate
+        assert not hasattr(FeatureGram, "full_row_rank")
+        assert not hasattr(mkinterp.tensors, "_certifies_full_rank")
+        fields = [f.name for f in dataclasses.fields(mkinterp.SolverOptions)]
+        assert fields == ["residual_tol", "max_iterations", "rng_seed"]
 
     def test_budget_enforced(self):
         rng = np.random.default_rng(10)
@@ -165,7 +176,7 @@ class TestDefinitenessChecks:
     def test_rank_deficient_witness(self):
         # single feature: v_1 = (1, 1); c - d in its orthogonal complement
         gram = FeatureGram(np.array([[1.0], [1.0]]))
-        assert not gram.full_row_rank
+        assert np.linalg.matrix_rank(gram.V) < gram.n
         c, d = np.array([1.0, -1.0]), np.zeros(2)
         gap = float(
             (c - d) @ (contract_m_minus_1(gram, 4, c) - contract_m_minus_1(gram, 4, d))
@@ -232,11 +243,11 @@ RANK_DESIGNS = {
 class TestRankCertificate:
     @pytest.mark.parametrize("name", list(RANK_DESIGNS))
     def test_full_row_rank_matches_svd_reference(self, name):
+        # a certified design has full SVD rank; an uncertified one may have it too
         design, certified = RANK_DESIGNS[name]
         V = design()
-        gram = FeatureGram(V)
         assert _certifies_full_rank(V @ V.T, V.shape[1]) == certified
-        assert gram.full_row_rank == (np.linalg.matrix_rank(V) == V.shape[0])
+        assert np.linalg.matrix_rank(V) == V.shape[0] or not certified
 
     @pytest.mark.parametrize("name", list(RANK_DESIGNS))
     def test_outer_gram_settles_the_same_certificate(self, name):
@@ -255,11 +266,4 @@ class TestRankCertificate:
         V = study_design(16, [-0.8125 + 1e-6])
         delta = 1e4 * V.size * np.finfo(float).eps
         assert np.linalg.cond(V) > 1.0 / np.sqrt(delta)
-        assert FeatureGram(V).full_row_rank
-
-    def test_certified_design_pays_no_svd(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(np.linalg, "matrix_rank", lambda *args, **kw: calls.append(1))
-        gram = FeatureGram(large_design())
-        assert gram.full_row_rank
-        assert calls == []
+        assert np.linalg.matrix_rank(V) == V.shape[0]
