@@ -382,14 +382,13 @@ def eval_features(model: FeatureModel, x) -> np.ndarray:
     in blocks of rows (see :func:`point_blocks`), so its temporaries do not
     grow with N.
     """
-    X = model.domain.project(x)
-    if X.ndim == 1:
-        return np.sqrt(model.weights) * _features_block(model, X[None, :])[0]
+    x = model.domain.project(x)
+    X = np.atleast_2d(x)
     out = np.empty((X.shape[0], model.truncation))
     for rows in point_blocks(model, X.shape[0]):
         out[rows] = _features_block(model, X[rows])
     out *= np.sqrt(model.weights)
-    return out
+    return out if x.ndim == 2 else out[0]
 
 
 def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.ndarray:

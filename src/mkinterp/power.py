@@ -14,10 +14,11 @@ of their residual is P_2 itself, the classical power function; its closed
 form through ``A_2^{-1}`` is a test oracle (``tests/oracles.py``), not a
 second route here.  From there the descent continues through the exponents
 (one Newton step at each of p = 3 and 3.5 for m = 4, at p = 3, ..., m-1
-above), as fits do, and then runs at order m until the Newton decrement is
-small relative to the potential (Boyd and Vandenberghe, Convex
-Optimization, 9.5.1).  That stop is relative, so P_m is accurate where it
-is tiny too.  The pointwise interpolation error of any target with known
+above), as fits do, and then runs at order m.  Where a fit stops on the
+gradient norm, a point stops when its Newton decrement is at most
+``_DECREMENT_TOL`` times the potential (the core's ``dtol``; Boyd and
+Vandenberghe, Convex Optimization, 9.5.1).  That stop is relative, so P_m
+is accurate where it is tiny too.  The pointwise interpolation error of any target with known
 norm is bounded by ``2 ||f|| P_m(x)``.
 """
 
@@ -34,10 +35,8 @@ from .tensors import FeatureGram
 
 # A point stops once its Newton decrement -grad F . step is this small relative to F.
 _DECREMENT_TOL = 1e-12
-
-
-def _small_decrement(gnorm, F, decrement):
-    return decrement is not None and decrement <= _DECREMENT_TOL * F
+# Points per axis of the grid on which a convergence study takes the fill distance.
+_FILL_GRID_PER_DIM = 201
 
 
 def _power_values(V, B, m, opts: SolverOptions):
@@ -59,10 +58,10 @@ def _power_values(V, B, m, opts: SolverOptions):
         return p_2, p_2, np.zeros(len(B), dtype=int), np.full(len(B), "converged")
     z, steps = thetas.T, 0
     for p in ((3, 3.5) if m == 4 else range(3, m))[:opts.max_iterations]:
-        z, _, _, taken, _, _ = _minimize_even_power(V.T, -B, None, z, p, 1, _small_decrement)
+        z, _, _, taken, _ = _minimize_even_power(V.T, -B, None, z, p, 1, dtol=_DECREMENT_TOL)
         steps = steps + taken
-    _, F, _, iterations, reasons, _ = _minimize_even_power(
-        V.T, -B, None, z, m, opts.max_iterations - steps, _small_decrement)
+    _, F, _, iterations, reasons = _minimize_even_power(
+        V.T, -B, None, z, m, opts.max_iterations - steps, dtol=_DECREMENT_TOL)
     return p_2, np.maximum(m * F, 0.0) ** (1.0 / m), steps + iterations, reasons
 
 
@@ -192,15 +191,14 @@ def _equispaced_nodes(domain: Domain, n: int) -> np.ndarray:
 
 
 def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
-                      eval_grid, opts: SolverOptions | None = None,
-                      grid_per_dim: int = 201) -> StudyResult:
+                      eval_grid, opts: SolverOptions | None = None) -> StudyResult:
     """Fill-distance refinement study for a target in the truncated span.
 
     The target is ``f = sum_k f_alpha[k] phi_k``, whose norm with exponent
     m/(m-1) is exact from its coefficients.  Each row fits the order-m
     interpolant on `n` equispaced nodes of the 1-d domain and records the
-    fill distance, the worst error over `eval_grid`, and the worst pointwise
-    bound ``2 ||f|| P_m``.
+    fill distance (on a grid of ``_FILL_GRID_PER_DIM`` points), the worst
+    error over `eval_grid`, and the worst pointwise bound ``2 ||f|| P_m``.
     """
     require_even_order(m)
     opts = opts or SolverOptions()
@@ -220,7 +218,7 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
             bounds = error_bound(f_norm, _power_values(V, B, m, opts)[1])
             max_error = max(max_error, float(errors.max()))
             max_bound = max(max_bound, float(bounds.max()))
-        h = fill_distance(nodes, model.domain, grid_per_dim)
+        h = fill_distance(nodes, model.domain, _FILL_GRID_PER_DIM)
         rows.append(StudyRow(n=int(n), h=h, max_error=max_error, max_bound=max_bound))
     slope = None
     if len(rows) >= 2 and all(r.max_error > 0 for r in rows):

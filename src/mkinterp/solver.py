@@ -16,12 +16,12 @@ damped Newton core, ``_minimize_even_power``, serves both problems:
 with ``u = 0``, ``W = V^T``, ``l = -y`` here.  The core takes a leading
 batch axis: z is an (N, n) stack and u an (N, K) stack sharing W, and the
 rows descend in lock-step, their Hessians solved together, each row with
-its own step length, fallbacks and stop.  A fit is the N = 1 case.  Each
-caller brings its own stop test, asked before a Newton step is formed and
-again with the Newton decrement ``-grad F . step``: interpolation stops on
-the residual 2-norm before the step, so a converged fit forms no Hessian,
-and the power function on the decrement relative to F.  For m = 2 the core
-reduces to the linear solve ``(V V^T) c = y``.
+its own step length, fallbacks and stop.  A fit is the N = 1 case.  A row
+stops on one of two tolerances, and each caller passes one: interpolation
+``gtol``, on the gradient 2-norm (the residual), tested before a Newton
+step is formed, so a converged fit forms no Hessian; the power function
+``dtol``, on the Newton decrement ``-grad F . step`` relative to F.  For
+m = 2 the core reduces to the linear solve ``(V V^T) c = y``.
 
 The core takes any real exponent p >= 2 in place of m, with ``|r|^p`` in F,
 so a fit starts by exponent continuation (the p-homotopy of iteratively
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,8 +79,10 @@ class SolverOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
+        tol = self.residual_tol
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+                or not 0 < tol < math.inf):
+            raise ValueError(f"residual_tol must be a finite positive real number, got {tol!r}")
         it = self.max_iterations
         if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 0:
             raise ValueError(f"max_iterations must be a nonnegative integer, got {it!r}")
@@ -95,15 +97,13 @@ class SolveReport:
     ``"non_finite"`` (the residual or the potential overflowed).
     ``iterations`` counts every accepted Newton step, the continuation
     steps of the start included, and with them never exceeds
-    ``max_iterations``; ``objective_trace`` holds the order-m potential of
-    each order-m iterate only.
+    ``max_iterations``.
     """
 
     coefficients: np.ndarray
     residual_norm: float
     iterations: int
     stop_reason: str
-    objective_trace: list = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -190,28 +190,26 @@ def _gradient(W, ell, r, z, p, lam):
     return grad if ell is None else grad + ell
 
 
-def _minimize_even_power(W, u, ell, z, p, max_iterations, done, lam=0.0):
+def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dtol=None):
     """Damped Newton on ``F(z) = (1/p) sum_k |u + W z|_k^p + ell . z + (lam/2)|z|^2``.
 
-    ``W`` is K x n and shared by the rows of the (N, n) stack z, one
-    problem per row, with u an (N, K) stack or 0; a vector z is the one row
-    of N = 1, with u a K-vector or 0.  ``ell`` is an n-vector or None for
-    zero, p a real exponent >= 2 (the potential is an even function of the
-    residual), ``lam >= 0``.  The gradient is ``W^T (sign(r) |r|^{p-1})``
-    plus the linear terms.  At even integer p (given as an int or as an
-    integral float) the powers are ``r**p``, ``r**(p-1)`` and
-    ``r**((p-2)//2)``, so the iterates do not depend on how p was given.
+    ``W`` is K x n and shared by the rows of the (N, n) stack Z, one
+    problem per row, with u an (N, K) stack or 0.  ``ell`` is an n-vector
+    or None for zero, p a real exponent >= 2 (the potential is an even
+    function of the residual), ``lam >= 0``.  The gradient is ``W^T
+    (sign(r) |r|^{p-1})`` plus the linear terms.  At even integer p (given
+    as an int or as an integral float) the powers are ``r**p``,
+    ``r**(p-1)`` and ``r**((p-2)//2)``, so the iterates do not depend on
+    how p was given.
 
     The rows descend in lock-step, their Newton steps formed together, each
     row with its own step length, backtracks, fallbacks, iteration count
-    and stop reason.  A row stops when the caller's ``done(gnorm, F,
-    decrement)``, given arrays over the active rows, is true for it: asked
-    with ``decrement=None`` before the Newton step is formed (a stop on the
-    gradient norm costs no Hessian), then with the decrement ``-grad .
-    step``.  ``max_iterations`` is an int or one budget per row.  Returns
-    ``(z, F, gnorm, iterations, stop_reason, trace)`` per row, trace holding
-    the rows' F at the start of each round; for a vector z, the one row's
-    values, with F per iterate in trace.
+    and stop reason.  A row converges when its gradient norm is at most
+    ``gtol``, tested before the Newton step is formed (a stop on the
+    gradient norm costs no Hessian), or when its Newton decrement ``-grad .
+    step`` is at most ``dtol F``; a tolerance left at None is never tested.
+    ``max_iterations`` is an int or one budget per row.  Returns ``(Z, F,
+    gnorm, iterations, stop_reasons)``, one entry per row.
 
     The line search tests the difference ``F(cand) - F`` (the sum
     ``F + c eta slope`` rounds back to F) and trusts a fall only beyond F's
@@ -222,10 +220,7 @@ def _minimize_even_power(W, u, ell, z, p, max_iterations, done, lam=0.0):
     """
     if p % 2 == 0:
         p = int(p)
-    single = np.ndim(z) == 1
-    z = np.array(z, dtype=float, ndmin=2)  # a copy: rows are updated in place
-    if np.ndim(u) == 1:
-        u = u[None]
+    z = np.array(Z, dtype=float)  # a copy: rows are updated in place
     N = z.shape[0]
     budget = np.broadcast_to(max_iterations, N)
     iterations, reasons = np.zeros(N, dtype=int), np.full(N, "", dtype="U14")
@@ -234,12 +229,10 @@ def _minimize_even_power(W, u, ell, z, p, max_iterations, done, lam=0.0):
         r, F, magnitude = _potential(W, u, ell, z, p, lam)
         grad = _gradient(W, ell, r, z, p, lam)
         gnorm = np.sqrt(np.vecdot(grad, grad))
-        trace = []
         rows = np.arange(N)  # the rows still descending
         while rows.size:
-            trace.append(F.copy())
             g, f = gnorm[rows], F[rows]
-            converged = done(g, f, None)
+            converged = gtol is not None and g <= gtol
             finite = np.isfinite(g) & np.isfinite(f)
             spent = iterations[rows] >= budget[rows]
             go = ~(converged | spent) & finite
@@ -251,7 +244,7 @@ def _minimize_even_power(W, u, ell, z, p, max_iterations, done, lam=0.0):
                     break
             step = _newton_directions(W, r, grad, rows, p, lam)
             slope = np.vecdot(grad[rows], step)
-            small = done(g, f, -slope)
+            small = dtol is not None and -slope <= dtol * f
             if np.any(small):
                 reasons[rows[small]] = "converged"
                 go = ~small
@@ -285,10 +278,7 @@ def _minimize_even_power(W, u, ell, z, p, max_iterations, done, lam=0.0):
                 go = np.ones(rows.size, dtype=bool)
                 go[pending] = False
                 rows = rows[go]
-    if single:
-        return (z[0], float(F[0]), float(gnorm[0]), int(iterations[0]), str(reasons[0]),
-                [float(f[0]) for f in trace])
-    return z, F, gnorm, iterations, reasons, trace
+    return z, F, gnorm, iterations, reasons
 
 
 def _rescale(W, c, y, p):
@@ -331,15 +321,15 @@ def _l2_start(gram: FeatureGram, y):
     return np.linalg.lstsq(G, y, rcond=None)[0], False
 
 
-def _continued_start(W, c, m, y, lam, max_iterations, done):
+def _continued_start(W, c, m, y, lam, max_iterations, gtol):
     """``(start, steps)``: the fit's start, continued from the l2 solution c through
     p = 3, ..., m-1 (see the module docstring), and the Newton steps spent on it."""
     start = _rescale(W, c, y, m)
     steps = 0
     for p in range(3, min(m, 3 + max_iterations)):
-        c, _, _, taken, _, _ = _minimize_even_power(
-            W, 0.0, -y, _rescale(W, c, y, p), p, 1, done, lam)
-        steps += taken
+        Z, _, _, taken, _ = _minimize_even_power(
+            W, 0.0, -y, _rescale(W, c, y, p)[None], p, 1, lam, gtol)
+        c, steps = Z[0], steps + int(taken[0])
     c = _rescale(W, c, y, m)
     if _potential(W, 0.0, -y, c, m, lam)[1] <= _potential(W, 0.0, -y, start, m, lam)[1]:
         return c, steps
@@ -354,10 +344,6 @@ def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | Non
     if y.shape != (gram.n,):
         raise DimensionMismatch(f"expected y of length {gram.n}, got shape {y.shape}")
     lam = sigma * m / (2 * (m - 1))
-
-    def done(gnorm, F, decrement):
-        return gnorm <= opts.residual_tol
-
     # an overflowed start is reported as non_finite rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         c, certified = _l2_start(gram, y)
@@ -369,12 +355,14 @@ def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | Non
             warnings.warn(f"singular design ({detail})", SingularDesignWarning, stacklevel=3)
         steps = 0
         if m > 2:
-            c, steps = _continued_start(gram.V.T, c, m, y, lam, opts.max_iterations, done)
-        c, _, res, iterations, reason, trace = _minimize_even_power(
-            gram.V.T, 0.0, -y, c, m, opts.max_iterations - steps, done, lam)
+            c, steps = _continued_start(gram.V.T, c, m, y, lam, opts.max_iterations,
+                                        opts.residual_tol)
+        Z, _, gnorm, iterations, reasons = _minimize_even_power(
+            gram.V.T, 0.0, -y, c[None], m, opts.max_iterations - steps, lam, opts.residual_tol)
+        c, res = Z[0], float(gnorm[0])
         if lam:  # the misfit, not the root residual the core stopped on
             res = residual_norm(gram, m, c, y)
-    return SolveReport(c, res, steps + iterations, reason, trace)
+    return SolveReport(c, res, steps + int(iterations[0]), str(reasons[0]))
 
 
 def solve_multilinear(gram: FeatureGram, m: int, y,
@@ -394,7 +382,7 @@ def solve_regularized(gram: FeatureGram, m: int, y, sigma: float,
 
     ``converged`` certifies ``||A_m c^{m-1} + lam c - y||_2 <= residual_tol``
     with ``lam = sigma m / (2(m-1))``; ``residual_norm`` is the misfit
-    ``||A_m c^{m-1} - y||_2``, ``objective_trace`` the potential per iterate.
+    ``||A_m c^{m-1} - y||_2``.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")

@@ -141,10 +141,9 @@ def zero_start_solve(gram: FeatureGram, m: int, y, residual_tol: float = 1e-10,
     the same root.  No rank test, no warning, no regularization.
     """
     y = np.asarray(y, dtype=float)
-    c, _, res, iterations, reason, trace = _minimize_even_power(
-        gram.V.T, 0.0, -y, np.zeros(gram.n), m, max_iterations,
-        lambda gnorm, F, decrement: gnorm <= residual_tol)
-    return SolveReport(c, res, iterations, reason, trace)
+    c, _, res, iterations, reasons = _minimize_even_power(
+        gram.V.T, 0.0, -y, np.zeros((1, gram.n)), m, max_iterations, gtol=residual_tol)
+    return SolveReport(c[0], float(res[0]), int(iterations[0]), str(reasons[0]))
 
 
 def power_function_dense_oracle(model: FeatureModel, nodes: NodeSet, m: int, x,

@@ -294,7 +294,6 @@ def test_criterion_10_convergence_study():
         result = convergence_study(
             model, f_alpha, 4, [4, 8, 16, 32], grid,
             SolverOptions(residual_tol=1e-11, max_iterations=400),
-            grid_per_dim=201,
         )
     errors = [row.max_error for row in result.rows]
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))

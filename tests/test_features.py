@@ -152,6 +152,17 @@ class TestBatchedEvalFeatures:
         assert eval_features(model, [0.1, 0.2]).shape == (40,)
         assert eval_features(model, [[0.1, 0.2]]).shape == (1, 40)
 
+    @pytest.mark.parametrize("name", ["power", "trig", "custom"])
+    def test_single_point_is_row_zero_of_a_one_row_stack(self, name):
+        if name == "custom":
+            pts = np.array([[0.0, 0.5], [-0.25, 1.0]])
+            model = FeatureModel.custom_table(pts, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                                              weights=[1.0, 2.0, 3.0], domain=self.BOX2)
+            x = pts[1]
+        else:
+            model, x = self.MODELS[name], np.array([-0.0, 0.7 + 1e-12])
+        assert same_bits(eval_features(model, x), eval_features(model, x[None])[0])
+
     def test_outside_row_rejected(self):
         with pytest.raises(PointOutsideDomain):
             eval_features(self.MODELS["power"], [[0.0, 0.0], [0.0, 1.5]])

@@ -323,7 +323,6 @@ class TestConvergenceStudy:
         result = convergence_study(
             model, f_alpha, 4, [4, 8, 16], grid,
             SolverOptions(residual_tol=1e-11, max_iterations=400),
-            grid_per_dim=201,
         )
         errors = [row.max_error for row in result.rows]
         assert errors[0] > errors[1] > errors[2]

@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import product
 
@@ -139,13 +140,17 @@ class TestSolveMultilinear:
         )
 
     def test_not_converged_returns_best_iterate(self):
-        # one p = 3 continuation step, then one order-4 step, which the trace records
+        # one p = 3 continuation step, then one order-4 step, which lowers the
+        # order-4 potential of the start that a budget of 1 returns
+        y = np.array([8.0, 9.0])
+        start = solve_multilinear(GRAM, 4, y, SolverOptions(max_iterations=1, residual_tol=1e-15))
         opts = SolverOptions(max_iterations=2, residual_tol=1e-15)
-        report = solve_multilinear(GRAM, 4, np.array([8.0, 9.0]), opts)
+        report = solve_multilinear(GRAM, 4, y, opts)
         assert not report.converged
         assert report.iterations == 2
-        assert len(report.objective_trace) == 2
-        assert report.objective_trace[1] < report.objective_trace[0]
+        assert start.iterations == 1
+        assert (_potential(GRAM.V.T, 0.0, -y, report.coefficients, 4, 0.0)[1]
+                < _potential(GRAM.V.T, 0.0, -y, start.coefficients, 4, 0.0)[1])
         assert report.stop_reason == "max_iterations"
 
     def test_failed_newton_solve_falls_back_to_descent(self, monkeypatch):
@@ -156,11 +161,12 @@ class TestSolveMultilinear:
 
         monkeypatch.setattr(mkinterp.solver.np.linalg, "solve", singular)
         # from c = 0: the fit's own l2 start would meet the failing solve first
-        report = zero_start_solve(gram, 4, np.array([1.0, 2.0, 3.0]), max_iterations=20)
-        assert report.iterations > 0
-        assert np.all(np.isfinite(report.coefficients))
-        trace = np.array(report.objective_trace)
-        assert np.all(np.diff(trace) <= 0)
+        y = np.array([1.0, 2.0, 3.0])
+        reports = [zero_start_solve(gram, 4, y, max_iterations=k) for k in range(21)]
+        assert reports[-1].iterations > 0
+        assert np.all(np.isfinite(reports[-1].coefficients))
+        F = [_potential(gram.V.T, 0.0, -y, r.coefficients, 4, 0.0)[1] for r in reports]
+        assert np.all(np.diff(F) <= 0)
 
     def test_non_finite_iterate_stops_at_once(self):
         # |y| = 1e308 overflows the initial guess; nothing is left to iterate on
@@ -228,6 +234,18 @@ class TestSolverOptions:
             solve_multilinear(GRAM, 4, np.array([8.0, 9.0]),
                               SolverOptions(max_iterations=budget))
 
+    @pytest.mark.parametrize("tol", [True, False, np.bool_(True), "1e-10", None, 1j,
+                                     0.0, -1e-10, math.inf, math.nan])
+    def test_tolerance_must_be_a_finite_positive_real(self, tol):
+        # a bool would pass as 1.0 or 0.0: a fit "converged" at residual 0.395
+        with pytest.raises(ValueError, match="residual_tol"):
+            SolverOptions(residual_tol=tol)
+
+    @pytest.mark.parametrize("tol", [1, np.float32(1e-6), np.int64(1)])
+    def test_real_tolerances_are_kept(self, tol):
+        report = solve_multilinear(GRAM, 4, np.array([8.0, 9.0]), SolverOptions(residual_tol=tol))
+        assert report.converged and report.residual_norm <= tol
+
     @pytest.mark.parametrize("budget", [0, np.int64(3)])
     def test_integer_budgets_are_kept(self, budget):
         opts = SolverOptions(max_iterations=budget, residual_tol=1e-15)
@@ -248,10 +266,6 @@ class TestHessian:
         assert np.max(np.abs(H - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
-def never(gnorm, F, decrement):
-    return False
-
-
 class TestRealExponentCore:
     """``_minimize_even_power`` at a real exponent p: ``F = sum |r|^p / p + ...``."""
 
@@ -264,11 +278,10 @@ class TestRealExponentCore:
     def test_integral_float_exponent_gives_the_same_iterates(self):
         W, u, ell, z = self.problem(42)
         for k in range(8):
-            as_int = _minimize_even_power(W, u, ell, z, 4, k, never, 0.2)
-            as_float = _minimize_even_power(W, u, ell, z, 4.0, k, never, 0.2)
-            assert np.array_equal(as_int[0], as_float[0])
-            assert as_int[1:5] == as_float[1:5]
-            assert as_int[5] == as_float[5]
+            as_int = _minimize_even_power(W, u[None], ell, z[None], 4, k, 0.2)
+            as_float = _minimize_even_power(W, u[None], ell, z[None], 4.0, k, 0.2)
+            for got, want in zip(as_int, as_float):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("p", [3, 3.5])
     def test_gradient_and_hessian_match_central_differences(self, p):
@@ -294,18 +307,19 @@ class TestRealExponentCore:
         # become a NaN power of a negative number
         W, u, ell, _ = self.problem(44)
         u[::4] = 0.0
-        z0 = np.zeros(W.shape[1])
+        z0 = np.zeros((1, W.shape[1]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, F, gnorm, iterations, reason, trace = _minimize_even_power(
-                W, u, ell, z0, p, 1, never)
-        assert iterations == 1 and reason == "max_iterations"
-        assert np.all(np.isfinite(z)) and np.isfinite(gnorm)
-        assert F < trace[0]
+            z, F, gnorm, iterations, reasons = _minimize_even_power(
+                W, u[None], ell, z0, p, 1)
+            F0 = _potential(W, u[None], ell, z0, p, 0.0)[1]
+        assert iterations.tolist() == [1] and reasons.tolist() == ["max_iterations"]
+        assert np.all(np.isfinite(z)) and np.all(np.isfinite(gnorm))
+        assert F[0] < F0[0]
 
 
-def small_decrement(gnorm, F, decrement):
-    return decrement is not None and decrement <= 1e-12 * F
+# the power function's stop: a Newton decrement within 1e-12 of F
+DTOL = 1e-12
 
 
 class TestLockStepCore:
@@ -318,12 +332,13 @@ class TestLockStepCore:
 
     def test_rows_match_their_own_solves(self):
         W, U, Z = self.stack()
-        stacked = _minimize_even_power(W, U, None, Z, 4, 50, small_decrement)
+        stacked = _minimize_even_power(W, U, None, Z, 4, 50, dtol=DTOL)
         for i in range(len(Z)):
-            alone = _minimize_even_power(W, U[i], None, Z[i], 4, 50, small_decrement)
-            np.testing.assert_allclose(stacked[0][i], alone[0], rtol=1e-12, atol=1e-14)
-            assert stacked[1][i] == pytest.approx(alone[1], rel=1e-12)
-            assert (stacked[3][i], stacked[4][i]) == (alone[3], alone[4]) == (alone[3], "converged")
+            alone = _minimize_even_power(W, U[i:i + 1], None, Z[i:i + 1], 4, 50, dtol=DTOL)
+            np.testing.assert_allclose(stacked[0][i], alone[0][0], rtol=1e-12, atol=1e-14)
+            assert stacked[1][i] == pytest.approx(alone[1][0], rel=1e-12)
+            assert (stacked[3][i], stacked[4][i]) == (alone[3][0], alone[4][0])
+            assert alone[4][0] == "converged"
 
     def test_singular_and_node_rows_end_on_their_own(self, monkeypatch):
         # row 0's residual has one nonzero entry, so its Hessian is rank one
@@ -344,15 +359,15 @@ class TestLockStepCore:
         monkeypatch.setattr(np.linalg, "solve", rejecting_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, F, gnorm, iterations, reasons, _ = _minimize_even_power(
-                W, U, None, Z, 4, 50, small_decrement)
+            z, F, gnorm, iterations, reasons = _minimize_even_power(
+                W, U, None, Z, 4, 50, dtol=DTOL)
         assert rejected[:2] == [3, 2]  # the chunk, then row 0 alone
         assert np.all(np.isfinite(z)) and np.all(np.isfinite(F)) and np.all(np.isfinite(gnorm))
         assert reasons[0] == "converged" and iterations[0] > 0 and F[0] < 1.5 ** 4 / 4
         assert (reasons[1], iterations[1], F[1]) == ("converged", 0, 0.0)
         np.testing.assert_array_equal(z[1], 0.0)
         monkeypatch.setattr(np.linalg, "solve", solve)
-        rest = _minimize_even_power(W, U[2:], None, Z[2:], 4, 50, small_decrement)
+        rest = _minimize_even_power(W, U[2:], None, Z[2:], 4, 50, dtol=DTOL)
         np.testing.assert_allclose(z[2:], rest[0], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(F[2:], rest[1], rtol=1e-12)
         np.testing.assert_array_equal(iterations[2:], rest[3])
@@ -362,19 +377,30 @@ class TestLockStepCore:
     def test_hessian_chunks_do_not_change_the_steps(self, monkeypatch, values):
         # one, two or all six 5 x 5 Hessians per stacked solve
         W, U, Z = self.stack()
-        reference = _minimize_even_power(W, U, None, Z, 4, 50, small_decrement)
+        reference = _minimize_even_power(W, U, None, Z, 4, 50, dtol=DTOL)
         monkeypatch.setattr(mkinterp.solver, "_HESSIAN_VALUES", values)
-        chunked = _minimize_even_power(W, U, None, Z, 4, 50, small_decrement)
-        for got, want in zip(chunked[:5], reference[:5]):
+        chunked = _minimize_even_power(W, U, None, Z, 4, 50, dtol=DTOL)
+        for got, want in zip(chunked, reference):
             np.testing.assert_array_equal(got, want)
 
-    def test_budgets_per_row(self):
+    def test_budgets_per_row(self, monkeypatch):
+        # a row leaves the lock-step once its own budget is spent
         W, U, Z = self.stack()
-        z, _, _, iterations, reasons, trace = _minimize_even_power(
-            W, U, None, Z, 4, np.arange(6), never)
+        directions, formed = mkinterp.solver._newton_directions, []
+
+        def recording(W, R, G, rows, p, lam):
+            formed.append(rows.tolist())
+            return directions(W, R, G, rows, p, lam)
+
+        monkeypatch.setattr(mkinterp.solver, "_newton_directions", recording)
+        z, _, _, iterations, reasons = _minimize_even_power(W, U, None, Z, 4, np.arange(6))
         np.testing.assert_array_equal(iterations, np.arange(6))
-        assert set(reasons) == {"max_iterations"} and len(trace) == 6
+        assert set(reasons) == {"max_iterations"}
+        assert formed == [list(range(k, 6)) for k in range(1, 6)]
         np.testing.assert_array_equal(z[0], Z[0])
+        for k in range(1, 6):
+            rerun = _minimize_even_power(W, U, None, Z, 4, k)
+            np.testing.assert_allclose(z[k], rerun[0][k], rtol=1e-12, atol=1e-14)
 
 
 def trig_3d_case():
@@ -390,6 +416,19 @@ def l2_start(gram, y, m):
     c = np.linalg.solve(V @ V.T, y)
     t = V.T @ c
     return c * (float(y @ c) / float(np.sum(t ** m))) ** (1.0 / m)
+
+
+def record_core(monkeypatch):
+    """The list to which each later fit's core call appends ``(p, budget, steps taken)``."""
+    core, seen = mkinterp.solver._minimize_even_power, []
+
+    def recording(W, u, ell, Z, p, max_iterations, *args):
+        out = core(W, u, ell, Z, p, max_iterations, *args)
+        seen.append((p, max_iterations, int(out[3][0])))
+        return out
+
+    monkeypatch.setattr(mkinterp.solver, "_minimize_even_power", recording)
+    return seen
 
 
 class TestContinuedStart:
@@ -409,29 +448,26 @@ class TestContinuedStart:
         assert report.stop_reason == "max_iterations"
 
     def test_continuation_exponents(self, monkeypatch):
-        exponents = [3, 4, 5, 6]
-        core = mkinterp.solver._minimize_even_power
-        seen = []
-
-        def recording(W, u, ell, z, p, *args):
-            seen.append(p)
-            return core(W, u, ell, z, p, *args)
-
-        monkeypatch.setattr(mkinterp.solver, "_minimize_even_power", recording)
+        seen = record_core(monkeypatch)
         gram, y = trig_2d_case()
         report = solve_multilinear(gram, 6, y)
         assert report.converged
-        assert seen == exponents
-        steps = len(exponents) - 1  # one accepted step per continuation order
-        assert report.iterations == steps + len(report.objective_trace) - 1
+        assert [p for p, _, _ in seen] == [3, 4, 5, 6]
+        # one accepted step per continuation order, within a budget of one
+        assert [(budget, taken) for _, budget, taken in seen[:3]] == [(1, 1)] * 3
+        assert seen[3][1] == SolverOptions().max_iterations - 3
+        assert report.iterations == sum(taken for _, _, taken in seen)
 
     @pytest.mark.parametrize("budget", [1, 2, 3])
-    def test_continuation_steps_count_against_max_iterations(self, budget):
+    def test_continuation_steps_count_against_max_iterations(self, budget, monkeypatch):
+        seen = record_core(monkeypatch)
         gram, y = trig_2d_case()
         report = solve_multilinear(gram, 8, y, SolverOptions(max_iterations=budget))
         assert report.iterations == budget
         assert report.stop_reason == "max_iterations"
-        assert len(report.objective_trace) == 1 + max(0, budget - 5)
+        # the budget runs out within the continuation: the order-8 descent gets none
+        assert [p for p, _, _ in seen] == [*range(3, 3 + budget), 8]
+        assert seen[-1][1:] == (0, 0)
 
     def test_higher_continued_start_is_discarded(self):
         # the p = 3 step does not overflow, but its order-4 rescaling sits far
@@ -439,8 +475,8 @@ class TestContinuedStart:
         gram = three_node_gram()
         y = np.array([1e100, -1e100, 1e100])
         W = gram.V.T
-        c = _minimize_even_power(W, 0.0, -y, _rescale(W, np.linalg.solve(gram.V @ W, y), y, 3),
-                                 3, 1, never)[0]
+        l2 = np.linalg.solve(gram.V @ W, y)
+        c = _minimize_even_power(W, 0.0, -y, _rescale(W, l2, y, 3)[None], 3, 1)[0][0]
         continued = _rescale(W, c, y, 4)
         start = solve_multilinear(gram, 4, y, SolverOptions(max_iterations=0))
         assert residual_norm(gram, 4, continued, y) > 1e120

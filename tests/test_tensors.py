@@ -157,6 +157,10 @@ class TestDenseOracle:
         assert not hasattr(mkinterp.tensors, "_certifies_full_rank")
         fields = [f.name for f in dataclasses.fields(mkinterp.SolverOptions)]
         assert fields == ["residual_tol", "max_iterations", "rng_seed"]
+        # the Newton core keeps no per-round trace, and its callers pass tolerances
+        fields = [f.name for f in dataclasses.fields(mkinterp.SolveReport)]
+        assert fields == ["coefficients", "residual_norm", "iterations", "stop_reason"]
+        assert not hasattr(mkinterp.power, "_small_decrement")
 
     def test_budget_enforced(self):
         rng = np.random.default_rng(10)

@@ -1,0 +1,96 @@
+"""Compare the CLI outputs of two mkinterp source trees on the benchmark workloads.
+
+    python3 tools/compare_cli_outputs.py PARENT_SRC CHANGE_SRC --seed 3
+
+For each workload of ``bench/workloads.py`` (imported, never modified) the
+script writes the seeded inputs into one temporary directory per tree,
+runs every prerequisite and CLI step there as ``python -m mkinterp.cli``
+with that tree on ``PYTHONPATH``, and compares the two directories file by
+file, with the exit code and stderr of each step.  Paths of the tree and of
+the directory are masked in stderr.  It prints every difference and exits
+0 only if everything is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_steps(workloads, name, seed, src: Path, work: Path) -> list:
+    """``(args, exit code, stderr)`` of each step of a workload, run in ``work``."""
+    workload = workloads.WORKLOADS[name](seed, workloads.FULL, work)
+    workload.generate()
+    steps = [args for args, _ in workload.prerequisites()]
+    steps += [step.args for step in workload.cli_steps()]
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_VARS})
+    results = []
+    for args in steps:
+        done = subprocess.run([sys.executable, "-m", "mkinterp.cli", *args], cwd=work, env=env,
+                              stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        stderr = done.stderr.replace(str(src), "<src>").replace(str(work), "<work>")
+        results.append((args, done.returncode, stderr))
+    return results
+
+
+def differences(name, parent, change) -> list:
+    """Lines naming each step and file in which two runs of a workload differ."""
+    (parent_steps, parent_dir), (change_steps, change_dir) = parent, change
+    found = []
+    for (args, code_a, err_a), (_, code_b, err_b) in zip(parent_steps, change_steps):
+        step = f"{name}: mkinterp {' '.join(args)}"
+        if code_a != code_b:
+            found.append(f"{step}: exit {code_a} -> {code_b}")
+        if err_a != err_b:
+            found.append(f"{step}: stderr differs\n  parent: {err_a!r}\n  change: {err_b!r}")
+    files_a = {p.relative_to(parent_dir) for p in parent_dir.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(change_dir) for p in change_dir.rglob("*") if p.is_file()}
+    for rel in sorted(files_a ^ files_b):
+        found.append(f"{name}: {rel} only in the {'parent' if rel in files_a else 'change'}")
+    for rel in sorted(files_a & files_b):
+        if (parent_dir / rel).read_bytes() != (change_dir / rel).read_bytes():
+            found.append(f"{name}: {rel} differs")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    trees = [args.parent_src.resolve(), args.change_src.resolve()]
+    for src in trees:
+        if not (src / "mkinterp" / "cli.py").is_file():
+            parser.error(f"no mkinterp sources under {src}")
+    sys.path[:0] = [str(ROOT / "bench"), str(trees[1])]
+    import workloads
+
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in workloads.WORKLOADS:
+            runs = []
+            for label, src in zip(("parent", "change"), trees):
+                work = Path(tmp) / f"{name}-{label}"
+                work.mkdir()
+                runs.append((run_steps(workloads, name, args.seed, src, work), work))
+            diff = differences(name, *runs)
+            print(f"{name}: {len(runs[0][0])} steps, "
+                  f"{sum(1 for p in runs[0][1].rglob('*') if p.is_file())} files, "
+                  f"{'identical' if not diff else f'{len(diff)} differences'}")
+            found += diff
+    for line in found:
+        print(line)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
