@@ -192,19 +192,23 @@ def _node_set(points, values) -> NodeSet:
         raise CliInputError(f"duplicate points at rows {i + 2} and {j + 2}") from err
 
 
-def _cells(chunk: np.ndarray) -> list:
+def _cells(chunk: np.ndarray, dense: bool) -> tuple:
     """CSV cells of a column chunk: ``repr`` of a float, blank for NaN, else ``str``.
 
     ``repr`` is the shortest round-trip form and never needs CSV quoting.  It
     runs once per distinct float of the chunk, told apart by bit pattern (so
-    ``-0.0`` stays distinct from ``0.0``).
+    ``-0.0`` stays distinct from ``0.0``), or once per float if ``dense``.
+    Also returns ``dense`` for the next chunk: this chunk was, or had more
+    than half its floats distinct.
     """
     if chunk.dtype.kind != "f":
-        return list(map(str, chunk.tolist()))
+        return list(map(str, chunk.tolist())), dense
+    if dense:
+        return ["" if v != v else repr(v) for v in chunk.tolist()], True  # v != v: NaN
     values, index = _distinct(chunk)
     texts = np.array(list(map(repr, values.tolist())), dtype=object)
     texts[np.isnan(values)] = ""
-    return texts[index].tolist()
+    return texts[index].tolist(), 2 * values.size > chunk.size
 
 
 def _write_csv(path: str, header, *columns) -> None:
@@ -213,10 +217,12 @@ def _write_csv(path: str, header, *columns) -> None:
     Each ``CSV_CHUNK_ROWS`` rows are built as one string and written at once,
     so a large output's Python objects are never all alive together.
     """
+    dense = [False] * len(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            cells = [_cells(column[start:start + CSV_CHUNK_ROWS]) for column in columns]
+            cells, dense = zip(*[_cells(column[start:start + CSV_CHUNK_ROWS], flag)
+                                 for column, flag in zip(columns, dense)])
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -22,16 +22,18 @@ and can only be evaluated there; its JSON schema is
 
 Both built-in families are products of one-dimensional factors, and each
 coordinate has only a few distinct ones (a 2-d trig model with K = 120 has
-17 and 15).  Per block of points and per coordinate, each distinct factor
-is evaluated once into a small table (``x**e``; ``cos`` only at cosine
-frequencies, ``sin`` only at sine ones) at each distinct value, by bit
-pattern, that the coordinate takes in the block; its rows are then gathered
-to the points.  :func:`eval_features` gathers the table columns into the K
-features; every entry takes the same float operations as the direct
-per-feature formula, so the result is bit-identical to it.
-:func:`_feature_sum`, which evaluates an expansion ``sum_k alpha_k phi_k``,
-contracts the same tables with the coefficients one coordinate at a time
-(sum factorization) and builds no (N, K) array.
+17 and 15).  A call checks its points against the domain once and works
+through blocks of rows.  Per block, each coordinate's factors (``x**e``;
+``cos`` only at cosine frequencies, ``sin`` only at sine ones) fill a small
+table whose rows are gathered to the points.  A block reuses the previous
+block's table if that table covers all its values (a grid's fast axis),
+builds one row per value with no sort once a block of the call had over
+half its values distinct (scattered points), and else one row per distinct
+value, by bit pattern.  :func:`eval_features` gathers the table columns
+into the K features by the same float operations per entry as the direct
+formula, so bit for bit.  :func:`_feature_sum`, which evaluates
+``sum_k alpha_k phi_k``, contracts the tables with the coefficients one
+coordinate at a time (sum factorization) and builds no (N, K) array.
 """
 
 from __future__ import annotations
@@ -98,10 +100,11 @@ class Domain:
         )
 
     def project(self, x) -> np.ndarray:
-        """Validate membership and clamp coordinates near a face onto it.
+        """Validate a point (d,) or points (N, d) and clamp those near a face onto it."""
+        return np.clip(self._checked(x), self.lower, self.upper)
 
-        Takes a point (d,) or an (N, d) array of points.
-        """
+    def _checked(self, x) -> np.ndarray:
+        """``x`` as a float array; PointOutsideDomain at the first point outside."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim > 2 or x.shape[-1] != self.dim:
             raise PointOutsideDomain(
@@ -111,7 +114,7 @@ class Domain:
         if not np.all(inside):
             bad = x if x.ndim == 1 else x[np.argmin(inside)]
             raise PointOutsideDomain(f"point {bad.tolist()} outside the domain box")
-        return np.clip(x, self.lower, self.upper)
+        return x
 
 
 def _compositions(total, parts):
@@ -162,10 +165,9 @@ def _distinct(values: np.ndarray) -> tuple:
     """Distinct entries of a 1-d array of float64 or int64, and where each lies.
 
     Returns ``(distinct, index)`` with ``values == distinct[index]``.  Entries
-    are told apart by bit pattern, so ``-0.0`` and ``0.0`` are two values;
-    integers come out in increasing order.  A sort of the int64 view, because
-    ``np.unique`` imports ``numpy.ma`` on first use (about 1 MiB and 18 ms in
-    every process).
+    are told apart by bit pattern (``-0.0`` and ``0.0`` are two values) and
+    come out sorted by their int64 view: a sort, as ``np.unique`` imports
+    ``numpy.ma`` (1 MiB).
     """
     bits = values.view(np.int64)
     order = np.argsort(bits, kind="stable")
@@ -268,8 +270,6 @@ class FeatureModel:
           ``cos(cos_scales * x_j)``, then ``sin(sin_scales * x_j)``, then a
           column of ones, with each scale ``pi * frequency``.
         * ``custom``: empty.
-
-        It depends on the model only, so it is built on first use and kept.
         """
         if self.family == "power":
             return tuple(_distinct(e) for e in self.exponents.T)
@@ -306,8 +306,7 @@ class FeatureModel:
         ids = {}
         prefix_of = [ids.setdefault(tuple(g[:-1]), len(ids)) for g in gathers.tolist()]
         prefixes = np.array(list(ids), dtype=int).reshape(len(ids), self.domain.dim - 1)
-        widths = [table.shape[1]
-                  for table, _ in _factor_tables(self, np.empty((0, self.domain.dim)))]
+        widths = [_table(self, j, np.empty(0)).shape[1] for j in range(self.domain.dim)]
         return (prefixes, (gathers[:, -1], np.array(prefix_of)), (widths[-1], len(ids)),
                 sum(widths) + 2 * len(ids))
 
@@ -334,43 +333,65 @@ def _table_lookup(model: FeatureModel, X: np.ndarray):
     return hits, match[np.arange(X.shape[0]), hits]
 
 
-def _factor_tables(model: FeatureModel, X: np.ndarray) -> list:
-    """Per coordinate j of a projected block, ``(T_j, index_j)``: the (U_j, J_j)
-    factor table (see :attr:`FeatureModel.coordinate_factors`) at the U_j
-    distinct values of ``X[:, j]``, and the row of it that each point takes.
-
-    Each distinct value's factors are computed once, by the same float
-    operations as at every point that holds it.  ValueError at the first
-    point where a ``power`` table overflows (cos, sin cannot).
-    """
-    columns = [_distinct(X[:, j]) for j in range(X.shape[1])]
+def _table(model: FeatureModel, j: int, values: np.ndarray) -> np.ndarray:
+    """Coordinate j's (U, J_j) factor table at U values (see
+    :attr:`FeatureModel.coordinate_factors`); ``power`` entries may be inf."""
     if model.family == "power":
         with np.errstate(over="ignore"):
-            tables = [(values[:, None] ** exponents, index)
-                      for (values, index), (exponents, _) in zip(columns, model.coordinate_factors)]
-        finite = np.all([np.isfinite(table).all(axis=1)[index] for table, index in tables],
-                        axis=0)
-        if not np.all(finite):
-            raise ValueError(f"features overflow at point {X[np.argmin(finite)].tolist()}")
-        return tables
-    return [(np.hstack([np.cos(cos_scales * values[:, None]),
-                        np.sin(sin_scales * values[:, None]), np.ones((values.size, 1))]), index)
-            for (values, index), (cos_scales, sin_scales, _) in zip(columns, model.coordinate_factors)]
+            return values[:, None] ** model.coordinate_factors[j][0]
+    cos_scales, sin_scales, _ = model.coordinate_factors[j]
+    return np.hstack([np.cos(cos_scales * values[:, None]),
+                      np.sin(sin_scales * values[:, None]), np.ones((values.size, 1))])
 
 
-def _features_block(model: FeatureModel, X: np.ndarray) -> np.ndarray:
-    """Unscaled basis values ``b_k`` at the rows of a projected (B, d) block.
+def _blocks(model: FeatureModel, X: np.ndarray, width, derive, order):
+    """``(rows, factors)`` per block of rows of an (N, d) array, checked
+    against the domain once (not if N = 0) and clipped per block.
 
-    Each coordinate's factor table is gathered into the B rows and K columns.
+    ``factors`` yields ``derive(j, T_j)`` at the rows for each coordinate j
+    in ``order``, T_j built by the module docstring's rules (``custom``: the
+    tabulated rows alone).  ValueError at the first point where a ``power``
+    table overflows.
     """
-    if model.family == "custom":
-        hits, found = _table_lookup(model, X)
-        if not np.all(found):
-            raise UntabulatedPoint(f"point {X[np.argmin(found)].tolist()} is not tabulated")
-        return model.table_features[hits]
-    vals = np.ones((X.shape[0], model.truncation))
-    for (table, index), factors in zip(_factor_tables(model, X), model.coordinate_factors):
-        vals *= np.take(table[index], factors[-1], axis=1)
+    if X.shape[0]:
+        model.domain._checked(X)
+    kept, dense = [None] * X.shape[1], [False] * X.shape[1]  # kept: keys, table, derived
+    for rows in point_blocks(model, X.shape[0], width):
+        block = np.clip(X[rows], model.domain.lower, model.domain.upper)
+        if model.family == "custom":
+            hits, found = _table_lookup(model, block)
+            if not np.all(found):
+                raise UntabulatedPoint(f"point {block[np.argmin(found)].tolist()} is not tabulated")
+            yield rows, iter([model.table_features[hits]])
+            continue
+        parts, finite = [], np.ones(block.shape[0], dtype=bool)
+        for j, column in enumerate(block.T):
+            if kept[j] is not None:  # one searchsorted tells a subset of the kept values
+                keys, table, derived = kept[j]
+                index = np.minimum(np.searchsorted(keys, column.view(np.int64)), keys.size - 1)
+                if np.array_equal(keys[index], column.view(np.int64)):
+                    kept[j][2] = derive(j, table) if derived is None else derived
+                    parts.append((j, kept[j][2], index, False))
+                    continue
+            values, index = (column, slice(None)) if dense[j] else _distinct(column)
+            dense[j] = 2 * values.size > column.size
+            table = _table(model, j, values)
+            if model.family == "power":  # cos and sin cannot overflow
+                finite &= np.isfinite(table).all(axis=1)[index]
+            kept[j] = None if dense[j] else [values.view(np.int64), table, None]
+            parts.append((j, table, index, True))
+        if not np.all(finite):
+            raise ValueError(f"features overflow at point {block[np.argmin(finite)].tolist()}")
+        yield rows, (derive(j, source[index]) if raw else source[index]  # lazily: few alive
+                     for j, source, index, raw in (parts[j] for j in order))
+
+
+def _features_block(factors) -> np.ndarray:
+    """Unscaled basis values ``b_k`` of a block: the product of its factors."""
+    vals = next(factors)
+    for factor in factors:
+        vals *= factor
+        del factor  # freed before the next factor is made
     return vals
 
 
@@ -379,14 +400,15 @@ def eval_features(model: FeatureModel, x) -> np.ndarray:
 
     A point of shape (d,) gives a (K,) vector; an (N, d) array gives the
     (N, K) array whose row i holds the features at point i.  The work runs
-    in blocks of rows (see :func:`point_blocks`), so its temporaries do not
+    in blocks of rows (see :func:`_blocks`), so its temporaries do not
     grow with N.
     """
-    x = model.domain.project(x)
-    X = np.atleast_2d(x)
-    out = np.empty((X.shape[0], model.truncation))
-    for rows in point_blocks(model, X.shape[0]):
-        out[rows] = _features_block(model, X[rows])
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((np.atleast_2d(x).shape[0], model.truncation))
+    cols = [gather for *_, gather in model.coordinate_factors]
+    for rows, factors in _blocks(model, np.atleast_2d(x), None, lambda j, t: t[:, cols[j]],
+                                 range(model.domain.dim)):
+        out[rows] = _features_block(factors)
     out *= np.sqrt(model.weights)
     return out if x.ndim == 2 else out[0]
 
@@ -395,32 +417,31 @@ def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.nd
     """``sum_k alpha_k phi_k(x)`` at each row x of an (N, d) array, by sum factorization.
 
     ``power``, ``trig``: the products ``sqrt(w_k) alpha_k`` fill a (J_d, P)
-    matrix C (see :attr:`FeatureModel._sum_plan`); per block, ``S = T_d @ C``
-    is multiplied by each earlier coordinate's table at the prefix columns and
-    summed over the P prefixes.  Per point that is ``J_d P`` multiply-adds and
-    ``(d-1) P`` gathers, the factors are computed once per distinct coordinate
-    value of a block, and no (N, K) array is built; blocks hold about
-    ``BLOCK_VALUES`` of these values.  ``custom`` looks its rows up.  Rows
-    agree with ``eval_features(model, X) @ alpha`` to the rounding of a K-term
-    sum.  An empty array of any width gives (0,) without a check.
+    matrix C (see :attr:`FeatureModel._sum_plan`).  Each block's table rows
+    are contracted, ``T_d @ C`` for the last coordinate and the prefix
+    columns ``T_j[:, prefixes[:, j]]`` for the others (a reused table once
+    per call), then multiplied and summed over the P prefixes; no (N, K)
+    array is built.  ``custom`` looks its rows up.  Rows agree with ``eval_features(
+    model, X) @ alpha`` to the rounding of a K-term sum.  An empty array of
+    any width gives (0,) without a check.
     """
     beta = np.sqrt(model.weights) * alpha
-    width = None
+    width = derive = None
     if model.family != "custom":
         prefixes, places, shape, width = model._sum_plan
         C = np.zeros(shape)
         C[places] = beta
+
+        def derive(j, table):
+            return table @ C if j == model.domain.dim - 1 else table[:, prefixes[:, j]]
     values = np.empty(X.shape[0])
-    for rows in point_blocks(model, X.shape[0], width):
-        block = model.domain.project(X[rows])
-        if model.family == "custom":
-            values[rows] = _features_block(model, block) @ beta
-            continue
-        *tables, (last, index) = _factor_tables(model, block)
-        S = last[index] @ C
-        for j, (table, index) in enumerate(tables):
-            S *= np.take(table[index], prefixes[:, j], axis=1)
-        values[rows] = S.sum(axis=1)
+    last_first = [model.domain.dim - 1, *range(model.domain.dim - 1)]
+    for rows, factors in _blocks(model, X, width, derive, last_first):
+        S = next(factors)
+        for factor in factors:
+            S *= factor
+            del factor  # freed before the next factor is made
+        values[rows] = S @ beta if model.family == "custom" else S.sum(axis=1)
     return values
 
 

@@ -566,6 +566,20 @@ class TestCsvCells:
         assert text == per_cell_csv(header, repeats, grid, scattered, counts, flags)
         assert {"-0.0", "0.0", ""} <= set(text.replace("\n", ",").split(","))
 
+    def test_mostly_distinct_chunk_turns_its_column_to_plain_repr(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 8)
+        distinct_passes = []
+        distinct = cli._distinct
+        monkeypatch.setattr(cli, "_distinct",
+                            lambda chunk: distinct_passes.append(chunk.size) or distinct(chunk))
+        scattered = np.concatenate([np.linspace(0.1, 0.8, 8),
+                                    [np.nan, -0.0, 0.0, -0.0, -np.float64(np.nan), 1 / 3, 1 / 3, 2.0]])
+        repeats = np.resize([0.5, -0.0, 0.5, 0.0], 16)
+        path = tmp_path / "out.csv"
+        cli._write_csv(str(path), ["a", "b"], scattered, repeats)
+        assert path.read_text(encoding="utf-8") == per_cell_csv(["a", "b"], scattered, repeats)
+        assert distinct_passes == [8, 8, 8]  # a's first chunk only, then b's two
+
     def test_empty_columns_write_the_header_only(self, tmp_path):
         path = tmp_path / "out.csv"
         cli._write_csv(str(path), ["x1", "s"], np.empty(0), np.empty(0))

@@ -1,7 +1,11 @@
 import importlib.util
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_cli_outputs.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_cli_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_cli_outputs", TOOL)
 compare = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare)
@@ -30,3 +34,39 @@ def test_every_kind_of_difference_is_named(tmp_path):
     assert found[1].startswith("w: mkinterp fit: stderr differs")
     assert found[2:] == ["w: new.csv only in the change", "w: old.csv only in the parent",
                          "w: m.json differs"]
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """The ``(workload, tree)`` of each ``run_steps`` call, which runs nothing."""
+    calls = []
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(compare, "run_steps", lambda workloads, name, seed, src, work:
+                        calls.append((name, src)) or [])
+    return calls
+
+
+def test_workload_option_picks_the_workloads_in_order(ran, capsys):
+    src = ROOT / "src"
+    argv = [str(src), str(src), "--seed", "3", "--workload", "power_bound",
+            "--workload", "eval_grid", "--workload", "power_bound"]
+    assert compare.main(argv) == 0
+    assert ran == [("power_bound", src), ("power_bound", src), ("eval_grid", src),
+                   ("eval_grid", src)]
+    assert capsys.readouterr().out.splitlines() == ["power_bound: 0 steps, 0 files, identical",
+                                                    "eval_grid: 0 steps, 0 files, identical"]
+
+
+def test_every_workload_by_default(ran):
+    src = ROOT / "src"
+    assert compare.main([str(src), str(src), "--seed", "3"]) == 0
+    assert [name for name, _ in ran[::2]] == ["eval_grid", "fit_large", "power_bound"]
+
+
+def test_unknown_workload_is_a_usage_error(ran, capsys):
+    src = ROOT / "src"
+    with pytest.raises(SystemExit) as exit_info:
+        compare.main([str(src), str(src), "--seed", "3", "--workload", "eval_gird"])
+    assert exit_info.value.code == 2
+    assert "unknown workload 'eval_gird'" in capsys.readouterr().err
+    assert ran == []

@@ -396,6 +396,119 @@ class TestDistinctValueTables:
         assert empty.size == 0 and nowhere.size == 0
 
 
+def rows_per_block(monkeypatch, rows, width):
+    """Make :func:`point_blocks` cut blocks of ``rows`` rows of ``width`` values."""
+    monkeypatch.setattr(features, "BLOCK_VALUES", rows * width)
+
+
+class TestBlockRules:
+    """Per block and coordinate, a table is the previous block's, one row per
+    value with no sort, or one row per distinct value; every rule gives the
+    direct formula's bits, and the first bad point is named whatever its block."""
+
+    BOX = Domain([-1.0, -1.0, -1.0], [1.5, 1.5, 1.5])
+    ROWS = 40
+
+    @classmethod
+    def switching_blocks(cls):
+        """Four blocks of ROWS rows and a partial fifth, whose coordinates
+        switch between repeats, a subset of the kept values and no repeats."""
+        rng = np.random.default_rng(11)
+        pool = np.array([-0.0, 0.0, 0.25, -1.0 - 5e-13, 1.5 + 5e-13, 1.5, -0.75])
+        other = np.array([0.5, -0.5, 1.0, 0.0])
+
+        def scattered(count=cls.ROWS):
+            return rng.uniform(-1.0, 1.5, count)
+
+        def repeats(values, count=cls.ROWS):
+            return rng.choice(values, count)
+
+        rows, half = cls.ROWS, cls.ROWS // 2
+        columns = [
+            [np.resize(pool, rows), repeats(pool[:3]), scattered(), repeats(pool), repeats(pool, half)],
+            [np.resize(pool[::-1], rows), repeats(other), repeats(pool[2:]), repeats(pool[3:]),
+             scattered(half)],
+            [scattered(), scattered(), scattered(), scattered(), repeats(pool, half)],
+        ]
+        return np.column_stack([np.concatenate(column) for column in columns])
+
+    # coordinates tabulated per block: block 1 reuses coordinate 0's table,
+    # block 3 coordinate 1's; coordinate 2, and coordinate 0 from block 2, no
+    # longer sort
+    TABULATED = [[0, 1, 2], [1, 2], [0, 1, 2], [0, 2], [0, 1, 2]]
+
+    @pytest.fixture
+    def tabulated(self, monkeypatch):
+        calls = []
+        table = features._table
+
+        def spy(model, j, values):
+            calls.append((j, values.size))
+            return table(model, j, values)
+
+        monkeypatch.setattr(features, "_table", spy)
+        return calls
+
+    def tabulated_per_block(self, calls):
+        """Split the spied ``(j, size)`` calls into blocks: j restarts low."""
+        blocks = []
+        for j, _ in calls:
+            if not blocks or j <= blocks[-1][-1]:
+                blocks.append([])
+            blocks[-1].append(j)
+        return blocks
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_eval_features_bit_identical_under_every_rule(self, family, monkeypatch, tabulated):
+        model = build(family, self.BOX, 47, weights=np.random.default_rng(4).uniform(0.1, 3.0, 47))
+        X = self.switching_blocks()
+        rows_per_block(monkeypatch, self.ROWS, model.truncation)
+        got = eval_features(model, X)
+        assert self.tabulated_per_block(tabulated) == self.TABULATED
+        assert same_bits(got, reference_features(model, X))
+        assert same_bits(got, row_by_row(model, X))
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_feature_sum_equals_each_block_alone(self, family, monkeypatch, tabulated):
+        model = build(family, self.BOX, 47)
+        alpha = np.random.default_rng(6).standard_normal(47)
+        X = self.switching_blocks()
+        rows_per_block(monkeypatch, self.ROWS, model._sum_plan[-1])
+        tabulated.clear()
+        got = features._feature_sum(model, X, alpha)
+        assert self.tabulated_per_block(tabulated) == self.TABULATED
+        blocks = point_blocks(model, X.shape[0], model._sum_plan[-1])
+        assert len(blocks) == 5
+        alone = np.concatenate([features._feature_sum(model, X[rows], alpha) for rows in blocks])
+        assert same_bits(got, alone)
+
+    @pytest.mark.parametrize("rule", ["reused", "unsorted"])
+    def test_power_overflow_names_the_first_point_in_input_order(self, rule, monkeypatch):
+        model = FeatureModel.power_series(Domain([-1e200, -1e200], [1e200, 1e200]), 6)
+        second = [0.0, 0.5, 0.0, 0.5] if rule == "reused" else [0.1, 0.2, 0.3, 0.4]
+        X = np.column_stack([[0.5, 0.5, -0.5, -0.5, 0.5, -0.5, 0.5, -0.5],
+                             second + [0.0, 5e170, -3e170, 2e160]])
+        first = X[5].tolist()  # not the least value, nor the least bit pattern
+        message = re.escape(f"features overflow at point {first}")
+        for width, call in [(model.truncation, lambda: eval_features(model, X)),
+                            (model._sum_plan[-1],
+                             lambda: features._feature_sum(model, X, np.ones(6)))]:
+            rows_per_block(monkeypatch, 4, width)
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_point_outside_names_the_first_in_a_later_block(self, monkeypatch):
+        model = build("trig", self.BOX, 47)
+        X = self.switching_blocks()
+        X[[130, 150], 1] = [1.5 + 1e-6, -2.0]
+        rows_per_block(monkeypatch, self.ROWS, model.truncation)
+        message = re.escape(f"point {X[130].tolist()} outside the domain box")
+        with pytest.raises(PointOutsideDomain, match=message):
+            eval_features(model, X)
+        with pytest.raises(PointOutsideDomain, match=message):
+            features._feature_sum(model, X, np.ones(47))
+
+
 class TestSummability:
     def test_unit_weight_monomials(self):
         report = check_summability(monomials(3), [[-1.0], [0.0], [1.0]])

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -31,7 +32,7 @@ from mkinterp import (
     to_json,
 )
 from mkinterp import features, interpolant
-from mkinterp.features import FACE_TOLERANCE, TABLE_TOLERANCE
+from mkinterp.features import FACE_TOLERANCE, TABLE_TOLERANCE, point_blocks
 from mkinterp.tensors import FeatureGram
 from oracles import dual_pairing, evaluate_tensor_basis
 
@@ -317,6 +318,56 @@ class TestEvaluateMany:
         finally:
             tracemalloc.stop()
         assert peak < X.shape[0] * 8 + 2 * 8 * features.BLOCK_VALUES
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """The argument tuples of each later call of ``features.<name>``."""
+        calls, function = [], getattr(features, name)
+
+        def record(*args):
+            calls.append(args)
+            return function(*args)
+
+        monkeypatch.setattr(features, name, record)
+        return calls
+
+    def test_grid_blocks_reuse_the_fast_axis_table(self, monkeypatch):
+        s = family_fit("trig", 2)
+        axis = np.linspace(-1.0, 2.0, 201)
+        X = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        blocks = point_blocks(s.model, X.shape[0], s.model._sum_plan[-1])
+        assert len(blocks) > 4
+        sorts, tables = self.spy(monkeypatch, "_distinct"), self.spy(monkeypatch, "_table")
+        got = evaluate_many(s, X)
+        # the fast axis is sorted and tabulated in the first block only; the
+        # slow axis once per block, at the few values the block holds
+        assert len(sorts) == len(blocks) + 1
+        assert [values.size for _, j, values in tables if j == 1] == [201]
+        assert sum(values.size for _, j, values in tables if j == 0) <= 201 + len(blocks)
+        monkeypatch.undo()
+        alone = np.concatenate([evaluate_many(s, X[rows]) for rows in blocks])
+        assert np.array_equal(got, alone)
+        assert within_sum_bound(s, X, got)
+
+    def test_scattered_blocks_skip_the_sort(self, monkeypatch):
+        s = family_fit("trig", 3)
+        step = point_blocks(s.model, 10 ** 6, s.model._sum_plan[-1])[0].stop
+        X = np.random.default_rng(74).uniform(-1, 2, size=(3 * step + 5, 3))
+        expected = np.concatenate([evaluate_many(s, X[i:i + step])
+                                   for i in range(0, X.shape[0], step)])
+        sorts = self.spy(monkeypatch, "_distinct")
+        got = evaluate_many(s, X)
+        assert len(sorts) == 3  # each coordinate's first block, where no value repeats
+        assert np.array_equal(got, expected)
+
+    def test_point_outside_in_a_later_block_is_named(self, monkeypatch):
+        s = family_fit("power", 2)
+        monkeypatch.setattr(features, "BLOCK_VALUES", 8 * s.model._sum_plan[-1])
+        X = np.random.default_rng(75).uniform(-1, 2, size=(40, 2))
+        X[[29, 33], [0, 1]] = [2.0 + 10 * FACE_TOLERANCE, -1.5]
+        with pytest.raises(PointOutsideDomain,
+                           match=re.escape(f"point {X[29].tolist()} outside the domain box")):
+            evaluate_many(s, X)
 
     def test_custom_table(self):
         s = custom_fit()

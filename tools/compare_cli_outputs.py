@@ -1,8 +1,9 @@
 """Compare the CLI outputs of two mkinterp source trees on the benchmark workloads.
 
-    python3 tools/compare_cli_outputs.py PARENT_SRC CHANGE_SRC --seed 3
+    python3 tools/compare_cli_outputs.py PARENT_SRC CHANGE_SRC --seed 3 [--workload NAME ...]
 
-For each workload of ``bench/workloads.py`` (imported, never modified) the
+For each workload of ``bench/workloads.py`` (imported, never modified), or
+for each one named by a ``--workload`` option, which may be repeated, the
 script writes the seeded inputs into one temporary directory per tree,
 runs every prerequisite and CLI step there as ``python -m mkinterp.cli``
 with that tree on ``PYTHONPATH``, and compares the two directories file by
@@ -66,6 +67,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="compare only this workload (repeatable; default: all)")
     args = parser.parse_args(argv)
     trees = [args.parent_src.resolve(), args.change_src.resolve()]
     for src in trees:
@@ -74,9 +77,13 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "bench"), str(trees[1])]
     import workloads
 
+    names = list(dict.fromkeys(args.workload or workloads.WORKLOADS))
+    for name in names:
+        if name not in workloads.WORKLOADS:
+            parser.error(f"unknown workload {name!r}; choose from {', '.join(workloads.WORKLOADS)}")
     found = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name in workloads.WORKLOADS:
+        for name in names:
             runs = []
             for label, src in zip(("parent", "change"), trees):
                 work = Path(tmp) / f"{name}-{label}"
