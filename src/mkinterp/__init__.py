@@ -3,75 +3,40 @@
 Interpolants of even order m are built from truncated feature expansions,
 their coefficients solved from the multi-linear system ``A_m c^{m-1} = y``
 by convex minimization over the rank-one-sum form of ``A_m``.
+
+Each exported name is imported from its submodule on first use (PEP 562).
 """
 
-from .exceptions import (
-    DimensionMismatch,
-    DuplicateNodes,
-    InvalidExponent,
-    NotConverged,
-    OddOrderUnsupported,
-    PointOutsideDomain,
-    SingularDesignWarning,
-    UntabulatedPoint,
-    ZeroFunction,
-)
-from .features import (
-    Domain,
-    FeatureModel,
-    eval_features,
-    graded_multi_indices,
-)
-from .interpolant import (
-    Interpolant,
-    NodeSet,
-    banach_norm_direct,
-    banach_norm_via_tensor,
-    evaluate,
-    evaluate_many,
-    feature_coefficients,
-    fit,
-    from_json,
-    gateaux_coefficients,
-    to_json,
-)
-from .power import (
-    PowerReport,
-    StudyResult,
-    StudyRow,
-    convergence_study,
-    domain_grid,
-    error_bound,
-    fill_distance,
-    power_function,
-    power_report,
-)
-from .solver import (
-    SolveReport,
-    SolverOptions,
-    residual_norm,
-    solve_multilinear,
-    solve_regularized,
-)
-from .tensors import (
-    FeatureGram,
-    contract_m,
-    contract_m_minus_1,
-)
+from importlib import import_module
 
-__all__ = [
-    "DimensionMismatch", "DuplicateNodes", "InvalidExponent",
-    "NotConverged", "OddOrderUnsupported", "PointOutsideDomain",
-    "SingularDesignWarning", "UntabulatedPoint", "ZeroFunction",
-    "Domain", "FeatureModel", "eval_features",
-    "graded_multi_indices",
-    "Interpolant", "NodeSet", "banach_norm_direct", "banach_norm_via_tensor",
-    "evaluate", "evaluate_many",
-    "feature_coefficients", "fit", "from_json", "gateaux_coefficients", "to_json",
-    "PowerReport", "StudyResult", "StudyRow", "convergence_study", "domain_grid",
-    "error_bound", "fill_distance", "power_function", "power_report",
-    "SolveReport", "SolverOptions", "residual_norm", "solve_multilinear",
-    "solve_regularized",
-    "FeatureGram", "contract_m", "contract_m_minus_1",
-]
+# Exported name -> the submodule that defines it, in ``__all__`` order.
+_EXPORTS = {
+    "DimensionMismatch": "exceptions", "DuplicateNodes": "exceptions",
+    "InvalidExponent": "exceptions", "NotConverged": "exceptions",
+    "OddOrderUnsupported": "exceptions", "PointOutsideDomain": "exceptions",
+    "SingularDesignWarning": "exceptions", "UntabulatedPoint": "exceptions",
+    "ZeroFunction": "exceptions", "Domain": "features", "FeatureModel": "features",
+    "eval_features": "features", "graded_multi_indices": "features", "Interpolant": "interpolant",
+    "NodeSet": "interpolant", "banach_norm_direct": "interpolant",
+    "banach_norm_via_tensor": "interpolant", "evaluate": "interpolant",
+    "evaluate_many": "interpolant", "feature_coefficients": "interpolant", "fit": "interpolant",
+    "from_json": "interpolant", "gateaux_coefficients": "interpolant", "to_json": "interpolant",
+    "PowerReport": "power", "StudyResult": "power", "StudyRow": "power",
+    "convergence_study": "power", "domain_grid": "features", "error_bound": "power",
+    "fill_distance": "power", "power_function": "power", "power_report": "power",
+    "SolveReport": "solver", "SolverOptions": "solver", "residual_norm": "solver",
+    "solve_multilinear": "solver", "solve_regularized": "solver", "FeatureGram": "tensors",
+    "contract_m": "tensors", "contract_m_minus_1": "tensors",
+}
+_SUBMODULES = {"cli", *_EXPORTS.values()}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,13 +10,15 @@ an exit code, through ``_EXIT_CODES``.
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed)
 whose keys mirror the command-line flags; flags override file values.
-Numeric CSV output uses shortest round-trip decimals.
+Numeric CSV output uses shortest round-trip decimals.  A subcommand imports
+only the modules it runs: ``eval`` loads neither the solver nor ``power``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -25,7 +27,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DuplicateNodes, NotConverged, SingularDesignWarning
-from .features import Domain, FeatureModel, _distinct, tabulated
+from .features import Domain, FeatureModel, _distinct, domain_grid, tabulated
 from .interpolant import (
     Interpolant,
     NodeSet,
@@ -35,8 +37,6 @@ from .interpolant import (
     from_json,
     to_json,
 )
-from .power import convergence_study, domain_grid, power_report
-from .solver import SolverOptions, solve_multilinear
 from .tensors import FeatureGram
 
 EXIT_OK = 0
@@ -58,6 +58,7 @@ _EXIT_CODES = {
 # Output rows are formatted and written this many at a time; a chunk's
 # strings set the peak memory of `eval`.
 CSV_CHUNK_ROWS = 2048
+CSV_BLOCK_CHARS = 1 << 16  # input text is converted this much at a time, to bound temporaries
 
 _DEFAULTS = {
     "kernel": "power",
@@ -147,10 +148,12 @@ def build_model(cfg: dict, dim: int) -> FeatureModel:
 
 
 def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
-    """Read a CSV with header x1..xd[,y]; returns (points, values or None)."""
+    """Read a CSV with header x1..xd[,y]; returns (points, values or None).
+
+    A body :func:`_convert` rejects is scanned row by row; only the scan words errors.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise CliInputError(f"{path}: empty file")
         header = [h.strip() for h in header]
@@ -161,8 +164,11 @@ def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
             raise CliInputError(f"{path}: header must be x1,...,xd[,y]")
         if expect_values and not has_values:
             raise CliInputError(f"{path}: missing y column")
-        points, values = [], []
-        for lineno, row in enumerate(reader, start=2):
+        body = fh.read()
+    table = _convert(body, len(header))
+    if table is None:
+        table = []
+        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
@@ -173,15 +179,38 @@ def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
                 raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
             if not all(math.isfinite(v) for v in nums):
                 raise CliInputError(f"{path}:{lineno}: non-finite field")
-            if has_values:
-                points.append(nums[:-1])
-                values.append(nums[-1])
-            else:
-                points.append(nums)
-    pts = np.asarray(points, dtype=float).reshape(len(points), d)
-    if pts.shape[0] == 0 and not allow_empty:
+            table.append(nums)
+        table = np.array(table, dtype=float).reshape(len(table), len(header))
+    if table.shape[0] == 0 and not allow_empty:
         raise CliInputError(f"{path}: no data rows")
-    return pts, (np.asarray(values, dtype=float) if has_values else None)
+    if has_values:
+        return np.ascontiguousarray(table[:, :d]), table[:, d].copy()
+    return table, None
+
+
+def _convert(body: str, width: int):
+    """The (n, width) table of a CSV body, or None where the ``csv`` module
+    might split it otherwise (a lone carriage return, a field over its size
+    limit) or a nonblank line is not ``width`` finite numbers (a quoted one
+    never is).  Cells go through ``float``, as in the scan, so bit for bit."""
+    text = body.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    start, blocks = 0, [np.empty((0, width))]
+    while start < len(text):
+        stop = text.find("\n", start + CSV_BLOCK_CHARS) + 1 or len(text)
+        lines = list(filter(None, text[start:stop].split("\n")))  # blank lines are skipped
+        start = stop
+        if (max(map(len, lines), default=0) > csv.field_size_limit()
+                or {line.count(",") for line in lines} - {width - 1}):
+            return None
+        try:
+            cells = list(map(float, ",".join(lines).split(","))) if lines else []
+        except ValueError:
+            return None
+        blocks.append(np.reshape(cells, (-1, width)))
+    table = np.concatenate(blocks)
+    return table if np.isfinite(table).all() else None
 
 
 def _node_set(points, values) -> NodeSet:
@@ -195,15 +224,16 @@ def _node_set(points, values) -> NodeSet:
 def _cells(chunk: np.ndarray, dense: bool) -> tuple:
     """CSV cells of a column chunk: ``repr`` of a float, blank for NaN, else ``str``.
 
-    ``repr`` is the shortest round-trip form and never needs CSV quoting.  It
-    runs once per distinct float of the chunk, told apart by bit pattern (so
-    ``-0.0`` stays distinct from ``0.0``), or once per float if ``dense``.
-    Also returns ``dense`` for the next chunk: this chunk was, or had more
-    than half its floats distinct.
+    ``repr`` (shortest round-trip, never quoted) runs once per float if
+    ``dense``, else once per distinct float, told apart by bit pattern.  Also
+    returns ``dense`` for the next chunk: this one was, or had over half its
+    floats distinct.
     """
     if chunk.dtype.kind != "f":
         return list(map(str, chunk.tolist())), dense
     if dense:
+        if not np.isnan(chunk).any():
+            return list(map(repr, chunk.tolist())), True
         return ["" if v != v else repr(v) for v in chunk.tolist()], True  # v != v: NaN
     values, index = _distinct(chunk)
     texts = np.array(list(map(repr, values.tolist())), dtype=object)
@@ -231,6 +261,7 @@ def _write_csv(path: str, header, *columns) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
+    from .solver import SolverOptions, solve_multilinear
     cfg = _merge_settings(args)
     points, values = read_points_csv(args.data, expect_values=True)
     nodes = _node_set(points, values)
@@ -299,6 +330,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_power(args) -> int:
+    from .power import power_report
     cfg = _merge_settings(args)
     points, values = read_points_csv(args.nodes, expect_values=False)
     nodes = _node_set(points, values if values is not None else np.zeros(len(points)))
@@ -311,6 +343,8 @@ def cmd_power(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from .power import convergence_study
+    from .solver import SolverOptions
     cfg = _merge_settings(args)
     try:
         counts = [int(piece) for piece in str(cfg["node_counts"]).split(",")]

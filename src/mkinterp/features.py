@@ -117,6 +117,16 @@ class Domain:
         return x
 
 
+def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
+    """Uniform tensor grid over the box, endpoints included, row-major."""
+    if per_dim < 2:
+        raise ValueError("per_dim must be at least 2")
+    axes = [np.linspace(domain.lower[j], domain.upper[j], per_dim)
+            for j in range(domain.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def _compositions(total, parts):
     """Weak compositions of `total` into `parts`, decreasing-lex order."""
     if parts == 1:
@@ -166,8 +176,7 @@ def _distinct(values: np.ndarray) -> tuple:
 
     Returns ``(distinct, index)`` with ``values == distinct[index]``.  Entries
     are told apart by bit pattern (``-0.0`` and ``0.0`` are two values) and
-    come out sorted by their int64 view: a sort, as ``np.unique`` imports
-    ``numpy.ma`` (1 MiB).
+    come out sorted by their int64 view (a sort: ``np.unique`` imports ``numpy.ma``).
     """
     bits = values.view(np.int64)
     order = np.argsort(bits, kind="stable")
@@ -446,17 +455,15 @@ def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.nd
 
 
 def tabulated(model: FeatureModel, points) -> np.ndarray:
-    """Whether :func:`eval_features` can evaluate each row of in-domain points.
-
-    True everywhere for ``power`` and ``trig``; a ``custom`` table holds
-    only its tabulated points.  Takes an (N, d) array of points inside the
-    domain box and returns an (N,) boolean array.
-    """
+    """Whether :func:`eval_features` can evaluate each row of (N, d) in-domain
+    points: all True for ``power`` and ``trig``, without reading them; a
+    ``custom`` table holds only its tabulated points."""
+    if model.family != "custom":
+        return np.ones(len(points), dtype=bool)
     X = model.domain.project(np.reshape(points, (-1, model.domain.dim)))
-    found = np.ones(X.shape[0], dtype=bool)
-    if model.family == "custom":
-        for rows in point_blocks(model, X.shape[0]):
-            found[rows] = _table_lookup(model, X[rows])[1]
+    found = np.empty(X.shape[0], dtype=bool)
+    for rows in point_blocks(model, X.shape[0]):
+        found[rows] = _table_lookup(model, X[rows])[1]
     return found
 
 

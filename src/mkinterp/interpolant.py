@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,8 +26,10 @@ from .exceptions import (
     ZeroFunction,
 )
 from .features import Domain, FeatureModel, _feature_sum, require_even_order
-from .solver import SolverOptions, SolveReport, solve_multilinear
 from .tensors import FeatureGram, contract_m
+
+if TYPE_CHECKING:  # the solver is imported by the first fit, not by evaluation
+    from .solver import SolveReport, SolverOptions
 
 MIN_NODE_SEPARATION = 1e-12
 
@@ -120,6 +123,7 @@ def fit(model: FeatureModel, nodes: NodeSet, m: int,
 def _fit_gram(model: FeatureModel, nodes: NodeSet, m: int, gram: FeatureGram,
               opts: SolverOptions | None = None) -> Interpolant:
     """:func:`fit` on the node Gram ``gram`` of `model` at ``nodes.points``."""
+    from .solver import solve_multilinear
     report = solve_multilinear(gram, m, nodes.values, opts)
     if not report.converged:
         raise NotConverged(report)

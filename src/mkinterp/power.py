@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Domain, FeatureModel, eval_features, point_blocks, require_even_order
+from .features import (Domain, FeatureModel, domain_grid, eval_features, point_blocks,
+                       require_even_order)
 from .interpolant import NodeSet, _fit_gram, banach_norm_direct, feature_coefficients
 from .solver import SolverOptions, _minimize_even_power
 from .tensors import FeatureGram
@@ -74,16 +75,6 @@ def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
     the features are exactly representable on the nodes.
     """
     return float(power_report(model, nodes, m, np.atleast_2d(x), opts=opts).p_m[0])
-
-
-def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
-    """Uniform tensor grid over the box, endpoints included, row-major."""
-    if per_dim < 2:
-        raise ValueError("per_dim must be at least 2")
-    axes = [np.linspace(domain.lower[j], domain.upper[j], per_dim)
-            for j in range(domain.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def fill_distance(nodes: NodeSet, domain: Domain, grid_per_dim: int) -> float:

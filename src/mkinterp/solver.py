@@ -58,10 +58,7 @@ _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 # Rounding noise of F, relative to the summed magnitude of its terms.
 _NOISE = 1e-15
-# Doubles per chunk of stacked Hessians (128 KiB).  At n = 60, chunks of one
-# Hessian took a third longer per Newton step, in numpy's per-call overhead;
-# chunks of 512 KiB took no less time and raised the peak RSS of the
-# convergence study by 0.8 MiB.
+# Doubles per chunk of stacked Hessians (128 KiB): few numpy calls, little memory.
 _HESSIAN_VALUES = 1 << 14
 
 

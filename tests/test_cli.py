@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -265,6 +266,18 @@ class TestEval:
             ["0.25", "", "untabulated"],
             ["2.0", "", "outside_domain"],
         ]
+
+    def test_grid_tests_the_domain_twice(self, tmp_path, monkeypatch):
+        data = write(tmp_path / "d.csv", "x1,x2,y\n0,0,1\n0.5,-0.5,2\n-0.5,0.25,0.5\n")
+        model = tmp_path / "m.json"
+        assert main(["fit", data, "--kernel", "trig", "--order", "4", "--truncation", "9",
+                     "--domain=-1:1,-1:1", "--out", str(model)]) == 0
+        tested = []
+        contains = Domain.contains
+        monkeypatch.setattr(Domain, "contains",
+                            lambda self, x: tested.append(len(x)) or contains(self, x))
+        assert main(["eval", str(model), "--grid", "5", "--out", str(tmp_path / "v.csv")]) == 0
+        assert tested == [3, 25, 25]  # the model's nodes, the CLI's flags, evaluate_many
 
     def test_schema_mismatch_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", "{}")
@@ -586,6 +599,108 @@ class TestCsvCells:
         assert path.read_text(encoding="utf-8") == "x1,s\n"
 
 
+def read_both_ways(path, expect_values=False, allow_empty=False):
+    """``read_points_csv`` with its one-pass conversion and with the line scan
+    alone; each outcome is ``(points, values)`` or the exception raised."""
+    outcomes = []
+    for convert in (cli._convert, lambda text, width: None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_convert", convert)
+            try:
+                outcomes.append(cli.read_points_csv(path, expect_values, allow_empty))
+            except (ValueError, csv.Error) as err:  # compared below, type and message
+                outcomes.append(err)
+    return outcomes
+
+
+def assert_read_alike(path, expect_values=False, allow_empty=False):
+    """Both ways give the same arrays bit for bit, or the same error."""
+    fast, scan = read_both_ways(path, expect_values, allow_empty)
+    if isinstance(scan, Exception):
+        assert type(fast) is type(scan) and str(fast) == str(scan), (fast, scan)
+        return
+    assert not isinstance(fast, Exception), fast
+    for got, want in zip(fast, scan):
+        if want is None:
+            assert got is None
+        else:
+            assert same_bits(got, want) and got.flags.c_contiguous, (got, want)
+
+
+def same_bits(a, b):
+    """Equal float arrays, bit for bit: ``-0.0`` differs from ``0.0``."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestReadPointsCsv:
+    """The one-pass conversion reads what the line scan reads, bit for bit,
+    and leaves every file it does not accept, with its error, to the scan."""
+
+    CASES = {
+        "plain": "x1,y\n0.5,1\n-0.0,2\n",
+        "quoted": 'x1,y\n"0.5",1\n0,"2"\n',
+        "crlf": "x1,y\r\n0.5,1\r\n-0.0,2\r\n",
+        "lone_cr": "x1,y\r0.5,1\r-0.0,2\r",
+        "cr_in_row": "x1,y\n0.5\r,1\n",
+        "quoted_comma": 'x1,y\n"0.5,1"\n',
+        "blank_lines": "x1,y\n\n0.5,1\n\n0,2\n\n",
+        "whitespace_lines": "x1,y\n0.5,1\n   \n,\n \t, \n0,2\n",
+        "underscore": "x1,y\n1_000,1\n0,2\n",
+        "spaces": "x1,y\n 1.5 ,1\n0,2\n",
+        "nan": "x1,y\nnan,1\n",
+        "inf": "x1,y\n0,inf\n",
+        "overflow": "x1,y\n1e999,1\n",
+        "short_row": "x1,y\n0.5,1\n0.25\n",
+        "trailing_comma": "x1,y\n0.5,1,\n",
+        "ragged_rows": "x1,y\n0.5,1,2\n0.25\n",
+        "overlong_field": "x1,y\n" + "0" * csv.field_size_limit() + "1,2\n",
+        "header_only": "x1,y\n",
+        "header_only_crlf": "x1,y\r\n",
+        "no_newline": "x1,y\n0.5,1",
+        "unicode_digit": "x1,y\n\u0661,1\n",
+        "bad_hex": "x1,y\n0x10,1\n",
+    }
+    # the files the conversion accepts itself; the others go to the scan
+    CONVERTED = {"plain", "crlf", "blank_lines", "underscore", "spaces", "header_only",
+                 "header_only_crlf", "no_newline", "unicode_digit"}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("allow_empty", [False, True])
+    @pytest.mark.parametrize("expect_values", [False, True])
+    @pytest.mark.parametrize("block_chars", [1, 7, cli.CSV_BLOCK_CHARS])
+    def test_one_pass_and_scan_agree(self, tmp_path, monkeypatch, case, expect_values,
+                                     allow_empty, block_chars):
+        monkeypatch.setattr(cli, "CSV_BLOCK_CHARS", block_chars)
+        path = tmp_path / "in.csv"
+        path.write_bytes(self.CASES[case].encode("utf-8"))  # no newline translation
+        assert_read_alike(str(path), expect_values, allow_empty)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_which_files_the_conversion_accepts(self, case):
+        header, body = re.split("\r\n|\r|\n", self.CASES[case], maxsplit=1)
+        assert (cli._convert(body, header.count(",") + 1) is not None) == (case in self.CONVERTED)
+
+    def test_header_only_file_needs_allow_empty(self, tmp_path):
+        path = write(tmp_path / "in.csv", "x1,y\n")
+        with pytest.raises(cli.CliInputError, match="no data rows"):
+            cli.read_points_csv(path, expect_values=True)
+        points, values = cli.read_points_csv(path, expect_values=True, allow_empty=True)
+        assert points.shape == (0, 1) and values.shape == (0,)
+
+    def test_clean_file_is_not_scanned(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(-1, 1, (5000, 3))  # several conversion blocks
+        rows[7, 1] = -0.0
+        path = write(tmp_path / "in.csv", "x1,x2,y\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        readers = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda rows: readers.append(rows) or reader(rows))
+        points, values = cli.read_points_csv(path, expect_values=True)
+        assert same_bits(points, rows[:, :2]) and same_bits(values, rows[:, 2])
+        assert len(readers) == 1  # the header's
+
+
 # Numeric flag values: special floats first, then any float.
 FLAG_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308]),
                         st.floats())
@@ -794,6 +909,9 @@ def test_mutated_csv_inputs_end_in_a_documented_exit(case):
             "config": [(["eval", model, "--out", str(tmp / "v.csv"), *config], []),
                        (["study", "--out", str(tmp / "s.csv"), *config], [tmp / "s.csv"])],
         }
+        if target != "config":
+            for expect_values, allow_empty in [(False, False), (True, False), (False, True)]:
+                assert_read_alike(paths[target], expect_values, allow_empty)
         for argv, outputs in runs[target] + (runs["nodes"] if target == "config" else []):
             with warnings.catch_warnings():
                 # a study with more nodes than features is consistent (criterion 10)
