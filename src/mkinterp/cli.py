@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -58,7 +57,7 @@ _EXIT_CODES = {
 # Output rows are formatted and written this many at a time; a chunk's
 # strings set the peak memory of `eval`.
 CSV_CHUNK_ROWS = 2048
-CSV_BLOCK_CHARS = 1 << 16  # input text is converted this much at a time, to bound temporaries
+CSV_BLOCK_CHARS = 1 << 16  # input text is read and converted this much at a time
 
 _DEFAULTS = {
     "kernel": "power",
@@ -150,7 +149,10 @@ def build_model(cfg: dict, dim: int) -> FeatureModel:
 def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
     """Read a CSV with header x1..xd[,y]; returns (points, values or None).
 
-    A body :func:`_convert` rejects is scanned row by row; only the scan words errors.
+    The body is read ``CSV_BLOCK_CHARS`` characters at a time, each block
+    cut after its last newline and converted by :func:`_convert`.  Once a
+    block is refused the file is scanned again row by row, from its first
+    data row; only the scan words errors.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -164,23 +166,9 @@ def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
             raise CliInputError(f"{path}: header must be x1,...,xd[,y]")
         if expect_values and not has_values:
             raise CliInputError(f"{path}: missing y column")
-        body = fh.read()
-    table = _convert(body, len(header))
+        table = _convert_blocks(fh, len(header))
     if table is None:
-        table = []
-        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CliInputError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                nums = [float(cell) for cell in row]
-            except ValueError:
-                raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
-            if not all(math.isfinite(v) for v in nums):
-                raise CliInputError(f"{path}:{lineno}: non-finite field")
-            table.append(nums)
-        table = np.array(table, dtype=float).reshape(len(table), len(header))
+        table = _scan(path, len(header))
     if table.shape[0] == 0 and not allow_empty:
         raise CliInputError(f"{path}: no data rows")
     if has_values:
@@ -188,28 +176,64 @@ def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
     return table, None
 
 
+def _convert_blocks(fh, width: int):
+    """The table of the CSV body left in ``fh``, block by block through
+    :func:`_convert`, or None once a block is refused.  A block ends after
+    its last newline, so no line, and no ``\r\n``, spans two blocks."""
+    blocks, rest = [np.empty((0, width))], ""
+    while True:
+        chunk = fh.read(CSV_BLOCK_CHARS)
+        text = rest + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        if cut:
+            blocks.append(_convert(text[:cut], width))
+            if blocks[-1] is None:
+                return None
+        rest = text[cut:]
+        if not chunk:
+            return np.concatenate(blocks)
+
+
+def _scan(path: str, width: int):
+    """The table of a CSV body read row by row by the ``csv`` module; raises
+    CliInputError naming the line of the first bad row."""
+    table = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)  # the header
+        for lineno, row in enumerate(rows, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != width:
+                raise CliInputError(f"{path}:{lineno}: expected {width} fields")
+            try:
+                nums = [float(cell) for cell in row]
+            except ValueError:
+                raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
+            if not all(math.isfinite(v) for v in nums):
+                raise CliInputError(f"{path}:{lineno}: non-finite field")
+            table.append(nums)
+    return np.array(table, dtype=float).reshape(len(table), width)
+
+
 def _convert(body: str, width: int):
-    """The (n, width) table of a CSV body, or None where the ``csv`` module
-    might split it otherwise (a lone carriage return, a field over its size
-    limit) or a nonblank line is not ``width`` finite numbers (a quoted one
-    never is).  Cells go through ``float``, as in the scan, so bit for bit."""
+    """The (n, width) table of a block of CSV lines, or None where the
+    ``csv`` module might split it otherwise (a lone carriage return, a field
+    over its size limit) or a nonblank line is not ``width`` finite numbers
+    (a quoted one never is).  Cells go through ``float``, as in the scan, so
+    bit for bit."""
     text = body.replace("\r\n", "\n")
     if "\r" in text:
         return None
-    start, blocks = 0, [np.empty((0, width))]
-    while start < len(text):
-        stop = text.find("\n", start + CSV_BLOCK_CHARS) + 1 or len(text)
-        lines = list(filter(None, text[start:stop].split("\n")))  # blank lines are skipped
-        start = stop
-        if (max(map(len, lines), default=0) > csv.field_size_limit()
-                or {line.count(",") for line in lines} - {width - 1}):
-            return None
-        try:
-            cells = list(map(float, ",".join(lines).split(","))) if lines else []
-        except ValueError:
-            return None
-        blocks.append(np.reshape(cells, (-1, width)))
-    table = np.concatenate(blocks)
+    lines = list(filter(None, text.split("\n")))  # blank lines are skipped
+    if (max(map(len, lines), default=0) > csv.field_size_limit()
+            or {line.count(",") for line in lines} - {width - 1}):
+        return None
+    try:
+        cells = list(map(float, ",".join(lines).split(","))) if lines else []
+    except ValueError:
+        return None
+    table = np.reshape(cells, (-1, width))
     return table if np.isfinite(table).all() else None
 
 
@@ -322,7 +346,8 @@ def cmd_eval(args) -> int:
     overflow = found & ~np.isfinite(values)
     if np.any(overflow):
         raise ValueError(f"interpolant overflows at point {points[np.argmax(overflow)].tolist()}")
-    flags = np.full(points.shape[0], "outside_domain", dtype=object)
+    flags = np.empty(points.shape[0], dtype=object)
+    flags[:] = "outside_domain"  # one str shared by the rows; np.full would make one per row
     flags[inside] = "untabulated"
     flags[found] = ""
     _write_csv(args.out, header, *points.T, values, flags)
@@ -360,11 +385,20 @@ def cmd_study(args) -> int:
     opts = SolverOptions(residual_tol=cfg["tol"])
     eval_grid = domain_grid(model.domain, cfg["grid"])
 
-    result = convergence_study(model, f_alpha, cfg["order"], counts, eval_grid, opts)
+    with warnings.catch_warnings(record=True) as caught:
+        # a row with more nodes than features is consistent: one stderr line per message
+        warnings.simplefilter("always", SingularDesignWarning)
+        result = convergence_study(model, f_alpha, cfg["order"], counts, eval_grid, opts)
+    singular = [str(w.message) for w in caught if issubclass(w.category, SingularDesignWarning)]
+    for w in caught:
+        if not issubclass(w.category, SingularDesignWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     slope = np.nan if result.slope is None else result.slope
     table = np.array([[r.h, r.max_error, r.max_bound, slope] for r in result.rows], dtype=float)
     _write_csv(args.out, ["n", "h", "max_error", "max_bound", "slope"],
                np.array([r.n for r in result.rows]), *table.T)
+    for message in dict.fromkeys(singular):
+        print(f"warning: {message}", file=sys.stderr)
 
     f_norm = banach_norm_direct(f_alpha, cfg["order"] / (cfg["order"] - 1))
     return EXIT_OK if result.bound_dominates(1e-6 * (1.0 + f_norm)) else 1

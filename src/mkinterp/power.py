@@ -20,6 +20,10 @@ gradient norm, a point stops when its Newton decrement is at most
 Vandenberghe, Convex Optimization, 9.5.1).  That stop is relative, so P_m
 is accurate where it is tiny too.  The pointwise interpolation error of any target with known
 norm is bounded by ``2 ||f|| P_m(x)``.
+
+A convergence study needs only the largest P_m of its grid.  The l2
+residual bounds it, ``P_m(x) <= ||r_2(x)||_m``, so the study runs the
+descent only at the points where that bound reaches the best P_m found.
 """
 
 from __future__ import annotations
@@ -36,34 +40,59 @@ from .tensors import FeatureGram
 
 # A point stops once its Newton decrement -grad F . step is this small relative to F.
 _DECREMENT_TOL = 1e-12
+# A point's descent runs where ||r_2||_m times (1 + this) reaches the best P_m found.
+_REACH_MARGIN = 1e-9
 # Points per axis of the grid on which a convergence study takes the fill distance.
 _FILL_GRID_PER_DIM = 201
 
 
-def _power_values(V, B, m, opts: SolverOptions):
-    """``(P_2, P_m, iterations, stop_reasons)`` at each row of the feature block B
-    (N x K), nodes V (n x K).
-
-    One least-squares solve with N right-hand sides gives every l2
-    minimizer theta.  The row norms of the residual ``B - theta^T V`` are
-    P_2, the distance from phi(x) to the span of the node sections.  For
-    m > 2 the thetas start the core on ``F = q / m``, ``q = sum_k |b - V^T
-    theta|_k^p``, with ``u = -B``, ``W = V^T`` and no linear term: one step
-    at each continuation exponent, then the order-m descent, all rows in
-    lock-step.  ``iterations`` counts a point's accepted Newton steps, the
-    continuation steps included, within ``opts.max_iterations``.
-    """
+def _least_squares(V, B):
+    """The stacked l2 minimizers (N x n) and residuals ``B - theta^T V`` of the
+    feature block B (N x K) on nodes V (n x K), by one least-squares solve
+    with N right-hand sides; the residuals' row norms are P_2."""
     thetas, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
-    p_2 = np.linalg.norm(B - thetas.T @ V, axis=1)
-    if m == 2:
-        return p_2, p_2, np.zeros(len(B), dtype=int), np.full(len(B), "converged")
-    z, steps = thetas.T, 0
+    return thetas.T, B - thetas.T @ V
+
+
+def _descend(V, B, z, m, opts: SolverOptions):
+    """``(P_m, iterations, stop_reasons)`` at each row of B, from the stack z.
+
+    The core runs on ``F = q / m``, ``q = sum_k |b - V^T theta|_k^p``, with
+    ``u = -B``, ``W = V^T`` and no linear term: one step at each
+    continuation exponent, then the order-m descent, all rows in lock-step.
+    ``iterations`` counts a point's accepted Newton steps, the continuation
+    steps included, within ``opts.max_iterations``.
+    """
+    steps = 0
     for p in ((3, 3.5) if m == 4 else range(3, m))[:opts.max_iterations]:
         z, _, _, taken, _ = _minimize_even_power(V.T, -B, None, z, p, 1, dtol=_DECREMENT_TOL)
         steps = steps + taken
     _, F, _, iterations, reasons = _minimize_even_power(
         V.T, -B, None, z, m, opts.max_iterations - steps, dtol=_DECREMENT_TOL)
-    return p_2, np.maximum(m * F, 0.0) ** (1.0 / m), steps + iterations, reasons
+    return np.maximum(m * F, 0.0) ** (1.0 / m), steps + iterations, reasons
+
+
+def _max_power(V, B, m, opts: SolverOptions, best: float) -> float:
+    """The larger of ``best`` and the largest P_m over the rows of B.
+
+    ``U = ||r_2||_m`` bounds P_m from above (theta_2 is one candidate of
+    the minimum), so the descent runs only where ``U (1 + _REACH_MARGIN)``
+    reaches the best value found: first at the largest U, then at the rest
+    in one stack, each from its theta_2.  A converged descent ends within
+    ``_DECREMENT_TOL`` of the minimum P_m^m, far inside the margin, so a
+    skipped point is one whose P_m cannot exceed the value returned.  At
+    m = 2, U is P_2 and no descent runs.
+    """
+    thetas, residual = _least_squares(V, B)
+    upper = np.linalg.norm(residual, ord=m, axis=1)
+    if m == 2:
+        return np.maximum(best, upper.max())
+    top = np.arange(len(B)) == np.argmax(upper)
+    for rows in (top, ~top):
+        rows &= ~(upper * (1.0 + _REACH_MARGIN) < best)  # a NaN bound is descended too
+        if rows.any():
+            best = np.maximum(best, _descend(V, B[rows], thetas[rows], m, opts)[0].max())
+    return best
 
 
 def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
@@ -151,7 +180,12 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
     iterations, reasons = np.empty(count, dtype=int), np.empty(count, dtype="U14")
     for rows in point_blocks(model, count):
         B = eval_features(model, eval_points[rows])
-        p_2[rows], p_m[rows], iterations[rows], reasons[rows] = _power_values(V, B, m, opts)
+        thetas, residual = _least_squares(V, B)
+        p_2[rows] = np.linalg.norm(residual, axis=1)
+        if m == 2:
+            p_m[rows], iterations[rows], reasons[rows] = p_2[rows], 0, "converged"
+        else:
+            p_m[rows], iterations[rows], reasons[rows] = _descend(V, B, thetas, m, opts)
     return PowerReport(eval_points, p_m, p_2, error_bound(f_norm, p_m), m, iterations, reasons)
 
 
@@ -190,6 +224,9 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
     interpolant on `n` equispaced nodes of the 1-d domain and records the
     fill distance (on a grid of ``_FILL_GRID_PER_DIM`` points), the worst
     error over `eval_grid`, and the worst pointwise bound ``2 ||f|| P_m``.
+    That bound comes from the largest P_m, and P_m is bounded by
+    ``||r_2||_m``, so the descent runs only where that bound reaches the
+    best P_m found so far in the row (see ``_max_power``).
     """
     require_even_order(m)
     opts = opts or SolverOptions()
@@ -202,13 +239,12 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
         V = eval_features(model, pts)
         nodes = NodeSet(pts, V @ f_alpha)
         alpha = feature_coefficients(_fit_gram(model, nodes, m, FeatureGram(V), opts))
-        max_error = max_bound = 0.0
+        max_error = max_power = 0.0
         for block in point_blocks(model, eval_grid.shape[0]):
             B = eval_features(model, eval_grid[block])
-            errors = np.abs(B @ f_alpha - B @ alpha)
-            bounds = error_bound(f_norm, _power_values(V, B, m, opts)[1])
-            max_error = max(max_error, float(errors.max()))
-            max_bound = max(max_bound, float(bounds.max()))
+            max_error = max(max_error, float(np.abs(B @ f_alpha - B @ alpha).max()))
+            max_power = _max_power(V, B, m, opts, max_power)
+        max_bound = float(error_bound(f_norm, max_power))
         h = fill_distance(nodes, model.domain, _FILL_GRID_PER_DIM)
         rows.append(StudyRow(n=int(n), h=h, max_error=max_error, max_bound=max_bound))
     slope = None

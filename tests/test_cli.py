@@ -232,6 +232,16 @@ class TestEval:
         values = [float(r[1]) for r in rows if not r[2]]
         np.testing.assert_allclose(values, [8.0, 9.0, 8.5, 7.0], atol=1e-7)
 
+    def test_flag_column_holds_one_string_per_kind(self, fitted_paths, monkeypatch):
+        # one str object per flag text, not one per row
+        _, out, tmp = fitted_paths
+        pts = write(tmp / "pts.csv", "x1\n" + "0\n2.0\n" * 500)
+        columns, write_csv = [], cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda path, header, *cols: columns.append(
+            cols[-1]) or write_csv(path, header, *cols))
+        assert main(["eval", str(out), "--points", pts, "--out", str(tmp / "vals.csv")]) == 5
+        assert len(columns[0]) == 1000 and len(set(map(id, columns[0]))) == 2
+
     def test_wrong_dimension_flags_every_row(self, fitted_paths):
         _, out, tmp = fitted_paths
         pts = write(tmp / "pts.csv", "x1,x2\n0,0\n0.5,0.5\n")
@@ -386,6 +396,17 @@ class TestStudy:
         assert code == 2
         assert "node_counts must be strictly increasing and at least 1" in capsys.readouterr().err
         assert not result.exists()
+
+    def test_more_nodes_than_features_warns_once_per_message(self, tmp_path, capsys):
+        # criterion 10: the study runs; each row's rank warning is one plain stderr line
+        result = tmp_path / "s.csv"
+        argv = ["study", "--node-counts", "4,16,32", "--kernel", "trig", "--truncation", "9",
+                "--order", "4", "--grid", "21", "--out", str(result)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ("warning: singular design (truncation K=9 < n=16)\n"
+                                           "warning: singular design (truncation K=9 < n=32)\n")
+        rows = read_rows(result)
+        assert [row[0] for row in rows] == ["n", "4", "16", "32"]
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = self.run_study(tmp_path)
@@ -679,6 +700,31 @@ class TestReadPointsCsv:
     def test_which_files_the_conversion_accepts(self, case):
         header, body = re.split("\r\n|\r|\n", self.CASES[case], maxsplit=1)
         assert (cli._convert(body, header.count(",") + 1) is not None) == (case in self.CONVERTED)
+
+    # block boundaries fall after each 8 characters of the body: inside
+    # "\r\n" (7|8), before a blank line (16) and before the last line (24)
+    BOUNDARY_BODY = "0.125,1\r\n1e0,2\r\n\r\n13,4\r\n"
+
+    @pytest.mark.parametrize("last, converted", [("0.5,3\r\n", True), ('"0.5",3\r\n', False),
+                                                 ("0.5\r\n", False)])
+    def test_lines_on_block_boundaries(self, tmp_path, monkeypatch, last, converted):
+        body = self.BOUNDARY_BODY + last
+        assert body[7:9] == "\r\n" and body[16:18] == "\r\n" and body[24:] == last
+        monkeypatch.setattr(cli, "CSV_BLOCK_CHARS", 8)
+        path = write(tmp_path / "in.csv", "x1,y\n" + body)
+        blocks, convert = [], cli._convert
+        monkeypatch.setattr(cli, "_convert", lambda text, width: blocks.append(text)
+                            or convert(text, width))
+        try:
+            cli.read_points_csv(path, expect_values=True)
+        except cli.CliInputError:
+            pass
+        if converted:
+            assert blocks == ["0.125,1\r\n1e0,2\r\n", "\r\n13,4\r\n", "0.5,3\r\n"]
+        else:
+            assert blocks[-1] == last
+        monkeypatch.setattr(cli, "_convert", convert)
+        assert_read_alike(path, expect_values=True)
 
     def test_header_only_file_needs_allow_empty(self, tmp_path):
         path = write(tmp_path / "in.csv", "x1,y\n")

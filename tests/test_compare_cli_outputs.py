@@ -70,3 +70,19 @@ def test_unknown_workload_is_a_usage_error(ran, capsys):
     assert exit_info.value.code == 2
     assert "unknown workload 'eval_gird'" in capsys.readouterr().err
     assert ran == []
+
+
+def test_csv_values_differ_per_column(tmp_path):
+    steps = [(["study"], 0, "")]
+    a = run_dir(tmp_path, "a", {"study.csv": b"n,h,max_bound,flag\n4,0.5,2.0,\n8,0.25,1e-3,x\n"})
+    b = run_dir(tmp_path, "b", {"study.csv": b"n,h,max_bound,flag\n4,0.5,2.5,\n8,0.25,1e-3,y\n"})
+    assert compare.differences("w", (steps, a), (steps, b)) == [
+        "w: study.csv differs: max_bound ≤ 0.2 relative; flag differs; n, h identical"]
+
+
+@pytest.mark.parametrize("change", [b"n,s\n4,1\n", b"n,h\n4,1\n8,2\n", b"n,h\n4\n", b""])
+def test_csv_of_another_shape_only_differs(tmp_path, change):
+    steps = [(["study"], 0, "")]
+    a = run_dir(tmp_path, "a", {"s.csv": b"n,h\n4,2\n"})
+    b = run_dir(tmp_path, "b", {"s.csv": change})
+    assert compare.differences("w", (steps, a), (steps, b)) == ["w: s.csv differs"]

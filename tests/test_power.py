@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mkinterp.features
 import mkinterp.power
 import mkinterp.tensors
 from mkinterp import (
@@ -389,3 +390,72 @@ class TestConvergenceStudy:
         result = convergence_study(model, f_alpha, 4, [3], grid)
         assert result.rows[0].max_error <= 1e-6
         assert result.slope is None
+
+
+class TestPrunedStudyMaximum:
+    """The study takes each row's largest P_m from the points whose
+    ``||r_2||_m`` reaches the best value found; power_report descends at all."""
+
+    F_ALPHA = np.random.default_rng(0).standard_normal(81)  # the benchmark's target
+
+    @staticmethod
+    def residual_bound(nodes, m, model=STUDY_MODEL):
+        """``||r_2||_m`` at each study grid point: r_2 is the l2 residual."""
+        V = eval_features(model, nodes.points)
+        B = eval_features(model, STUDY_GRID)
+        thetas, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
+        return np.linalg.norm(B - thetas.T @ V, ord=m, axis=1)
+
+    def max_bound(self, m, n, grid=STUDY_GRID):
+        return convergence_study(STUDY_MODEL, self.F_ALPHA, m, [n], grid).rows[0].max_bound
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_max_bound_is_the_bound_at_the_largest_report_value(self, m):
+        f_norm = np.sum(np.abs(self.F_ALPHA) ** (m / (m - 1))) ** ((m - 1) / m)
+        for n in (8, 16, 32, 64):
+            full = power_report(STUDY_MODEL, study_nodes(n), m, STUDY_GRID).p_m.max()
+            assert self.max_bound(m, n) == pytest.approx(2.0 * f_norm * full, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_maximum_away_from_the_largest_residual_bound(self, m):
+        # one node, trig K = 5: P_m at the largest ||r_2||_m is 1-2% below the maximum
+        model, nodes, f_alpha = FeatureModel.trigonometric(BOX, 5, decay=0.9), study_nodes(1), np.ones(5)
+        p_m = power_report(model, nodes, m, STUDY_GRID).p_m
+        assert p_m[np.argmax(self.residual_bound(nodes, m, model))] < 0.999 * p_m.max()
+        row = convergence_study(model, f_alpha, m, [1], STUDY_GRID).rows[0]
+        f_norm = 5 ** ((m - 1) / m)
+        assert row.max_bound == pytest.approx(2.0 * f_norm * p_m.max(), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_best_value_carries_across_point_blocks(self, monkeypatch, m):
+        # shuffled, so the largest P_m need not lie in the last block
+        grid = np.random.default_rng(1).permutation(STUDY_GRID)
+        expected = [self.max_bound(m, n, grid) for n in (16, 64)]
+        monkeypatch.setattr(mkinterp.features, "BLOCK_VALUES", 81 * 20)
+        assert len(point_blocks(STUDY_MODEL, len(grid))) == 6
+        for n, want in zip((16, 64), expected):
+            assert self.max_bound(m, n, grid) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_report_values_stay_under_the_residual_bound(self, m):
+        for n in (8, 16, 32, 64):
+            nodes = study_nodes(n)
+            p_m = power_report(STUDY_MODEL, nodes, m, STUDY_GRID).p_m
+            assert np.all(p_m <= self.residual_bound(nodes, m) * (1.0 + 1e-12))
+
+    def test_few_points_reach_the_descent(self, monkeypatch):
+        # the benchmark's study rows; every one of the 101 points descended before
+        core, stacks = mkinterp.power._minimize_even_power, []
+
+        def recording(W, u, ell, Z, p, *args, **kwargs):
+            stacks.append((p, len(Z)))
+            return core(W, u, ell, Z, p, *args, **kwargs)
+
+        monkeypatch.setattr(mkinterp.power, "_minimize_even_power", recording)
+        for n in (8, 16, 32, 64):
+            stacks.clear()
+            convergence_study(STUDY_MODEL, self.F_ALPHA, 4, [n], STUDY_GRID,
+                              SolverOptions(residual_tol=1e-10))
+            descended = sum(size for p, size in stacks if p == 4)
+            assert 1 <= descended <= 15
+            assert [size for p, size in stacks if p == 3] == [size for p, size in stacks if p == 4]

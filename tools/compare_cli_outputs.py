@@ -9,12 +9,18 @@ runs every prerequisite and CLI step there as ``python -m mkinterp.cli``
 with that tree on ``PYTHONPATH``, and compares the two directories file by
 file, with the exit code and stderr of each step.  Paths of the tree and of
 the directory are masked in stderr.  It prints every difference and exits
-0 only if everything is identical, 1 otherwise.
+0 only if everything is identical, 1 otherwise.  A CSV that differs in
+values only (same header, same row count) is summarised per column: the
+largest relative difference of each numeric column that differs, and the
+names of the identical columns.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +48,38 @@ def run_steps(workloads, name, seed, src: Path, work: Path) -> list:
     return results
 
 
+def _relative(a: str, b: str) -> float:
+    """``|a - b| / max(|a|, |b|)`` of two numeric cells; ValueError if either is
+    not a finite number."""
+    x, y = float(a), float(b)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite cell {a!r} or {b!r}")
+    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+
+def csv_columns(parent: bytes, change: bytes):
+    """Per-column summary of two CSVs with the same header and row count, such
+    as ``max_bound ≤ 5.4e-14 relative; n, h identical``; None for any other pair."""
+    rows_a = list(csv.reader(io.StringIO(parent.decode("utf-8", "replace"))))
+    rows_b = list(csv.reader(io.StringIO(change.decode("utf-8", "replace"))))
+    if not rows_a or rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        return None
+    width = len(rows_a[0])
+    if any(len(row) != width for row in rows_a + rows_b):
+        return None
+    differ, same = [], []
+    for j, column in enumerate(rows_a[0]):
+        pairs = [(a[j], b[j]) for a, b in zip(rows_a[1:], rows_b[1:]) if a[j] != b[j]]
+        if not pairs:
+            same.append(column)
+            continue
+        try:
+            differ.append(f"{column} ≤ {max(_relative(a, b) for a, b in pairs):.2g} relative")
+        except ValueError:
+            differ.append(f"{column} differs")
+    return "; ".join(differ + ([", ".join(same) + " identical"] if same else []))
+
+
 def differences(name, parent, change) -> list:
     """Lines naming each step and file in which two runs of a workload differ."""
     (parent_steps, parent_dir), (change_steps, change_dir) = parent, change
@@ -57,8 +95,10 @@ def differences(name, parent, change) -> list:
     for rel in sorted(files_a ^ files_b):
         found.append(f"{name}: {rel} only in the {'parent' if rel in files_a else 'change'}")
     for rel in sorted(files_a & files_b):
-        if (parent_dir / rel).read_bytes() != (change_dir / rel).read_bytes():
-            found.append(f"{name}: {rel} differs")
+        data_a, data_b = (parent_dir / rel).read_bytes(), (change_dir / rel).read_bytes()
+        if data_a != data_b:
+            columns = csv_columns(data_a, data_b) if rel.suffix == ".csv" else None
+            found.append(f"{name}: {rel} differs" + (f": {columns}" if columns else ""))
     return found
 
 
