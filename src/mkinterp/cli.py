@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 success, 1 a study whose error
 exceeded its bound, 2 malformed input (including a malformed model file,
-a node outside the domain or an unwritable output), 3 solver not
+a node outside the domain, an unwritable output or a grid too large to
+allocate), 3 solver not
 converged, 4 singular design (feature Gram without full row rank),
 5 evaluation points outside the domain (or, for a custom feature table,
 not tabulated).  Subcommands raise; ``main`` alone turns an exception into
@@ -52,6 +53,7 @@ _EXIT_CODES = {
     OverflowError: 2,  # a model document integer too large for a float
     OSError: 2,  # a file that cannot be read or written
     csv.Error: 2,  # a CSV line the csv module cannot split, such as an overlong field
+    MemoryError: 2,  # a --grid too large to allocate
 }
 
 # Output rows are formatted and written this many at a time; a chunk's
@@ -331,10 +333,9 @@ def cmd_eval(args) -> int:
         cfg = _merge_settings(args)
         points = domain_grid(s.model.domain, cfg["grid"])
 
-    d = s.model.domain.dim
-    header = [f"x{i + 1}" for i in range(d)] + ["s", "flag"]
+    header = [f"x{i + 1}" for i in range(points.shape[1])] + ["s", "flag"]
     # a points file of another dimension has no row inside the domain
-    if points.shape[1] == d:
+    if points.shape[1] == s.model.domain.dim:
         inside = s.model.domain.contains(points)
     else:
         inside = np.zeros(points.shape[0], dtype=bool)

@@ -1,39 +1,12 @@
 """Truncated feature expansions and the multi-kernels built from them.
 
-A feature model holds a finite sequence of continuous functions
-``phi_1, ..., phi_K`` on a compact box, each of the form
-``phi_k(x) = sqrt(w_k) * b_k(x)`` with positive weights ``w_k``.  The base
-kernel is ``Phi2(z1, z2) = sum_k phi_k(z1) phi_k(z2)`` and the order-m
-multi-kernel is ``Phi_m(z1, ..., zm) = sum_k prod_i phi_k(z_i)``.
-
-Two built-in families are provided:
-
-* ``power``: monomials ``x^alpha`` over graded-lexicographic multi-indices
-  (within each total degree, indices are ordered by decreasing leading
-  exponents), default weights ``decay**|alpha|``.
-* ``trig``: tensor products of ``1, cos(pi j x), sin(pi j x)`` per
-  coordinate, enumerated by increasing total frequency (cosine before sine
-  within a frequency), default weights ``decay**degree``.
-
-A third family, ``custom``, tabulates feature values at a fixed point set
-and can only be evaluated there; its JSON schema is
-``{"points": [[...], ...], "features": [[...], ...]}`` with optional
-``"weights"`` and ``"domain": {"lower": [...], "upper": [...]}`` keys.
-
-Both built-in families are products of one-dimensional factors, and each
-coordinate has only a few distinct ones (a 2-d trig model with K = 120 has
-17 and 15).  A call checks its points against the domain once and works
-through blocks of rows.  Per block, each coordinate's factors (``x**e``;
-``cos`` only at cosine frequencies, ``sin`` only at sine ones) fill a small
-table whose rows are gathered to the points.  A block reuses the previous
-block's table if that table covers all its values (a grid's fast axis),
-builds one row per value with no sort once a block of the call had over
-half its values distinct (scattered points), and else one row per distinct
-value, by bit pattern.  :func:`eval_features` gathers the table columns
-into the K features by the same float operations per entry as the direct
-formula, so bit for bit.  :func:`_feature_sum`, which evaluates
-``sum_k alpha_k phi_k``, contracts the tables with the coefficients one
-coordinate at a time (sum factorization) and builds no (N, K) array.
+A feature model holds K features ``phi_k = sqrt(w_k) b_k`` with positive
+weights on a compact box: monomials in graded-lexicographic order
+(``power``), tensorized Fourier terms by increasing total frequency, cosine
+before sine (``trig``), or values tabulated at fixed points (``custom``).
+The order-m multi-kernel is ``Phi_m(z1, ..., zm) = sum_k prod_i phi_k(z_i)``.
+This module builds the models and evaluates the features, and the sums
+``sum_k alpha_k phi_k``, at batches of points.
 """
 
 from __future__ import annotations
@@ -358,13 +331,15 @@ def _blocks(model: FeatureModel, X: np.ndarray, width, derive, order):
     against the domain once (not if N = 0) and clipped per block.
 
     ``factors`` yields ``derive(j, T_j)`` at the rows for each coordinate j
-    in ``order``, T_j built by the module docstring's rules (``custom``: the
-    tabulated rows alone).  ValueError at the first point where a ``power``
-    table overflows.
+    in ``order``.  T_j holds one row per distinct value of the block's
+    column, by bit pattern, or one row per value, with no sort, once a block
+    of the call had over half its values distinct (``custom``: the tabulated
+    rows alone).  ValueError at the first point where a ``power`` table
+    overflows.
     """
     if X.shape[0]:
         model.domain._checked(X)
-    kept, dense = [None] * X.shape[1], [False] * X.shape[1]  # kept: keys, table, derived
+    dense = [False] * X.shape[1]
     for rows in point_blocks(model, X.shape[0], width):
         block = np.clip(X[rows], model.domain.lower, model.domain.upper)
         if model.family == "custom":
@@ -375,24 +350,14 @@ def _blocks(model: FeatureModel, X: np.ndarray, width, derive, order):
             continue
         parts, finite = [], np.ones(block.shape[0], dtype=bool)
         for j, column in enumerate(block.T):
-            if kept[j] is not None:  # one searchsorted tells a subset of the kept values
-                keys, table, derived = kept[j]
-                index = np.minimum(np.searchsorted(keys, column.view(np.int64)), keys.size - 1)
-                if np.array_equal(keys[index], column.view(np.int64)):
-                    kept[j][2] = derive(j, table) if derived is None else derived
-                    parts.append((j, kept[j][2], index, False))
-                    continue
             values, index = (column, slice(None)) if dense[j] else _distinct(column)
             dense[j] = 2 * values.size > column.size
-            table = _table(model, j, values)
+            parts.append((_table(model, j, values), index))
             if model.family == "power":  # cos and sin cannot overflow
-                finite &= np.isfinite(table).all(axis=1)[index]
-            kept[j] = None if dense[j] else [values.view(np.int64), table, None]
-            parts.append((j, table, index, True))
+                finite &= np.isfinite(parts[j][0]).all(axis=1)[index]
         if not np.all(finite):
             raise ValueError(f"features overflow at point {block[np.argmin(finite)].tolist()}")
-        yield rows, (derive(j, source[index]) if raw else source[index]  # lazily: few alive
-                     for j, source, index, raw in (parts[j] for j in order))
+        yield rows, (derive(j, parts[j][0][parts[j][1]]) for j in order)  # lazily: few alive
 
 
 def _features_block(factors) -> np.ndarray:
@@ -422,17 +387,94 @@ def eval_features(model: FeatureModel, x) -> np.ndarray:
     return out if x.ndim == 2 else out[0]
 
 
+def _first_change(lead: np.ndarray) -> int:
+    """Index of the first row of ``lead`` unlike row 0, or its length; the
+    search doubles its prefix, so a change at row i costs O(i) rows."""
+    stop = 1
+    while stop < lead.shape[0]:
+        stop = min(2 * stop, lead.shape[0])
+        changed = np.flatnonzero((lead[1:stop] != lead[0]).any(axis=1))
+        if changed.size:
+            return int(changed[0]) + 1
+    return lead.shape[0]
+
+
+def _grid_axes(X: np.ndarray):
+    """The values along each axis of the tensor grid whose row-major product
+    is X bit for bit (what :func:`domain_grid` makes), or None.
+
+    Axis j's stride is the first row at which columns 0..j change.  The
+    first two slabs of the slowest axis are compared before the rest, so
+    scattered rows fail within a few rows; no sort.
+    """
+    bits = X.view(np.int64)
+    strides = [1]
+    for j in range(X.shape[1] - 2, -1, -1):
+        strides.insert(0, _first_change(bits[:, :j + 1]))
+    sizes, span = [], X.shape[0]
+    for stride in strides:
+        if span % stride:
+            return None
+        sizes.append(span // stride)
+        span = stride
+    axes = [X[::stride, j][:size] for j, (stride, size) in enumerate(zip(strides, sizes))]
+    grid = bits.reshape(*sizes, X.shape[1])
+    for part in (grid[:2], grid):
+        for j, axis in enumerate(axes):
+            along = axis.view(np.int64).reshape([-1 if i == j else 1 for i in range(len(axes))])
+            if not np.all(part[..., j] == along[:part.shape[0]]):
+                return None
+    return axes
+
+
+def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
+    """:func:`_feature_sum` on a row-major tensor grid of d >= 2 axes, or
+    None to leave X to the block loop: not such a grid, an axis value outside
+    the box, a table entry that is not finite, or an axis so long that its
+    tables would outgrow a block.
+
+    Each axis is tabulated once: ``A_j = T_j[:, prefixes[:, j]]`` for j < d-1
+    and ``A_{d-1} = T_{d-1} @ C``.  The sums are ``(A_0 * ... * A_{d-2}) @
+    A_{d-1}^T``, the first factor a row-wise (Khatri-Rao) product, formed a
+    few of its rows at a time and written into the result in place.
+    """
+    dim = model.domain.dim
+    axes = _grid_axes(X) if dim > 1 and X.shape[0] and X.shape[1] == dim else None
+    if axes is None or max(map(len, axes)) * model._sum_plan[-1] > BLOCK_VALUES:
+        return None
+    span = np.column_stack([np.resize(axis, max(map(len, axes))) for axis in axes])
+    if not np.all(model.domain.contains(span)):  # a grid point is inside iff its coordinates are
+        return None
+    span = np.clip(span, model.domain.lower, model.domain.upper)
+    tables = [_table(model, j, span[:len(axis), j]) for j, axis in enumerate(axes)]
+    if not all(np.isfinite(table).all() for table in tables):
+        return None
+    factors = [table[:, prefixes[:, j]] for j, table in enumerate(tables[:-1])]
+    last = tables[-1] @ C
+    sums = np.empty(X.shape[0]).reshape(-1, last.shape[0])
+    step = max(1, BLOCK_VALUES // (C.shape[1] + last.shape[0]))
+    for start in range(0, sums.shape[0], step):
+        stop = min(start + step, sums.shape[0])
+        index = np.unravel_index(np.arange(start, stop), [len(axis) for axis in axes[:-1]])
+        S = factors[0][index[0]]
+        for factor, i in zip(factors[1:], index[1:]):
+            S *= factor[i]
+        np.matmul(S, last.T, out=sums[start:stop])
+    return sums.ravel()
+
+
 def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """``sum_k alpha_k phi_k(x)`` at each row x of an (N, d) array, by sum factorization.
 
     ``power``, ``trig``: the products ``sqrt(w_k) alpha_k`` fill a (J_d, P)
-    matrix C (see :attr:`FeatureModel._sum_plan`).  Each block's table rows
-    are contracted, ``T_d @ C`` for the last coordinate and the prefix
-    columns ``T_j[:, prefixes[:, j]]`` for the others (a reused table once
-    per call), then multiplied and summed over the P prefixes; no (N, K)
-    array is built.  ``custom`` looks its rows up.  Rows agree with ``eval_features(
-    model, X) @ alpha`` to the rounding of a K-term sum.  An empty array of
-    any width gives (0,) without a check.
+    matrix C (see :attr:`FeatureModel._sum_plan`).  A row-major tensor grid
+    takes :func:`_grid_sum`.  Otherwise each block's table rows are
+    contracted, ``T_d @ C`` for the last coordinate and the prefix columns
+    ``T_j[:, prefixes[:, j]]`` for the others, then multiplied and summed
+    over the P prefixes; no (N, K) array is built.  ``custom`` looks its
+    rows up.  Rows agree with ``eval_features(model, X) @ alpha`` to the
+    rounding of a K-term sum.  An empty array of any width gives (0,)
+    without a check.
     """
     beta = np.sqrt(model.weights) * alpha
     width = derive = None
@@ -440,6 +482,9 @@ def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.nd
         prefixes, places, shape, width = model._sum_plan
         C = np.zeros(shape)
         C[places] = beta
+        grid = _grid_sum(model, X, prefixes, C)
+        if grid is not None:
+            return grid
 
         def derive(j, table):
             return table @ C if j == model.domain.dim - 1 else table[:, prefixes[:, j]]

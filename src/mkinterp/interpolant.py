@@ -145,8 +145,8 @@ def evaluate_many(s: Interpolant, points) -> np.ndarray:
     """Evaluate the interpolant at the rows of an (N, d) array.
 
     Contracts the per-coordinate factor tables with the coefficients (see
-    :func:`~mkinterp.features._feature_sum`), block by block, so no (N, K)
-    feature array is built and memory does not grow with N beyond the result.
+    :func:`~mkinterp.features._feature_sum`), per tensor grid or block of
+    rows, so no (N, K) array is built and only the result grows with N.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     return _feature_sum(s.model, X, feature_coefficients(s))

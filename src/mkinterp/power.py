@@ -1,29 +1,11 @@
 """Generalized power function, fill distance, and convergence studies.
 
-The power function of order m at a point x is the minimal sequence-space
-distance (exponent m) from the base-kernel section at x to the span of the
-sections at the data nodes.  In the truncated feature basis it is the
-convex minimization
-
-    P_m(x)^m = min_theta sum_k ( phi_k(x) - sum_i theta_i phi_k(x_i) )^m,
-
-solved by the same damped-Newton core as the interpolation system
-(``solver._minimize_even_power``), every point of a block in one stack.
-The l2 minimizers come from one least-squares solve per block, and the norm
-of their residual is P_2 itself, the classical power function; its closed
-form through ``A_2^{-1}`` is a test oracle (``tests/oracles.py``), not a
-second route here.  From there the descent continues through the exponents
-(one Newton step at each of p = 3 and 3.5 for m = 4, at p = 3, ..., m-1
-above), as fits do, and then runs at order m.  Where a fit stops on the
-gradient norm, a point stops when its Newton decrement is at most
-``_DECREMENT_TOL`` times the potential (the core's ``dtol``; Boyd and
-Vandenberghe, Convex Optimization, 9.5.1).  That stop is relative, so P_m
-is accurate where it is tiny too.  The pointwise interpolation error of any target with known
-norm is bounded by ``2 ||f|| P_m(x)``.
-
-A convergence study needs only the largest P_m of its grid.  The l2
-residual bounds it, ``P_m(x) <= ||r_2(x)||_m``, so the study runs the
-descent only at the points where that bound reaches the best P_m found.
+The power function of order m at x is the distance (exponent m) from the
+base-kernel section at x to the span of the sections at the nodes,
+``P_m(x)^m = min_theta sum_k (phi_k(x) - sum_i theta_i phi_k(x_i))^m``.
+The solver's damped-Newton core descends to it from the l2 minimizer, whose
+residual norm is P_2.  A target of known norm errs by at most
+``2 ||f|| P_m(x)``; the README gives the descent and the study's pruning.
 """
 
 from __future__ import annotations

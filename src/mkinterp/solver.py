@@ -1,42 +1,13 @@
-"""Solvers for the multi-linear interpolation system and its regularization.
+"""Solvers for the multi-linear interpolation system ``A_m c^{m-1} = y``.
 
-The interpolation coefficients solve ``A_m c^{m-1} = y``.  Because
-``A_m c^m = sum_k (v_k . c)^m`` is a sum of even powers of linear forms,
-the potential
-
-    F(c) = (1/m) A_m c^m - y . c
-
-is convex with gradient ``A_m c^{m-1} - y`` (the system residual itself)
-and Hessian ``(m-1) sum_k (v_k . c)^{m-2} v_k v_k^T``.  The power function
-(:mod:`mkinterp.power`) minimizes a potential of the same shape, so one
-damped Newton core, ``_minimize_even_power``, serves both problems:
-
-    F(z) = (1/m) sum_k (u + W z)_k^m + l . z
-
-with ``u = 0``, ``W = V^T``, ``l = -y`` here.  The core takes a leading
-batch axis: z is an (N, n) stack and u an (N, K) stack sharing W, and the
-rows descend in lock-step, their Hessians solved together, each row with
-its own step length, fallbacks and stop.  A fit is the N = 1 case.  A row
-stops on one of two tolerances, and each caller passes one: interpolation
-``gtol``, on the gradient 2-norm (the residual), tested before a Newton
-step is formed, so a converged fit forms no Hessian; the power function
-``dtol``, on the Newton decrement ``-grad F . step`` relative to F.  For
-m = 2 the core reduces to the linear solve ``(V V^T) c = y``.
-
-The core takes any real exponent p >= 2 in place of m, with ``|r|^p`` in F,
-so a fit starts by exponent continuation (the p-homotopy of iteratively
-reweighted least squares; Burrus, Barreto and Selesnick, IEEE Trans. Signal
-Process. 42(11), 1994): from the l2 solution, one damped Newton step at
-each p = 3, ..., m-1 brings the start nearer the order-m minimizer, so
-the order-m descent spends fewer Newton steps in its slowly converging tail.
-A continued start that ends with a higher order-m potential than the plain
-rescaled l2 solution is discarded.
-
-The regularized fit minimizes ``||A_m c^{m-1} - y||^2 + sigma A_m c^m``, a
-strictly convex problem in ``alpha = (V^T c)^{m-1}``, at the unique root of
-``A_m c^{m-1} + lam c = y``, ``lam = sigma m / (2(m-1))`` (the representer
-theorem in a reproducing kernel Banach space; Zhang, Xu and Zhang, JMLR 10,
-2009).  That root minimizes F plus ``(lam/2)|c|^2``, one more core solve.
+``A_m c^m = sum_k (v_k . c)^m`` is a sum of even powers of linear forms, so
+the potential ``F(c) = (1/m) A_m c^m - y . c`` is convex and its gradient is
+the system residual.  One damped Newton core, ``_minimize_even_power``,
+minimizes it for fits, with a ``(lam/2)|c|^2`` term for the regularized fit
+(Zhang, Xu and Zhang, JMLR 10, 2009), and a potential of the same shape for
+the power function (:mod:`mkinterp.power`).  A fit starts from the l2
+solution and continues in the exponent (Burrus, Barreto and Selesnick, IEEE
+Trans. Signal Process. 42(11), 1994); the README gives the stop tests.
 """
 
 from __future__ import annotations

@@ -248,7 +248,8 @@ class TestEval:
         result = tmp / "vals.csv"
         assert main(["eval", str(out), "--points", pts, "--out", str(result)]) == 5
         rows = read_rows(result)
-        assert rows[0] == ["x1", "s", "flag"]
+        assert rows[0] == ["x1", "x2", "s", "flag"]  # the points' own width
+        assert all(len(row) == len(rows[0]) for row in rows)
         assert [r[-1] for r in rows[1:]] == ["outside_domain"] * 2
 
     def test_empty_points_file_of_other_dimension(self, fitted_paths):
@@ -256,7 +257,7 @@ class TestEval:
         pts = write(tmp / "empty.csv", "x1,x2\n")
         result = tmp / "vals.csv"
         assert main(["eval", str(out), "--points", pts, "--out", str(result)]) == 0
-        assert read_rows(result) == [["x1", "s", "flag"]]
+        assert read_rows(result) == [["x1", "x2", "s", "flag"]]
 
     def test_non_finite_point_exits_2(self, fitted_paths):
         _, out, tmp = fitted_paths
@@ -287,7 +288,8 @@ class TestEval:
         monkeypatch.setattr(Domain, "contains",
                             lambda self, x: tested.append(len(x)) or contains(self, x))
         assert main(["eval", str(model), "--grid", "5", "--out", str(tmp_path / "v.csv")]) == 0
-        assert tested == [3, 25, 25]  # the model's nodes, the CLI's flags, evaluate_many
+        # the model's nodes, the CLI's flags, and evaluate_many on the grid's 5 axis values
+        assert tested == [3, 25, 5]
 
     def test_schema_mismatch_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", "{}")
@@ -300,6 +302,32 @@ class TestEval:
         rows = read_rows(result)
         assert len(rows) == 6
         assert float(rows[1][0]) == -1.0 and float(rows[5][0]) == 1.0
+
+
+NODES_3D = "x1,x2,x3,y\n0,0,0,1\n0.5,-0.5,0.25,2\n-0.5,0.25,0.5,0.5\n"
+BOX_3D = "--domain=-1:1,-1:1,-1:1"
+
+
+class TestGridTooLarge:
+    """A 3-d grid of 100000 points per axis: its axes take 0.8 MB and the
+    (10^15, 3) grid fails to allocate at once, far beyond any address space."""
+
+    def test_eval_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert main(["fit", write(tmp_path / "d.csv", NODES_3D), "--kernel", "trig",
+                     "--truncation", "9", BOX_3D, "--out", str(model)]) == 0
+        capsys.readouterr()
+        result = tmp_path / "v.csv"
+        assert main(["eval", str(model), "--grid", "100000", "--out", str(result)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not result.exists()
+
+    def test_power_exits_2(self, tmp_path, capsys):
+        result = tmp_path / "p.csv"
+        assert main(["power", write(tmp_path / "n.csv", NODES_3D), "--truncation", "9",
+                     BOX_3D, "--grid", "100000", "--out", str(result)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not result.exists()
 
 
 class TestPower:

@@ -77,7 +77,16 @@ def test_csv_values_differ_per_column(tmp_path):
     a = run_dir(tmp_path, "a", {"study.csv": b"n,h,max_bound,flag\n4,0.5,2.0,\n8,0.25,1e-3,x\n"})
     b = run_dir(tmp_path, "b", {"study.csv": b"n,h,max_bound,flag\n4,0.5,2.5,\n8,0.25,1e-3,y\n"})
     assert compare.differences("w", (steps, a), (steps, b)) == [
-        "w: study.csv differs: max_bound ≤ 0.2 relative; flag differs; n, h identical"]
+        "w: study.csv differs: max_bound ≤ 0.2 relative, 0.5 absolute; flag differs; "
+        "n, h identical"]
+
+
+def test_csv_values_near_zero_give_both_differences(tmp_path):
+    steps = [(["eval"], 0, "")]
+    a = run_dir(tmp_path, "a", {"v.csv": b"x1,s\n0,1e-3\n1,2.0\n2,-0.0\n"})
+    b = run_dir(tmp_path, "b", {"v.csv": b"x1,s\n0,1.0000000000013e-3\n1,2.0\n2,0.0\n"})
+    assert compare.differences("w", (steps, a), (steps, b)) == [
+        "w: v.csv differs: s ≤ 1.3e-12 relative, 1.3e-15 absolute; x1 identical"]
 
 
 @pytest.mark.parametrize("change", [b"n,s\n4,1\n", b"n,h\n4,1\n8,2\n", b"n,h\n4\n", b""])

@@ -402,9 +402,9 @@ def rows_per_block(monkeypatch, rows, width):
 
 
 class TestBlockRules:
-    """Per block and coordinate, a table is the previous block's, one row per
-    value with no sort, or one row per distinct value; every rule gives the
-    direct formula's bits, and the first bad point is named whatever its block."""
+    """Per block and coordinate, a table holds one row per value with no sort
+    or one row per distinct value; both rules give the direct formula's bits,
+    and the first bad point is named whatever its block."""
 
     BOX = Domain([-1.0, -1.0, -1.0], [1.5, 1.5, 1.5])
     ROWS = 40
@@ -412,7 +412,7 @@ class TestBlockRules:
     @classmethod
     def switching_blocks(cls):
         """Four blocks of ROWS rows and a partial fifth, whose coordinates
-        switch between repeats, a subset of the kept values and no repeats."""
+        switch between repeats, a subset of the previous block's values and no repeats."""
         rng = np.random.default_rng(11)
         pool = np.array([-0.0, 0.0, 0.25, -1.0 - 5e-13, 1.5 + 5e-13, 1.5, -0.75])
         other = np.array([0.5, -0.5, 1.0, 0.0])
@@ -432,10 +432,10 @@ class TestBlockRules:
         ]
         return np.column_stack([np.concatenate(column) for column in columns])
 
-    # coordinates tabulated per block: block 1 reuses coordinate 0's table,
-    # block 3 coordinate 1's; coordinate 2, and coordinate 0 from block 2, no
-    # longer sort
-    TABULATED = [[0, 1, 2], [1, 2], [0, 1, 2], [0, 2], [0, 1, 2]]
+    # coordinates tabulated per block: every one in every block, whether its
+    # values are a subset of the previous block's or not; coordinate 2, and
+    # coordinate 0 from block 2, no longer sort
+    TABULATED = [[0, 1, 2]] * 5
 
     @pytest.fixture
     def tabulated(self, monkeypatch):

@@ -206,12 +206,21 @@ class TestEvaluate:
             )
 
 
-def within_sum_bound(s, X, got):
-    """Rows of ``got`` lie within 2 K eps sum |alpha_k phi_k| of the feature-matrix product."""
+def sum_bound(s, X):
+    """The rounding bound of a K-term sum, 2 K eps sum |alpha_k phi_k|, at each row of X."""
     alpha = feature_coefficients(s)
-    feats = eval_features(s.model, X)
-    bound = 2 * alpha.size * np.finfo(float).eps * np.abs(alpha * feats).sum(axis=1)
-    return np.all(np.abs(got - feats @ alpha) <= bound)
+    return 2 * alpha.size * np.finfo(float).eps * np.abs(alpha * eval_features(s.model, X)).sum(axis=1)
+
+
+def within_sum_bound(s, X, got):
+    """Rows of ``got`` lie within :func:`sum_bound` of the feature-matrix product."""
+    return np.all(np.abs(got - eval_features(s.model, X) @ feature_coefficients(s))
+                  <= sum_bound(s, X))
+
+
+def tensor_grid(*axes):
+    """The row-major tensor grid of the axes, as ``domain_grid`` orders it."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 FAMILIES = {"power": FeatureModel.power_series, "trig": FeatureModel.trigonometric}
@@ -331,23 +340,93 @@ class TestEvaluateMany:
         monkeypatch.setattr(features, name, record)
         return calls
 
-    def test_grid_blocks_reuse_the_fast_axis_table(self, monkeypatch):
-        s = family_fit("trig", 2)
-        axis = np.linspace(-1.0, 2.0, 201)
-        X = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
-        blocks = point_blocks(s.model, X.shape[0], s.model._sum_plan[-1])
-        assert len(blocks) > 4
+    @staticmethod
+    def block_route(monkeypatch, s, X):
+        """``evaluate_many`` with the grid route off: every X goes through the block loop."""
+        with monkeypatch.context() as patch:
+            patch.setattr(features, "_grid_axes", lambda X: None)
+            return evaluate_many(s, X)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_grid_route_tabulates_each_axis_once(self, family, dim, monkeypatch):
+        s = family_fit(family, dim)
+        axes = [np.linspace(-1.0, 2.0, n) for n in (41, 23, 17)[:dim]]
+        X = tensor_grid(*axes)
+        evaluate_many(s, X[:1])  # builds the model's sum plan
         sorts, tables = self.spy(monkeypatch, "_distinct"), self.spy(monkeypatch, "_table")
         got = evaluate_many(s, X)
-        # the fast axis is sorted and tabulated in the first block only; the
-        # slow axis once per block, at the few values the block holds
-        assert len(sorts) == len(blocks) + 1
-        assert [values.size for _, j, values in tables if j == 1] == [201]
-        assert sum(values.size for _, j, values in tables if j == 0) <= 201 + len(blocks)
+        assert sorts == []
+        assert [j for _, j, _ in tables] == list(range(dim))
+        assert all(np.array_equal(values, axis) for (_, _, values), axis in zip(tables, axes))
         monkeypatch.undo()
-        alone = np.concatenate([evaluate_many(s, X[rows]) for rows in blocks])
-        assert np.array_equal(got, alone)
         assert within_sum_bound(s, X, got)
+        blocks = self.block_route(monkeypatch, s, X)
+        assert np.all(np.abs(got - blocks) <= 2 * sum_bound(s, X))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_grid_route_in_several_slabs(self, family, dim, monkeypatch):
+        s = family_fit(family, dim)
+        sizes = {2: (120, 120), 3: (41, 23, 17)}[dim]
+        X = tensor_grid(*[np.linspace(-1.0, 2.0, n) for n in sizes])
+        evaluate_many(s, X[:1])
+        # the least BLOCK_VALUES the route takes: its longest axis fills a block
+        monkeypatch.setattr(features, "BLOCK_VALUES", max(sizes) * s.model._sum_plan[-1])
+        P = s.model._sum_plan[2][1]
+        assert X.shape[0] // sizes[-1] > 3 * (features.BLOCK_VALUES // (P + sizes[-1]))
+        sorts = self.spy(monkeypatch, "_distinct")
+        got = evaluate_many(s, X)
+        assert sorts == []
+        assert within_sum_bound(s, X, got)
+        assert np.array_equal(got.view(np.int64), evaluate_many(s, X).view(np.int64))
+
+    @staticmethod
+    def fall_through_case(case):
+        """``(interpolant, points)`` that look like a grid but go through the block loop."""
+        axes = [np.linspace(-1.0, 2.0, 13), np.concatenate([np.linspace(-1.0, 2.0, 10), [0.0]])]
+        X = tensor_grid(*axes)
+        if case == "xy":
+            X = np.stack([m.ravel() for m in np.meshgrid(*axes)], axis=1)
+        elif case == "changed":
+            X[100] = [0.5, 0.5]
+        elif case == "signed_zero":
+            X[np.flatnonzero(X[:, 1] == 0.0)[5], 1] = -0.0
+        elif case == "one_dimension":
+            return family_fit("trig", 1), axes[0][:, None]
+        elif case == "custom":
+            table = tensor_grid([0.0, 0.5, 1.0], [0.0, 1.0])
+            model = FeatureModel.custom_table(table, np.column_stack(
+                [np.ones(6), table[:, 0], table[:, 1], table.prod(axis=1)]))
+            return fit(model, NodeSet(table[:4], np.array([1.0, 2.0, 4.0, 3.0])), 2), table
+        return family_fit("power" if case == "changed" else "trig", 2), X
+
+    @pytest.mark.parametrize("case", ["xy", "changed", "signed_zero", "one_dimension", "custom"])
+    def test_grids_the_route_leaves_to_the_block_loop(self, case, monkeypatch):
+        s, X = self.fall_through_case(case)
+        got = evaluate_many(s, X)
+        assert np.array_equal(got.view(np.int64),
+                              self.block_route(monkeypatch, s, X).view(np.int64))
+        assert within_sum_bound(s, X, got)
+
+    def test_grid_with_a_late_point_outside_names_it(self, monkeypatch):
+        s = family_fit("trig", 3)
+        X = tensor_grid(np.array([-1.0, 0.5, 2.0 + 10 * FACE_TOLERANCE]),
+                        np.linspace(-1.0, 2.0, 7), np.linspace(-1.0, 2.0, 5))
+        message = re.escape(f"point {X[70].tolist()} outside the domain box")
+        for call in (lambda: evaluate_many(s, X), lambda: self.block_route(monkeypatch, s, X)):
+            with pytest.raises(PointOutsideDomain, match=message):
+                call()
+
+    def test_power_grid_overflow_names_the_first_point(self, monkeypatch):
+        model = FeatureModel.power_series(Domain([-1e200, -1.0], [1e200, 1.0]), 6)
+        X = tensor_grid(np.array([0.5, 1e10, 5e170]), np.array([0.0, 0.5, -1.0]))
+        message = re.escape(f"features overflow at point {X[6].tolist()}")
+        with pytest.raises(ValueError, match=message):
+            features._feature_sum(model, X, np.ones(model.truncation))
+        monkeypatch.setattr(features, "_grid_axes", lambda X: None)  # the block route
+        with pytest.raises(ValueError, match=message):
+            features._feature_sum(model, X, np.ones(model.truncation))
 
     def test_scattered_blocks_skip_the_sort(self, monkeypatch):
         s = family_fit("trig", 3)
@@ -416,12 +495,17 @@ def _coarse(value):
 
 @settings(max_examples=40)
 @given(family=st.sampled_from(sorted(FAMILIES)), dim=st.integers(1, 3),
-       truncation=st.integers(1, 60), decay=st.floats(0.1, 1.0), data=st.data())
-def test_contraction_within_sum_bound(family, dim, truncation, decay, data):
+       truncation=st.integers(1, 60), decay=st.floats(0.1, 1.0), grid=st.booleans(),
+       data=st.data())
+def test_contraction_within_sum_bound(family, dim, truncation, decay, grid, data):
     model = FAMILIES[family](Domain([-1.0] * dim, [1.0] * dim), truncation, decay=decay)
     coordinate = st.floats(-1.0, 1.0).map(_coarse)
-    X = np.array(data.draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
-                                    min_size=1, max_size=8)))
+    if grid:  # a row-major grid of 1-5 values per axis, repeats allowed
+        X = tensor_grid(*[data.draw(st.lists(coordinate, min_size=1, max_size=5))
+                          for _ in range(dim)])
+    else:
+        X = np.array(data.draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                                        min_size=1, max_size=8)))
     alpha = np.array(data.draw(st.lists(st.floats(-10.0, 10.0).map(_coarse),
                                         min_size=truncation, max_size=truncation)))
     feats = eval_features(model, X)

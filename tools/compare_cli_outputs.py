@@ -11,8 +11,8 @@ file, with the exit code and stderr of each step.  Paths of the tree and of
 the directory are masked in stderr.  It prints every difference and exits
 0 only if everything is identical, 1 otherwise.  A CSV that differs in
 values only (same header, same row count) is summarised per column: the
-largest relative difference of each numeric column that differs, and the
-names of the identical columns.
+largest relative and absolute differences of each numeric column that
+differs, and the names of the identical columns.
 """
 
 from __future__ import annotations
@@ -48,18 +48,20 @@ def run_steps(workloads, name, seed, src: Path, work: Path) -> list:
     return results
 
 
-def _relative(a: str, b: str) -> float:
-    """``|a - b| / max(|a|, |b|)`` of two numeric cells; ValueError if either is
-    not a finite number."""
+def _difference(a: str, b: str) -> tuple:
+    """``(|a - b| / max(|a|, |b|), |a - b|)`` of two numeric cells; ValueError
+    if either is not a finite number."""
     x, y = float(a), float(b)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite cell {a!r} or {b!r}")
-    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+    gap = abs(x - y)
+    return (gap / max(abs(x), abs(y)) if gap else 0.0), gap
 
 
 def csv_columns(parent: bytes, change: bytes):
     """Per-column summary of two CSVs with the same header and row count, such
-    as ``max_bound ≤ 5.4e-14 relative; n, h identical``; None for any other pair."""
+    as ``max_bound ≤ 5.4e-14 relative, 1.1e-16 absolute; n, h identical``; None
+    for any other pair."""
     rows_a = list(csv.reader(io.StringIO(parent.decode("utf-8", "replace"))))
     rows_b = list(csv.reader(io.StringIO(change.decode("utf-8", "replace"))))
     if not rows_a or rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
@@ -74,7 +76,8 @@ def csv_columns(parent: bytes, change: bytes):
             same.append(column)
             continue
         try:
-            differ.append(f"{column} ≤ {max(_relative(a, b) for a, b in pairs):.2g} relative")
+            relative, gap = map(max, zip(*(_difference(a, b) for a, b in pairs)))
+            differ.append(f"{column} ≤ {relative:.2g} relative, {gap:.2g} absolute")
         except ValueError:
             differ.append(f"{column} differs")
     return "; ".join(differ + ([", ".join(same) + " identical"] if same else []))
