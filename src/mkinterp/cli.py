@@ -365,6 +365,11 @@ def cmd_power(args) -> int:
     report = power_report(model, nodes, cfg["order"], grid, f_norm=cfg["fnorm"])
     header = [f"x{i + 1}" for i in range(model.domain.dim)] + ["p_m", "p_2", "bound"]
     _write_csv(args.out, header, *grid.T, report.p_m, report.p_2, report.bound)
+    reasons = report.stop_reasons
+    for reason in np.unique(reasons[reasons != "converged"]):
+        stopped = reasons == reason
+        print(f"warning: {stopped.sum()} of {reasons.size} P_m points stopped ({reason}); "
+              f"P_m <= {report.p_m[stopped].max():.2g}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -17,13 +17,15 @@ import numpy as np
 from .features import (Domain, FeatureModel, domain_grid, eval_features, point_blocks,
                        require_even_order)
 from .interpolant import NodeSet, _fit_gram, banach_norm_direct, feature_coefficients
-from .solver import SolverOptions, _minimize_even_power
+from .solver import SolverOptions, _minimize_even_power, pair_products
 from .tensors import FeatureGram
 
 # A point stops once its Newton decrement -grad F . step is this small relative to F.
 _DECREMENT_TOL = 1e-12
 # A point's descent runs where ||r_2||_m times (1 + this) reaches the best P_m found.
 _REACH_MARGIN = 1e-9
+# Fewest points of a descent that pay for the table of the nodes' pair products.
+_PAIR_ROWS = 16
 # Points per axis of the grid on which a convergence study takes the fill distance.
 _FILL_GRID_PER_DIM = 201
 
@@ -43,14 +45,18 @@ def _descend(V, B, z, m, opts: SolverOptions):
     ``u = -B``, ``W = V^T`` and no linear term: one step at each
     continuation exponent, then the order-m descent, all rows in lock-step.
     ``iterations`` counts a point's accepted Newton steps, the continuation
-    steps included, within ``opts.max_iterations``.
+    steps included, within ``opts.max_iterations``.  A stack of at least
+    ``_PAIR_ROWS`` rows forms its Hessians from one table of the nodes' pair
+    products, built here for every exponent.
     """
+    pairs = pair_products(V.T) if len(B) >= _PAIR_ROWS else None
     steps = 0
     for p in ((3, 3.5) if m == 4 else range(3, m))[:opts.max_iterations]:
-        z, _, _, taken, _ = _minimize_even_power(V.T, -B, None, z, p, 1, dtol=_DECREMENT_TOL)
+        z, _, _, taken, _ = _minimize_even_power(V.T, -B, None, z, p, 1, dtol=_DECREMENT_TOL,
+                                                 pairs=pairs)
         steps = steps + taken
     _, F, _, iterations, reasons = _minimize_even_power(
-        V.T, -B, None, z, m, opts.max_iterations - steps, dtol=_DECREMENT_TOL)
+        V.T, -B, None, z, m, opts.max_iterations - steps, dtol=_DECREMENT_TOL, pairs=pairs)
     return np.maximum(m * F, 0.0) ** (1.0 / m), steps + iterations, reasons
 
 

@@ -29,8 +29,11 @@ _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 # Rounding noise of F, relative to the summed magnitude of its terms.
 _NOISE = 1e-15
-# Doubles per chunk of stacked Hessians (128 KiB): few numpy calls, little memory.
-_HESSIAN_VALUES = 1 << 14
+# Doubles per chunk of stacked Hessians, packed pair sums included (1 MiB): few
+# numpy calls, little memory.
+_HESSIAN_VALUES = 1 << 17
+# Largest table of the nodes' pair products (2 MiB); past it Hessians are formed per row.
+_PAIR_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -101,22 +104,55 @@ def _hessian(W, r, p, out=None):
     return H
 
 
-def _newton_directions(W, R, G, rows, p, lam):
+def pair_products(W):
+    """``(M, index)``: the K x n(n+1)/2 table ``M[:, j] = W[:, a] W[:, b]`` over the
+    pairs a <= b, and the n x n position of each pair (either order) in it; None
+    when the table would exceed ``_PAIR_VALUES`` doubles.
+
+    A Hessian is linear in its row weights, ``W^T diag(d) W = (d @ M)[index]``
+    (the Khatri-Rao product of W with itself, halved by symmetry), so a stack of
+    Hessians is one matrix product with M.
+    """
+    K, n = W.shape
+    width = n * (n + 1) // 2
+    if K * width > _PAIR_VALUES:
+        return None
+    M, index = np.empty((K, width)), np.empty((n, n), dtype=np.intp)
+    lo = 0
+    for a in range(n):
+        np.multiply(W[:, a:], W[:, a, None], out=M[:, lo:lo + n - a])
+        index[a, a:] = index[a:, a] = np.arange(lo, lo + n - a)
+        lo += n - a
+    return M, index
+
+
+def _newton_directions(W, R, G, rows, p, lam, pairs):
     """Newton steps of the given rows of a stack, residuals R (N x K) and gradients G (N x n).
 
     The Hessians go through in chunks of at most ``_HESSIAN_VALUES`` doubles,
     one stacked solve per chunk; if LAPACK rejects a chunk its rows are
-    solved one at a time.  A row whose Hessian stays singular, or whose
-    Newton step is not a descent direction, steps along ``-grad``.
+    solved one at a time.  With ``pairs``, the table of :func:`pair_products`,
+    a chunk's Hessians are one product with it (its packed products count in
+    the chunk), else each row's is ``_hessian``.  A row whose Hessian stays
+    singular, or whose Newton step is not a descent direction, steps along
+    ``-grad``.
     """
     n = G.shape[1]
     steps = np.empty((rows.size, n))
-    chunk = max(1, _HESSIAN_VALUES // (n * n))
+    packed = 0 if pairs is None else pairs[0].shape[1]
+    chunk = max(1, _HESSIAN_VALUES // (n * n + packed))
     for lo in range(0, rows.size, chunk):
         at, part = rows[lo:lo + chunk], steps[lo:lo + chunk]
-        H = np.empty((at.size, n, n))
-        for i, h in zip(at, H):
-            _hessian(W, R[i], p, out=h)
+        if pairs is None:
+            H = np.empty((at.size, n, n))
+            for i, h in zip(at, H):
+                _hessian(W, R[i], p, out=h)
+        else:
+            M, index = pairs
+            r = R[at]
+            weights = r ** (p - 2) if p % 2 == 0 else np.abs(r) ** (p - 2)
+            weights *= p - 1
+            H = (weights @ M)[:, index]
         # relative to H's scale, which tiny residuals (P_m near nodes) make tiny;
         # it also makes a zero Hessian (z = 0 with u = 0 and p > 2) solvable
         diagonal = H.reshape(len(H), n * n)[:, :: n + 1]
@@ -158,7 +194,8 @@ def _gradient(W, ell, r, z, p, lam):
     return grad if ell is None else grad + ell
 
 
-def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dtol=None):
+def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dtol=None,
+                         pairs=None):
     """Damped Newton on ``F(z) = (1/p) sum_k |u + W z|_k^p + ell . z + (lam/2)|z|^2``.
 
     ``W`` is K x n and shared by the rows of the (N, n) stack Z, one
@@ -176,8 +213,10 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
     ``gtol``, tested before the Newton step is formed (a stop on the
     gradient norm costs no Hessian), or when its Newton decrement ``-grad .
     step`` is at most ``dtol F``; a tolerance left at None is never tested.
-    ``max_iterations`` is an int or one budget per row.  Returns ``(Z, F,
-    gnorm, iterations, stop_reasons)``, one entry per row.
+    ``max_iterations`` is an int or one budget per row.  ``pairs``, the
+    :func:`pair_products` of W, forms the Newton Hessians of a chunk of rows
+    in one matrix product.  Returns ``(Z, F, gnorm, iterations,
+    stop_reasons)``, one entry per row.
 
     The line search tests the difference ``F(cand) - F`` (the sum
     ``F + c eta slope`` rounds back to F) and trusts a fall only beyond F's
@@ -210,7 +249,7 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
                 rows, g, f = rows[go], g[go], f[go]
                 if not rows.size:
                     break
-            step = _newton_directions(W, r, grad, rows, p, lam)
+            step = _newton_directions(W, r, grad, rows, p, lam, pairs)
             slope = np.vecdot(grad[rows], step)
             small = dtol is not None and -slope <= dtol * f
             if np.any(small):

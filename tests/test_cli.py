@@ -356,6 +356,23 @@ class TestPower:
                 assert float(row[1]) <= 1e-6
 
 
+    def test_points_that_do_not_converge_are_reported(self, tmp_path, capsys):
+        # 40 nodes reproduce the 21 trig features to rounding: each descent stalls there
+        nodes = write(tmp_path / "mid.csv",
+                      "x1\n" + "".join(f"{(i + 0.5) / 20 - 1!r}\n" for i in range(40)))
+        result = tmp_path / "power.csv"
+        assert main(["power", nodes, "--out", str(result), "--kernel", "trig",
+                     "--truncation", "21", "--order", "4", "--grid", "30"]) == 0
+        p_m = max(float(row[1]) for row in read_rows(result)[1:])
+        assert capsys.readouterr().err == (
+            f"warning: 30 of 30 P_m points stopped (stalled); P_m <= {p_m:.2g}\n")
+
+    def test_converged_points_print_nothing(self, tmp_path, capsys):
+        nodes = write(tmp_path / "nodes.csv", "x1\n0.1\n0.55\n")
+        assert main(["power", nodes, "--out", str(tmp_path / "p.csv"), "--order", "4",
+                     "--grid", "20"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_singular_gram_exits_0(self, tmp_path):
         # three nodes, one feature: A_2 is singular, and p_2 needs no A_2 solve
         nodes = write(tmp_path / "three.csv", "x1,y\n0,0\n0.5,1\n1,2\n")

@@ -280,10 +280,52 @@ class TestLockStepPowerValues:
         assert np.all(np.isfinite(report.p_m)) and np.all(report.iterations <= 1)
         assert peak < 8 * 2 ** 20
 
-    def test_benchmark_inputs_all_converge(self):
+    @staticmethod
+    def benchmark_case():
+        """The benchmark's power-bound inputs: 2-d trig K=120, 60 nodes, a 15 x 15 grid."""
         box2 = Domain([-1.0, -1.0], [1.0, 1.0])
-        reports = [power_report(FeatureModel.trigonometric(box2, 120, 0.5), benchmark_2d_nodes(),
-                                4, domain_grid(box2, 15))]
+        return FeatureModel.trigonometric(box2, 120, 0.5), benchmark_2d_nodes(), domain_grid(box2, 15)
+
+    def test_pair_table_route_matches_the_row_route(self, monkeypatch):
+        model, nodes, grid = self.benchmark_case()
+        build, tables = mkinterp.power.pair_products, []
+
+        def recording(W):
+            tables.append(build(W))
+            return tables[-1]
+
+        monkeypatch.setattr(mkinterp.power, "pair_products", recording)
+        paired = power_report(model, nodes, 4, grid)
+        assert len(tables) == 1 and tables[0] is not None  # one block of 225 points
+        monkeypatch.setattr(mkinterp.power, "_PAIR_ROWS", len(grid) + 1)
+        per_row = power_report(model, nodes, 4, grid)
+        assert len(tables) == 1
+        np.testing.assert_array_equal(paired.iterations, per_row.iterations)
+        np.testing.assert_array_equal(paired.stop_reasons, per_row.stop_reasons)
+        np.testing.assert_allclose(paired.p_m, per_row.p_m, rtol=1e-13, atol=0.0)
+
+    def test_power_function_matches_the_pair_table_route(self):
+        # power_function descends one row, so it forms its Hessians per row
+        model, nodes, grid = self.benchmark_case()
+        report = power_report(model, nodes, 4, grid)
+        for x, p_m in zip(grid[::8], report.p_m[::8]):
+            assert power_function(model, nodes, 4, x) == pytest.approx(p_m, rel=1e-13, abs=0.0)
+
+    def test_benchmark_shape_peak_memory(self):
+        # the pair table (1.7 MiB) and one Hessian chunk (1 MiB) are most of it; more
+        # would lift the power process above the study's in the benchmark's peak RSS
+        model, nodes, grid = self.benchmark_case()
+        tracemalloc.start()
+        try:
+            power_report(model, nodes, 4, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+    def test_benchmark_inputs_all_converge(self):
+        model, nodes, grid = self.benchmark_case()
+        reports = [power_report(model, nodes, 4, grid)]
         reports += [power_report(STUDY_MODEL, study_nodes(n), 4, STUDY_GRID)
                     for n in (8, 16, 32, 64)]
         for report in reports:

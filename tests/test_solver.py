@@ -30,6 +30,7 @@ from mkinterp.solver import (
     _minimize_even_power,
     _potential,
     _rescale,
+    pair_products,
 )
 from oracles import zero_start_solve
 
@@ -266,6 +267,33 @@ class TestHessian:
         assert np.max(np.abs(H - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
+class TestPairProducts:
+    """``pair_products``: a stack of Hessians as one product with the pair table."""
+
+    @pytest.mark.parametrize("p", [3, 3.5, 4, 6])
+    def test_table_reproduces_the_row_hessians(self, p):
+        rng = np.random.default_rng(46)
+        W = rng.standard_normal((7, 40)).T
+        R = rng.standard_normal((3, 40))
+        R[1] = 0.0  # a point at a node
+        M, index = pair_products(W)
+        assert M.shape == (40, 28)
+        np.testing.assert_array_equal(index, index.T)
+        for a, b in product(range(7), repeat=2):
+            np.testing.assert_array_equal(M[:, index[a, b]], W[:, min(a, b)] * W[:, max(a, b)])
+        stack = ((p - 1) * np.abs(R) ** (p - 2) @ M)[:, index]
+        for H, r in zip(stack, R):
+            reference = _hessian(W, r, p)
+            assert np.max(np.abs(H - reference)) <= 1e-14 * np.max(np.abs(reference))
+        np.testing.assert_array_equal(stack[1], 0.0)
+
+    def test_none_above_its_budget(self):
+        # K n (n + 1) / 2 doubles: 261,726 fit in 1 << 18, 262,450 do not
+        assert pair_products(np.ones((1, 723))) is not None
+        assert pair_products(np.ones((1, 724))) is None
+        assert pair_products(np.ones((2, 512))) is None
+
+
 class TestRealExponentCore:
     """``_minimize_even_power`` at a real exponent p: ``F = sum |r|^p / p + ...``."""
 
@@ -383,14 +411,31 @@ class TestLockStepCore:
         for got, want in zip(chunked, reference):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("values", [80, 160, 1 << 20])
+    def test_pair_chunks_match_chunks_of_one_row(self, monkeypatch, values):
+        # 25 + 15 doubles per row: two, four (then two) or all six rows per product;
+        # the product's rounding depends on how many rows share it, so the values
+        # agree to rounding and the steps taken exactly
+        W, U, Z = self.stack()
+        pairs = pair_products(W)
+        monkeypatch.setattr(mkinterp.solver, "_HESSIAN_VALUES", 1)
+        reference = _minimize_even_power(W, U, None, Z, 4, 50, dtol=DTOL, pairs=pairs)
+        monkeypatch.setattr(mkinterp.solver, "_HESSIAN_VALUES", values)
+        chunked = _minimize_even_power(W, U, None, Z, 4, 50, dtol=DTOL, pairs=pairs)
+        np.testing.assert_allclose(chunked[0], reference[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(chunked[1], reference[1], rtol=1e-12)
+        np.testing.assert_array_equal(chunked[3], reference[3])
+        np.testing.assert_array_equal(chunked[4], reference[4])
+        assert set(reference[4]) == {"converged"}
+
     def test_budgets_per_row(self, monkeypatch):
         # a row leaves the lock-step once its own budget is spent
         W, U, Z = self.stack()
         directions, formed = mkinterp.solver._newton_directions, []
 
-        def recording(W, R, G, rows, p, lam):
+        def recording(W, R, G, rows, p, lam, pairs):
             formed.append(rows.tolist())
-            return directions(W, R, G, rows, p, lam)
+            return directions(W, R, G, rows, p, lam, pairs)
 
         monkeypatch.setattr(mkinterp.solver, "_newton_directions", recording)
         z, _, _, iterations, reasons = _minimize_even_power(W, U, None, Z, 4, np.arange(6))
