@@ -17,7 +17,7 @@ import numpy as np
 from .features import (Domain, FeatureModel, domain_grid, eval_features, point_blocks,
                        require_even_order)
 from .interpolant import NodeSet, _fit_gram, banach_norm_direct, feature_coefficients
-from .solver import SolverOptions, _minimize_even_power, pair_products
+from .solver import SolverOptions, _abs_pow, _minimize_even_power, pair_products
 from .tensors import FeatureGram
 
 # A point stops once its Newton decrement -grad F . step is this small relative to F.
@@ -72,7 +72,7 @@ def _max_power(V, B, m, opts: SolverOptions, best: float) -> float:
     m = 2, U is P_2 and no descent runs.
     """
     thetas, residual = _least_squares(V, B)
-    upper = np.linalg.norm(residual, ord=m, axis=1)
+    upper = _abs_pow(residual, m).sum(axis=1) ** (1.0 / m)
     if m == 2:
         return np.maximum(best, upper.max())
     top = np.arange(len(B)) == np.argmax(upper)

@@ -89,16 +89,30 @@ def residual_norm(gram: FeatureGram, m: int, c, y) -> float:
     return float(np.linalg.norm(contract_m_minus_1(gram, m, c) - y))
 
 
+def _abs_pow(r, p):
+    """``|r|**p`` as a new array: at integral p a product of repeated squares, with no abs
+    at even p (numpy's scalar ``pow`` takes over ten times as long)."""
+    if not (p >= 0 and float(p).is_integer()):
+        return np.abs(r) ** p
+    k, out = int(p), None
+    base = np.abs(r) if k % 2 else r
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        base = base * base if k else base
+    return np.ones_like(r) if out is None else out
+
+
 def _hessian(W, r, p, out=None):
     """``(p-1) W^T diag(|r|^{p-2}) W``, PSD, as ``(p-1) Y^T Y``, into ``out`` if given.
 
     ``Y = diag(|r|^{(p-2)/2}) W``; numpy forms ``Y^T Y`` on one buffer by a
     symmetric rank-K update, which halves the flops of a general product
-    and makes H exactly symmetric.  At even integer p the row scale is
-    ``r^{(p-2)/2}``, whose sign Y^T Y squares away.
+    and makes H exactly symmetric.  The row scale is :func:`_abs_pow`'s, so
+    at integral ``(p-2)/2`` it is a product of the residuals.
     """
-    scale = r ** ((p - 2) // 2) if p % 2 == 0 else np.abs(r) ** ((p - 2) / 2)
-    Y = W * scale[:, None]
+    Y = W * _abs_pow(r, (p - 2) / 2)[:, None]
     H = np.matmul(Y.T, Y, out=out)
     H *= p - 1
     return H
@@ -150,7 +164,7 @@ def _newton_directions(W, R, G, rows, p, lam, pairs):
         else:
             M, index = pairs
             r = R[at]
-            weights = r ** (p - 2) if p % 2 == 0 else np.abs(r) ** (p - 2)
+            weights = _abs_pow(r, p - 2)
             weights *= p - 1
             H = (weights @ M)[:, index]
         # relative to H's scale, which tiny residuals (P_m near nodes) make tiny;
@@ -178,7 +192,7 @@ def _potential(W, u, ell, z, p, lam):
     ``r = u + W z``, the core's F and the summed magnitude of F's terms
     (the scale of its rounding noise)."""
     r = z @ W.T + u
-    power_sum = (r ** p if p % 2 == 0 else np.abs(r) ** p).sum(axis=-1) / p
+    power_sum = _abs_pow(r, p).sum(axis=-1) / p
     if lam:
         power_sum += 0.5 * lam * np.vecdot(z, z)
     if ell is None:
@@ -188,7 +202,7 @@ def _potential(W, u, ell, z, p, lam):
 
 def _gradient(W, ell, r, z, p, lam):
     """The core's gradient at each row of z, from its residual ``r = u + W z``."""
-    grad = (r ** (p - 1) if p % 2 == 0 else r * np.abs(r) ** (p - 2)) @ W
+    grad = (r * _abs_pow(r, p - 2)) @ W
     if lam:
         grad = grad + lam * z
     return grad if ell is None else grad + ell
@@ -202,10 +216,8 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
     problem per row, with u an (N, K) stack or 0.  ``ell`` is an n-vector
     or None for zero, p a real exponent >= 2 (the potential is an even
     function of the residual), ``lam >= 0``.  The gradient is ``W^T
-    (sign(r) |r|^{p-1})`` plus the linear terms.  At even integer p (given
-    as an int or as an integral float) the powers are ``r**p``,
-    ``r**(p-1)`` and ``r**((p-2)//2)``, so the iterates do not depend on
-    how p was given.
+    (sign(r) |r|^{p-1})`` plus the linear terms.  Every power of r is :func:`_abs_pow`'s,
+    so the iterates do not depend on whether p is given as an int or a float.
 
     The rows descend in lock-step, their Newton steps formed together, each
     row with its own step length, backtracks, fallbacks, iteration count
@@ -225,8 +237,6 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
     Armijo fraction (the approximate-Wolfe idea of Hager and Zhang, SIAM J.
     Optim. 16(1), 2005).  Overflow fails the line search or ends the row.
     """
-    if p % 2 == 0:
-        p = int(p)
     z = np.array(Z, dtype=float)  # a copy: rows are updated in place
     N = z.shape[0]
     budget = np.broadcast_to(max_iterations, N)
@@ -294,7 +304,7 @@ def _rescale(W, c, y, p):
     Left unscaled when either sum is not positive.
     """
     t = W @ c
-    denom = float((t ** p if p % 2 == 0 else np.abs(t) ** p).sum())
+    denom = float(_abs_pow(t, p).sum())
     num = float(y @ c)
     if denom > 0 and num > 0:
         c = c * (num / denom) ** (1.0 / p)

@@ -95,3 +95,26 @@ def test_csv_of_another_shape_only_differs(tmp_path, change):
     a = run_dir(tmp_path, "a", {"s.csv": b"n,h\n4,2\n"})
     b = run_dir(tmp_path, "b", {"s.csv": change})
     assert compare.differences("w", (steps, a), (steps, b)) == ["w: s.csv differs"]
+
+
+def test_json_values_differ_per_key(tmp_path):
+    steps = [(["fit"], 0, "")]
+    a = run_dir(tmp_path, "a", {"fit4.json.report.json": (
+        b'{"converged": true, "stop_reason": "converged", "residual_norm": 2e-14,'
+        b' "iterations": 6, "domain": {"lower": [-1.0, 0.0]}, "c": [1.0, 2.0, 3.0]}')})
+    b = run_dir(tmp_path, "b", {"fit4.json.report.json": (
+        b'{"converged": true, "stop_reason": "stalled", "residual_norm": 2.5e-14,'
+        b' "iterations": 6, "domain": {"lower": [-1.0, 0.0]}, "c": [1.0, 2.5, 3.5]}')})
+    assert compare.differences("w", (steps, a), (steps, b)) == [
+        "w: fit4.json.report.json differs: stop_reason differs; "
+        "residual_norm ≤ 0.2 relative, 5e-15 absolute; c ≤ 0.2 relative, 0.5 absolute; "
+        "converged, iterations, domain.lower identical"]
+
+
+@pytest.mark.parametrize("change", [b'{"n": 4, "h": 1}', b'{"n": [4, 5]}', b'{"n": {"a": 4}}',
+                                    b'[4]', b'{"n": 4', b'\xff'])
+def test_json_of_another_shape_only_differs(tmp_path, change):
+    steps = [(["fit"], 0, "")]
+    a = run_dir(tmp_path, "a", {"m.json": b'{"n": 4}'})
+    b = run_dir(tmp_path, "b", {"m.json": change})
+    assert compare.differences("w", (steps, a), (steps, b)) == ["w: m.json differs"]

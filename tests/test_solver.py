@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -24,6 +25,7 @@ from mkinterp import (
 )
 
 from mkinterp.solver import (
+    _abs_pow,
     _certifies_full_rank,
     _gradient,
     _hessian,
@@ -255,6 +257,60 @@ class TestSolverOptions:
         assert report.stop_reason == "max_iterations"
 
 
+# Special values, subnormals and values whose powers overflow or underflow, then ordinary ones.
+POW_INPUTS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-310, 1e-200, -1e-100, 1e-81,
+     1e50, -1e100, 1e300, -1.7976931348623157e308, 1.0, -1.0, 2.0, -0.5],
+    np.random.default_rng(11).uniform(-3.0, 3.0, 45)])
+
+
+class TestAbsPow:
+    """``_abs_pow(r, p)`` against ``np.power(|r|, p)``, under the core's errstate."""
+
+    @staticmethod
+    def powers(r, p):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _abs_pow(r, p), np.power(np.abs(r), p)
+
+    @pytest.mark.parametrize("shape", [(POW_INPUTS.size,), (4, POW_INPUTS.size // 4)])
+    @pytest.mark.parametrize("p", [0, 1, 2, 0.0, 1.0, 2.0, 3.5, 0.5, 1.5])
+    def test_bit_equal_at_small_and_non_integral_exponents(self, shape, p):
+        r = POW_INPUTS[:math.prod(shape)].reshape(shape)
+        got, want = self.powers(r, p)
+        np.testing.assert_array_equal(got, want)
+        numbers = ~np.isnan(want)
+        np.testing.assert_array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+    @pytest.mark.parametrize("shape", [(POW_INPUTS.size,), (4, POW_INPUTS.size // 4)])
+    @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8, 3.0, 4.0])
+    def test_integral_exponents_are_within_gamma(self, shape, p):
+        # a product of p factors is within gamma_{p-1} of the exact power (Higham,
+        # section 3.1), measured here against that power in rationals, plus a few
+        # of the smallest subnormals for rounding past the underflow threshold
+        r = POW_INPUTS[:math.prod(shape)].reshape(shape)
+        got, want = self.powers(r, p)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_array_equal(np.signbit(got[~np.isnan(got)]), False)
+        u = Fraction(2) ** -53
+        gamma = (p - 1) * u / (1 - (p - 1) * u)
+        for x, value in zip(r.ravel(), got.ravel()):
+            if np.isfinite(value):
+                exact = Fraction(abs(float(x))) ** int(p)
+                slack = gamma * exact + int(p) * Fraction(2) ** -1074
+                assert abs(Fraction(float(value)) - exact) <= slack, (x, p)
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 3.5])
+    def test_input_is_left_untouched(self, p):
+        r = POW_INPUTS.reshape(4, -1)
+        before = r.copy()
+        got, _ = self.powers(r, p)
+        got[...] = 7.0
+        np.testing.assert_array_equal(r, before)
+        assert not np.shares_memory(got, r)
+
+
 class TestHessian:
     @pytest.mark.parametrize("m", [4, 6, 8])
     def test_rank_k_update_matches_general_product(self, m):
@@ -304,10 +360,11 @@ class TestRealExponentCore:
         return W, rng.standard_normal(K), rng.standard_normal(n), 0.3 * rng.standard_normal(n)
 
     def test_integral_float_exponent_gives_the_same_iterates(self):
+        # 3 and 5 are the fits' odd continuation exponents
         W, u, ell, z = self.problem(42)
-        for k in range(8):
-            as_int = _minimize_even_power(W, u[None], ell, z[None], 4, k, 0.2)
-            as_float = _minimize_even_power(W, u[None], ell, z[None], 4.0, k, 0.2)
+        for p, k in product((4, 3, 5), range(8)):
+            as_int = _minimize_even_power(W, u[None], ell, z[None], p, k, 0.2)
+            as_float = _minimize_even_power(W, u[None], ell, z[None], float(p), k, 0.2)
             for got, want in zip(as_int, as_float):
                 np.testing.assert_array_equal(got, want)
 

@@ -12,7 +12,9 @@ the directory are masked in stderr.  It prints every difference and exits
 0 only if everything is identical, 1 otherwise.  A CSV that differs in
 values only (same header, same row count) is summarised per column: the
 largest relative and absolute differences of each numeric column that
-differs, and the names of the identical columns.
+differs, and the names of the identical columns.  A JSON file whose two
+documents have the same shape is summarised the same way per key, the
+items of a list sharing the key of the list.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -58,6 +61,24 @@ def _difference(a: str, b: str) -> tuple:
     return (gap / max(abs(x), abs(y)) if gap else 0.0), gap
 
 
+def _summary(columns) -> str:
+    """``name ≤ r relative, a absolute`` for each ``(name, cell pairs)`` whose cells
+    differ (``name differs`` where a cell is not a finite number), then the
+    identical names."""
+    differ, same = [], []
+    for name, cells in columns:
+        pairs = [(a, b) for a, b in cells if a != b]
+        if not pairs:
+            same.append(name)
+            continue
+        try:
+            relative, gap = map(max, zip(*(_difference(a, b) for a, b in pairs)))
+            differ.append(f"{name} ≤ {relative:.2g} relative, {gap:.2g} absolute")
+        except ValueError:
+            differ.append(f"{name} differs")
+    return "; ".join(differ + ([", ".join(same) + " identical"] if same else []))
+
+
 def csv_columns(parent: bytes, change: bytes):
     """Per-column summary of two CSVs with the same header and row count, such
     as ``max_bound ≤ 5.4e-14 relative, 1.1e-16 absolute; n, h identical``; None
@@ -69,18 +90,38 @@ def csv_columns(parent: bytes, change: bytes):
     width = len(rows_a[0])
     if any(len(row) != width for row in rows_a + rows_b):
         return None
-    differ, same = [], []
-    for j, column in enumerate(rows_a[0]):
-        pairs = [(a[j], b[j]) for a, b in zip(rows_a[1:], rows_b[1:]) if a[j] != b[j]]
-        if not pairs:
-            same.append(column)
-            continue
-        try:
-            relative, gap = map(max, zip(*(_difference(a, b) for a, b in pairs)))
-            differ.append(f"{column} ≤ {relative:.2g} relative, {gap:.2g} absolute")
-        except ValueError:
-            differ.append(f"{column} differs")
-    return "; ".join(differ + ([", ".join(same) + " identical"] if same else []))
+    return _summary((column, [(a[j], b[j]) for a, b in zip(rows_a[1:], rows_b[1:])])
+                    for j, column in enumerate(rows_a[0]))
+
+
+def _json_leaves(doc, key=""):
+    """``(key, JSON text)`` of each scalar of a document: an object's members
+    are named ``key.member``, and a list's items share the key of the list."""
+    if isinstance(doc, dict):
+        for member, value in doc.items():
+            yield from _json_leaves(value, f"{key}.{member}" if key else member)
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from _json_leaves(item, key)
+    else:
+        yield key, json.dumps(doc)
+
+
+def json_keys(parent: bytes, change: bytes):
+    """Per-key summary of two JSON documents of the same shape, such as
+    ``residual_norm ≤ 0.31 relative, 1.9e-14 absolute; converged, iterations
+    identical``; None for any other pair."""
+    try:
+        leaves_a = list(_json_leaves(json.loads(parent)))
+        leaves_b = list(_json_leaves(json.loads(change)))
+    except ValueError:
+        return None
+    if [key for key, _ in leaves_a] != [key for key, _ in leaves_b]:
+        return None
+    keys = {}
+    for (key, a), (_, b) in zip(leaves_a, leaves_b):
+        keys.setdefault(key, []).append((a, b))
+    return _summary(keys.items())
 
 
 def differences(name, parent, change) -> list:
@@ -100,7 +141,8 @@ def differences(name, parent, change) -> list:
     for rel in sorted(files_a & files_b):
         data_a, data_b = (parent_dir / rel).read_bytes(), (change_dir / rel).read_bytes()
         if data_a != data_b:
-            columns = csv_columns(data_a, data_b) if rel.suffix == ".csv" else None
+            summarise = {".csv": csv_columns, ".json": json_keys}.get(rel.suffix)
+            columns = summarise(data_a, data_b) if summarise else None
             found.append(f"{name}: {rel} differs" + (f": {columns}" if columns else ""))
     return found
 
