@@ -326,47 +326,30 @@ def _table(model: FeatureModel, j: int, values: np.ndarray) -> np.ndarray:
                       np.sin(sin_scales * values[:, None]), np.ones((values.size, 1))])
 
 
-def _blocks(model: FeatureModel, X: np.ndarray, width, derive, order):
-    """``(rows, factors)`` per block of rows of an (N, d) array, checked
+def _blocks(model: FeatureModel, X: np.ndarray, width):
+    """``(rows, tables)`` per block of rows of an (N, d) array, checked
     against the domain once (not if N = 0) and clipped per block.
 
-    ``factors`` yields ``derive(j, T_j)`` at the rows for each coordinate j
-    in ``order``.  T_j holds one row per distinct value of the block's
-    column, by bit pattern, or one row per value, with no sort, once a block
-    of the call had over half its values distinct (``custom``: the tabulated
-    rows alone).  ValueError at the first point where a ``power`` table
-    overflows.
+    ``tables`` lists each coordinate j's factor table T_j at the block's
+    values, one row per point (``custom``: the tabulated rows alone).
+    ValueError at the first point where a ``power`` table overflows.
     """
     if X.shape[0]:
         model.domain._checked(X)
-    dense = [False] * X.shape[1]
     for rows in point_blocks(model, X.shape[0], width):
         block = np.clip(X[rows], model.domain.lower, model.domain.upper)
         if model.family == "custom":
             hits, found = _table_lookup(model, block)
             if not np.all(found):
                 raise UntabulatedPoint(f"point {block[np.argmin(found)].tolist()} is not tabulated")
-            yield rows, iter([model.table_features[hits]])
+            yield rows, [model.table_features[hits]]
             continue
-        parts, finite = [], np.ones(block.shape[0], dtype=bool)
-        for j, column in enumerate(block.T):
-            values, index = (column, slice(None)) if dense[j] else _distinct(column)
-            dense[j] = 2 * values.size > column.size
-            parts.append((_table(model, j, values), index))
-            if model.family == "power":  # cos and sin cannot overflow
-                finite &= np.isfinite(parts[j][0]).all(axis=1)[index]
-        if not np.all(finite):
-            raise ValueError(f"features overflow at point {block[np.argmin(finite)].tolist()}")
-        yield rows, (derive(j, parts[j][0][parts[j][1]]) for j in order)  # lazily: few alive
-
-
-def _features_block(factors) -> np.ndarray:
-    """Unscaled basis values ``b_k`` of a block: the product of its factors."""
-    vals = next(factors)
-    for factor in factors:
-        vals *= factor
-        del factor  # freed before the next factor is made
-    return vals
+        tables = [_table(model, j, column) for j, column in enumerate(block.T)]
+        if model.family == "power":  # cos and sin cannot overflow
+            finite = np.all([np.isfinite(table).all(axis=1) for table in tables], axis=0)
+            if not np.all(finite):
+                raise ValueError(f"features overflow at point {block[np.argmin(finite)].tolist()}")
+        yield rows, tables
 
 
 def eval_features(model: FeatureModel, x) -> np.ndarray:
@@ -380,68 +363,76 @@ def eval_features(model: FeatureModel, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((np.atleast_2d(x).shape[0], model.truncation))
     cols = [gather for *_, gather in model.coordinate_factors]
-    for rows, factors in _blocks(model, np.atleast_2d(x), None, lambda j, t: t[:, cols[j]],
-                                 range(model.domain.dim)):
-        out[rows] = _features_block(factors)
+    for rows, tables in _blocks(model, np.atleast_2d(x), None):
+        vals = tables[0] if model.family == "custom" else tables[0][:, cols[0]]
+        for table, col in zip(tables[1:], cols[1:]):
+            vals *= table[:, col]  # into one block temporary: faster than into ``out``
+        out[rows] = vals
     out *= np.sqrt(model.weights)
     return out if x.ndim == 2 else out[0]
 
 
-def _first_change(lead: np.ndarray) -> int:
-    """Index of the first row of ``lead`` unlike row 0, or its length; the
-    search doubles its prefix, so a change at row i costs O(i) rows."""
+def _first_change(column: np.ndarray) -> int:
+    """Index of the first entry of ``column`` unlike entry 0, or its length;
+    the search doubles its prefix, so a change at entry i costs O(i) entries."""
     stop = 1
-    while stop < lead.shape[0]:
-        stop = min(2 * stop, lead.shape[0])
-        changed = np.flatnonzero((lead[1:stop] != lead[0]).any(axis=1))
+    while stop < column.size:
+        stop = min(2 * stop, column.size)
+        changed = np.flatnonzero(column[1:stop] != column[0])
         if changed.size:
             return int(changed[0]) + 1
-    return lead.shape[0]
+    return column.size
 
 
 def _grid_axes(X: np.ndarray):
-    """The values along each axis of the tensor grid whose row-major product
-    is X bit for bit (what :func:`domain_grid` makes), or None.
+    """``(axes, order)`` with X, bit for bit, the tensor grid of the values
+    ``axes[j]`` of each coordinate j, nested with coordinate ``order[0]``
+    slowest and ``order[-1]`` fastest (row-major: ``order`` is 0, ..., d-1),
+    or None.
 
-    Axis j's stride is the first row at which columns 0..j change.  The
-    first two slabs of the slowest axis are compared before the rest, so
-    scattered rows fail within a few rows; no sort.
+    Coordinate j's stride is the first row at which its column changes.
+    The first two slabs of the slowest axis are compared before the rest,
+    so scattered rows fail within a few rows; no sort.  An axis whose first
+    two values are equal has no stride of its own and fails.
     """
-    bits = X.view(np.int64)
-    strides = [1]
-    for j in range(X.shape[1] - 2, -1, -1):
-        strides.insert(0, _first_change(bits[:, :j + 1]))
-    sizes, span = [], X.shape[0]
-    for stride in strides:
-        if span % stride:
+    bits, dim = X.view(np.int64), X.shape[1]
+    strides = [_first_change(column) for column in bits.T]
+    order = sorted(range(dim), key=lambda j: -strides[j])  # stable: size-1 axes tie
+    sizes, span = [0] * dim, X.shape[0]
+    for j in order:
+        if span % strides[j]:
             return None
-        sizes.append(span // stride)
-        span = stride
+        sizes[j], span = span // strides[j], strides[j]
+    if span != 1:
+        return None
     axes = [X[::stride, j][:size] for j, (stride, size) in enumerate(zip(strides, sizes))]
-    grid = bits.reshape(*sizes, X.shape[1])
+    grid = bits.reshape(*[sizes[j] for j in order], dim)
     for part in (grid[:2], grid):
-        for j, axis in enumerate(axes):
-            along = axis.view(np.int64).reshape([-1 if i == j else 1 for i in range(len(axes))])
+        for place, j in enumerate(order):
+            along = axes[j].view(np.int64).reshape([-1 if i == place else 1 for i in range(dim)])
             if not np.all(part[..., j] == along[:part.shape[0]]):
                 return None
-    return axes
+    return axes, order
 
 
 def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
-    """:func:`_feature_sum` on a row-major tensor grid of d >= 2 axes, or
-    None to leave X to the block loop: not such a grid, an axis value outside
-    the box, a table entry that is not finite, or an axis so long that its
-    tables would outgrow a block.
+    """:func:`_feature_sum` on a tensor grid of d >= 2 axes nested in any
+    order (see :func:`_grid_axes`), or None to leave X to the block loop:
+    not such a grid, an axis value outside the box, a table entry that is
+    not finite, or an axis so long that its tables would outgrow a block.
 
     Each axis is tabulated once: ``A_j = T_j[:, prefixes[:, j]]`` for j < d-1
     and ``A_{d-1} = T_{d-1} @ C``.  The sums are ``(A_0 * ... * A_{d-2}) @
     A_{d-1}^T``, the first factor a row-wise (Khatri-Rao) product, formed a
-    few of its rows at a time and written into the result in place.
+    few of its rows at a time and written into the result in place, in
+    coordinate order; they are then transposed into the grid's order, a
+    view for a row-major grid.
     """
     dim = model.domain.dim
-    axes = _grid_axes(X) if dim > 1 and X.shape[0] and X.shape[1] == dim else None
-    if axes is None or max(map(len, axes)) * model._sum_plan[-1] > BLOCK_VALUES:
+    found = _grid_axes(X) if dim > 1 and X.shape[0] and X.shape[1] == dim else None
+    if found is None or max(map(len, found[0])) * model._sum_plan[-1] > BLOCK_VALUES:
         return None
+    axes, order = found
     span = np.column_stack([np.resize(axis, max(map(len, axes))) for axis in axes])
     if not np.all(model.domain.contains(span)):  # a grid point is inside iff its coordinates are
         return None
@@ -460,24 +451,24 @@ def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
         for factor, i in zip(factors[1:], index[1:]):
             S *= factor[i]
         np.matmul(S, last.T, out=sums[start:stop])
-    return sums.ravel()
+    return sums.reshape([len(axis) for axis in axes]).transpose(order).ravel()
 
 
 def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """``sum_k alpha_k phi_k(x)`` at each row x of an (N, d) array, by sum factorization.
 
     ``power``, ``trig``: the products ``sqrt(w_k) alpha_k`` fill a (J_d, P)
-    matrix C (see :attr:`FeatureModel._sum_plan`).  A row-major tensor grid
-    takes :func:`_grid_sum`.  Otherwise each block's table rows are
-    contracted, ``T_d @ C`` for the last coordinate and the prefix columns
-    ``T_j[:, prefixes[:, j]]`` for the others, then multiplied and summed
-    over the P prefixes; no (N, K) array is built.  ``custom`` looks its
-    rows up.  Rows agree with ``eval_features(model, X) @ alpha`` to the
-    rounding of a K-term sum.  An empty array of any width gives (0,)
-    without a check.
+    matrix C (see :attr:`FeatureModel._sum_plan`).  A tensor grid in any
+    axis order takes :func:`_grid_sum`.  Otherwise each block's tables, one
+    row per point, are contracted: ``T_d @ C`` for the last coordinate,
+    times the prefix columns ``T_j[:, prefixes[:, j]]`` of the others in
+    order, summed over the P prefixes; no (N, K) array is built.
+    ``custom`` looks its rows up.  Rows agree with
+    ``eval_features(model, X) @ alpha`` to the rounding of a K-term sum.
+    An empty array of any width gives (0,) without a check.
     """
     beta = np.sqrt(model.weights) * alpha
-    width = derive = None
+    width = None
     if model.family != "custom":
         prefixes, places, shape, width = model._sum_plan
         C = np.zeros(shape)
@@ -485,17 +476,15 @@ def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.nd
         grid = _grid_sum(model, X, prefixes, C)
         if grid is not None:
             return grid
-
-        def derive(j, table):
-            return table @ C if j == model.domain.dim - 1 else table[:, prefixes[:, j]]
     values = np.empty(X.shape[0])
-    last_first = [model.domain.dim - 1, *range(model.domain.dim - 1)]
-    for rows, factors in _blocks(model, X, width, derive, last_first):
-        S = next(factors)
-        for factor in factors:
-            S *= factor
-            del factor  # freed before the next factor is made
-        values[rows] = S @ beta if model.family == "custom" else S.sum(axis=1)
+    for rows, tables in _blocks(model, X, width):
+        if model.family == "custom":
+            values[rows] = tables[0] @ beta
+            continue
+        S = tables[-1] @ C
+        for j, table in enumerate(tables[:-1]):
+            S *= table[:, prefixes[:, j]]
+        values[rows] = S.sum(axis=1)
     return values
 
 

@@ -38,11 +38,15 @@ _PAIR_VALUES = 1 << 18
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs shared by the interpolation and regularized solvers.
+    """Settings of the Newton solves, each read by the callers named here.
 
-    ``max_iterations`` bounds the Newton steps of a solve, those of its
-    start included.  ``rng_seed`` has no reader; it stays because the
-    benchmark harness (``bench/workloads.py``) sets it.
+    ``residual_tol`` is read by fits alone (``fit``, ``solve_multilinear``,
+    ``solve_regularized`` and the fits of ``convergence_study``), which stop
+    once the root residual is at most it.  ``max_iterations`` bounds the
+    Newton steps, continuation steps included, of each fit and of each
+    point's ``P_m`` descent in ``power_report``, ``power_function`` and
+    ``convergence_study``.  ``rng_seed`` has no reader; it stays because
+    the benchmark harness (``bench/workloads.py``) sets it.
     """
 
     residual_tol: float = 1e-10

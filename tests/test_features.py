@@ -323,8 +323,11 @@ def tensor_grid(*axes):
 
 
 class TestDistinctValueTables:
-    """Each block computes a coordinate's factors once per distinct value,
-    told apart by bit pattern, and gathers them into the rows."""
+    """Repeated coordinate values, ``+-0.0`` and points clamped onto a face
+    in the block loop, which tabulates every row at its own value: the bits
+    are the per-feature formula's, and equal points get equal bits in
+    whatever block they fall.  ``_distinct`` still finds the distinct
+    exponents and frequencies of a model."""
 
     BOX = Domain([-1.0, -1.0, -1.0], [1.5, 1.5, 1.5])
 
@@ -402,9 +405,11 @@ def rows_per_block(monkeypatch, rows, width):
 
 
 class TestBlockRules:
-    """Per block and coordinate, a table holds one row per value with no sort
-    or one row per distinct value; both rules give the direct formula's bits,
-    and the first bad point is named whatever its block."""
+    """Every block tabulates each coordinate at all of its rows, one table
+    row per value, with no sort and nothing kept from the block before;
+    blocks whose coordinates switch between repeats and scattered values
+    give the direct formula's bits, and the first bad point is named
+    whatever its block."""
 
     BOX = Domain([-1.0, -1.0, -1.0], [1.5, 1.5, 1.5])
     ROWS = 40
@@ -432,10 +437,9 @@ class TestBlockRules:
         ]
         return np.column_stack([np.concatenate(column) for column in columns])
 
-    # coordinates tabulated per block: every one in every block, whether its
-    # values are a subset of the previous block's or not; coordinate 2, and
-    # coordinate 0 from block 2, no longer sort
-    TABULATED = [[0, 1, 2]] * 5
+    # (coordinate, rows) per table: every coordinate in every block, at the
+    # block's full row count, whether its values repeat or not
+    TABULATED = [(j, rows) for rows in [ROWS] * 4 + [ROWS // 2] for j in range(3)]
 
     @pytest.fixture
     def tabulated(self, monkeypatch):
@@ -449,22 +453,13 @@ class TestBlockRules:
         monkeypatch.setattr(features, "_table", spy)
         return calls
 
-    def tabulated_per_block(self, calls):
-        """Split the spied ``(j, size)`` calls into blocks: j restarts low."""
-        blocks = []
-        for j, _ in calls:
-            if not blocks or j <= blocks[-1][-1]:
-                blocks.append([])
-            blocks[-1].append(j)
-        return blocks
-
     @pytest.mark.parametrize("family", ["power", "trig"])
     def test_eval_features_bit_identical_under_every_rule(self, family, monkeypatch, tabulated):
         model = build(family, self.BOX, 47, weights=np.random.default_rng(4).uniform(0.1, 3.0, 47))
         X = self.switching_blocks()
         rows_per_block(monkeypatch, self.ROWS, model.truncation)
         got = eval_features(model, X)
-        assert self.tabulated_per_block(tabulated) == self.TABULATED
+        assert tabulated == self.TABULATED
         assert same_bits(got, reference_features(model, X))
         assert same_bits(got, row_by_row(model, X))
 
@@ -476,7 +471,7 @@ class TestBlockRules:
         rows_per_block(monkeypatch, self.ROWS, model._sum_plan[-1])
         tabulated.clear()
         got = features._feature_sum(model, X, alpha)
-        assert self.tabulated_per_block(tabulated) == self.TABULATED
+        assert tabulated == self.TABULATED
         blocks = point_blocks(model, X.shape[0], model._sum_plan[-1])
         assert len(blocks) == 5
         alone = np.concatenate([features._feature_sum(model, X[rows], alpha) for rows in blocks])
@@ -484,6 +479,7 @@ class TestBlockRules:
 
     @pytest.mark.parametrize("rule", ["reused", "unsorted"])
     def test_power_overflow_names_the_first_point_in_input_order(self, rule, monkeypatch):
+        # the second coordinate's first block repeats its values, or does not
         model = FeatureModel.power_series(Domain([-1e200, -1e200], [1e200, 1e200]), 6)
         second = [0.0, 0.5, 0.0, 0.5] if rule == "reused" else [0.1, 0.2, 0.3, 0.4]
         X = np.column_stack([[0.5, 0.5, -0.5, -0.5, 0.5, -0.5, 0.5, -0.5],

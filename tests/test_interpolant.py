@@ -223,6 +223,12 @@ def tensor_grid(*axes):
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
+def nested_grid(axes, order):
+    """The tensor grid of the axes with coordinate ``order[0]`` slowest and
+    ``order[-1]`` fastest; ``(1, 0)`` is ``np.meshgrid``'s default ``xy``."""
+    return tensor_grid(*[axes[j] for j in order])[:, np.argsort(order)]
+
+
 FAMILIES = {"power": FeatureModel.power_series, "trig": FeatureModel.trigonometric}
 TRUNCATION_BY_DIM = {1: 9, 2: 24, 3: 50}
 
@@ -347,12 +353,22 @@ class TestEvaluateMany:
             patch.setattr(features, "_grid_axes", lambda X: None)
             return evaluate_many(s, X)
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    # grids by nesting order, slowest coordinate first: row-major in 2-d and
+    # 3-d, np.meshgrid's default "xy", another 3-d order, and a row-major
+    # grid with an axis of one value (its column never changes)
+    GRID_ORDERS = {"2": (0, 1), "3": (0, 1, 2), "xy": (1, 0), "zxy": (2, 0, 1),
+                   "size_1": (0, 1, 2)}
+
+    @pytest.mark.parametrize("grid", list(GRID_ORDERS))
     @pytest.mark.parametrize("family", ["power", "trig"])
-    def test_grid_route_tabulates_each_axis_once(self, family, dim, monkeypatch):
+    def test_grid_route_tabulates_each_axis_once(self, family, grid, monkeypatch):
+        sizes = {"2": (41, 23), "xy": (41, 23), "size_1": (41, 1, 17)}.get(grid, (41, 23, 17))
+        dim = len(sizes)
         s = family_fit(family, dim)
-        axes = [np.linspace(-1.0, 2.0, n) for n in (41, 23, 17)[:dim]]
-        X = tensor_grid(*axes)
+        axes = [np.linspace(-1.0, 2.0, n) for n in sizes]
+        X = nested_grid(axes, self.GRID_ORDERS[grid])
+        if grid == "xy":
+            assert np.array_equal(X, np.stack([m.ravel() for m in np.meshgrid(*axes)], axis=1))
         evaluate_many(s, X[:1])  # builds the model's sum plan
         sorts, tables = self.spy(monkeypatch, "_distinct"), self.spy(monkeypatch, "_table")
         got = evaluate_many(s, X)
@@ -364,12 +380,12 @@ class TestEvaluateMany:
         blocks = self.block_route(monkeypatch, s, X)
         assert np.all(np.abs(got - blocks) <= 2 * sum_bound(s, X))
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("grid", list(GRID_ORDERS))
     @pytest.mark.parametrize("family", ["power", "trig"])
-    def test_grid_route_in_several_slabs(self, family, dim, monkeypatch):
-        s = family_fit(family, dim)
-        sizes = {2: (120, 120), 3: (41, 23, 17)}[dim]
-        X = tensor_grid(*[np.linspace(-1.0, 2.0, n) for n in sizes])
+    def test_grid_route_in_several_slabs(self, family, grid, monkeypatch):
+        sizes = {"2": (120, 120), "xy": (120, 97), "size_1": (180, 1, 180)}.get(grid, (41, 23, 17))
+        s = family_fit(family, len(sizes))
+        X = nested_grid([np.linspace(-1.0, 2.0, n) for n in sizes], self.GRID_ORDERS[grid])
         evaluate_many(s, X[:1])
         # the least BLOCK_VALUES the route takes: its longest axis fills a block
         monkeypatch.setattr(features, "BLOCK_VALUES", max(sizes) * s.model._sum_plan[-1])
@@ -386,12 +402,14 @@ class TestEvaluateMany:
         """``(interpolant, points)`` that look like a grid but go through the block loop."""
         axes = [np.linspace(-1.0, 2.0, 13), np.concatenate([np.linspace(-1.0, 2.0, 10), [0.0]])]
         X = tensor_grid(*axes)
-        if case == "xy":
-            X = np.stack([m.ravel() for m in np.meshgrid(*axes)], axis=1)
-        elif case == "changed":
+        if case == "changed":
             X[100] = [0.5, 0.5]
         elif case == "signed_zero":
             X[np.flatnonzero(X[:, 1] == 0.0)[5], 1] = -0.0
+        elif case == "swapped":
+            X[[40, 41]] = X[[41, 40]]
+        elif case == "equal_start":  # the fast axis has no stride of its own
+            X = tensor_grid(axes[0], np.concatenate([axes[1][:1], axes[1]]))
         elif case == "one_dimension":
             return family_fit("trig", 1), axes[0][:, None]
         elif case == "custom":
@@ -401,7 +419,8 @@ class TestEvaluateMany:
             return fit(model, NodeSet(table[:4], np.array([1.0, 2.0, 4.0, 3.0])), 2), table
         return family_fit("power" if case == "changed" else "trig", 2), X
 
-    @pytest.mark.parametrize("case", ["xy", "changed", "signed_zero", "one_dimension", "custom"])
+    @pytest.mark.parametrize("case", ["changed", "signed_zero", "swapped", "equal_start",
+                                      "one_dimension", "custom"])
     def test_grids_the_route_leaves_to_the_block_loop(self, case, monkeypatch):
         s, X = self.fall_through_case(case)
         got = evaluate_many(s, X)
@@ -428,16 +447,28 @@ class TestEvaluateMany:
         with pytest.raises(ValueError, match=message):
             features._feature_sum(model, X, np.ones(model.truncation))
 
-    def test_scattered_blocks_skip_the_sort(self, monkeypatch):
+    def blocks_skip_the_sort(self, monkeypatch, points):
+        """At ``points(N)`` over three full blocks and a partial one, no block
+        sorts a coordinate, and the blocks give the bits each gives alone."""
         s = family_fit("trig", 3)
         step = point_blocks(s.model, 10 ** 6, s.model._sum_plan[-1])[0].stop
-        X = np.random.default_rng(74).uniform(-1, 2, size=(3 * step + 5, 3))
+        X = points(3 * step + 5)
         expected = np.concatenate([evaluate_many(s, X[i:i + step])
                                    for i in range(0, X.shape[0], step)])
         sorts = self.spy(monkeypatch, "_distinct")
         got = evaluate_many(s, X)
-        assert len(sorts) == 3  # each coordinate's first block, where no value repeats
-        assert np.array_equal(got, expected)
+        assert sorts == []
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_scattered_blocks_skip_the_sort(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        self.blocks_skip_the_sort(monkeypatch, lambda count: rng.uniform(-1, 2, size=(count, 3)))
+
+    def test_repeated_blocks_skip_the_sort(self, monkeypatch):
+        # rows drawn from 5 points: every value repeats, and no order makes a grid
+        pool = np.random.default_rng(76).uniform(-1, 2, size=(5, 3))
+        rng = np.random.default_rng(77)
+        self.blocks_skip_the_sort(monkeypatch, lambda count: pool[rng.integers(0, 5, size=count)])
 
     def test_point_outside_in_a_later_block_is_named(self, monkeypatch):
         s = family_fit("power", 2)
@@ -483,7 +514,7 @@ class TestEvaluateMany:
         def gather(*args):
             raise AssertionError("evaluation gathered the (N, K) feature array")
 
-        monkeypatch.setattr(features, "_features_block", gather)
+        monkeypatch.setattr(features, "eval_features", gather)
         np.testing.assert_array_equal(evaluate_many(s, X), expected)
 
 
