@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _cartesian
+from itertools import chain, count as _naturals, islice, product as _cartesian
+from math import ceil
 
 import numpy as np
 
@@ -110,38 +111,32 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
+def _graded(dim):
+    """Weak compositions into `dim` parts by increasing total, each total
+    in the order of :func:`_compositions`; a lazy, endless stream."""
+    return chain.from_iterable(_compositions(total, dim) for total in _naturals())
+
+
 def graded_multi_indices(dim: int, count: int) -> np.ndarray:
-    """First `count` multi-indices in graded lexicographic order."""
-    out = []
-    degree = 0
-    while len(out) < count:
-        for alpha in _compositions(degree, dim):
-            out.append(alpha)
-            if len(out) == count:
-                break
-        degree += 1
-    return np.asarray(out, dtype=int).reshape(-1, dim)
+    """First `count` multi-indices in graded lexicographic order, (count, dim);
+    ``ceil(count)`` of them for a fractional count, none below 1."""
+    indices = list(islice(_graded(dim), max(0, ceil(count))))
+    return np.asarray(indices, int).reshape(-1, dim)
 
 
 def _trig_indices(dim, count):
-    """Frequency/kind tables for the tensorized trigonometric family.
+    """Frequency/kind tables, each (count, dim), of the tensorized trigonometric
+    family: the multi-indices of :func:`_graded` in turn, each expanded into
+    every choice of cosine or sine per nonzero frequency, cosine first and the
+    first coordinate slowest; `count` as in :func:`graded_multi_indices`.
 
     Kinds: 0 = constant, 1 = cos(pi*j*x), 2 = sin(pi*j*x).
     """
-    freqs, kinds = [], []
-    degree = 0
-    while len(freqs) < count:
-        for degs in _compositions(degree, dim):
-            per_dim = []
-            for dj in degs:
-                per_dim.append([(dj, 1), (dj, 2)] if dj > 0 else [(0, 0)])
-            for combo in _cartesian(*per_dim):
-                freqs.append([f for f, _ in combo])
-                kinds.append([k for _, k in combo])
-                if len(freqs) == count:
-                    return np.asarray(freqs, int), np.asarray(kinds, int)
-        degree += 1
-    return np.zeros((0, dim), int), np.zeros((0, dim), int)  # count < 1
+    terms = chain.from_iterable(
+        _cartesian(*[[(f, 1), (f, 2)] if f else [(0, 0)] for f in alpha])
+        for alpha in _graded(dim))
+    table = np.asarray(list(islice(terms, max(0, ceil(count)))), int).reshape(-1, dim, 2)
+    return table[..., 0], table[..., 1]
 
 
 def _distinct(values: np.ndarray) -> tuple:
@@ -372,31 +367,21 @@ def eval_features(model: FeatureModel, x) -> np.ndarray:
     return out if x.ndim == 2 else out[0]
 
 
-def _first_change(column: np.ndarray) -> int:
-    """Index of the first entry of ``column`` unlike entry 0, or its length;
-    the search doubles its prefix, so a change at entry i costs O(i) entries."""
-    stop = 1
-    while stop < column.size:
-        stop = min(2 * stop, column.size)
-        changed = np.flatnonzero(column[1:stop] != column[0])
-        if changed.size:
-            return int(changed[0]) + 1
-    return column.size
-
-
 def _grid_axes(X: np.ndarray):
     """``(axes, order)`` with X, bit for bit, the tensor grid of the values
     ``axes[j]`` of each coordinate j, nested with coordinate ``order[0]``
     slowest and ``order[-1]`` fastest (row-major: ``order`` is 0, ..., d-1),
     or None.
 
-    Coordinate j's stride is the first row at which its column changes.
-    The first two slabs of the slowest axis are compared before the rest,
-    so scattered rows fail within a few rows; no sort.  An axis whose first
-    two values are equal has no stride of its own and fails.
+    Coordinate j's stride is the first row at which its column changes,
+    found by one comparison of the whole column with its first entry; the
+    grid those strides imply is then compared with X once.  So the test is
+    O(N d), with no sort.  An axis whose first two values are equal has no
+    stride of its own and fails.
     """
     bits, dim = X.view(np.int64), X.shape[1]
-    strides = [_first_change(column) for column in bits.T]
+    changes = [column != column[0] for column in bits.T]
+    strides = [int(change.argmax()) if change.any() else change.size for change in changes]
     order = sorted(range(dim), key=lambda j: -strides[j])  # stable: size-1 axes tie
     sizes, span = [0] * dim, X.shape[0]
     for j in order:
@@ -407,11 +392,10 @@ def _grid_axes(X: np.ndarray):
         return None
     axes = [X[::stride, j][:size] for j, (stride, size) in enumerate(zip(strides, sizes))]
     grid = bits.reshape(*[sizes[j] for j in order], dim)
-    for part in (grid[:2], grid):
-        for place, j in enumerate(order):
-            along = axes[j].view(np.int64).reshape([-1 if i == place else 1 for i in range(dim)])
-            if not np.all(part[..., j] == along[:part.shape[0]]):
-                return None
+    for place, j in enumerate(order):
+        along = axes[j].view(np.int64).reshape([-1 if i == place else 1 for i in range(dim)])
+        if not np.all(grid[..., j] == along):
+            return None
     return axes, order
 
 
@@ -423,10 +407,10 @@ def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
 
     Each axis is tabulated once: ``A_j = T_j[:, prefixes[:, j]]`` for j < d-1
     and ``A_{d-1} = T_{d-1} @ C``.  The sums are ``(A_0 * ... * A_{d-2}) @
-    A_{d-1}^T``, the first factor a row-wise (Khatri-Rao) product, formed a
-    few of its rows at a time and written into the result in place, in
-    coordinate order; they are then transposed into the grid's order, a
-    view for a row-major grid.
+    A_{d-1}^T``, the first factor a row-wise (Khatri-Rao) product, formed
+    over the :func:`point_blocks` of its rows and written into the result in
+    place, in coordinate order; they are then transposed into the grid's
+    order, a view for a row-major grid.
     """
     dim = model.domain.dim
     found = _grid_axes(X) if dim > 1 and X.shape[0] and X.shape[1] == dim else None
@@ -443,14 +427,13 @@ def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
     factors = [table[:, prefixes[:, j]] for j, table in enumerate(tables[:-1])]
     last = tables[-1] @ C
     sums = np.empty(X.shape[0]).reshape(-1, last.shape[0])
-    step = max(1, BLOCK_VALUES // (C.shape[1] + last.shape[0]))
-    for start in range(0, sums.shape[0], step):
-        stop = min(start + step, sums.shape[0])
-        index = np.unravel_index(np.arange(start, stop), [len(axis) for axis in axes[:-1]])
+    for rows in point_blocks(model, sums.shape[0], C.shape[1] + last.shape[0]):
+        index = np.unravel_index(np.arange(rows.start, rows.stop),
+                                 [len(axis) for axis in axes[:-1]])
         S = factors[0][index[0]]
         for factor, i in zip(factors[1:], index[1:]):
             S *= factor[i]
-        np.matmul(S, last.T, out=sums[start:stop])
+        np.matmul(S, last.T, out=sums[rows])
     return sums.reshape([len(axis) for axis in axes]).transpose(order).ravel()
 
 

@@ -232,14 +232,8 @@ def _model_from_doc(doc) -> FeatureModel:
     if family == "trig":
         return FeatureModel.trigonometric(domain, K, weights=weights)
     if family == "custom":
-        model = FeatureModel.custom_table(
-            doc["table_points"], doc["table_features"],
-            weights=weights, domain=domain,
-        )
-        if model.truncation != K:
-            raise ValueError(f"truncation {K} does not match the {model.truncation} "
-                             "tabulated features")
-        return model
+        return FeatureModel.custom_table(doc["table_points"], doc["table_features"],
+                                         weights=weights, domain=domain)
     raise ValueError(f"unknown feature family {family!r}")
 
 

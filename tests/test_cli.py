@@ -194,6 +194,67 @@ def fit_custom_model():
     return fit(model, NodeSet(np.array(table), np.array([1.0, 2.0, 4.0])), 2)
 
 
+class TestDocumentedInputChecks:
+    @pytest.mark.parametrize("domain, message", [
+        ("1:2:3", "bad domain segment '1:2:3'; expected lo:hi"),
+        ("a:1", "bad domain segment 'a:1'"),
+        ("-1:1,-1:1", "domain has dimension 2 but data has dimension 1")])
+    def test_bad_domain_exits_2(self, tmp_path, capsys, domain, message):
+        data = write(tmp_path / "d.csv", DATA_2ROW)
+        assert main(["fit", data, "--out", str(tmp_path / "o.json"), f"--domain={domain}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_csv_exits_2(self, tmp_path, capsys):
+        data = write(tmp_path / "empty.csv", "")
+        assert main(["fit", data, "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == f"error: {data}: empty file\n"
+
+    def test_non_integer_node_count_exits_2(self, tmp_path, capsys):
+        assert main(["study", "--node-counts", "4,x", "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: node_counts must be a comma-separated integer list\n"
+
+    def test_config_comment_and_blank_lines_are_skipped(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", "# a comment line\n\norder = 4  # trailing\n"
+                                          "truncation = 2\ndecay = 1.0\n")
+        out = tmp_path / "o.json"
+        assert main(["fit", write(tmp_path / "d.csv", DATA_2ROW), "--out", str(out),
+                     "--config", cfg]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["order"], doc["truncation"]) == (4, 2)
+
+    # a model file's custom table: two points for three feature rows, and a
+    # table three wide under a truncation (and weights) of 2 or 4
+    CUSTOM_EDITS = {
+        "rows": ({"table_points": [[0.0], [1.0]]}, "points and features row counts differ"),
+        "width_2": ({"truncation": 2, "weights": [1.0, 1.0]},
+                    "weights must be K finite positive reals"),
+        "width_4": ({"truncation": 4, "weights": [1.0] * 4},
+                    "weights must be K finite positive reals"),
+    }
+
+    @pytest.mark.parametrize("case", list(CUSTOM_EDITS))
+    def test_custom_table_model_file_exits_2(self, tmp_path, capsys, case):
+        edit, message = self.CUSTOM_EDITS[case]
+        model = write(tmp_path / "bad.json",
+                      json.dumps({**json.loads(to_json(fit_custom_model())), **edit}))
+        assert main(["eval", model, "--grid", "3", "--out", str(tmp_path / "v.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_study_reshows_other_warnings(self, tmp_path, monkeypatch):
+        from mkinterp import power
+        study = power.convergence_study
+
+        def warning_study(*args):
+            warnings.warn("not a design warning", RuntimeWarning)
+            return study(*args)
+
+        monkeypatch.setattr(power, "convergence_study", warning_study)
+        with pytest.warns(RuntimeWarning, match="not a design warning"):
+            assert main(["study", "--node-counts", "4", "--kernel", "trig", "--truncation", "9",
+                         "--order", "4", "--grid", "5", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 class TestEval:
     def test_round_trip_values(self, fitted_paths):
         _, out, tmp = fitted_paths

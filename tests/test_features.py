@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -11,6 +12,7 @@ from mkinterp import (
     OddOrderUnsupported,
     PointOutsideDomain,
     UntabulatedPoint,
+    domain_grid,
     eval_features,
     graded_multi_indices,
 )
@@ -55,6 +57,14 @@ class TestDomain:
         assert box2.contains(pts).tolist() == [True, True, False, False, False]
         assert box2.contains([0.0, 1.0])
 
+    def test_rejects_bounds_of_unequal_length(self):
+        with pytest.raises(ValueError, match="domain bounds must be vectors of equal length"):
+            Domain([0.0, 0.0], [1.0])
+
+    def test_grid_needs_two_points_per_dimension(self):
+        with pytest.raises(ValueError, match="per_dim must be at least 2"):
+            domain_grid(BOX, 1)
+
     def test_project_batch_clamps_and_rejects(self):
         np.testing.assert_array_equal(
             BOX.project([[0.5], [-1.0 - 5e-13]]), [[0.5], [-1.0]]
@@ -75,6 +85,49 @@ class TestGradedIndices:
     @pytest.mark.parametrize("truncation", [0, -2])
     def test_truncation_below_one_rejected(self, family, truncation):
         with pytest.raises(ValueError, match="at least 1"):
+            getattr(FeatureModel, family)(Domain([-1.0, -1.0], [1.0, 1.0]), truncation)
+
+    # The feature order is the model file's implicit format: a saved model
+    # stores only its family, K and weights, so these tables must not move.
+    def test_3d_power_order(self):
+        model = FeatureModel.power_series(Domain([-1.0] * 3, [1.0] * 3), 10)
+        assert model.exponents.tolist() == [
+            [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0],
+            [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]]
+
+    def test_2d_trig_order(self):
+        # each graded multi-index in turn, cosine before sine per coordinate
+        model = FeatureModel.trigonometric(Domain([-1.0, -1.0], [1.0, 1.0]), 13)
+        assert model.frequencies.tolist() == [
+            [0, 0], [1, 0], [1, 0], [0, 1], [0, 1], [2, 0], [2, 0],
+            [1, 1], [1, 1], [1, 1], [1, 1], [0, 2], [0, 2]]
+        assert model.trig_kinds.tolist() == [
+            [0, 0], [1, 0], [2, 0], [0, 1], [0, 2], [1, 0], [2, 0],
+            [1, 1], [1, 2], [2, 1], [2, 2], [0, 1], [0, 2]]
+
+    def test_3d_trig_order_at_k_800(self):
+        model = FeatureModel.trigonometric(Domain([-1.0] * 3, [1.0] * 3), 800)
+        digests = [hashlib.sha256(np.ascontiguousarray(table, "<i8").tobytes()).hexdigest()
+                   for table in (model.frequencies, model.trig_kinds)]
+        assert model.frequencies.shape == model.trig_kinds.shape == (800, 3)
+        assert digests == ["070a750a9e98036865fe3ef204a792924b775f6bc602b086d2fbe07fef9b4d9f",
+                           "fcbea72b4e1336b94e602f0cc05fedf5aa2f981f1e7f619f55274665817edeec"]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_no_indices_at_count_zero(self, dim):
+        assert graded_multi_indices(dim, 0).shape == (0, dim)
+
+    @pytest.mark.parametrize("family", ["power_series", "trigonometric"])
+    def test_integral_float_truncation_builds(self, family):
+        model = getattr(FeatureModel, family)(Domain([-1.0, -1.0], [1.0, 1.0]), 8.0)
+        assert model.weights.shape == (8,)
+
+    @pytest.mark.parametrize("family", ["power_series", "trigonometric"])
+    @pytest.mark.parametrize("truncation, message", [
+        (8.5, "weights must be K finite positive reals"),
+        (-3, "truncation K must be at least 1")])
+    def test_bad_truncation_message(self, family, truncation, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             getattr(FeatureModel, family)(Domain([-1.0, -1.0], [1.0, 1.0]), truncation)
 
 
@@ -544,6 +597,17 @@ class TestCustomTable:
     def test_point_dimension_must_match_domain(self):
         with pytest.raises(DimensionMismatch, match="dimension 2"):
             FeatureModel.custom_table([[0.0, 0.0], [1.0, 1.0]], [[1.0], [1.0]], domain=BOX)
+
+    def test_parsed_document(self):
+        model = FeatureModel.custom_table_from_json(
+            {"points": [[0.0], [1.0]], "features": [[1.0, 0.0], [1.0, 1.0]]})
+        assert model.truncation == 2
+        np.testing.assert_array_equal(model.domain.lower, [0.0])
+        np.testing.assert_array_equal(eval_features(model, [1.0]), [1.0, 1.0])
+
+    def test_row_counts_must_match(self):
+        with pytest.raises(DimensionMismatch, match="points and features row counts differ"):
+            FeatureModel.custom_table([[0.0], [1.0]], [[1.0], [1.0], [1.0]])
 
     def test_untabulated_point_rejected(self):
         model = FeatureModel.custom_table([[0.0], [1.0]], [[1.0], [1.0]])

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,11 @@ def test_package_names_load_on_first_use():
             "assert all(name in globals() for name in mkinterp.__all__)\n")
     assert loaded_after(code) == sorted(EVAL_MODULES[:1] + EVAL_MODULES[2:]
                                         + ["mkinterp.power", "mkinterp.solver"])
+
+
+def test_cli_is_a_lazy_attribute():
+    assert mkinterp.__getattr__("cli") is import_module("mkinterp.cli")
+    assert loaded_after("import mkinterp\nassert callable(mkinterp.cli.main)") == EVAL_MODULES
 
 
 def test_exported_names_are_unchanged():

@@ -408,6 +408,8 @@ class TestEvaluateMany:
             X[np.flatnonzero(X[:, 1] == 0.0)[5], 1] = -0.0
         elif case == "swapped":
             X[[40, 41]] = X[[41, 40]]
+        elif case == "last_row":  # found only by comparing the whole grid
+            X[-1, 1] = 0.5
         elif case == "equal_start":  # the fast axis has no stride of its own
             X = tensor_grid(axes[0], np.concatenate([axes[1][:1], axes[1]]))
         elif case == "one_dimension":
@@ -420,7 +422,7 @@ class TestEvaluateMany:
         return family_fit("power" if case == "changed" else "trig", 2), X
 
     @pytest.mark.parametrize("case", ["changed", "signed_zero", "swapped", "equal_start",
-                                      "one_dimension", "custom"])
+                                      "one_dimension", "custom", "last_row"])
     def test_grids_the_route_leaves_to_the_block_loop(self, case, monkeypatch):
         s, X = self.fall_through_case(case)
         got = evaluate_many(s, X)

@@ -168,6 +168,10 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(-1.0, 1.0)
 
+    def test_negative_p_m_rejected(self):
+        with pytest.raises(ValueError, match="p_m must be nonnegative"):
+            error_bound(1.0, [-1.0])
+
     def test_elementwise_over_arrays(self):
         np.testing.assert_array_equal(error_bound(1.5, np.array([0.0, 0.25, 2.0])),
                                       [0.0, 0.75, 6.0])

@@ -646,6 +646,10 @@ class TestResidualNorm:
         y = np.array([3.0, 4.0])
         assert residual_norm(GRAM, 4, np.zeros(2), y) == pytest.approx(5.0)
 
+    def test_y_of_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"expected y of length 2, got shape \(3,\)"):
+            residual_norm(GRAM, 4, np.zeros(2), np.zeros(3))
+
 
 class TestSolveRegularized:
     def test_large_sigma_shrinks_to_zero(self):

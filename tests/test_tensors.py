@@ -31,6 +31,12 @@ def loop_contract_m_minus_1(entries, c):
     return out
 
 
+class TestFeatureGram:
+    def test_empty_gram_rejected(self):
+        with pytest.raises(DimensionMismatch, match="feature Gram must be a nonempty 2-d array"):
+            FeatureGram(np.empty((0, 3)))
+
+
 class TestContractions:
     def test_vector_contraction_example(self):
         got = contract_m_minus_1(GRAM, 4, np.array([1.0, 1.0]))
