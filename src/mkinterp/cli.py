@@ -29,15 +29,14 @@ import numpy as np
 from .exceptions import DuplicateNodes, NotConverged, SingularDesignWarning
 from .features import Domain, FeatureModel, _distinct, domain_grid, tabulated
 from .interpolant import (
-    Interpolant,
     NodeSet,
+    _solved,
     banach_norm_direct,
     banach_norm_via_tensor,
     evaluate_many,
     from_json,
     to_json,
 )
-from .tensors import FeatureGram
 
 EXIT_OK = 0
 EXIT_DOMAIN = 5
@@ -287,30 +286,27 @@ def _write_csv(path: str, header, *columns) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    from .solver import SolverOptions, solve_multilinear
+    from .solver import SolverOptions
     cfg = _merge_settings(args)
     points, values = read_points_csv(args.data, expect_values=True)
     nodes = _node_set(points, values)
     model = build_model(cfg, points.shape[1])
-    gram = FeatureGram.from_model(model, nodes.points)
-    opts = SolverOptions(residual_tol=cfg["tol"])
     with warnings.catch_warnings():
         # the library warns before any Newton step; here that ends the fit
         warnings.simplefilter("error", SingularDesignWarning)
-        report = solve_multilinear(gram, cfg["order"], nodes.values, opts)
-    if not np.isfinite(report.residual_norm):
+        s = _solved(model, nodes, cfg["order"], SolverOptions(residual_tol=cfg["tol"]))
+    if not np.isfinite(s.report.residual_norm):
         # an overflowed iterate has no faithful JSON form; write nothing
-        raise NotConverged(report, "solver overflowed (non-finite residual); "
+        raise NotConverged(s.report, "solver overflowed (non-finite residual); "
                            "no output written")
-    s = Interpolant(model, nodes, cfg["order"], report.coefficients, gram, report)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(to_json(s) + "\n")
     report_path = args.report or args.out + ".report.json"
     report_doc = {
-        "converged": report.converged,
-        "stop_reason": report.stop_reason,
-        "residual_norm": report.residual_norm,
-        "iterations": report.iterations,
+        "converged": s.report.converged,
+        "stop_reason": s.report.stop_reason,
+        "residual_norm": s.report.residual_norm,
+        "iterations": s.report.iterations,
         "norm": banach_norm_via_tensor(s),
         "order": cfg["order"],
         "n": nodes.n,
@@ -319,8 +315,8 @@ def cmd_fit(args) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report_doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    if not report.converged:
-        raise NotConverged(report)
+    if not s.report.converged:
+        raise NotConverged(s.report)
     return EXIT_OK
 
 

@@ -175,27 +175,30 @@ class FeatureModel:
         if w.shape != (self.truncation,) or not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("weights must be K finite positive reals")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "truncation", _integer("truncation", self.truncation))
 
     @classmethod
     def power_series(cls, domain: Domain, truncation: int, decay: float = 0.5,
                      weights=None) -> "FeatureModel":
         """Monomial features over graded multi-indices on the box."""
-        exponents = graded_multi_indices(domain.dim, truncation)
+        # a float is counted up (see graded_multi_indices); __post_init__ checks it
+        K = truncation if isinstance(truncation, float) else _integer("truncation", truncation)
+        exponents = graded_multi_indices(domain.dim, K)
         if weights is None:
             with np.errstate(over="ignore"):  # __post_init__ rejects an inf weight
                 weights = decay ** exponents.sum(axis=1)
-        return cls(domain, "power", truncation, np.asarray(weights, float),
-                   exponents=exponents)
+        return cls(domain, "power", K, np.asarray(weights, float), exponents=exponents)
 
     @classmethod
     def trigonometric(cls, domain: Domain, truncation: int, decay: float = 0.5,
                       weights=None) -> "FeatureModel":
         """Tensorized Fourier features with decaying weights."""
-        freqs, kinds = _trig_indices(domain.dim, truncation)
+        K = truncation if isinstance(truncation, float) else _integer("truncation", truncation)
+        freqs, kinds = _trig_indices(domain.dim, K)
         if weights is None:
             with np.errstate(over="ignore"):  # __post_init__ rejects an inf weight
                 weights = decay ** freqs.sum(axis=1).astype(float)
-        return cls(domain, "trig", truncation, np.asarray(weights, float),
+        return cls(domain, "trig", K, np.asarray(weights, float),
                    frequencies=freqs, trig_kinds=kinds)
 
     @classmethod
@@ -484,6 +487,17 @@ def tabulated(model: FeatureModel, points) -> np.ndarray:
     return found
 
 
-def require_even_order(m: int) -> None:
+def _integer(name: str, value) -> int:
+    """`value` as a Python int: an int, a numpy integer or an integral float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) and not (
+            isinstance(value, (float, np.floating)) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_even_order(m) -> int:
+    """The order m as a Python int (see :func:`_integer`), if even and at least 2."""
+    m = _integer("order", m)
     if m < 2 or m % 2 != 0:
         raise OddOrderUnsupported(f"order m must be even and >= 2, got {m}")
+    return m

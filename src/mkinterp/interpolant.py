@@ -3,7 +3,8 @@
 A fitted interpolant of even order m expands in the feature basis as
 ``s_m = sum_k alpha_k phi_k`` with ``alpha_k = (v_k . c)^{m-1}``, which is
 mathematically identical to the tensor-basis form ``B_m(x) c^{m-1}`` but
-costs O(K) per evaluation.  :func:`evaluate_many` contracts the
+costs O(K) per evaluation from the K numbers ``t_k = v_k . c`` that an
+:class:`Interpolant` holds.  :func:`evaluate_many` contracts the
 per-coordinate factor tables with ``sqrt(w) alpha`` and never forms the
 (N, K) feature array.  Its norm in the sequence space with exponent
 ``p = m/(m-1)`` equals ``(A_m c^m)^{1-1/m}``; both routes are exposed so
@@ -25,8 +26,8 @@ from .exceptions import (
     NotConverged,
     ZeroFunction,
 )
-from .features import Domain, FeatureModel, _feature_sum, require_even_order
-from .tensors import FeatureGram, contract_m
+from .features import Domain, FeatureModel, _feature_sum, _integer, require_even_order
+from .tensors import FeatureGram
 
 if TYPE_CHECKING:  # the solver is imported by the first fit, not by evaluation
     from .solver import SolveReport, SolverOptions
@@ -100,14 +101,20 @@ class NodeSet:
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Immutable fitted interpolant; all evaluation methods are pure."""
+    """Immutable fitted interpolant holding ``t = V^T c`` (K floats), not the
+    n x K node Gram V; all evaluation methods are pure."""
 
     model: FeatureModel
     nodes: NodeSet
     order: int
     coefficients: np.ndarray
-    gram: FeatureGram
+    t: np.ndarray
     report: SolveReport | None = None
+
+    @property
+    def gram(self) -> FeatureGram:
+        """The node Gram V, rebuilt from the model on each access."""
+        return FeatureGram.from_model(self.model, self.nodes.points)
 
 
 def fit(model: FeatureModel, nodes: NodeSet, m: int,
@@ -117,23 +124,26 @@ def fit(model: FeatureModel, nodes: NodeSet, m: int,
     Raises :class:`NotConverged` (carrying the best-effort report) if the
     solver cannot meet its residual tolerance.
     """
-    return _fit_gram(model, nodes, m, FeatureGram.from_model(model, nodes.points), opts)
+    s = _solved(model, nodes, m, opts)
+    if not s.report.converged:
+        raise NotConverged(s.report)
+    return s
 
 
-def _fit_gram(model: FeatureModel, nodes: NodeSet, m: int, gram: FeatureGram,
-              opts: SolverOptions | None = None) -> Interpolant:
-    """:func:`fit` on the node Gram ``gram`` of `model` at ``nodes.points``."""
+def _solved(model: FeatureModel, nodes: NodeSet, m: int, opts: SolverOptions | None = None,
+            V: np.ndarray | None = None) -> Interpolant:
+    """The order-m interpolant of `nodes`, converged or not; V: the node features, if at hand."""
     from .solver import solve_multilinear
+    gram = FeatureGram.from_model(model, nodes.points) if V is None else FeatureGram(V)
     report = solve_multilinear(gram, m, nodes.values, opts)
-    if not report.converged:
-        raise NotConverged(report)
-    return Interpolant(model, nodes, m, report.coefficients, gram, report)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed fit has no finite t
+        t = gram.V.T @ report.coefficients
+    return Interpolant(model, nodes, require_even_order(m), report.coefficients, t, report)
 
 
 def feature_coefficients(s: Interpolant) -> np.ndarray:
-    """Expansion coefficients ``alpha_k = (v_k . c)^{m-1}`` of the interpolant."""
-    t = s.gram.V.T @ s.coefficients
-    return t ** (s.order - 1)
+    """Expansion coefficients ``alpha_k = (v_k . c)^{m-1}`` of the interpolant, in O(K)."""
+    return s.t ** (s.order - 1)
 
 
 def evaluate(s: Interpolant, x) -> float:
@@ -168,7 +178,7 @@ def banach_norm_direct(alpha, p: float) -> float:
 
 def banach_norm_via_tensor(s: Interpolant) -> float:
     """``(A_m c^m)^{1-1/m}``; equals the l_{m/(m-1)} norm of the coefficients."""
-    value = contract_m(s.gram, s.order, s.coefficients)
+    value = float(np.sum(s.t ** s.order))
     return float(max(value, 0.0) ** ((s.order - 1) / s.order))
 
 
@@ -212,18 +222,10 @@ def to_json(s: Interpolant) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _integer(doc, key) -> int:
-    """``doc[key]`` as an int: a JSON integer or a float equal to its int."""
-    value = doc[key]
-    if type(value) is not int and not (type(value) is float and value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _model_from_doc(doc) -> FeatureModel:
     domain = Domain(doc["domain"]["lower"], doc["domain"]["upper"])
     family = doc["family"]
-    K = _integer(doc, "truncation")
+    K = _integer("truncation", doc["truncation"])
     weights = np.asarray(doc["weights"], dtype=float)
     if weights.shape != (K,):  # before a huge K is enumerated
         raise ValueError(f"weights must be {K} numbers, one per feature")
@@ -254,16 +256,15 @@ def from_json(text: str) -> Interpolant:
             raise KeyError(f"interpolant document missing {key!r}")
     model = _model_from_doc(doc)
     nodes = NodeSet(np.asarray(doc["nodes"], float), np.asarray(doc["values"], float))
-    order = _integer(doc, "order")
-    require_even_order(order)
+    order = require_even_order(doc["order"])
     coefficients = np.asarray(doc["coefficients"], dtype=float)
     if not (np.all(np.isfinite(nodes.points)) and np.all(np.isfinite(nodes.values))):
         raise ValueError("nodes and values must be finite")
     if coefficients.shape != (nodes.n,) or not np.all(np.isfinite(coefficients)):
         raise ValueError(f"coefficients must be {nodes.n} finite numbers, one per node")
-    s = Interpolant(model, nodes, order, coefficients,
-                    FeatureGram.from_model(model, nodes.points))
+    V = FeatureGram.from_model(model, nodes.points).V
     with np.errstate(over="ignore", invalid="ignore"):
+        s = Interpolant(model, nodes, order, coefficients, V.T @ coefficients)
         finite = np.all(np.isfinite(feature_coefficients(s)))
     if not finite:
         raise ValueError(f"feature coefficients overflow at order {doc['order']!r}")

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import NotConverged
 from .features import (Domain, FeatureModel, domain_grid, eval_features, point_blocks,
                        require_even_order)
-from .interpolant import NodeSet, _fit_gram, banach_norm_direct, feature_coefficients
+from .interpolant import NodeSet, _solved, banach_norm_direct, feature_coefficients
 from .solver import SolverOptions, _abs_pow, _minimize_even_power, pair_products
-from .tensors import FeatureGram
 
 # A point stops once its Newton decrement -grad F . step is this small relative to F.
 _DECREMENT_TOL = 1e-12
@@ -158,7 +158,7 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
     least-squares solve per block, which gives P_2 and starts P_m, and one
     lock-step descent of the block's points per exponent.
     """
-    require_even_order(m)
+    m = require_even_order(m)
     error_bound(f_norm, 0.0)  # a bad f_norm fails before any P_m work
     opts = opts or SolverOptions()
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
@@ -216,7 +216,7 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
     ``||r_2||_m``, so the descent runs only where that bound reaches the
     best P_m found so far in the row (see ``_max_power``).
     """
-    require_even_order(m)
+    m = require_even_order(m)
     opts = opts or SolverOptions()
     f_alpha = np.asarray(f_alpha, dtype=float)
     eval_grid = np.atleast_2d(np.asarray(eval_grid, dtype=float))
@@ -226,7 +226,10 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
         pts = _equispaced_nodes(model.domain, n)
         V = eval_features(model, pts)
         nodes = NodeSet(pts, V @ f_alpha)
-        alpha = feature_coefficients(_fit_gram(model, nodes, m, FeatureGram(V), opts))
+        s = _solved(model, nodes, m, opts, V)
+        if not s.report.converged:
+            raise NotConverged(s.report)
+        alpha = feature_coefficients(s)
         max_error = max_power = 0.0
         for block in point_blocks(model, eval_grid.shape[0]):
             B = eval_features(model, eval_grid[block])

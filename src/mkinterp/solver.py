@@ -360,7 +360,7 @@ def _continued_start(W, c, m, y, lam, max_iterations, gtol):
 def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | None):
     """Root of ``A_m c^{m-1} + lam c = y``; see the module docstring."""
     opts = opts or SolverOptions()
-    require_even_order(m)
+    m = require_even_order(m)
     y = np.asarray(y, dtype=float)
     if y.shape != (gram.n,):
         raise DimensionMismatch(f"expected y of length {gram.n}, got shape {y.shape}")

@@ -54,7 +54,7 @@ def _check_vector(gram: FeatureGram, c) -> np.ndarray:
 
 def contract_m_minus_1(gram: FeatureGram, m: int, c) -> np.ndarray:
     """``A_m c^{m-1}`` via the rank-one-sum form, in O(nK)."""
-    require_even_order(m)
+    m = require_even_order(m)
     c = _check_vector(gram, c)
     t = gram.V.T @ c
     return gram.V @ (t ** (m - 1))
@@ -62,7 +62,7 @@ def contract_m_minus_1(gram: FeatureGram, m: int, c) -> np.ndarray:
 
 def contract_m(gram: FeatureGram, m: int, c) -> float:
     """``A_m c^m = sum_k (v_k . c)^m``; nonnegative for even m."""
-    require_even_order(m)
+    m = require_even_order(m)
     c = _check_vector(gram, c)
     t = gram.V.T @ c
     return float(np.sum(t ** m))

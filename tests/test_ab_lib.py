@@ -14,17 +14,27 @@ ab_lib = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_lib)
 
 
-def test_a_tree_against_itself_at_smoke_sizes(capsys):
-    argv = [str(SRC), str(SRC), "--workload", "power_bound", "--seed", "1", "--rounds", "2",
+# Each workload's library steps, in the order the tool runs and prints them.
+STEPS = {
+    "eval_grid": ["evaluate 2-d grid", "evaluate 3-d points"],
+    "fit_large": ["fit 3-d m=4", "fit 3-d m=6", "fit 3-d m=8", "fit repro m=6"],
+    "power_bound": ["power_report", "convergence_study"],
+}
+
+
+@pytest.mark.parametrize("workload", list(STEPS))
+def test_a_tree_against_itself_at_smoke_sizes(capsys, workload):
+    # every workload, so that each of its library checks runs against the tree
+    argv = [str(SRC), str(SRC), "--workload", workload, "--seed", "1", "--rounds", "2",
             "--smoke"]
     assert ab_lib.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ("power_bound seed 1, 2 rounds (smoke sizes), library steps: "
-                        "power_report, convergence_study")
+    assert lines[0] == (f"{workload} seed 1, 2 rounds (smoke sizes), library steps: "
+                        + ", ".join(STEPS[workload]))
     assert lines[1].startswith("  parent  median ") and lines[2].startswith("  change  median ")
     assert lines[3].startswith("change / parent  median ")
     assert lines[3].endswith("of 2 rounds")
-    outcomes = '{"power_report: ok": 2, "convergence_study: ok": 2}'
+    outcomes = "{" + ", ".join(f'"{step}: ok": 2' for step in STEPS[workload]) + "}"
     assert lines[4:] == [f"  parent  outcomes {outcomes}", f"  change  outcomes {outcomes}"]
     # the trees were loaded under their own names; the test's package is untouched
     assert sys.modules["mkinterp"] is mkinterp

@@ -31,7 +31,7 @@ from mkinterp import (
     gateaux_coefficients,
     to_json,
 )
-from mkinterp import features, interpolant
+from mkinterp import cli, features, interpolant, tensors
 from mkinterp.features import FACE_TOLERANCE, TABLE_TOLERANCE, point_blocks
 from mkinterp.tensors import FeatureGram
 from oracles import dual_pairing, evaluate_tensor_basis
@@ -721,3 +721,96 @@ class TestSerialization:
         loaded = from_json(to_json(fitted))
         evaluate_many(loaded, [[0.0], [0.5]])
         assert calls == []
+
+
+def cli_fit(tmp_path, monkeypatch):
+    """The interpolant ``mkinterp fit`` serializes, and the one loaded from its model file."""
+    written = []
+    monkeypatch.setattr(cli, "to_json", lambda s: written.append(s) or to_json(s))
+    data, out = tmp_path / "d.csv", tmp_path / "m.json"
+    data.write_text("x1,y\n-0.6,1\n0.0,2\n0.7,0\n", encoding="utf-8")
+    assert cli.main(["fit", str(data), "--out", str(out), "--order", "4",
+                     "--truncation", "6"]) == 0
+    return written[0], from_json(out.read_text(encoding="utf-8"))
+
+
+class TestHeldFeatureProducts:
+    """A fitted interpolant holds ``t = V^T c`` and rebuilds its Gram on access."""
+
+    @pytest.fixture
+    def interpolants(self, tmp_path, monkeypatch):
+        s = random_fit(np.random.default_rng(7), 4)
+        return [s, from_json(to_json(s)), *cli_fit(tmp_path, monkeypatch)]
+
+    def test_t_is_v_transpose_c_bit_for_bit(self, interpolants):
+        for s in interpolants:
+            assert s.t.tobytes() == (s.gram.V.T @ s.coefficients).tobytes()
+
+    def test_gram_is_rebuilt_from_the_model(self, interpolants):
+        for s in interpolants:
+            rebuilt = FeatureGram.from_model(s.model, s.nodes.points).V
+            assert s.gram.V.tobytes() == rebuilt.tobytes()
+            assert s.gram is not s.gram
+
+    def test_evaluation_reads_no_node_features(self, fitted, monkeypatch):
+        calls = []
+        build, features_at = FeatureGram.from_model.__func__, features.eval_features
+
+        def counting_build(cls, model, points):
+            calls.append("FeatureGram.from_model")
+            return build(cls, model, points)
+
+        def counting_features(model, x):
+            calls.append(f"eval_features at {np.shape(x)}")
+            return features_at(model, x)
+
+        monkeypatch.setattr(FeatureGram, "from_model", classmethod(counting_build))
+        for module in (features, tensors):
+            monkeypatch.setattr(module, "eval_features", counting_features)
+        feature_coefficients(fitted)
+        evaluate(fitted, [0.25])
+        evaluate_many(fitted, [[0.25], [0.5], [1.0]])
+        banach_norm_via_tensor(fitted)
+        assert calls == []
+
+
+NODES5 = NodeSet(np.linspace(-0.8, 0.8, 5), np.cos(3 * np.linspace(-0.8, 0.8, 5)))
+
+
+def saved_and_evaluated(family, K, m):
+    """``(to_json text, evaluate_many of the reloaded fit)`` for truncation K, order m."""
+    model = FAMILIES[family](BOX, K)
+    assert type(model.truncation) is int
+    s = fit(model, NODES5, m)
+    assert type(s.order) is int
+    text = to_json(s)
+    return text, evaluate_many(from_json(text), [[-0.9], [0.1], [0.45]])
+
+
+class TestIntegralParameters:
+    """Every accepted spelling of the truncation K and the order m runs as the
+    plain int; a bool, a fraction or a string is refused with a ValueError."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("K", [8, np.int64(8), 8.0, np.float64(8.0)], ids=repr)
+    @pytest.mark.parametrize("m", [4, np.int64(4), 4.0, np.float64(4.0)], ids=repr)
+    def test_spelling_runs_bit_for_bit_as_the_int(self, family, K, m):
+        text, values = saved_and_evaluated(family, K, m)
+        plain_text, plain_values = saved_and_evaluated(family, 8, 4)
+        assert text == plain_text
+        assert values.tobytes() == plain_values.tobytes()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("K", [True, 8.5, "8"], ids=repr)
+    def test_other_truncations_refused(self, family, K):
+        with pytest.raises(ValueError):
+            FAMILIES[family](BOX, K)
+
+    def test_bool_truncation_refused_by_the_constructor(self):
+        with pytest.raises(ValueError, match="^truncation must be an integer, got True$"):
+            FeatureModel(BOX, "power", True, np.ones(1), exponents=np.zeros((1, 1), int))
+
+    @pytest.mark.parametrize("m", [True, 4.5, "4"], ids=repr)
+    def test_other_orders_refused(self, m):
+        with pytest.raises(ValueError):
+            fit(FeatureModel.power_series(BOX, 8), NODES5, m)

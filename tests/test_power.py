@@ -505,3 +505,31 @@ class TestPrunedStudyMaximum:
             descended = sum(size for p, size in stacks if p == 4)
             assert 1 <= descended <= 15
             assert [size for p, size in stacks if p == 3] == [size for p, size in stacks if p == 4]
+
+
+class TestIntegralOrder:
+    """An order spelled as a numpy integer or an integral float runs as the int."""
+
+    @pytest.mark.parametrize("m", [np.int64(4), 4.0, np.float64(4.0)], ids=repr)
+    def test_power_report_runs_as_the_int(self, m):
+        grid = domain_grid(BOX, 9)
+        report, plain = (power_report(MODEL3, NODES01, order, grid) for order in (m, 4))
+        assert type(report.order) is int
+        assert report.p_m.tobytes() == plain.p_m.tobytes()
+        assert report.iterations.tolist() == plain.iterations.tolist()
+
+    @pytest.mark.parametrize("m", [np.int64(4), 4.0, np.float64(4.0)], ids=repr)
+    def test_convergence_study_runs_as_the_int(self, m):
+        model = FeatureModel.trigonometric(BOX, 21, decay=0.7)
+        f_alpha = np.random.default_rng(42).standard_normal(21)
+        grid = domain_grid(BOX, 41)
+        result, plain = (convergence_study(model, f_alpha, order, [4, 8], grid)
+                         for order in (m, 4))
+        assert result == plain
+
+    @pytest.mark.parametrize("m", [True, 4.5, "4"], ids=repr)
+    def test_other_orders_refused(self, m):
+        with pytest.raises(ValueError):
+            power_report(MODEL3, NODES01, m, domain_grid(BOX, 9))
+        with pytest.raises(ValueError):
+            convergence_study(MODEL3, np.ones(3), m, [2], domain_grid(BOX, 9))

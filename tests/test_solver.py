@@ -608,6 +608,8 @@ class TestOuterGram:
         for holder in (s, s.gram, s.report):
             for value in vars(holder).values():
                 assert np.shape(value) != (30, 30)
+                # the interpolant holds t, not the n x K Gram, bare or wrapped
+                assert holder is not s or np.shape(getattr(value, "V", value)) != (30, 120)
 
     def test_certified_fit_pays_no_svd(self, monkeypatch):
         calls = count_rank_svds(monkeypatch)
