@@ -499,5 +499,5 @@ def require_even_order(m) -> int:
     """The order m as a Python int (see :func:`_integer`), if even and at least 2."""
     m = _integer("order", m)
     if m < 2 or m % 2 != 0:
-        raise OddOrderUnsupported(f"order m must be even and >= 2, got {m}")
+        raise OddOrderUnsupported(f"order must be even and >= 2, got {m}")
     return m

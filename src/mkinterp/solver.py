@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, SingularDesignWarning
-from .features import require_even_order
+from .features import _integer, require_even_order
 from .tensors import FeatureGram, contract_m_minus_1
 
 # Newton and line-search constants, shared by every descent in this module.
@@ -58,9 +58,10 @@ class SolverOptions:
         if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
                 or not 0 < tol < math.inf):
             raise ValueError(f"residual_tol must be a finite positive real number, got {tol!r}")
-        it = self.max_iterations
-        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 0:
+        it = _integer("max_iterations", self.max_iterations)
+        if it < 0:
             raise ValueError(f"max_iterations must be a nonnegative integer, got {it!r}")
+        object.__setattr__(self, "max_iterations", it)
 
 
 @dataclass(frozen=True)

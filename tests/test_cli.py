@@ -25,7 +25,7 @@ from mkinterp import (
     solve_multilinear,
     to_json,
 )
-from mkinterp import cli
+from mkinterp import commands
 from mkinterp.cli import main
 
 DATA_2ROW = "x1,y\n0,8\n1,9\n"
@@ -297,8 +297,8 @@ class TestEval:
         # one str object per flag text, not one per row
         _, out, tmp = fitted_paths
         pts = write(tmp / "pts.csv", "x1\n" + "0\n2.0\n" * 500)
-        columns, write_csv = [], cli._write_csv
-        monkeypatch.setattr(cli, "_write_csv", lambda path, header, *cols: columns.append(
+        columns, write_csv = [], commands._write_csv
+        monkeypatch.setattr(commands, "_write_csv", lambda path, header, *cols: columns.append(
             cols[-1]) or write_csv(path, header, *cols))
         assert main(["eval", str(out), "--points", pts, "--out", str(tmp / "vals.csv")]) == 5
         assert len(columns[0]) == 1000 and len(set(map(id, columns[0]))) == 2
@@ -689,7 +689,7 @@ class TestCsvCells:
 
     @pytest.mark.parametrize("chunk_rows", [1, 7, 2048])
     def test_byte_identical_to_per_cell_repr(self, tmp_path, monkeypatch, chunk_rows):
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(commands, "CSV_CHUNK_ROWS", chunk_rows)
         rng = np.random.default_rng(chunk_rows)
         negative_nan = -np.float64(np.nan)
         pool = np.array([0.0, -0.0, np.nan, negative_nan, 0.1, 1 / 3, -1e-300, 5e-324,
@@ -701,28 +701,28 @@ class TestCsvCells:
         flags = np.where(np.isnan(repeats), "outside_domain", "")
         header = ["a", "b", "c", "n", "flag"]
         path = tmp_path / "out.csv"
-        cli._write_csv(str(path), header, repeats, grid, scattered, counts, flags)
+        commands._write_csv(str(path), header, repeats, grid, scattered, counts, flags)
         text = path.read_text(encoding="utf-8")
         assert text == per_cell_csv(header, repeats, grid, scattered, counts, flags)
         assert {"-0.0", "0.0", ""} <= set(text.replace("\n", ",").split(","))
 
     def test_mostly_distinct_chunk_turns_its_column_to_plain_repr(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 8)
+        monkeypatch.setattr(commands, "CSV_CHUNK_ROWS", 8)
         distinct_passes = []
-        distinct = cli._distinct
-        monkeypatch.setattr(cli, "_distinct",
+        distinct = commands._distinct
+        monkeypatch.setattr(commands, "_distinct",
                             lambda chunk: distinct_passes.append(chunk.size) or distinct(chunk))
         scattered = np.concatenate([np.linspace(0.1, 0.8, 8),
                                     [np.nan, -0.0, 0.0, -0.0, -np.float64(np.nan), 1 / 3, 1 / 3, 2.0]])
         repeats = np.resize([0.5, -0.0, 0.5, 0.0], 16)
         path = tmp_path / "out.csv"
-        cli._write_csv(str(path), ["a", "b"], scattered, repeats)
+        commands._write_csv(str(path), ["a", "b"], scattered, repeats)
         assert path.read_text(encoding="utf-8") == per_cell_csv(["a", "b"], scattered, repeats)
         assert distinct_passes == [8, 8, 8]  # a's first chunk only, then b's two
 
     def test_empty_columns_write_the_header_only(self, tmp_path):
         path = tmp_path / "out.csv"
-        cli._write_csv(str(path), ["x1", "s"], np.empty(0), np.empty(0))
+        commands._write_csv(str(path), ["x1", "s"], np.empty(0), np.empty(0))
         assert path.read_text(encoding="utf-8") == "x1,s\n"
 
 
@@ -730,11 +730,11 @@ def read_both_ways(path, expect_values=False, allow_empty=False):
     """``read_points_csv`` with its one-pass conversion and with the line scan
     alone; each outcome is ``(points, values)`` or the exception raised."""
     outcomes = []
-    for convert in (cli._convert, lambda text, width: None):
+    for convert in (commands._convert, lambda text, width: None):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_convert", convert)
+            patch.setattr(commands, "_convert", convert)
             try:
-                outcomes.append(cli.read_points_csv(path, expect_values, allow_empty))
+                outcomes.append(commands.read_points_csv(path, expect_values, allow_empty))
             except (ValueError, csv.Error) as err:  # compared below, type and message
                 outcomes.append(err)
     return outcomes
@@ -794,10 +794,10 @@ class TestReadPointsCsv:
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("allow_empty", [False, True])
     @pytest.mark.parametrize("expect_values", [False, True])
-    @pytest.mark.parametrize("block_chars", [1, 7, cli.CSV_BLOCK_CHARS])
+    @pytest.mark.parametrize("block_chars", [1, 7, commands.CSV_BLOCK_CHARS])
     def test_one_pass_and_scan_agree(self, tmp_path, monkeypatch, case, expect_values,
                                      allow_empty, block_chars):
-        monkeypatch.setattr(cli, "CSV_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(commands, "CSV_BLOCK_CHARS", block_chars)
         path = tmp_path / "in.csv"
         path.write_bytes(self.CASES[case].encode("utf-8"))  # no newline translation
         assert_read_alike(str(path), expect_values, allow_empty)
@@ -805,7 +805,7 @@ class TestReadPointsCsv:
     @pytest.mark.parametrize("case", list(CASES))
     def test_which_files_the_conversion_accepts(self, case):
         header, body = re.split("\r\n|\r|\n", self.CASES[case], maxsplit=1)
-        assert (cli._convert(body, header.count(",") + 1) is not None) == (case in self.CONVERTED)
+        assert (commands._convert(body, header.count(",") + 1) is not None) == (case in self.CONVERTED)
 
     # block boundaries fall after each 8 characters of the body: inside
     # "\r\n" (7|8), before a blank line (16) and before the last line (24)
@@ -816,27 +816,27 @@ class TestReadPointsCsv:
     def test_lines_on_block_boundaries(self, tmp_path, monkeypatch, last, converted):
         body = self.BOUNDARY_BODY + last
         assert body[7:9] == "\r\n" and body[16:18] == "\r\n" and body[24:] == last
-        monkeypatch.setattr(cli, "CSV_BLOCK_CHARS", 8)
+        monkeypatch.setattr(commands, "CSV_BLOCK_CHARS", 8)
         path = write(tmp_path / "in.csv", "x1,y\n" + body)
-        blocks, convert = [], cli._convert
-        monkeypatch.setattr(cli, "_convert", lambda text, width: blocks.append(text)
+        blocks, convert = [], commands._convert
+        monkeypatch.setattr(commands, "_convert", lambda text, width: blocks.append(text)
                             or convert(text, width))
         try:
-            cli.read_points_csv(path, expect_values=True)
-        except cli.CliInputError:
+            commands.read_points_csv(path, expect_values=True)
+        except commands.CliInputError:
             pass
         if converted:
             assert blocks == ["0.125,1\r\n1e0,2\r\n", "\r\n13,4\r\n", "0.5,3\r\n"]
         else:
             assert blocks[-1] == last
-        monkeypatch.setattr(cli, "_convert", convert)
+        monkeypatch.setattr(commands, "_convert", convert)
         assert_read_alike(path, expect_values=True)
 
     def test_header_only_file_needs_allow_empty(self, tmp_path):
         path = write(tmp_path / "in.csv", "x1,y\n")
-        with pytest.raises(cli.CliInputError, match="no data rows"):
-            cli.read_points_csv(path, expect_values=True)
-        points, values = cli.read_points_csv(path, expect_values=True, allow_empty=True)
+        with pytest.raises(commands.CliInputError, match="no data rows"):
+            commands.read_points_csv(path, expect_values=True)
+        points, values = commands.read_points_csv(path, expect_values=True, allow_empty=True)
         assert points.shape == (0, 1) and values.shape == (0,)
 
     def test_clean_file_is_not_scanned(self, tmp_path, monkeypatch):
@@ -848,7 +848,7 @@ class TestReadPointsCsv:
         readers = []
         reader = csv.reader
         monkeypatch.setattr(csv, "reader", lambda rows: readers.append(rows) or reader(rows))
-        points, values = cli.read_points_csv(path, expect_values=True)
+        points, values = commands.read_points_csv(path, expect_values=True)
         assert same_bits(points, rows[:, :2]) and same_bits(values, rows[:, 2])
         assert len(readers) == 1  # the header's
 

@@ -36,6 +36,17 @@ def test_every_kind_of_difference_is_named(tmp_path):
                          "w: m.json differs"]
 
 
+def test_help_text_differences_are_named(tmp_path):
+    a, b = run_dir(tmp_path, "a", {}), run_dir(tmp_path, "b", {})
+    parent = [(["--help"], 0, "", "usage: mkinterp\n"), (["study"], 2, "usage: x\n", "")]
+    change = [(["--help"], 0, "", "usage: mkinterp \n"), (["study"], 2, "usage: y\n", "")]
+    assert compare.differences("w", (parent, a), (change, b)) == [
+        "w: mkinterp --help: stdout differs\n  parent: 'usage: mkinterp\\n'\n"
+        "  change: 'usage: mkinterp \\n'",
+        "w: mkinterp study: stderr differs\n  parent: 'usage: x\\n'\n  change: 'usage: y\\n'"]
+    assert ["--help"] in compare.USAGE and ["fit", "--help"] in compare.USAGE
+
+
 @pytest.fixture
 def ran(monkeypatch):
     """The ``(workload, tree)`` of each ``run_steps`` call, which runs nothing."""

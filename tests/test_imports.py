@@ -1,7 +1,8 @@
 """Which package modules each entry point loads, checked in a fresh interpreter.
 
 ``import mkinterp`` loads no submodule; an exported name loads its own on
-first use, and a CLI subcommand imports only the modules it runs.
+first use.  The CLI loads no numpy until argparse has accepted a subcommand,
+and a subcommand imports only the modules it runs.
 """
 
 import json
@@ -12,14 +13,16 @@ from importlib import import_module
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mkinterp
 from mkinterp import Domain, FeatureModel, NodeSet, fit, to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-EVAL_MODULES = ["mkinterp", "mkinterp.cli", "mkinterp.exceptions", "mkinterp.features",
-                "mkinterp.interpolant", "mkinterp.tensors"]
+PARSER_MODULES = ["mkinterp", "mkinterp.cli", "mkinterp.exceptions"]
+EVAL_MODULES = sorted(PARSER_MODULES + ["mkinterp.commands", "mkinterp.features",
+                                        "mkinterp.interpolant", "mkinterp.tensors"])
 
 EXPORTED = [
     "DimensionMismatch", "DuplicateNodes", "InvalidExponent",
@@ -38,10 +41,12 @@ EXPORTED = [
 ]
 
 
-def loaded_after(code: str) -> list:
-    """Sorted names of the ``mkinterp`` modules loaded once ``code`` has run."""
+def loaded_after(code: str, *packages: str) -> list:
+    """Sorted names of the modules of ``packages`` (default ``mkinterp``)
+    loaded once ``code`` has run."""
+    roots = packages or ("mkinterp",)
     probe = code + ("\nimport json, sys\nprint(json.dumps(sorted(\n"
-                    "    m for m in sys.modules if m.split('.')[0] == 'mkinterp')))")
+                    f"    m for m in sys.modules if m.split('.')[0] in {roots!r})))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -51,8 +56,21 @@ def cli_run(*argv) -> str:
     return f"from mkinterp.cli import main\nassert main({list(argv)!r}) == 0\n"
 
 
-def test_cli_import_loads_the_evaluation_modules_only():
-    assert loaded_after("import mkinterp.cli") == EVAL_MODULES
+def cli_exit(code: int, *argv) -> str:
+    """Code that runs ``main(argv)``, which argparse ends with ``SystemExit(code)``."""
+    return ("from mkinterp.cli import main\ntry:\n"
+            f"    main({list(argv)!r})\nexcept SystemExit as done:\n"
+            f"    assert done.code == {code}\nelse:\n    raise AssertionError\n")
+
+
+@pytest.mark.parametrize("code", [
+    "import mkinterp.cli",
+    cli_exit(0, "--help"),
+    cli_exit(0, "fit", "--help"),
+    cli_exit(2, "fit", "--out", "m.json"),  # no data: a usage error
+], ids=["import", "help", "fit-help", "usage-error"])
+def test_parser_loads_no_numpy(code):
+    assert loaded_after(code, "mkinterp", "numpy") == PARSER_MODULES
 
 
 def test_eval_loads_neither_the_solver_nor_power(tmp_path):
@@ -76,6 +94,27 @@ def test_fit_loads_the_solver_but_not_power(tmp_path):
     assert loaded_after(code) == sorted(EVAL_MODULES + ["mkinterp.solver"])
 
 
+def test_run_as_main_imports_no_second_cli(tmp_path):
+    # under ``python -m`` the parser runs as __main__; an import of mkinterp.cli would run it again
+    data = tmp_path / "d.csv"
+    data.write_text("x1,y\n0,8\n1,9\n")
+    argv = ["mkinterp", "fit", str(data), "--order", "4", "--truncation", "2",
+            "--out", str(tmp_path / "m.json")]
+    code = (f"import runpy, sys\nsys.argv = {argv!r}\ntry:\n"
+            "    runpy.run_module('mkinterp.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as done:\n    assert done.code == 0\n")
+    assert loaded_after(code) == sorted(set(EVAL_MODULES) - {"mkinterp.cli"}
+                                        | {"mkinterp.solver"})
+
+
+def test_power_loads_no_masked_arrays(tmp_path):
+    nodes = tmp_path / "n.csv"
+    nodes.write_text("x1\n-0.5\n0\n1\n")
+    code = cli_run("power", str(nodes), "--order", "4", "--truncation", "4", "--grid", "5",
+                   "--out", str(tmp_path / "p.csv"))
+    assert "numpy.ma" not in loaded_after(code, "numpy")
+
+
 def test_package_names_load_on_first_use():
     assert loaded_after("import mkinterp") == ["mkinterp"]
     code = ("import mkinterp\n"
@@ -84,13 +123,13 @@ def test_package_names_load_on_first_use():
             "assert not hasattr(mkinterp, 'no_such_name')\n"
             "from mkinterp import *\n"
             "assert all(name in globals() for name in mkinterp.__all__)\n")
-    assert loaded_after(code) == sorted(EVAL_MODULES[:1] + EVAL_MODULES[2:]
-                                        + ["mkinterp.power", "mkinterp.solver"])
+    assert loaded_after(code) == sorted(set(EVAL_MODULES) - {"mkinterp.cli", "mkinterp.commands"}
+                                        | {"mkinterp.power", "mkinterp.solver"})
 
 
 def test_cli_is_a_lazy_attribute():
     assert mkinterp.__getattr__("cli") is import_module("mkinterp.cli")
-    assert loaded_after("import mkinterp\nassert callable(mkinterp.cli.main)") == EVAL_MODULES
+    assert loaded_after("import mkinterp\nassert callable(mkinterp.cli.main)") == PARSER_MODULES
 
 
 def test_exported_names_are_unchanged():

@@ -31,7 +31,7 @@ from mkinterp import (
     gateaux_coefficients,
     to_json,
 )
-from mkinterp import cli, features, interpolant, tensors
+from mkinterp import cli, commands, features, interpolant, tensors
 from mkinterp.features import FACE_TOLERANCE, TABLE_TOLERANCE, point_blocks
 from mkinterp.tensors import FeatureGram
 from oracles import dual_pairing, evaluate_tensor_basis
@@ -726,7 +726,7 @@ class TestSerialization:
 def cli_fit(tmp_path, monkeypatch):
     """The interpolant ``mkinterp fit`` serializes, and the one loaded from its model file."""
     written = []
-    monkeypatch.setattr(cli, "to_json", lambda s: written.append(s) or to_json(s))
+    monkeypatch.setattr(commands, "to_json", lambda s: written.append(s) or to_json(s))
     data, out = tmp_path / "d.csv", tmp_path / "m.json"
     data.write_text("x1,y\n-0.6,1\n0.0,2\n0.7,0\n", encoding="utf-8")
     assert cli.main(["fit", str(data), "--out", str(out), "--order", "4",

@@ -230,7 +230,7 @@ class TestSolveMultilinear:
 
 
 class TestSolverOptions:
-    @pytest.mark.parametrize("budget", [2.5, 3.0, -1, True, "3", None])
+    @pytest.mark.parametrize("budget", [2.5, -1, -1.0, True, "3", None])
     def test_budget_must_be_a_nonnegative_integer(self, budget):
         # a step count: a fraction or a negative budget has no meaning as one
         with pytest.raises(ValueError, match="max_iterations"):
@@ -249,12 +249,25 @@ class TestSolverOptions:
         report = solve_multilinear(GRAM, 4, np.array([8.0, 9.0]), SolverOptions(residual_tol=tol))
         assert report.converged and report.residual_norm <= tol
 
-    @pytest.mark.parametrize("budget", [0, np.int64(3)])
+    @pytest.mark.parametrize("budget", [0, np.int64(3), 3.0, np.float64(3.0)])
     def test_integer_budgets_are_kept(self, budget):
         opts = SolverOptions(max_iterations=budget, residual_tol=1e-15)
         report = solve_multilinear(GRAM, 4, np.array([8.0, 9.0]), opts)
         assert report.iterations == budget
         assert report.stop_reason == "max_iterations"
+
+    @pytest.mark.parametrize("budget", [np.int64(200), np.int32(200), 200.0, np.float64(200.0)],
+                             ids=repr)
+    def test_integral_budget_fits_bit_for_bit_as_the_int(self, budget):
+        opts = SolverOptions(max_iterations=budget)
+        assert type(opts.max_iterations) is int
+        model = FeatureModel.power_series(Domain([-1.0], [1.0]), 8)
+        nodes = NodeSet(np.array([[-0.6], [0.0], [0.7]]), np.array([1.0, 2.0, 0.0]))
+        report, plain = (fit(model, nodes, 6, o).report
+                         for o in (opts, SolverOptions(max_iterations=200)))
+        assert report.coefficients.tobytes() == plain.coefficients.tobytes()
+        assert (report.residual_norm, report.iterations, report.stop_reason) == (
+            plain.residual_norm, plain.iterations, plain.stop_reason)
 
 
 # Special values, subnormals and values whose powers overflow or underflow, then ordinary ones.

@@ -4,11 +4,12 @@
 
 For each workload of ``bench/workloads.py`` (imported, never modified), or
 for each one named by a ``--workload`` option, which may be repeated, the
-script writes the seeded inputs into one temporary directory per tree,
-runs every prerequisite and CLI step there as ``python -m mkinterp.cli``
-with that tree on ``PYTHONPATH``, and compares the two directories file by
-file, with the exit code and stderr of each step.  Paths of the tree and of
-the directory are masked in stderr.  It prints every difference and exits
+script writes the seeded inputs into one temporary directory per tree and
+runs there, as ``python -m mkinterp.cli`` with that tree on ``PYTHONPATH``,
+the invocations of ``USAGE`` (help texts and usage errors), then every
+prerequisite and CLI step.  It compares the two directories file by file,
+with the exit code, stderr and stdout of each step.  Paths of the tree and of
+the directory are masked in stderr and stdout.  It prints every difference and exits
 0 only if everything is identical, 1 otherwise.  A CSV that differs in
 values only (same header, same row count) is summarised per column: the
 largest relative and absolute differences of each numeric column that
@@ -32,22 +33,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Invocations that end inside argparse: the help texts and one usage error per subcommand.
+USAGE = [["--help"], *([command, "--help"] for command in ("fit", "eval", "power", "study")),
+         ["fit", "--out", "m.json"], ["eval", "--out", "v.csv"], ["power", "--out", "p.csv"],
+         ["study"]]
 
 
 def run_steps(workloads, name, seed, src: Path, work: Path) -> list:
-    """``(args, exit code, stderr)`` of each step of a workload, run in ``work``."""
+    """``(args, exit code, stderr, stdout)`` of ``USAGE`` and each step of a
+    workload, run in ``work``."""
     workload = workloads.WORKLOADS[name](seed, workloads.FULL, work)
     workload.generate()
-    steps = [args for args, _ in workload.prerequisites()]
+    steps = USAGE + [args for args, _ in workload.prerequisites()]
     steps += [step.args for step in workload.cli_steps()]
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_VARS})
     results = []
     for args in steps:
         done = subprocess.run([sys.executable, "-m", "mkinterp.cli", *args], cwd=work, env=env,
-                              stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        stderr = done.stderr.replace(str(src), "<src>").replace(str(work), "<work>")
-        results.append((args, done.returncode, stderr))
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        masked = [text.replace(str(src), "<src>").replace(str(work), "<work>")
+                  for text in (done.stderr, done.stdout)]
+        results.append((args, done.returncode, *masked))
     return results
 
 
@@ -128,12 +134,13 @@ def differences(name, parent, change) -> list:
     """Lines naming each step and file in which two runs of a workload differ."""
     (parent_steps, parent_dir), (change_steps, change_dir) = parent, change
     found = []
-    for (args, code_a, err_a), (_, code_b, err_b) in zip(parent_steps, change_steps):
+    for (args, code_a, *texts_a), (_, code_b, *texts_b) in zip(parent_steps, change_steps):
         step = f"{name}: mkinterp {' '.join(args)}"
         if code_a != code_b:
             found.append(f"{step}: exit {code_a} -> {code_b}")
-        if err_a != err_b:
-            found.append(f"{step}: stderr differs\n  parent: {err_a!r}\n  change: {err_b!r}")
+        for stream, a, b in zip(("stderr", "stdout"), texts_a, texts_b):
+            if a != b:
+                found.append(f"{step}: {stream} differs\n  parent: {a!r}\n  change: {b!r}")
     files_a = {p.relative_to(parent_dir) for p in parent_dir.rglob("*") if p.is_file()}
     files_b = {p.relative_to(change_dir) for p in change_dir.rglob("*") if p.is_file()}
     for rel in sorted(files_a ^ files_b):
