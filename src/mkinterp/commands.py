@@ -16,6 +16,8 @@ import json
 import math
 import sys
 import warnings
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -34,10 +36,9 @@ from .interpolant import (
 EXIT_OK = 0
 EXIT_DOMAIN = 5
 
-# Output rows are formatted and written this many at a time; a chunk's
-# strings set the peak memory of `eval`.
+# CSV rows are read and converted, or formatted and written, this many at a
+# time; a chunk's strings set the peak memory of reading and writing.
 CSV_CHUNK_ROWS = 2048
-CSV_BLOCK_CHARS = 1 << 16  # input text is read and converted this much at a time
 
 _DEFAULTS = {
     "kernel": "power",
@@ -103,8 +104,6 @@ def _merge_settings(args) -> dict:
             cfg[key] = float(cfg[key])
     except ValueError as err:
         raise CliInputError(f"bad setting: {err}") from None
-    if cfg["grid"] < 2:
-        raise CliInputError(f"grid must be at least 2 points per dimension, got {cfg['grid']}")
     return cfg
 
 
@@ -127,92 +126,63 @@ def build_model(cfg: dict, dim: int) -> FeatureModel:
 def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
     """Read a CSV with header x1..xd[,y]; returns (points, values or None).
 
-    The body is read ``CSV_BLOCK_CHARS`` characters at a time, each block
-    cut after its last newline and converted by :func:`_convert`.  Once a
-    block is refused the file is scanned again row by row, from its first
-    data row; only the scan words errors.
+    One ``csv.reader`` reads every row once, and each ``CSV_CHUNK_ROWS`` rows
+    go to :func:`_table`.  Where a row cannot be read (an overlong field, a
+    byte that is not UTF-8), the rows before it are checked first.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
+        rows = csv.reader(fh)
+        header = next(rows, None)
         if header is None:
             raise CliInputError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        has_values = header[-1:] == ["y"]
-        coord_names = header[:-1] if has_values else header
-        d = len(coord_names)
-        if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
+        d = len(header) - 1 if header[-1:] == ["y"] else len(header)  # coordinates
+        if d < 1 or header[:d] != [f"x{i + 1}" for i in range(d)]:
             raise CliInputError(f"{path}: header must be x1,...,xd[,y]")
-        if expect_values and not has_values:
+        if expect_values and d == len(header):
             raise CliInputError(f"{path}: missing y column")
-        table = _convert_blocks(fh, len(header))
-    if table is None:
-        table = _scan(path, len(header))
+        tables, chunk, first = [], [], 2  # rows are counted from the header's 1
+        try:
+            for row in rows:
+                chunk.append(row)
+                if len(chunk) == CSV_CHUNK_ROWS:
+                    tables.append(_table(path, chunk, len(header), first))
+                    chunk, first = [], first + len(chunk)
+        except (csv.Error, UnicodeDecodeError):
+            _table(path, chunk, len(header), first)
+            raise
+    table = np.concatenate([*tables, _table(path, chunk, len(header), first)])
     if table.shape[0] == 0 and not allow_empty:
         raise CliInputError(f"{path}: no data rows")
-    if has_values:
+    if d < len(header):
         return np.ascontiguousarray(table[:, :d]), table[:, d].copy()
     return table, None
 
 
-def _convert_blocks(fh, width: int):
-    """The table of the CSV body left in ``fh``, block by block through
-    :func:`_convert`, or None once a block is refused.  A block ends after
-    its last newline, so no line, and no ``\r\n``, spans two blocks."""
-    blocks, rest = [np.empty((0, width))], ""
-    while True:
-        chunk = fh.read(CSV_BLOCK_CHARS)
-        text = rest + chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        if cut:
-            blocks.append(_convert(text[:cut], width))
-            if blocks[-1] is None:
-                return None
-        rest = text[cut:]
-        if not chunk:
-            return np.concatenate(blocks)
+def _table(path: str, rows: list, width: int, first: int) -> np.ndarray:
+    """The (n, width) table of CSV rows, the first of them row ``first``.
 
-
-def _scan(path: str, width: int):
-    """The table of a CSV body read row by row by the ``csv`` module; raises
-    CliInputError naming the line of the first bad row."""
-    table = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
-        next(rows)  # the header
-        for lineno, row in enumerate(rows, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != width:
-                raise CliInputError(f"{path}:{lineno}: expected {width} fields")
-            try:
-                nums = [float(cell) for cell in row]
-            except ValueError:
-                raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
-            if not all(math.isfinite(v) for v in nums):
-                raise CliInputError(f"{path}:{lineno}: non-finite field")
-            table.append(nums)
-    return np.array(table, dtype=float).reshape(len(table), width)
-
-
-def _convert(body: str, width: int):
-    """The (n, width) table of a block of CSV lines, or None where the
-    ``csv`` module might split it otherwise (a lone carriage return, a field
-    over its size limit) or a nonblank line is not ``width`` finite numbers
-    (a quoted one never is).  Cells go through ``float``, as in the scan, so
-    bit for bit."""
-    text = body.replace("\r\n", "\n")
-    if "\r" in text:
-        return None
-    lines = list(filter(None, text.split("\n")))  # blank lines are skipped
-    if (max(map(len, lines), default=0) > csv.field_size_limit()
-            or {line.count(",") for line in lines} - {width - 1}):
-        return None
-    try:
-        cells = list(map(float, ",".join(lines).split(","))) if lines else []
-    except ValueError:
-        return None
-    table = np.reshape(cells, (-1, width))
-    return table if np.isfinite(table).all() else None
+    Empty rows add no cells, so rows of ``width`` finite numbers convert with
+    one ``float`` per cell at once.  Any other rows are checked one by one:
+    the first bad row raises CliInputError, and blank rows are dropped.
+    """
+    if set(map(len, rows)) <= {0, width}:
+        with suppress(ValueError):  # a cell that is not a number
+            table = np.reshape(list(map(float, chain.from_iterable(rows))), (-1, width))
+            if np.isfinite(table).all():
+                return table
+    for lineno, row in enumerate(rows, start=first):
+        if not any(map(str.strip, row)):
+            continue  # a blank row
+        if len(row) != width:
+            raise CliInputError(f"{path}:{lineno}: expected {width} fields")
+        try:
+            nums = [float(cell) for cell in row]
+        except ValueError:
+            raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
+        if not all(math.isfinite(v) for v in nums):
+            raise CliInputError(f"{path}:{lineno}: non-finite field")
+    return _table(path, [row for row in rows if any(map(str.strip, row))], width, first)
 
 
 def _node_set(points, values) -> NodeSet:

@@ -94,7 +94,7 @@ class Domain:
 def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
     """Uniform tensor grid over the box, endpoints included, row-major."""
     if per_dim < 2:
-        raise ValueError("per_dim must be at least 2")
+        raise ValueError(f"grid must be at least 2 points per dimension, got {per_dim}")
     axes = [np.linspace(domain.lower[j], domain.upper[j], per_dim)
             for j in range(domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")

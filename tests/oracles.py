@@ -7,18 +7,22 @@ P_2 through ``A_2^{-1}``, a grid search for P_m, a Newton for P_m
 polished in long double, the dual pairing as a dot product, a fit started
 from c = 0 rather than from the package's l2 start, and sampling checks
 that can falsify (never certify) the monotonicity and semi-definiteness
-of the tensor.  The package computes each of these
+of the tensor, and a row-by-row read of the CLI's CSV input.  The package
+computes each of these
 quantities by one route only; these are the second routes the tests hold
 it to.  The summability diagnostic of a truncation lives here too, since
 no package code calls it.
 """
 
+import csv
+import math
 import string
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
 import numpy as np
 
+from mkinterp.commands import CliInputError
 from mkinterp.exceptions import DimensionMismatch
 from mkinterp.features import FeatureModel, eval_features, point_blocks, require_even_order
 from mkinterp.interpolant import Interpolant, NodeSet
@@ -323,3 +327,49 @@ def check_semi_pd(gram: FeatureGram, m: int, trials: int,
     rng = np.random.default_rng(rng_seed)
     values = [contract_m(gram, m, rng.standard_normal(gram.n)) for _ in range(trials)]
     return SemiPDReport(min_value=float(min(values)))
+
+
+def scan_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
+    """What ``commands.read_points_csv`` returns or raises, read by the ``csv``
+    module one row at a time: each row is checked and converted alone, and
+    the first bad row raises CliInputError naming its line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise CliInputError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        has_values = header[-1:] == ["y"]
+        coord_names = header[:-1] if has_values else header
+        d = len(coord_names)
+        if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
+            raise CliInputError(f"{path}: header must be x1,...,xd[,y]")
+        if expect_values and not has_values:
+            raise CliInputError(f"{path}: missing y column")
+    table = _scan(path, len(header))
+    if table.shape[0] == 0 and not allow_empty:
+        raise CliInputError(f"{path}: no data rows")
+    if has_values:
+        return np.ascontiguousarray(table[:, :d]), table[:, d].copy()
+    return table, None
+
+
+def _scan(path: str, width: int):
+    """The table of a CSV body read row by row by the ``csv`` module; raises
+    CliInputError naming the line of the first bad row."""
+    table = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)  # the header
+        for lineno, row in enumerate(rows, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != width:
+                raise CliInputError(f"{path}:{lineno}: expected {width} fields")
+            try:
+                nums = [float(cell) for cell in row]
+            except ValueError:
+                raise CliInputError(f"{path}:{lineno}: non-numeric field") from None
+            if not all(math.isfinite(v) for v in nums):
+                raise CliInputError(f"{path}:{lineno}: non-finite field")
+            table.append(nums)
+    return np.array(table, dtype=float).reshape(len(table), width)

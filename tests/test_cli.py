@@ -4,7 +4,6 @@ import functools
 import io
 import json
 import math
-import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -27,6 +26,7 @@ from mkinterp import (
 )
 from mkinterp import commands
 from mkinterp.cli import main
+from oracles import scan_points_csv
 
 DATA_2ROW = "x1,y\n0,8\n1,9\n"
 
@@ -208,6 +208,27 @@ class TestDocumentedInputChecks:
         data = write(tmp_path / "empty.csv", "")
         assert main(["fit", data, "--out", str(tmp_path / "o.json")]) == 2
         assert capsys.readouterr().err == f"error: {data}: empty file\n"
+
+    def test_fit_reads_no_grid(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", "grid = 1\n")
+        data = write(tmp_path / "d.csv", DATA_2ROW)
+        assert main(["fit", data, "--out", str(tmp_path / "o.json"), "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "power", "study"])
+    def test_grid_below_two_exits_2(self, fitted_paths, capsys, command):
+        data, model, tmp = fitted_paths
+        inputs = {"eval": [str(model)], "power": [data], "study": ["--node-counts", "2,4"]}
+        out = tmp / "o.csv"
+        capsys.readouterr()
+        assert main([command, *inputs[command], "--grid", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid must be at least 2 points per dimension, got 1\n")
+        assert not out.exists()
+
+    def test_power_reads_its_nodes_before_the_grid(self, tmp_path, capsys):
+        nodes = write(tmp_path / "n.csv", "x1\nabc\n")
+        assert main(["power", nodes, "--grid", "1", "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {nodes}:2: non-numeric field\n"
 
     def test_non_integer_node_count_exits_2(self, tmp_path, capsys):
         assert main(["study", "--node-counts", "4,x", "--out", str(tmp_path / "s.csv")]) == 2
@@ -726,32 +747,25 @@ class TestCsvCells:
         assert path.read_text(encoding="utf-8") == "x1,s\n"
 
 
-def read_both_ways(path, expect_values=False, allow_empty=False):
-    """``read_points_csv`` with its one-pass conversion and with the line scan
-    alone; each outcome is ``(points, values)`` or the exception raised."""
-    outcomes = []
-    for convert in (commands._convert, lambda text, width: None):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(commands, "_convert", convert)
-            try:
-                outcomes.append(commands.read_points_csv(path, expect_values, allow_empty))
-            except (ValueError, csv.Error) as err:  # compared below, type and message
-                outcomes.append(err)
-    return outcomes
-
-
 def assert_read_alike(path, expect_values=False, allow_empty=False):
-    """Both ways give the same arrays bit for bit, or the same error."""
-    fast, scan = read_both_ways(path, expect_values, allow_empty)
-    if isinstance(scan, Exception):
-        assert type(fast) is type(scan) and str(fast) == str(scan), (fast, scan)
+    """``read_points_csv`` gives the oracle's arrays bit for bit, or its error:
+    the same type and message."""
+    outcomes = []
+    for read in (commands.read_points_csv, scan_points_csv):
+        try:
+            outcomes.append(read(path, expect_values, allow_empty))
+        except (ValueError, csv.Error) as err:  # compared below, type and message
+            outcomes.append(err)
+    got, want = outcomes
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
         return
-    assert not isinstance(fast, Exception), fast
-    for got, want in zip(fast, scan):
-        if want is None:
-            assert got is None
+    assert not isinstance(got, Exception), got
+    for array, expected in zip(got, want):
+        if expected is None:
+            assert array is None
         else:
-            assert same_bits(got, want) and got.flags.c_contiguous, (got, want)
+            assert same_bits(array, expected) and array.flags.c_contiguous, (array, expected)
 
 
 def same_bits(a, b):
@@ -760,8 +774,9 @@ def same_bits(a, b):
 
 
 class TestReadPointsCsv:
-    """The one-pass conversion reads what the line scan reads, bit for bit,
-    and leaves every file it does not accept, with its error, to the scan."""
+    """The reader gives what the oracle's row scan gives, bit for bit, or the
+    same error, whatever the chunk size.  Cases are written as UTF-8 with
+    lone surrogates standing for bytes that are not UTF-8."""
 
     CASES = {
         "plain": "x1,y\n0.5,1\n-0.0,2\n",
@@ -770,8 +785,10 @@ class TestReadPointsCsv:
         "lone_cr": "x1,y\r0.5,1\r-0.0,2\r",
         "cr_in_row": "x1,y\n0.5\r,1\n",
         "quoted_comma": 'x1,y\n"0.5,1"\n',
+        "quoted_newline_then_bad_row": 'x1,y\n"0.5\n",1\n0,2\nabc,3\n',
         "blank_lines": "x1,y\n\n0.5,1\n\n0,2\n\n",
         "whitespace_lines": "x1,y\n0.5,1\n   \n,\n \t, \n0,2\n",
+        "blank_chunk_first": "x1,y\n" + "\n" * 2048 + "0.5,1\n",
         "underscore": "x1,y\n1_000,1\n0,2\n",
         "spaces": "x1,y\n 1.5 ,1\n0,2\n",
         "nan": "x1,y\nnan,1\n",
@@ -780,57 +797,32 @@ class TestReadPointsCsv:
         "short_row": "x1,y\n0.5,1\n0.25\n",
         "trailing_comma": "x1,y\n0.5,1,\n",
         "ragged_rows": "x1,y\n0.5,1,2\n0.25\n",
+        "bad_row_past_first_chunk": "x1,y\n" + "0.5,1\n" * 2048 + "abc,1\n0,2\n",
+        "inf_past_first_chunk": "x1,y\n" + "0.5,1\n" * 2050 + "0,-inf\n",
+        "nul_byte": "x1,y\n0.5,1\n0.5\0,2\n",
         "overlong_field": "x1,y\n" + "0" * csv.field_size_limit() + "1,2\n",
+        "bad_row_then_overlong_field": "x1,y\nabc,1\n" + "0" * csv.field_size_limit() + "1,2\n",
+        "bad_utf8": "x1,y\n0.5,1\n\udcff,2\n",
+        "bad_utf8_past_8_kib": "x1,y\n" + "0,1\n" * 3000 + "\udcff,2\n",
+        "bad_row_then_bad_utf8": "x1,y\nabc,1\n" + "0,1\n" * 3000 + "\udcff,2\n",
         "header_only": "x1,y\n",
         "header_only_crlf": "x1,y\r\n",
         "no_newline": "x1,y\n0.5,1",
         "unicode_digit": "x1,y\n\u0661,1\n",
         "bad_hex": "x1,y\n0x10,1\n",
     }
-    # the files the conversion accepts itself; the others go to the scan
-    CONVERTED = {"plain", "crlf", "blank_lines", "underscore", "spaces", "header_only",
-                 "header_only_crlf", "no_newline", "unicode_digit"}
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("allow_empty", [False, True])
     @pytest.mark.parametrize("expect_values", [False, True])
-    @pytest.mark.parametrize("block_chars", [1, 7, commands.CSV_BLOCK_CHARS])
-    def test_one_pass_and_scan_agree(self, tmp_path, monkeypatch, case, expect_values,
-                                     allow_empty, block_chars):
-        monkeypatch.setattr(commands, "CSV_BLOCK_CHARS", block_chars)
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 2048])
+    def test_reader_and_row_scan_agree(self, tmp_path, monkeypatch, case, expect_values,
+                                       allow_empty, chunk_rows):
+        monkeypatch.setattr(commands, "CSV_CHUNK_ROWS", chunk_rows)
         path = tmp_path / "in.csv"
-        path.write_bytes(self.CASES[case].encode("utf-8"))  # no newline translation
+        # no newline translation; a lone surrogate becomes the byte it stands for
+        path.write_bytes(self.CASES[case].encode("utf-8", "surrogateescape"))
         assert_read_alike(str(path), expect_values, allow_empty)
-
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_which_files_the_conversion_accepts(self, case):
-        header, body = re.split("\r\n|\r|\n", self.CASES[case], maxsplit=1)
-        assert (commands._convert(body, header.count(",") + 1) is not None) == (case in self.CONVERTED)
-
-    # block boundaries fall after each 8 characters of the body: inside
-    # "\r\n" (7|8), before a blank line (16) and before the last line (24)
-    BOUNDARY_BODY = "0.125,1\r\n1e0,2\r\n\r\n13,4\r\n"
-
-    @pytest.mark.parametrize("last, converted", [("0.5,3\r\n", True), ('"0.5",3\r\n', False),
-                                                 ("0.5\r\n", False)])
-    def test_lines_on_block_boundaries(self, tmp_path, monkeypatch, last, converted):
-        body = self.BOUNDARY_BODY + last
-        assert body[7:9] == "\r\n" and body[16:18] == "\r\n" and body[24:] == last
-        monkeypatch.setattr(commands, "CSV_BLOCK_CHARS", 8)
-        path = write(tmp_path / "in.csv", "x1,y\n" + body)
-        blocks, convert = [], commands._convert
-        monkeypatch.setattr(commands, "_convert", lambda text, width: blocks.append(text)
-                            or convert(text, width))
-        try:
-            commands.read_points_csv(path, expect_values=True)
-        except commands.CliInputError:
-            pass
-        if converted:
-            assert blocks == ["0.125,1\r\n1e0,2\r\n", "\r\n13,4\r\n", "0.5,3\r\n"]
-        else:
-            assert blocks[-1] == last
-        monkeypatch.setattr(commands, "_convert", convert)
-        assert_read_alike(path, expect_values=True)
 
     def test_header_only_file_needs_allow_empty(self, tmp_path):
         path = write(tmp_path / "in.csv", "x1,y\n")
@@ -841,7 +833,7 @@ class TestReadPointsCsv:
 
     def test_clean_file_is_not_scanned(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
-        rows = rng.uniform(-1, 1, (5000, 3))  # several conversion blocks
+        rows = rng.uniform(-1, 1, (5000, 3))  # several chunks
         rows[7, 1] = -0.0
         path = write(tmp_path / "in.csv", "x1,x2,y\n" + "".join(
             ",".join(map(repr, row)) + "\n" for row in rows.tolist()))
@@ -850,7 +842,7 @@ class TestReadPointsCsv:
         monkeypatch.setattr(csv, "reader", lambda rows: readers.append(rows) or reader(rows))
         points, values = commands.read_points_csv(path, expect_values=True)
         assert same_bits(points, rows[:, :2]) and same_bits(values, rows[:, 2])
-        assert len(readers) == 1  # the header's
+        assert len(readers) == 1  # the header's, which reads the rows too
 
 
 # Numeric flag values: special floats first, then any float.

@@ -47,6 +47,22 @@ def test_help_text_differences_are_named(tmp_path):
     assert ["--help"] in compare.USAGE and ["fit", "--help"] in compare.USAGE
 
 
+def test_malformed_inputs_of_a_tree_match_its_own(tmp_path):
+    src = ROOT / "src"
+    runs = []
+    for name in ("a", "b"):
+        work = run_dir(tmp_path, name, {})
+        runs.append((compare.run(compare.malformed(work), src, work), work))
+    assert [args for args, *_ in runs[0][0]] == [args for *_, args in compare.MALFORMED]
+    assert compare.differences("w", *runs) == []
+    codes = {args[1] if args[0] == "fit" else args[3]: (code, err)
+             for args, code, err, _ in runs[0][0]}
+    assert codes["m_good.csv"] == codes["m_quoted.csv"] == (0, "")
+    assert codes["m_late.csv"] == (2, "error: m_late.csv:2050: expected 1 fields\n")
+    assert codes["m_nan.csv"] == (2, "error: m_nan.csv:3: non-finite field\n")
+    assert codes["m_overlong.csv"][0] == codes["m_utf8.csv"][0] == 2
+
+
 @pytest.fixture
 def ran(monkeypatch):
     """The ``(workload, tree)`` of each ``run_steps`` call, which runs nothing."""

@@ -62,7 +62,7 @@ class TestDomain:
             Domain([0.0, 0.0], [1.0])
 
     def test_grid_needs_two_points_per_dimension(self):
-        with pytest.raises(ValueError, match="per_dim must be at least 2"):
+        with pytest.raises(ValueError, match="grid must be at least 2 points per dimension, got 1"):
             domain_grid(BOX, 1)
 
     def test_project_batch_clamps_and_rejects(self):

@@ -6,8 +6,9 @@ For each workload of ``bench/workloads.py`` (imported, never modified), or
 for each one named by a ``--workload`` option, which may be repeated, the
 script writes the seeded inputs into one temporary directory per tree and
 runs there, as ``python -m mkinterp.cli`` with that tree on ``PYTHONPATH``,
-the invocations of ``USAGE`` (help texts and usage errors), then every
-prerequisite and CLI step.  It compares the two directories file by file,
+the invocations of ``USAGE`` (help texts and usage errors) and of
+``MALFORMED`` (reads of odd or bad CSV inputs), then every prerequisite and
+CLI step.  It compares the two directories file by file,
 with the exit code, stderr and stdout of each step.  Paths of the tree and of
 the directory are masked in stderr and stdout.  It prints every difference and exits
 0 only if everything is identical, 1 otherwise.  A CSV that differs in
@@ -37,15 +38,39 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 USAGE = [["--help"], *([command, "--help"] for command in ("fit", "eval", "power", "study")),
          ["fit", "--out", "m.json"], ["eval", "--out", "v.csv"], ["power", "--out", "p.csv"],
          ["study"]]
+# (file, bytes, invocation): each file is written into the workload's
+# directory and read by its invocation.  The first gives `eval` a model.
+MALFORMED = [
+    ("m_good.csv", b"x1,y\n0,1\n0.5,2\n", ["fit", "m_good.csv", "--out", "m_good.json"]),
+    ("m_quoted.csv", b'x1,y\n"0",1\n0.5,"2"\n', ["fit", "m_quoted.csv", "--out", "m_quoted.json"]),
+    ("m_late.csv", b"x1\n" + b"0.5\n" * 2048 + b"0.25,\n",
+     ["eval", "m_good.json", "--points", "m_late.csv", "--out", "m_late_v.csv"]),
+    ("m_nan.csv", b"x1,y\n0,1\n0.5,nan\n", ["fit", "m_nan.csv", "--out", "m_nan.json"]),
+    ("m_overlong.csv", b"x1\n0.5\n" + b"0" * csv.field_size_limit() + b"1\n",
+     ["eval", "m_good.json", "--points", "m_overlong.csv", "--out", "m_overlong_v.csv"]),
+    ("m_utf8.csv", b"x1,y\n0,1\n0.\xff5,2\n", ["fit", "m_utf8.csv", "--out", "m_utf8.json"]),
+]
 
 
 def run_steps(workloads, name, seed, src: Path, work: Path) -> list:
-    """``(args, exit code, stderr, stdout)`` of ``USAGE`` and each step of a
-    workload, run in ``work``."""
+    """``(args, exit code, stderr, stdout)`` of ``USAGE``, ``MALFORMED`` and
+    each step of a workload, run in ``work``."""
     workload = workloads.WORKLOADS[name](seed, workloads.FULL, work)
     workload.generate()
-    steps = USAGE + [args for args, _ in workload.prerequisites()]
-    steps += [step.args for step in workload.cli_steps()]
+    steps = USAGE + malformed(work) + [args for args, _ in workload.prerequisites()]
+    return run(steps + [step.args for step in workload.cli_steps()], src, work)
+
+
+def malformed(work: Path) -> list:
+    """Write the ``MALFORMED`` inputs into ``work``; returns their invocations."""
+    for name, data, _ in MALFORMED:
+        (work / name).write_bytes(data)
+    return [args for _, _, args in MALFORMED]
+
+
+def run(steps, src: Path, work: Path) -> list:
+    """``(args, exit code, stderr, stdout)`` of each invocation, run in ``work``
+    with ``src`` on ``PYTHONPATH``."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_VARS})
     results = []
     for args in steps:
