@@ -474,6 +474,29 @@ def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.nd
     return values
 
 
+def _feature_adjoint(model: FeatureModel, X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``eval_features(model, X).T @ c`` for an (N, d) array, the transpose
+    of :func:`_feature_sum`: per block, ``A = c * prod_{j<d} T_j[:, prefixes[:, j]]``
+    (one column per prefix), and ``T_d^T A`` is summed into the (J_d, P)
+    matrix whose places hold the K results; no (N, K) array is built.
+    ``custom`` sums ``c @`` its looked-up rows.  Checks as :func:`_blocks`.
+    """
+    if model.family == "custom":
+        G, width = np.zeros(model.truncation), None
+    else:
+        prefixes, places, shape, width = model._sum_plan
+        G = np.zeros(shape)
+    for rows, tables in _blocks(model, X, width):
+        if model.family == "custom":
+            G += c[rows] @ tables[0]
+            continue
+        A = np.repeat(c[rows, None], shape[1], axis=1)
+        for j, table in enumerate(tables[:-1]):
+            A *= table[:, prefixes[:, j]]
+        G += tables[-1].T @ A
+    return np.sqrt(model.weights) * (G if model.family == "custom" else G[places])
+
+
 def tabulated(model: FeatureModel, points) -> np.ndarray:
     """Whether :func:`eval_features` can evaluate each row of (N, d) in-domain
     points: all True for ``power`` and ``trig``, without reading them; a

@@ -4,11 +4,12 @@ A fitted interpolant of even order m expands in the feature basis as
 ``s_m = sum_k alpha_k phi_k`` with ``alpha_k = (v_k . c)^{m-1}``, which is
 mathematically identical to the tensor-basis form ``B_m(x) c^{m-1}`` but
 costs O(K) per evaluation from the K numbers ``t_k = v_k . c`` that an
-:class:`Interpolant` holds.  :func:`evaluate_many` contracts the
-per-coordinate factor tables with ``sqrt(w) alpha`` and never forms the
-(N, K) feature array.  Its norm in the sequence space with exponent
-``p = m/(m-1)`` equals ``(A_m c^m)^{1-1/m}``; both routes are exposed so
-the identity can be checked numerically.
+:class:`Interpolant` holds.  Neither direction of the sum factorization
+forms a feature array: ``t`` is its transpose at the nodes, O(n ((d-1) P +
+J_d P)) work with no n x K array, and :func:`evaluate_many` contracts the
+factor tables with ``sqrt(w) alpha``, with no (N, K) array.  Its norm with
+exponent ``p = m/(m-1)`` equals ``(A_m c^m)^{1-1/m}``; both routes are
+exposed so the identity can be checked numerically.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .exceptions import (
     NotConverged,
     ZeroFunction,
 )
-from .features import Domain, FeatureModel, _feature_sum, _integer, require_even_order
+from .features import (Domain, FeatureModel, _feature_adjoint, _feature_sum, _integer,
+                       require_even_order)
 from .tensors import FeatureGram
 
 if TYPE_CHECKING:  # the solver is imported by the first fit, not by evaluation
@@ -137,7 +139,7 @@ def _solved(model: FeatureModel, nodes: NodeSet, m: int, opts: SolverOptions | N
     gram = FeatureGram.from_model(model, nodes.points) if V is None else FeatureGram(V)
     report = solve_multilinear(gram, m, nodes.values, opts)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed fit has no finite t
-        t = gram.V.T @ report.coefficients
+        t = _feature_adjoint(model, nodes.points, report.coefficients)
     return Interpolant(model, nodes, require_even_order(m), report.coefficients, t, report)
 
 
@@ -222,11 +224,21 @@ def to_json(s: Interpolant) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _member(doc, *path):
+    """``doc[path[0]][path[1]]...``; a missing member is a KeyError naming its dotted path."""
+    for depth, key in enumerate(path, 1):
+        try:
+            doc = doc[key]
+        except KeyError:
+            raise KeyError(f"interpolant document missing {'.'.join(path[:depth])!r}") from None
+    return doc
+
+
 def _model_from_doc(doc) -> FeatureModel:
-    domain = Domain(doc["domain"]["lower"], doc["domain"]["upper"])
+    domain = Domain(_member(doc, "domain", "lower"), _member(doc, "domain", "upper"))
     family = doc["family"]
     K = _integer("truncation", doc["truncation"])
-    weights = np.asarray(doc["weights"], dtype=float)
+    weights = np.asarray(_member(doc, "weights"), dtype=float)
     if weights.shape != (K,):  # before a huge K is enumerated
         raise ValueError(f"weights must be {K} numbers, one per feature")
     if family == "power":
@@ -234,7 +246,8 @@ def _model_from_doc(doc) -> FeatureModel:
     if family == "trig":
         return FeatureModel.trigonometric(domain, K, weights=weights)
     if family == "custom":
-        return FeatureModel.custom_table(doc["table_points"], doc["table_features"],
+        return FeatureModel.custom_table(_member(doc, "table_points"),
+                                         _member(doc, "table_features"),
                                          weights=weights, domain=domain)
     raise ValueError(f"unknown feature family {family!r}")
 
@@ -243,7 +256,7 @@ def from_json(text: str) -> Interpolant:
     """Rebuild an interpolant from its JSON form (inverse of :func:`to_json`).
 
     Rejects a non-integral order or truncation, a custom table whose width
-    is not the truncation, an odd order or one below 2,
+    is not the truncation, an odd order or one below 2, no nodes,
     non-finite nodes or values, coefficients that are not one finite number
     per node, and an order so large that the feature coefficients overflow.
     """
@@ -252,8 +265,7 @@ def from_json(text: str) -> Interpolant:
         raise ValueError("interpolant document must be a JSON object")
     for key in ("family", "domain", "truncation", "order", "nodes", "values",
                 "coefficients"):
-        if key not in doc:
-            raise KeyError(f"interpolant document missing {key!r}")
+        _member(doc, key)
     model = _model_from_doc(doc)
     nodes = NodeSet(np.asarray(doc["nodes"], float), np.asarray(doc["values"], float))
     order = require_even_order(doc["order"])
@@ -262,9 +274,11 @@ def from_json(text: str) -> Interpolant:
         raise ValueError("nodes and values must be finite")
     if coefficients.shape != (nodes.n,) or not np.all(np.isfinite(coefficients)):
         raise ValueError(f"coefficients must be {nodes.n} finite numbers, one per node")
-    V = FeatureGram.from_model(model, nodes.points).V
+    if nodes.n == 0:
+        raise DimensionMismatch("interpolant document has no nodes")
     with np.errstate(over="ignore", invalid="ignore"):
-        s = Interpolant(model, nodes, order, coefficients, V.T @ coefficients)
+        t = _feature_adjoint(model, nodes.points, coefficients)
+        s = Interpolant(model, nodes, order, coefficients, t)
         finite = np.all(np.isfinite(feature_coefficients(s)))
     if not finite:
         raise ValueError(f"feature coefficients overflow at order {doc['order']!r}")

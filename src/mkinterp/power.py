@@ -39,15 +39,10 @@ def _least_squares(V, B):
 
 
 def _descend(V, B, z, m, opts: SolverOptions):
-    """``(P_m, iterations, stop_reasons)`` at each row of B, from the stack z.
-
-    The core runs on ``F = q / m``, ``q = sum_k |b - V^T theta|_k^p``, with
-    ``u = -B``, ``W = V^T`` and no linear term: one step at each
-    continuation exponent, then the order-m descent, all rows in lock-step.
-    ``iterations`` counts a point's accepted Newton steps, the continuation
-    steps included, within ``opts.max_iterations``.  A stack of at least
-    ``_PAIR_ROWS`` rows forms its Hessians from one table of the nodes' pair
-    products, built here for every exponent.
+    """``(P_m, iterations, stop_reasons)`` at each row of B, from the stack z:
+    the core on ``q / m``, ``q = sum_k |b - V^T theta|_k^p``, one step at each
+    continuation exponent, then order m (see README).  ``iterations`` counts
+    a point's accepted Newton steps, within ``opts.max_iterations``.
     """
     pairs = pair_products(V.T) if len(B) >= _PAIR_ROWS else None
     steps = 0
@@ -61,16 +56,8 @@ def _descend(V, B, z, m, opts: SolverOptions):
 
 
 def _max_power(V, B, m, opts: SolverOptions, best: float) -> float:
-    """The larger of ``best`` and the largest P_m over the rows of B.
-
-    ``U = ||r_2||_m`` bounds P_m from above (theta_2 is one candidate of
-    the minimum), so the descent runs only where ``U (1 + _REACH_MARGIN)``
-    reaches the best value found: first at the largest U, then at the rest
-    in one stack, each from its theta_2.  A converged descent ends within
-    ``_DECREMENT_TOL`` of the minimum P_m^m, far inside the margin, so a
-    skipped point is one whose P_m cannot exceed the value returned.  At
-    m = 2, U is P_2 and no descent runs.
-    """
+    """The larger of ``best`` and the largest P_m over the rows of B; a row
+    descends only where its bound ``||r_2||_m`` can reach ``best`` (see README)."""
     thetas, residual = _least_squares(V, B)
     upper = _abs_pow(residual, m).sum(axis=1) ** (1.0 / m)
     if m == 2:
@@ -211,10 +198,8 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
     m/(m-1) is exact from its coefficients.  Each row fits the order-m
     interpolant on `n` equispaced nodes of the 1-d domain and records the
     fill distance (on a grid of ``_FILL_GRID_PER_DIM`` points), the worst
-    error over `eval_grid`, and the worst pointwise bound ``2 ||f|| P_m``.
-    That bound comes from the largest P_m, and P_m is bounded by
-    ``||r_2||_m``, so the descent runs only where that bound reaches the
-    best P_m found so far in the row (see ``_max_power``).
+    error over `eval_grid`, and the worst pointwise bound ``2 ||f|| P_m``
+    (from the row's largest P_m, see ``_max_power``).
     """
     m = require_even_order(m)
     opts = opts or SolverOptions()

@@ -215,32 +215,15 @@ def _gradient(W, ell, r, z, p, lam):
 
 def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dtol=None,
                          pairs=None):
-    """Damped Newton on ``F(z) = (1/p) sum_k |u + W z|_k^p + ell . z + (lam/2)|z|^2``.
+    """Damped Newton on ``F(z) = (1/p) sum_k |u + W z|_k^p + ell . z + (lam/2)|z|^2``
+    for each row of the (N, n) stack Z, the rows in lock-step (see README).
 
-    ``W`` is K x n and shared by the rows of the (N, n) stack Z, one
-    problem per row, with u an (N, K) stack or 0.  ``ell`` is an n-vector
-    or None for zero, p a real exponent >= 2 (the potential is an even
-    function of the residual), ``lam >= 0``.  The gradient is ``W^T
-    (sign(r) |r|^{p-1})`` plus the linear terms.  Every power of r is :func:`_abs_pow`'s,
-    so the iterates do not depend on whether p is given as an int or a float.
-
-    The rows descend in lock-step, their Newton steps formed together, each
-    row with its own step length, backtracks, fallbacks, iteration count
-    and stop reason.  A row converges when its gradient norm is at most
-    ``gtol``, tested before the Newton step is formed (a stop on the
-    gradient norm costs no Hessian), or when its Newton decrement ``-grad .
-    step`` is at most ``dtol F``; a tolerance left at None is never tested.
-    ``max_iterations`` is an int or one budget per row.  ``pairs``, the
-    :func:`pair_products` of W, forms the Newton Hessians of a chunk of rows
-    in one matrix product.  Returns ``(Z, F, gnorm, iterations,
-    stop_reasons)``, one entry per row.
-
-    The line search tests the difference ``F(cand) - F`` (the sum
-    ``F + c eta slope`` rounds back to F) and trusts a fall only beyond F's
-    rounding noise, relative to the summed magnitude of its terms.  Within
-    the noise a candidate must lower the gradient norm strictly, by the
-    Armijo fraction (the approximate-Wolfe idea of Hager and Zhang, SIAM J.
-    Optim. 16(1), 2005).  Overflow fails the line search or ends the row.
+    W is K x n, u an (N, K) stack or 0, ``ell`` an n-vector or None, p >= 2
+    and ``lam >= 0``.  A row stops once its gradient norm is at most ``gtol``
+    or its Newton decrement at most ``dtol F`` (None: not tested), or after
+    ``max_iterations`` (an int or one per row).  ``pairs``: the
+    :func:`pair_products` of W, or None.  Returns ``(Z, F, gnorm,
+    iterations, stop_reasons)``, one entry per row.
     """
     z = np.array(Z, dtype=float)  # a copy: rows are updated in place
     N = z.shape[0]
@@ -317,15 +300,9 @@ def _rescale(W, c, y, p):
 
 
 def _certifies_full_rank(G: np.ndarray, K: int) -> bool:
-    """Eigenvalue certificate that the n x K design behind ``G = V V^T`` has rank n.
-
-    True when the eigenvalues of G satisfy ``lambda_min > delta lambda_max``
-    with ``delta = 1e4 n K eps``.  The rounding of forming and diagonalizing
-    ``V V^T`` moves an eigenvalue by about ``n K eps lambda_max``, four
-    orders of magnitude less, so a certified V has full row rank and cond(V)
-    below about ``1/sqrt(delta)``.  False proves nothing: near-singular
-    designs, and an overflowed Gram (non-finite eigenvalues), are left to
-    the SVD.
+    """Eigenvalue certificate that the n x K design behind ``G = V V^T`` has rank n:
+    ``lambda_min > 1e4 n K eps lambda_max`` (see README).  False proves nothing;
+    near-singular and overflowed Grams are left to the SVD.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         eigenvalues = np.linalg.eigvalsh(G)

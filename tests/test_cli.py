@@ -14,13 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mkinterp import (
+    DimensionMismatch,
     Domain,
     FeatureGram,
     FeatureModel,
     NodeSet,
+    PointOutsideDomain,
     SingularDesignWarning,
+    UntabulatedPoint,
     evaluate,
     fit,
+    from_json,
     solve_multilinear,
     to_json,
 )
@@ -908,10 +912,13 @@ BAD_INTEGERS = [4.5, 0.5, -2, 10**6, 2**63, 1e300, 10**400]
 
 @st.composite
 def mutated_model_docs(draw):
-    """A fitted model document with one field dropped, retyped, changed or resized."""
+    """A fitted model document with one field dropped, retyped, changed or resized,
+    or with no nodes, values and coefficients at all."""
     doc = json.loads(_fitted_model_text(draw(st.sampled_from(["power", "trig"]))))
-    kind = draw(st.sampled_from(["drop", "retype", "number", "resize", "integer"]))
-    if kind in ("drop", "retype"):
+    kind = draw(st.sampled_from(["drop", "retype", "number", "resize", "integer", "empty"]))
+    if kind == "empty":
+        doc.update(nodes=[], values=[], coefficients=[])
+    elif kind in ("drop", "retype"):
         key = draw(st.sampled_from(sorted(doc)))
         if kind == "drop":
             del doc[key]
@@ -945,6 +952,74 @@ def test_mutated_model_files_end_in_a_documented_exit(doc):
             text = out.read_text().lower()
             assert "nan" not in text and "inf" not in text
             assert all(row[-2] for row in read_rows(out)[1:] if not row[-1])
+
+
+@functools.cache
+def _custom_model_text():
+    """JSON of a 1-d order-4 ``custom`` fit on three of its five tabulated points."""
+    table = np.array([[-0.8], [-0.4], [0.0], [0.4], [0.8]])
+    features = np.random.default_rng(5).standard_normal((5, 4))
+    model = FeatureModel.custom_table(table, features, domain=Domain([-1.0], [1.0]))
+    return to_json(fit(model, NodeSet(table[1:4], np.array([1.0, -1.0, 0.5])), 4))
+
+
+def _refused_doc(case):
+    """A model document that loading refuses, with the error it raises: ``(doc,
+    type, text)``.  The text is None for the case whose text changed."""
+    doc = json.loads(_fitted_model_text("power"))
+    if case == "no nodes":
+        doc.update(nodes=[], values=[], coefficients=[])
+        return doc, DimensionMismatch, None
+    if case == "outside the box":
+        doc["nodes"][0] = [1.5, 0.2]
+        return doc, PointOutsideDomain, "point [1.5, 0.2] outside the domain box"
+    if case == "wrong dimension":
+        doc["nodes"] = [[-0.5], [0.0], [0.6]]
+        return doc, PointOutsideDomain, "point has dimension 1, domain has dimension 2"
+    if case == "untabulated":
+        doc = json.loads(_custom_model_text())
+        doc["nodes"][0] = [0.3]
+        return doc, UntabulatedPoint, "point [0.3] is not tabulated"
+    doc["domain"] = {"lower": [-1e200, -1e200], "upper": [1e200, 1e200]}
+    doc["nodes"][0] = [1e200, 0.2]
+    return doc, ValueError, "features overflow at point [1e+200, 0.2]"
+
+
+REFUSED = ["no nodes", "outside the box", "wrong dimension", "untabulated", "overflow"]
+
+
+class TestLoadRefusals:
+    """Model documents that loading refuses: the same exception, and text,
+    whether or not the node Gram is built."""
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_from_json_raises(self, case):
+        doc, kind, text = _refused_doc(case)
+        with pytest.raises(kind) as info:
+            from_json(json.dumps(doc))
+        assert type(info.value) is kind
+        if text is not None:
+            assert str(info.value) == text
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_eval_exits_2_with_one_line(self, case, tmp_path):
+        doc, _, text = _refused_doc(case)
+        model = write(tmp_path / "m.json", json.dumps(doc))
+        code, err = _run_in_process(["eval", model, "--grid", "3", "--out", str(tmp_path / "v.csv")])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if text is not None:
+            assert err == f"error: {text}\n"
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize("path", [("weights",), ("domain", "lower"), ("domain", "upper"),
+                                      ("table_points",), ("table_features",)], ids=".".join)
+    def test_missing_field_is_named(self, path, tmp_path):
+        doc = json.loads(_custom_model_text())
+        del (doc["domain"] if path[0] == "domain" else doc)[path[-1]]
+        model = write(tmp_path / "m.json", json.dumps(doc))
+        code, err = _run_in_process(["eval", model, "--grid", "3", "--out", str(tmp_path / "v.csv")])
+        assert (code, err) == (2, f"error: \"interpolant document missing '{'.'.join(path)}'\"\n")
 
 
 BASE_FILES = {

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -56,7 +57,7 @@ def test_malformed_inputs_of_a_tree_match_its_own(tmp_path):
     assert [args for args, *_ in runs[0][0]] == [args for *_, args in compare.MALFORMED]
     assert compare.differences("w", *runs) == []
     codes = {args[1] if args[0] == "fit" else args[3]: (code, err)
-             for args, code, err, _ in runs[0][0]}
+             for args, code, err, *_ in runs[0][0]}
     assert codes["m_good.csv"] == codes["m_quoted.csv"] == (0, "")
     assert codes["m_late.csv"] == (2, "error: m_late.csv:2050: expected 1 fields\n")
     assert codes["m_nan.csv"] == (2, "error: m_nan.csv:3: non-finite field\n")
@@ -82,6 +83,26 @@ def test_workload_option_picks_the_workloads_in_order(ran, capsys):
                    ("eval_grid", src)]
     assert capsys.readouterr().out.splitlines() == ["power_bound: 0 steps, 0 files, identical",
                                                     "eval_grid: 0 steps, 0 files, identical"]
+
+
+def test_peak_rss_of_each_step_is_printed(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(compare, "run_steps", lambda workloads, name, seed, src, work:
+                        compare.run(compare.malformed(work), src, work))
+    src = ROOT / "src"
+    argv = [str(src), str(src), "--seed", "3", "--workload", "eval_grid", "--workload", "fit_large"]
+    assert compare.main(argv) == 0
+    lines, per_workload = capsys.readouterr().out.splitlines(), 1 + len(compare.MALFORMED)
+    assert len(lines) == 2 * per_workload
+    for name, block in zip(["eval_grid", "fit_large"],
+                           [lines[:per_workload], lines[per_workload:]]):
+        assert block[0].startswith(f"{name}: 6 steps, ") and block[0].endswith(", identical")
+        for line, (*_, args) in zip(block[1:], compare.MALFORMED):
+            prefix = f"{name}: mkinterp {' '.join(args)}: peak RSS "
+            assert line.startswith(prefix), line
+            parent, change = re.fullmatch(r"(\d+\.\d\d) -> (\d+\.\d\d) MiB",
+                                          line[len(prefix):]).groups()
+            assert 1.0 < float(parent) < 1024.0 and 1.0 < float(change) < 1024.0
 
 
 def test_every_workload_by_default(ran):

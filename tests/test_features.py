@@ -541,7 +541,9 @@ class TestBlockRules:
         message = re.escape(f"features overflow at point {first}")
         for width, call in [(model.truncation, lambda: eval_features(model, X)),
                             (model._sum_plan[-1],
-                             lambda: features._feature_sum(model, X, np.ones(6)))]:
+                             lambda: features._feature_sum(model, X, np.ones(6))),
+                            (model._sum_plan[-1],
+                             lambda: features._feature_adjoint(model, X, np.ones(8)))]:
             rows_per_block(monkeypatch, 4, width)
             with pytest.raises(ValueError, match=message):
                 call()
@@ -556,6 +558,74 @@ class TestBlockRules:
             eval_features(model, X)
         with pytest.raises(PointOutsideDomain, match=message):
             features._feature_sum(model, X, np.ones(47))
+        with pytest.raises(PointOutsideDomain, match=message):
+            features._feature_adjoint(model, X, np.ones(X.shape[0]))
+
+    @pytest.mark.parametrize("family", ["power", "trig"])
+    def test_feature_adjoint_tabulates_every_block(self, family, monkeypatch, tabulated):
+        model = build(family, self.BOX, 47)
+        X = self.switching_blocks()
+        c = np.random.default_rng(8).standard_normal(X.shape[0])
+        rows_per_block(monkeypatch, self.ROWS, model._sum_plan[-1])
+        tabulated.clear()
+        got = features._feature_adjoint(model, X, c)
+        assert tabulated == self.TABULATED
+        assert_adjoint_close(got, eval_features(model, X), c)
+
+
+def assert_adjoint_close(t, V, c):
+    """``t`` is ``V.T @ c`` to within ``8 n eps sum_i |c_i V_ik|`` per entry."""
+    bound = 8 * V.shape[0] * np.finfo(float).eps * np.abs(c[:, None] * V).sum(axis=0)
+    assert t.shape == (V.shape[1],)
+    assert np.all(np.abs(t - V.T @ c) <= bound)
+
+
+def adjoint_case(family, dim, rng):
+    """``(model, X)``: a K = 40 model on [-1, 1.5]^dim and 30 points of its
+    box, faces and repeated values included (``custom``: tabulated points)."""
+    box = Domain([-1.0] * dim, [1.5] * dim)
+    X = rng.uniform(-1.0, 1.5, (30, dim))
+    X[:4] = np.array([[-1.0], [1.5], [1.5 + 5e-13], [0.25]])  # faces, one clipped, a repeat
+    X[4:8, 0] = 0.25
+    if family == "custom":
+        table = rng.uniform(-1.0, 1.5, (12, dim))
+        model = FeatureModel.custom_table(table, rng.standard_normal((12, 40)),
+                                          weights=rng.uniform(0.5, 2.0, 40), domain=box)
+        return model, table[rng.integers(0, 12, 30)]
+    return build(family, box, 40, decay=0.7), X
+
+
+class TestFeatureAdjoint:
+    """``_feature_adjoint(model, X, c)`` is ``eval_features(model, X).T @ c``
+    to the rounding of an n-term sum, whatever the blocks."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["power", "trig", "custom"])
+    def test_agrees_with_the_gram_route(self, family, dim):
+        rng = np.random.default_rng(10 * dim)
+        model, X = adjoint_case(family, dim, rng)
+        c = rng.standard_normal(X.shape[0])
+        assert_adjoint_close(features._feature_adjoint(model, X, c), eval_features(model, X), c)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("family", ["power", "trig", "custom"])
+    def test_rows_in_several_blocks(self, family, dim, monkeypatch):
+        rng = np.random.default_rng(3 + dim)
+        model, X = adjoint_case(family, dim, rng)
+        c = rng.standard_normal(X.shape[0])
+        whole = features._feature_adjoint(model, X, c)
+        width = None if family == "custom" else model._sum_plan[-1]
+        rows_per_block(monkeypatch, 7, width or max(model.truncation, model.table_points.size))
+        assert len(point_blocks(model, X.shape[0], width)) == 5
+        split = features._feature_adjoint(model, X, c)
+        V = eval_features(model, X)
+        assert_adjoint_close(split, V, c)
+        assert_adjoint_close(whole, V, c)
+
+    def test_no_rows_give_zeros(self):
+        model = build("trig", Domain([-1.0, -1.0], [1.0, 1.0]), 9)
+        t = features._feature_adjoint(model, np.empty((0, 2)), np.empty(0))
+        assert same_bits(t, np.zeros(9))
 
 
 class TestSummability:

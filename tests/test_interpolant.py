@@ -734,17 +734,51 @@ def cli_fit(tmp_path, monkeypatch):
     return written[0], from_json(out.read_text(encoding="utf-8"))
 
 
+def large_model_text():
+    """An order-4 document of a 3-d ``trig`` model, K = 800, at n = 400 nodes,
+    with arbitrary coefficients (loading does not solve)."""
+    rng = np.random.default_rng(29)
+    model = FeatureModel.trigonometric(Domain([-1.0] * 3, [1.0] * 3), 800, decay=0.8)
+    return json.dumps({
+        "family": "trig", "domain": {"lower": [-1.0] * 3, "upper": [1.0] * 3},
+        "truncation": 800, "weights": model.weights.tolist(), "order": 4,
+        "nodes": rng.uniform(-1.0, 1.0, (400, 3)).tolist(),
+        "values": rng.standard_normal(400).tolist(),
+        "coefficients": rng.standard_normal(400).tolist()})
+
+
 class TestHeldFeatureProducts:
-    """A fitted interpolant holds ``t = V^T c`` and rebuilds its Gram on access."""
+    """A fitted interpolant holds ``t = V^T c``, formed by the transpose of
+    the sum factorization, and rebuilds its Gram on access."""
 
     @pytest.fixture
     def interpolants(self, tmp_path, monkeypatch):
         s = random_fit(np.random.default_rng(7), 4)
         return [s, from_json(to_json(s)), *cli_fit(tmp_path, monkeypatch)]
 
-    def test_t_is_v_transpose_c_bit_for_bit(self, interpolants):
+    def test_t_matches_v_transpose_c(self, interpolants):
+        eps = np.finfo(float).eps
         for s in interpolants:
-            assert s.t.tobytes() == (s.gram.V.T @ s.coefficients).tobytes()
+            V, c = s.gram.V, s.coefficients
+            bound = 8 * s.nodes.n * eps * np.abs(c[:, None] * V).sum(axis=0)
+            assert np.all(np.abs(s.t - V.T @ c) <= bound)
+
+    def test_fitted_and_reloaded_t_are_identical(self, interpolants):
+        fitted, reloaded, cli_written, cli_loaded = interpolants
+        assert fitted.t.tobytes() == reloaded.t.tobytes()
+        assert cli_written.t.tobytes() == cli_loaded.t.tobytes()
+
+    def test_loading_builds_no_node_gram(self):
+        text = large_model_text()
+        from_json(text)  # the model's factor plan is built per model, so this warms only imports
+        tracemalloc.start()
+        try:
+            s = from_json(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.t.shape == (800,)
+        assert peak < 1 << 20  # the 400 x 800 Gram alone is 2.44 MiB
 
     def test_gram_is_rebuilt_from_the_model(self, interpolants):
         for s in interpolants:
@@ -767,6 +801,7 @@ class TestHeldFeatureProducts:
         monkeypatch.setattr(FeatureGram, "from_model", classmethod(counting_build))
         for module in (features, tensors):
             monkeypatch.setattr(module, "eval_features", counting_features)
+        fitted = from_json(to_json(fitted))
         feature_coefficients(fitted)
         evaluate(fitted, [0.25])
         evaluate_many(fitted, [[0.25], [0.5], [1.0]])

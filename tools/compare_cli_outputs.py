@@ -16,7 +16,12 @@ values only (same header, same row count) is summarised per column: the
 largest relative and absolute differences of each numeric column that
 differs, and the names of the identical columns.  A JSON file whose two
 documents have the same shape is summarised the same way per key, the
-items of a list sharing the key of the list.
+items of a list sharing the key of the list.  It also prints each step's
+peak RSS in both trees, which does not change the exit status: a small
+launcher process (this script, run with ``--serve``) starts the steps and
+reads each one's ``ru_maxrss`` with ``os.wait4``, so no step inherits the
+resident set of this process, which has loaded numpy; a step still reads
+at least the launcher's own, about 15 MiB.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,17 +75,42 @@ def malformed(work: Path) -> list:
 
 
 def run(steps, src: Path, work: Path) -> list:
-    """``(args, exit code, stderr, stdout)`` of each invocation, run in ``work``
-    with ``src`` on ``PYTHONPATH``."""
+    """``(args, exit code, stderr, stdout, peak RSS in KiB)`` of each invocation,
+    run in ``work`` with ``src`` on ``PYTHONPATH`` by one launcher process."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_VARS})
     results = []
-    for args in steps:
-        done = subprocess.run([sys.executable, "-m", "mkinterp.cli", *args], cwd=work, env=env,
-                              stdin=subprocess.DEVNULL, capture_output=True, text=True)
-        masked = [text.replace(str(src), "<src>").replace(str(work), "<work>")
-                  for text in (done.stderr, done.stdout)]
-        results.append((args, done.returncode, *masked))
+    with subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--serve"], cwd=work,
+                          env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as launcher:
+        for args in steps:
+            launcher.stdin.write(json.dumps([sys.executable, "-m", "mkinterp.cli", *args]) + "\n")
+            launcher.stdin.flush()
+            code, stderr, stdout, maxrss_kb = json.loads(launcher.stdout.readline())
+            masked = [text.replace(str(src), "<src>").replace(str(work), "<work>")
+                      for text in (stderr, stdout)]
+            results.append((args, code, *masked, maxrss_kb))
     return results
+
+
+def serve() -> int:
+    """The launcher: for each JSON argv on stdin, run it and answer with one
+    JSON line ``[exit code, stderr, stdout, ru_maxrss in KiB]``.  The pipes
+    are read on threads, so a full pipe cannot block the child."""
+    for line in sys.stdin:
+        with subprocess.Popen(json.loads(line), stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as child:
+            texts = {}
+            readers = [threading.Thread(target=lambda name=name: texts.update(
+                {name: getattr(child, name).read()})) for name in ("stderr", "stdout")]
+            for reader in readers:
+                reader.start()
+            _, status, usage = os.wait4(child.pid, 0)
+            for reader in readers:
+                reader.join()
+            child.returncode = os.waitstatus_to_exitcode(status)
+        print(json.dumps([child.returncode, texts["stderr"], texts["stdout"], usage.ru_maxrss]),
+              flush=True)
+    return 0
 
 
 def _difference(a: str, b: str) -> tuple:
@@ -156,7 +187,8 @@ def json_keys(parent: bytes, change: bytes):
 
 
 def differences(name, parent, change) -> list:
-    """Lines naming each step and file in which two runs of a workload differ."""
+    """Lines naming each step and file in which two runs of a workload differ;
+    a step's peak RSS, if given, is not compared."""
     (parent_steps, parent_dir), (change_steps, change_dir) = parent, change
     found = []
     for (args, code_a, *texts_a), (_, code_b, *texts_b) in zip(parent_steps, change_steps):
@@ -210,6 +242,9 @@ def main(argv=None) -> int:
             print(f"{name}: {len(runs[0][0])} steps, "
                   f"{sum(1 for p in runs[0][1].rglob('*') if p.is_file())} files, "
                   f"{'identical' if not diff else f'{len(diff)} differences'}")
+            for (step, *_, parent_kb), (*_, change_kb) in zip(runs[0][0], runs[1][0]):
+                print(f"{name}: mkinterp {' '.join(step)}: peak RSS "
+                      f"{parent_kb / 1024:.2f} -> {change_kb / 1024:.2f} MiB")
             found += diff
     for line in found:
         print(line)
@@ -217,4 +252,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(serve() if sys.argv[1:] == ["--serve"] else main())
