@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count as _naturals, islice, product as _cartesian
-from math import ceil
+from itertools import chain, combinations
+from math import ceil, comb
 
 import numpy as np
 
@@ -101,42 +101,43 @@ def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _compositions(total, parts):
-    """Weak compositions of `total` into `parts`, decreasing-lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _graded(dim):
-    """Weak compositions into `dim` parts by increasing total, each total
-    in the order of :func:`_compositions`; a lazy, endless stream."""
-    return chain.from_iterable(_compositions(total, dim) for total in _naturals())
+def _graded(dim, count, size) -> np.ndarray:
+    """Weak compositions into `dim` parts, (M, dim), by increasing total, each
+    total in decreasing-lex order, up to the first total at which the sum of
+    ``size(total)`` reaches ``ceil(count)``: the bar positions of one
+    ``combinations`` (a slack part last), reversed, stably sorted by total."""
+    top, have = -1, 0
+    while have < ceil(count):
+        top, have = top + 1, have + size(top + 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(top + dim), dim)), int,
+                       comb(top + dim, dim) * dim).reshape(-1, dim)
+    parts = np.diff(bars[::-1], axis=1, prepend=-1, append=top + dim) - 1
+    return parts[np.argsort(-parts[:, -1], kind="stable"), :-1]
 
 
 def graded_multi_indices(dim: int, count: int) -> np.ndarray:
     """First `count` multi-indices in graded lexicographic order, (count, dim);
     ``ceil(count)`` of them for a fractional count, none below 1."""
-    indices = list(islice(_graded(dim), max(0, ceil(count))))
-    return np.asarray(indices, int).reshape(-1, dim)
+    return _graded(dim, count, lambda total: comb(total + dim - 1, dim - 1))[:max(0, ceil(count))]
 
 
 def _trig_indices(dim, count):
     """Frequency/kind tables, each (count, dim), of the tensorized trigonometric
     family: the multi-indices of :func:`_graded` in turn, each expanded into
     every choice of cosine or sine per nonzero frequency, cosine first and the
-    first coordinate slowest; `count` as in :func:`graded_multi_indices`.
+    first coordinate slowest (choice s of r takes the sine at the i-th nonzero
+    frequency if bit r-1-i of s is set); `count` as in :func:`graded_multi_indices`.
 
     Kinds: 0 = constant, 1 = cos(pi*j*x), 2 = sin(pi*j*x).
     """
-    terms = chain.from_iterable(
-        _cartesian(*[[(f, 1), (f, 2)] if f else [(0, 0)] for f in alpha])
-        for alpha in _graded(dim))
-    table = np.asarray(list(islice(terms, max(0, ceil(count)))), int).reshape(-1, dim, 2)
-    return table[..., 0], table[..., 1]
+    alpha = _graded(dim, count, lambda total: sum(  # r nonzero parts, 2**r choices each
+        comb(dim, r) * comb(total - 1, r - 1) << r for r in range(1, dim + 1)) if total else 1)
+    nonzero = alpha != 0
+    choices = 1 << nonzero.sum(axis=1)
+    rows = np.repeat(np.arange(len(alpha)), choices)[:max(0, ceil(count))]
+    s = np.arange(rows.size) - (np.cumsum(choices) - choices)[rows]
+    later = nonzero.sum(axis=1, keepdims=True) - np.cumsum(nonzero, axis=1)  # nonzeros after j
+    return alpha[rows], np.where(nonzero[rows], 1 + (s[:, None] >> later[rows] & 1), 0)
 
 
 def _distinct(values: np.ndarray) -> tuple:
@@ -277,18 +278,22 @@ class FeatureModel:
         indices, the features have P distinct prefixes.  Returns the (P, d-1)
         array of prefixes in order of first appearance, the place of each
         feature in a (J_d, P) matrix (its last index, its prefix) and that
-        matrix's shape.  Distinct features take distinct places.  Plain
-        Python, for the reason :func:`_distinct` gives.  Last comes the number
-        of values a block holds per point: its factor tables, S and one
-        gathered (B, P) temporary.
+        matrix's shape.  Distinct features take distinct places.  A feature's
+        prefix is one integer key, extended a column at a time and numbered
+        below K by :func:`_distinct`.  Last comes the number of values a block
+        holds per point: its factor tables, S and one gathered (B, P) temporary.
         """
         gathers = np.stack([factors[-1] for factors in self.coordinate_factors], axis=1)
-        ids = {}
-        prefix_of = [ids.setdefault(tuple(g[:-1]), len(ids)) for g in gathers.tolist()]
-        prefixes = np.array(list(ids), dtype=int).reshape(len(ids), self.domain.dim - 1)
         widths = [_table(self, j, np.empty(0)).shape[1] for j in range(self.domain.dim)]
-        return (prefixes, (gathers[:, -1], np.array(prefix_of)), (widths[-1], len(ids)),
-                sum(widths) + 2 * len(ids))
+        key = np.zeros(len(gathers), dtype=np.int64)
+        for column, width in zip(gathers.T[:-1], widths):
+            key = _distinct(key * width + column)[1]
+        first = np.full(key.max() + 1, len(key))
+        np.minimum.at(first, key, np.arange(len(key)))
+        seen = np.argsort(first)  # the prefixes in order of first appearance
+        rank = np.argsort(seen)
+        return (gathers[first[seen], :-1], (gathers[:, -1], rank[key]), (widths[-1], seen.size),
+                sum(widths) + 2 * seen.size)
 
 
 def point_blocks(model: FeatureModel, count: int, width: int | None = None) -> list:
@@ -374,14 +379,7 @@ def _grid_axes(X: np.ndarray):
     """``(axes, order)`` with X, bit for bit, the tensor grid of the values
     ``axes[j]`` of each coordinate j, nested with coordinate ``order[0]``
     slowest and ``order[-1]`` fastest (row-major: ``order`` is 0, ..., d-1),
-    or None.
-
-    Coordinate j's stride is the first row at which its column changes,
-    found by one comparison of the whole column with its first entry; the
-    grid those strides imply is then compared with X once.  So the test is
-    O(N d), with no sort.  An axis whose first two values are equal has no
-    stride of its own and fails.
-    """
+    or None; O(N d) comparisons, no sort (the README gives the strides)."""
     bits, dim = X.view(np.int64), X.shape[1]
     changes = [column != column[0] for column in bits.T]
     strides = [int(change.argmax()) if change.any() else change.size for change in changes]
@@ -408,12 +406,9 @@ def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
     not such a grid, an axis value outside the box, a table entry that is
     not finite, or an axis so long that its tables would outgrow a block.
 
-    Each axis is tabulated once: ``A_j = T_j[:, prefixes[:, j]]`` for j < d-1
-    and ``A_{d-1} = T_{d-1} @ C``.  The sums are ``(A_0 * ... * A_{d-2}) @
-    A_{d-1}^T``, the first factor a row-wise (Khatri-Rao) product, formed
-    over the :func:`point_blocks` of its rows and written into the result in
-    place, in coordinate order; they are then transposed into the grid's
-    order, a view for a row-major grid.
+    With ``A_j = T_j[:, prefixes[:, j]]`` for j < d-1 and ``A_{d-1} =
+    T_{d-1} @ C``, the sums are ``(A_0 * ... * A_{d-2}) @ A_{d-1}^T`` (a
+    row-wise product first), over :func:`point_blocks`, in coordinate order.
     """
     dim = model.domain.dim
     found = _grid_axes(X) if dim > 1 and X.shape[0] and X.shape[1] == dim else None

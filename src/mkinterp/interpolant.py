@@ -1,15 +1,13 @@
-"""Interpolant construction, evaluation, Banach norms, and duality maps.
+"""Node sets, interpolant construction, evaluation, Banach norms, and duality maps.
 
 A fitted interpolant of even order m expands in the feature basis as
-``s_m = sum_k alpha_k phi_k`` with ``alpha_k = (v_k . c)^{m-1}``, which is
-mathematically identical to the tensor-basis form ``B_m(x) c^{m-1}`` but
-costs O(K) per evaluation from the K numbers ``t_k = v_k . c`` that an
-:class:`Interpolant` holds.  Neither direction of the sum factorization
-forms a feature array: ``t`` is its transpose at the nodes, O(n ((d-1) P +
-J_d P)) work with no n x K array, and :func:`evaluate_many` contracts the
-factor tables with ``sqrt(w) alpha``, with no (N, K) array.  Its norm with
-exponent ``p = m/(m-1)`` equals ``(A_m c^m)^{1-1/m}``; both routes are
-exposed so the identity can be checked numerically.
+``s_m = sum_k alpha_k phi_k`` with ``alpha_k = (v_k . c)^{m-1}``, the
+tensor-basis form ``B_m(x) c^{m-1}`` at O(K) per evaluation from the K
+numbers ``t_k = v_k . c`` that an :class:`Interpolant` holds; ``t`` and the
+evaluation are the two directions of the sum factorization, and neither
+forms a feature array.  Its norm with exponent ``p = m/(m-1)`` equals
+``(A_m c^m)^{1-1/m}``; both routes are exposed so the identity can be
+checked.  A :class:`NodeSet` finds coincident nodes by sort-and-sweep.
 """
 
 from __future__ import annotations
@@ -36,42 +34,49 @@ if TYPE_CHECKING:  # the solver is imported by the first fit, not by evaluation
 
 MIN_NODE_SEPARATION = 1e-12
 
-# The node pair scan holds temporaries of at most this many doubles (128 KiB).
-SCAN_VALUES = 1 << 14
+
+def _sweep_direction(dim: int) -> np.ndarray:
+    """``u_j`` in proportion to ``1 / (j + sqrt 2)``, no two in a rational
+    ratio; ``||u||_1 = 1/4``, so projections of finite points and their
+    differences cannot overflow."""
+    u = 1.0 / (np.arange(1, dim + 1) + np.sqrt(2.0))
+    return u / (4 * u.sum())
 
 
-def _nearest_later(pts: np.ndarray, start: int, stop: int) -> tuple:
-    """For rows ``start <= i < stop``: the least squared distance to a row
-    j > i, or the first NaN one, and that j.  Sums one coordinate at a time."""
-    block = pts[start:stop]
-    dist_sq = np.zeros((block.shape[0], pts.shape[0] - start - 1))
-    diff = np.empty_like(dist_sq)
-    for j in range(pts.shape[1]):
-        np.subtract(pts[start + 1:, j], block[:, j, None], out=diff)
-        dist_sq += np.multiply(diff, diff, out=diff)
-    dist_sq[np.arange(dist_sq.shape[1]) < np.arange(block.shape[0])[:, None]] = np.inf  # j <= i
-    cols = np.argmin(dist_sq, axis=1)
-    return dist_sq[np.arange(block.shape[0]), cols], start + 1 + cols
+def _coincident_pair(pts: np.ndarray) -> tuple:
+    """Squared distance and ``(i, j)``, i < j, of the first closest pair of
+    finite rows if within ``MIN_NODE_SEPARATION``, else ``(inf, None)``.
 
-
-def _closest_pair(pts: np.ndarray) -> tuple:
-    """Squared distance and ``(i, j)``, i < j, of the first closest pair of rows.
-
-    Scans blocks of rows, each temporary at most ``SCAN_VALUES`` doubles.  A
-    row with a NaN distance counts for nothing, and an overflowed distance
-    is inf; ``(inf, None)`` if no pair is left.
+    Sort and sweep on :func:`_sweep_direction`: each row is compared with the
+    later rows whose projections lie within its window, ``MIN_NODE_SEPARATION
+    * ||u||_2`` plus its rounding bound, k places apart at once for k = 1, 2,
+    ... while any window holds one; O(n log n) for scattered rows, O(n) memory.
     """
-    n = pts.shape[0]
-    step = max(1, SCAN_VALUES // max(n, 1))
-    closest_sq, pair = np.inf, None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n - 1, step):
-            best, nearest = _nearest_later(pts, start, min(start + step, n - 1))
-            best[np.isnan(best)] = np.inf
-            r = int(np.argmin(best))
-            if best[r] < closest_sq:
-                closest_sq, pair = float(best[r]), (start + r, int(nearest[r]))
-    return closest_sq, pair
+    n, dim = pts.shape
+    u = _sweep_direction(dim)
+    slack = 4 * (dim + 2) * np.finfo(float).eps  # relative rounding of projections, distances
+    projections = pts @ u
+    order = np.argsort(projections, kind="stable")
+    ordered = projections[order]
+    window = (1 + slack) * (MIN_NODE_SEPARATION * np.linalg.norm(u)
+                            + 2 * slack * (abs(pts) @ u)[order])
+    reach = np.searchsorted(ordered, ordered + window, side="right") - np.arange(1, n + 1)
+    active, best = np.flatnonzero(reach), (np.inf, n, n)
+    for k in range(1, n):
+        active = active[reach[active] >= k]
+        if not active.size:
+            break
+        a, b = order[active], order[active + k]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        dist_sq = np.zeros(active.size)
+        with np.errstate(over="ignore"):
+            for column in (pts[j] - pts[i]).T:
+                dist_sq += column * column
+        first = np.lexsort((j, i, dist_sq))[0]
+        best = min(best, (float(dist_sq[first]), int(i[first]), int(j[first])))
+    if not np.sqrt(best[0]) <= MIN_NODE_SEPARATION:
+        return np.inf, None
+    return best[0], best[1:]
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,10 @@ class NodeSet:
             raise DimensionMismatch("values must be one per point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-        closest_sq, pair = _closest_pair(pts)
-        if np.sqrt(closest_sq) <= MIN_NODE_SEPARATION:
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
+            raise ValueError("nodes and values must be finite")
+        pair = _coincident_pair(pts)[1]
+        if pair:
             raise DuplicateNodes(*pair)
 
     @property
@@ -270,8 +277,6 @@ def from_json(text: str) -> Interpolant:
     nodes = NodeSet(np.asarray(doc["nodes"], float), np.asarray(doc["values"], float))
     order = require_even_order(doc["order"])
     coefficients = np.asarray(doc["coefficients"], dtype=float)
-    if not (np.all(np.isfinite(nodes.points)) and np.all(np.isfinite(nodes.values))):
-        raise ValueError("nodes and values must be finite")
     if coefficients.shape != (nodes.n,) or not np.all(np.isfinite(coefficients)):
         raise ValueError(f"coefficients must be {nodes.n} finite numbers, one per node")
     if nodes.n == 0:

@@ -7,7 +7,8 @@ P_2 through ``A_2^{-1}``, a grid search for P_m, a Newton for P_m
 polished in long double, the dual pairing as a dot product, a fit started
 from c = 0 rather than from the package's l2 start, and sampling checks
 that can falsify (never certify) the monotonicity and semi-definiteness
-of the tensor, and a row-by-row read of the CLI's CSV input.  The package
+of the tensor, a row-by-row read of the CLI's CSV input, the graded index
+tables enumerated by generators and the sum plan grouped by a dict.  The package
 computes each of these
 quantities by one route only; these are the second routes the tests hold
 it to.  The summability diagnostic of a truncation lives here too, since
@@ -18,13 +19,14 @@ import csv
 import math
 import string
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import chain, count as _naturals, islice, product as _cartesian
 
 import numpy as np
 
 from mkinterp.commands import CliInputError
 from mkinterp.exceptions import DimensionMismatch
-from mkinterp.features import FeatureModel, eval_features, point_blocks, require_even_order
+from mkinterp.features import (FeatureModel, _table, eval_features, point_blocks,
+                               require_even_order)
 from mkinterp.interpolant import Interpolant, NodeSet
 from mkinterp.solver import SolveReport, _minimize_even_power
 from mkinterp.tensors import FeatureGram, contract_m, contract_m_minus_1
@@ -373,3 +375,46 @@ def _scan(path: str, width: int):
                 raise CliInputError(f"{path}:{lineno}: non-finite field")
             table.append(nums)
     return np.array(table, dtype=float).reshape(len(table), width)
+
+
+def _compositions(total, parts):
+    """Weak compositions of `total` into `parts`, decreasing-lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _graded(dim):
+    """Weak compositions into `dim` parts by increasing total, each total
+    in the order of :func:`_compositions`; a lazy, endless stream."""
+    return chain.from_iterable(_compositions(total, dim) for total in _naturals())
+
+
+def graded_multi_indices(dim: int, count) -> np.ndarray:
+    """``features.graded_multi_indices`` by generators, one index at a time."""
+    indices = list(islice(_graded(dim), max(0, math.ceil(count))))
+    return np.asarray(indices, int).reshape(-1, dim)
+
+
+def trig_indices(dim: int, count) -> tuple:
+    """``features._trig_indices`` by generators: each multi-index of
+    :func:`_graded` expanded by ``itertools.product`` of its cosine/sine choices."""
+    terms = chain.from_iterable(
+        _cartesian(*[[(f, 1), (f, 2)] if f else [(0, 0)] for f in alpha])
+        for alpha in _graded(dim))
+    table = np.asarray(list(islice(terms, max(0, math.ceil(count)))), int).reshape(-1, dim, 2)
+    return table[..., 0], table[..., 1]
+
+
+def sum_plan(model: FeatureModel) -> tuple:
+    """``FeatureModel._sum_plan`` with the prefixes numbered by a dict of tuples."""
+    gathers = np.stack([factors[-1] for factors in model.coordinate_factors], axis=1)
+    ids = {}
+    prefix_of = [ids.setdefault(tuple(g[:-1]), len(ids)) for g in gathers.tolist()]
+    prefixes = np.array(list(ids), dtype=int).reshape(len(ids), model.domain.dim - 1)
+    widths = [_table(model, j, np.empty(0)).shape[1] for j in range(model.domain.dim)]
+    return (prefixes, (gathers[:, -1], np.array(prefix_of)), (widths[-1], len(ids)),
+            sum(widths) + 2 * len(ids))

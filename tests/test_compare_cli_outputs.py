@@ -56,12 +56,15 @@ def test_malformed_inputs_of_a_tree_match_its_own(tmp_path):
         runs.append((compare.run(compare.malformed(work), src, work), work))
     assert [args for args, *_ in runs[0][0]] == [args for *_, args in compare.MALFORMED]
     assert compare.differences("w", *runs) == []
-    codes = {args[1] if args[0] == "fit" else args[3]: (code, err)
-             for args, code, err, *_ in runs[0][0]}
+    codes = {name: (code, err) for (name, *_), (_, code, err, *_) in zip(compare.MALFORMED,
+                                                                          runs[0][0])}
     assert codes["m_good.csv"] == codes["m_quoted.csv"] == (0, "")
     assert codes["m_late.csv"] == (2, "error: m_late.csv:2050: expected 1 fields\n")
     assert codes["m_nan.csv"] == (2, "error: m_nan.csv:3: non-finite field\n")
     assert codes["m_overlong.csv"][0] == codes["m_utf8.csv"][0] == 2
+    assert codes["m_close.json"] == (2, "error: nodes 0 and 1 coincide\n")
+    assert codes["m_nan_node.json"] == (2, "error: nodes and values must be finite\n")
+    assert codes["m_dup.csv"] == (2, "error: duplicate points at rows 2 and 4\n")
 
 
 @pytest.fixture
@@ -96,7 +99,8 @@ def test_peak_rss_of_each_step_is_printed(monkeypatch, capsys):
     assert len(lines) == 2 * per_workload
     for name, block in zip(["eval_grid", "fit_large"],
                            [lines[:per_workload], lines[per_workload:]]):
-        assert block[0].startswith(f"{name}: 6 steps, ") and block[0].endswith(", identical")
+        assert block[0].startswith(f"{name}: {len(compare.MALFORMED)} steps, ")
+        assert block[0].endswith(", identical")
         for line, (*_, args) in zip(block[1:], compare.MALFORMED):
             prefix = f"{name}: mkinterp {' '.join(args)}: peak RSS "
             assert line.startswith(prefix), line

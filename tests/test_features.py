@@ -18,6 +18,7 @@ from mkinterp import (
 )
 from mkinterp import features
 from mkinterp.features import BLOCK_VALUES, point_blocks
+import oracles
 from oracles import check_summability, eval_kernel2, eval_multikernel
 
 BOX = Domain([-1.0], [1.0])
@@ -129,6 +130,63 @@ class TestGradedIndices:
     def test_bad_truncation_message(self, family, truncation, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             getattr(FeatureModel, family)(Domain([-1.0, -1.0], [1.0, 1.0]), truncation)
+
+
+ORACLE_COUNTS = [0, 1, 2, 7, 8.0, 8.5, 20, 81, 120, 800, 3000]
+
+
+def assert_identical(got, expected):
+    """Equal nested tuples of arrays and numbers: same types, dtypes, shapes and entries."""
+    assert type(got) is type(expected)
+    if isinstance(expected, tuple):
+        assert len(got) == len(expected)
+        for part, reference in zip(got, expected):
+            assert_identical(part, reference)
+    elif isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("count", ORACLE_COUNTS)
+class TestEnumerationMatchesTheGenerators:
+    """The array enumeration and the sum plan equal the references in
+    ``oracles`` (generators, a dict of tuples) bit for bit."""
+
+    @staticmethod
+    def model(family, dim, count):
+        """The model of `count` features, or None where the constructor must
+        refuse it; unit weights, which cannot underflow at K = 3000."""
+        build = getattr(FeatureModel, family)
+        box = Domain([-1.0] * dim, [1.0] * dim)
+        if count >= 1 and float(count).is_integer():
+            return build(box, count, decay=1.0)
+        with pytest.raises(ValueError):
+            build(box, count, decay=1.0)
+        return None
+
+    def test_graded_multi_indices(self, dim, count):
+        assert_identical(graded_multi_indices(dim, count), oracles.graded_multi_indices(dim, count))
+
+    def test_power_exponents(self, dim, count):
+        model = self.model("power_series", dim, count)
+        if model is not None:
+            assert_identical(model.exponents, oracles.graded_multi_indices(dim, count))
+
+    def test_trig_frequencies_and_kinds(self, dim, count):
+        expected = oracles.trig_indices(dim, count)
+        assert_identical(features._trig_indices(dim, count), expected)
+        model = self.model("trigonometric", dim, count)
+        if model is not None:
+            assert_identical((model.frequencies, model.trig_kinds), expected)
+
+    @pytest.mark.parametrize("family", ["power_series", "trigonometric"])
+    def test_sum_plan(self, family, dim, count):
+        model = self.model(family, dim, count)
+        if model is not None:
+            assert_identical(model._sum_plan, oracles.sum_plan(model))
 
 
 class TestEvalFeatures:

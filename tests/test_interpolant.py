@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -92,19 +93,18 @@ class TestNodeSet:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["points", "values"])
+    def test_non_finite_nodes_or_values_rejected(self, bad, where):
+        data = {"points": np.array([[0.0], [0.5], [1.0]]), "values": np.zeros(3)}
+        data[where][-1] = bad
+        with pytest.raises(ValueError, match="^nodes and values must be finite$"):
+            NodeSet(**data)
 
-    def test_duplicate_scan_temporaries_stay_within_their_cap(self):
-        # a (rows, n) block of squared distances and one of differences, each
-        # at most SCAN_VALUES doubles, plus numpy's own buffers
-        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(400, 3))
-        NodeSet(pts, np.zeros(400))
-        tracemalloc.start()
-        try:
-            NodeSet(pts, np.zeros(400))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 8 * interpolant.SCAN_VALUES
+    def test_non_finite_row_is_refused_before_the_pair_it_hides(self):
+        # rows 0 and 1 coincide; the NaN row must not mask them or be accepted
+        with pytest.raises(ValueError, match="^nodes and values must be finite$"):
+            NodeSet(np.array([[0.0], [1e-13], [np.nan]]), np.zeros(3))
 
 
 def loop_closest_pair(pts):
@@ -119,26 +119,116 @@ def loop_closest_pair(pts):
     return closest_sq, pair
 
 
-class TestClosestPairScan:
-    """The block scan reports the pair the one-row loop reports."""
+def loop_coincident_pair(pts):
+    """:func:`loop_closest_pair`, kept only if its rows lie within 1e-12."""
+    closest_sq, pair = loop_closest_pair(pts)
+    return (closest_sq, pair) if np.sqrt(closest_sq) <= 1e-12 else (np.inf, None)
 
-    @pytest.mark.parametrize("scan_values", [1, 5, 64, 1 << 14])
-    def test_ties_match_the_loop_across_blocks(self, scan_values, monkeypatch):
-        monkeypatch.setattr(interpolant, "SCAN_VALUES", scan_values)
-        rng = np.random.default_rng(scan_values)
+
+def plane_orthogonal_to_the_sweep(n, seed):
+    """n 3-d nodes on the plane through 0 orthogonal to the sweep direction u."""
+    u = interpolant._sweep_direction(3)
+    first = np.cross(u, [1.0, 0.0, 0.0])
+    second = np.cross(u, first)
+    basis = np.stack([first / np.linalg.norm(first), second / np.linalg.norm(second)])
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2)) @ basis
+
+
+class TestClosestPairScan:
+    """The sort-and-sweep reports the pair the one-row loop reports, if that
+    pair lies within 1e-12, with the same squared distance; else none."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 64, 1 << 14])
+    def test_duplicate_rich_trials_match_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
         for trial in range(60):
             n, d = int(rng.integers(0, 40)), int(rng.integers(1, 5))
             pts = rng.integers(0, 3, size=(n, d)).astype(float)  # many equal distances
-            if trial % 3 == 1 and n:
-                pts.flat[rng.integers(0, pts.size, 2)] = [np.nan, np.inf]
-            elif trial % 3 == 2:
+            if trial % 2:
                 pts *= 1e200  # squared distances overflow
-            assert interpolant._closest_pair(pts) == loop_closest_pair(pts)
+            assert interpolant._coincident_pair(pts) == loop_coincident_pair(pts)
 
-    def test_duplicates_straddling_a_block_boundary(self, monkeypatch):
-        monkeypatch.setattr(interpolant, "SCAN_VALUES", 24)  # 3 rows per block at n = 8
+    @pytest.mark.parametrize("gap", [3e-13, 9e-13, 1.1e-12, 5e-12])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e6, 1e200])
+    def test_near_pairs_match_the_loop(self, gap, magnitude):
+        rng = np.random.default_rng(int(gap * 1e15) + int(np.log10(magnitude)))
+        hits = 0
+        for _ in range(20):
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+            pts = rng.uniform(-magnitude, magnitude, size=(n, d))
+            base = rng.integers(0, n, size=3)
+            # pairs gap apart near a node of the set and near the origin
+            step = rng.standard_normal((3, d))
+            step *= gap / np.linalg.norm(step, axis=1, keepdims=True)
+            origin = rng.uniform(-1.0, 1.0, (1, d)) + [[0.0], [1.0]] * step[0]
+            extra = np.vstack([pts[base] + step, origin])
+            pts = rng.permutation(np.vstack([pts, extra]))
+            found = interpolant._coincident_pair(pts)
+            assert found == loop_coincident_pair(pts)
+            hits += found[1] is not None
+        if gap < 1e-12:
+            assert hits == 20  # each trial holds such a pair near the origin
+
+    def test_box_near_the_largest_double(self):
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-1.0, 1.0, size=(200, 3)) * 1.7e308
+        pts[150] = pts[20]
+        pts[[60, 90]] = [np.full(3, 1.7e308), np.full(3, -1.7e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = interpolant._coincident_pair(pts)
+            with pytest.raises(DuplicateNodes) as exc:
+                NodeSet(pts, np.zeros(200))
+        assert found == loop_coincident_pair(pts) == (0.0, (20, 150))
+        assert exc.value.pair == (20, 150)
+
+    def test_plane_orthogonal_to_the_direction_matches_the_loop(self):
+        # every pair falls in the window: the sweep runs through all offsets
+        pts = plane_orthogonal_to_the_sweep(120, seed=3)
+        pts[[30, 80]] = pts[[100, 5]] + 4e-13
+        assert interpolant._coincident_pair(pts) == loop_coincident_pair(pts)
+        assert loop_coincident_pair(pts)[1] == (5, 80)
+
+    def test_plane_orthogonal_to_the_direction_keeps_memory_linear(self):
+        peaks = []
+        for n in (200, 800):
+            pts = plane_orthogonal_to_the_sweep(n, seed=n)
+            tracemalloc.start()
+            try:
+                assert interpolant._coincident_pair(pts) == (np.inf, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 40 * 8 * 800  # a few dozen doubles per node, not n per node
+        assert peaks[1] < 6 * peaks[0]
+
+    def test_pair_projected_apart_by_rounding_alone(self):
+        # near |x| = 1e5 a projection rounds by about 1e-12, so two nodes
+        # 9e-13 apart can project further apart than 1e-12 * ||u||_2
+        u, rng = interpolant._sweep_direction(3), np.random.default_rng(5)
+        for _ in range(1000):
+            pts = rng.uniform(-1.0, 1.0, size=(50, 3))
+            pts[40, 0] = rng.uniform(5e4, 1e5)
+            pts[45] = pts[40] + [0.0, 9e-13, 0.0]
+            projections = pts @ u
+            if abs(projections[45] - projections[40]) > 2e-12 * np.linalg.norm(u):
+                break
+        assert interpolant._coincident_pair(pts) == loop_coincident_pair(pts)
+        assert loop_coincident_pair(pts)[1] == (40, 45)
+
+    def test_a_far_node_leaves_the_other_windows_narrow(self):
+        # each row's window grows with its own magnitude only: one node at
+        # 1e200 must not send the sweep through all n offsets (about 3 ms
+        # here; one window as wide as the widest takes about a minute)
+        pts = np.random.default_rng(11).uniform(-1.0, 1.0, size=(20_000, 3))
+        pts[[5000, 17]] = [[1e200, 0.0, 0.0], pts[19_000]]
+        start = time.perf_counter()
+        assert interpolant._coincident_pair(pts) == (0.0, (17, 19_000))
+        assert time.perf_counter() - start < 1.0
+
+    def test_duplicates_far_apart_in_input_order(self):
         pts = np.arange(8.0)[:, None] * np.array([[1.0, 2.0]])
-        pts[5] = pts[2]  # rows 2 and 5 fall in different blocks
+        pts[5] = pts[2]
         pts[7] = pts[4]
         with pytest.raises(DuplicateNodes) as exc:
             NodeSet(pts, np.zeros(8))

@@ -44,6 +44,15 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 USAGE = [["--help"], *([command, "--help"] for command in ("fit", "eval", "power", "study")),
          ["fit", "--out", "m.json"], ["eval", "--out", "v.csv"], ["power", "--out", "p.csv"],
          ["study"]]
+
+
+def _model_file(nodes: bytes) -> bytes:
+    """A 1-d ``power`` model file of two nodes, ``nodes`` its JSON member."""
+    return (b'{"family": "power", "domain": {"lower": [-1.0], "upper": [1.0]}, "truncation": 2, '
+            b'"weights": [1.0, 1.0], "order": 4, "nodes": ' + nodes
+            + b', "values": [1.0, 2.0], "coefficients": [1.0, 1.0]}')
+
+
 # (file, bytes, invocation): each file is written into the workload's
 # directory and read by its invocation.  The first gives `eval` a model.
 MALFORMED = [
@@ -55,6 +64,11 @@ MALFORMED = [
     ("m_overlong.csv", b"x1\n0.5\n" + b"0" * csv.field_size_limit() + b"1\n",
      ["eval", "m_good.json", "--points", "m_overlong.csv", "--out", "m_overlong_v.csv"]),
     ("m_utf8.csv", b"x1,y\n0,1\n0.\xff5,2\n", ["fit", "m_utf8.csv", "--out", "m_utf8.json"]),
+    ("m_close.json", _model_file(b"[[0.0], [1e-13]]"),
+     ["eval", "m_close.json", "--grid", "3", "--out", "m_close_v.csv"]),
+    ("m_nan_node.json", _model_file(b"[[0.0], [NaN]]"),
+     ["eval", "m_nan_node.json", "--grid", "3", "--out", "m_nan_node_v.csv"]),
+    ("m_dup.csv", b"x1,y\n0,1\n0.5,2\n0,3\n", ["fit", "m_dup.csv", "--out", "m_dup.json"]),
 ]
 
 
