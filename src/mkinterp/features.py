@@ -11,11 +11,10 @@ This module builds the models and evaluates the features, and the sums
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from math import ceil, comb
+from math import comb
 
 import numpy as np
 
@@ -73,10 +72,6 @@ class Domain:
             axis=-1,
         )
 
-    def project(self, x) -> np.ndarray:
-        """Validate a point (d,) or points (N, d) and clamp those near a face onto it."""
-        return np.clip(self._checked(x), self.lower, self.upper)
-
     def _checked(self, x) -> np.ndarray:
         """``x`` as a float array; PointOutsideDomain at the first point outside."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -104,10 +99,9 @@ def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
 def _graded(dim, count, size) -> np.ndarray:
     """Weak compositions into `dim` parts, (M, dim), by increasing total, each
     total in decreasing-lex order, up to the first total at which the sum of
-    ``size(total)`` reaches ``ceil(count)``: the bar positions of one
-    ``combinations`` (a slack part last), reversed, stably sorted by total."""
+    ``size(total)`` reaches the int `count`."""
     top, have = -1, 0
-    while have < ceil(count):
+    while have < count:
         top, have = top + 1, have + size(top + 1)
     bars = np.fromiter(chain.from_iterable(combinations(range(top + dim), dim)), int,
                        comb(top + dim, dim) * dim).reshape(-1, dim)
@@ -116,17 +110,19 @@ def _graded(dim, count, size) -> np.ndarray:
 
 
 def graded_multi_indices(dim: int, count: int) -> np.ndarray:
-    """First `count` multi-indices in graded lexicographic order, (count, dim);
-    ``ceil(count)`` of them for a fractional count, none below 1."""
-    return _graded(dim, count, lambda total: comb(total + dim - 1, dim - 1))[:max(0, ceil(count))]
+    """First `count` multi-indices in graded lexicographic order, (count, dim):
+    none for a count below 1; a count that is no integer (see :func:`_integer`)
+    is refused."""
+    count = _integer("count", count)
+    return _graded(dim, count, lambda total: comb(total + dim - 1, dim - 1))[:max(0, count)]
 
 
 def _trig_indices(dim, count):
-    """Frequency/kind tables, each (count, dim), of the tensorized trigonometric
-    family: the multi-indices of :func:`_graded` in turn, each expanded into
-    every choice of cosine or sine per nonzero frequency, cosine first and the
-    first coordinate slowest (choice s of r takes the sine at the i-th nonzero
-    frequency if bit r-1-i of s is set); `count` as in :func:`graded_multi_indices`.
+    """Frequency/kind tables, each (count, dim) for an int `count`, of the
+    tensorized trigonometric family: the multi-indices of :func:`_graded` in
+    turn, each expanded into every choice of cosine or sine per nonzero
+    frequency, cosine first and the first coordinate slowest (choice s of r
+    takes the sine at the i-th nonzero frequency if bit r-1-i of s is set).
 
     Kinds: 0 = constant, 1 = cos(pi*j*x), 2 = sin(pi*j*x).
     """
@@ -134,19 +130,16 @@ def _trig_indices(dim, count):
         comb(dim, r) * comb(total - 1, r - 1) << r for r in range(1, dim + 1)) if total else 1)
     nonzero = alpha != 0
     choices = 1 << nonzero.sum(axis=1)
-    rows = np.repeat(np.arange(len(alpha)), choices)[:max(0, ceil(count))]
+    rows = np.repeat(np.arange(len(alpha)), choices)[:max(0, count)]
     s = np.arange(rows.size) - (np.cumsum(choices) - choices)[rows]
     later = nonzero.sum(axis=1, keepdims=True) - np.cumsum(nonzero, axis=1)  # nonzeros after j
     return alpha[rows], np.where(nonzero[rows], 1 + (s[:, None] >> later[rows] & 1), 0)
 
 
 def _distinct(values: np.ndarray) -> tuple:
-    """Distinct entries of a 1-d array of float64 or int64, and where each lies.
-
-    Returns ``(distinct, index)`` with ``values == distinct[index]``.  Entries
-    are told apart by bit pattern (``-0.0`` and ``0.0`` are two values) and
-    come out sorted by their int64 view (a sort: ``np.unique`` imports ``numpy.ma``).
-    """
+    """``(distinct, index)`` of a 1-d float64 or int64 array, ``values ==
+    distinct[index]``: entries told apart by bit pattern (``-0.0`` is not
+    ``0.0``), sorted by their int64 view (``np.unique`` imports ``numpy.ma``)."""
     bits = values.view(np.int64)
     order = np.argsort(bits, kind="stable")
     ordered = bits[order]
@@ -170,35 +163,32 @@ class FeatureModel:
     table_features: np.ndarray | None = None  # custom: (P, K)
 
     def __post_init__(self):
+        object.__setattr__(self, "truncation", _integer("truncation", self.truncation))
         if self.truncation < 1:
             raise ValueError("truncation K must be at least 1")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.truncation,) or not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("weights must be K finite positive reals")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "truncation", _integer("truncation", self.truncation))
 
     @classmethod
     def power_series(cls, domain: Domain, truncation: int, decay: float = 0.5,
                      weights=None) -> "FeatureModel":
         """Monomial features over graded multi-indices on the box."""
-        # a float is counted up (see graded_multi_indices); __post_init__ checks it
-        K = truncation if isinstance(truncation, float) else _integer("truncation", truncation)
+        K = _integer("truncation", truncation)
         exponents = graded_multi_indices(domain.dim, K)
         if weights is None:
-            with np.errstate(over="ignore"):  # __post_init__ rejects an inf weight
-                weights = decay ** exponents.sum(axis=1)
+            weights = _decay_weights(decay, exponents.sum(axis=1))
         return cls(domain, "power", K, np.asarray(weights, float), exponents=exponents)
 
     @classmethod
     def trigonometric(cls, domain: Domain, truncation: int, decay: float = 0.5,
                       weights=None) -> "FeatureModel":
         """Tensorized Fourier features with decaying weights."""
-        K = truncation if isinstance(truncation, float) else _integer("truncation", truncation)
+        K = _integer("truncation", truncation)
         freqs, kinds = _trig_indices(domain.dim, K)
         if weights is None:
-            with np.errstate(over="ignore"):  # __post_init__ rejects an inf weight
-                weights = decay ** freqs.sum(axis=1).astype(float)
+            weights = _decay_weights(decay, freqs.sum(axis=1))
         return cls(domain, "trig", K, np.asarray(weights, float),
                    frequencies=freqs, trig_kinds=kinds)
 
@@ -225,20 +215,6 @@ class FeatureModel:
         return cls(domain, "custom", K, np.asarray(weights, float),
                    table_points=points, table_features=features)
 
-    @classmethod
-    def custom_table_from_json(cls, source) -> "FeatureModel":
-        """Load a custom table from a JSON file path or parsed document."""
-        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = source
-        domain = None
-        if "domain" in doc:
-            domain = Domain(doc["domain"]["lower"], doc["domain"]["upper"])
-        return cls.custom_table(doc["points"], doc["features"],
-                                weights=doc.get("weights"), domain=domain)
-
     @cached_property
     def coordinate_factors(self) -> tuple:
         """Per coordinate, the distinct 1-d factors of the K features.
@@ -250,12 +226,13 @@ class FeatureModel:
         * ``trig``: ``(cos_scales, sin_scales, gather)``; the table is
           ``cos(cos_scales * x_j)``, then ``sin(sin_scales * x_j)``, then a
           column of ones, with each scale ``pi * frequency``.
-        * ``custom``: empty.
+        * ``custom``: one coordinate, ``(arange(K),)``; the table is the
+          point's looked-up row of ``table_features``.
         """
         if self.family == "power":
             return tuple(_distinct(e) for e in self.exponents.T)
         if self.family != "trig":
-            return ()
+            return ((np.arange(self.truncation),),)
         out = []
         for freqs, kinds in zip(self.frequencies.T, self.trig_kinds.T):
             cos_freqs = _distinct(freqs[kinds == 1])[0]
@@ -271,20 +248,14 @@ class FeatureModel:
 
     @cached_property
     def _sum_plan(self) -> tuple:
-        """How :func:`_feature_sum` groups the features; built once per model.
-
-        Feature k takes column ``gather[k]`` of each coordinate's factor
-        table (see :attr:`coordinate_factors`).  Grouped by their first d-1
-        indices, the features have P distinct prefixes.  Returns the (P, d-1)
-        array of prefixes in order of first appearance, the place of each
-        feature in a (J_d, P) matrix (its last index, its prefix) and that
-        matrix's shape.  Distinct features take distinct places.  A feature's
-        prefix is one integer key, extended a column at a time and numbered
-        below K by :func:`_distinct`.  Last comes the number of values a block
-        holds per point: its factor tables, S and one gathered (B, P) temporary.
-        """
+        """How :func:`_feature_sum` groups the features, built once per model:
+        the P distinct prefixes (first d-1 gather indices, see
+        :attr:`coordinate_factors`) as a (P, d-1) array in order of first
+        appearance, each feature's distinct place in a (J_d, P) matrix (its
+        last index, its prefix), that shape, and the values a block holds per
+        point (its factor tables, S and one gathered (B, P) temporary)."""
         gathers = np.stack([factors[-1] for factors in self.coordinate_factors], axis=1)
-        widths = [_table(self, j, np.empty(0)).shape[1] for j in range(self.domain.dim)]
+        widths = [int(gather.max()) + 1 for gather in gathers.T]
         key = np.zeros(len(gathers), dtype=np.int64)
         for column, width in zip(gathers.T[:-1], widths):
             key = _distinct(key * width + column)[1]
@@ -301,10 +272,9 @@ def point_blocks(model: FeatureModel, count: int, width: int | None = None) -> l
 
     A row holds ``width`` values, by default the K features.
     """
-    if width is None:
-        width = model.truncation
-        if model.family == "custom":
-            width = max(width, model.table_points.size)  # lookup compares every entry
+    width = width or model.truncation
+    if model.family == "custom":
+        width = max(width, model.table_points.size)  # lookup compares every entry
     step = max(1, BLOCK_VALUES // width)
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
@@ -330,13 +300,10 @@ def _table(model: FeatureModel, j: int, values: np.ndarray) -> np.ndarray:
 
 
 def _blocks(model: FeatureModel, X: np.ndarray, width):
-    """``(rows, tables)`` per block of rows of an (N, d) array, checked
-    against the domain once (not if N = 0) and clipped per block.
-
-    ``tables`` lists each coordinate j's factor table T_j at the block's
-    values, one row per point (``custom``: the tabulated rows alone).
-    ValueError at the first point where a ``power`` table overflows.
-    """
+    """``(rows, tables)`` per block of rows of an (N, d) array, checked against
+    the domain once (not if N = 0) and clipped per block: each coordinate's
+    factor table, one row per point (``custom``: the looked-up rows), and
+    ValueError at the first point where a ``power`` table overflows."""
     if X.shape[0]:
         model.domain._checked(X)
     for rows in point_blocks(model, X.shape[0], width):
@@ -367,7 +334,7 @@ def eval_features(model: FeatureModel, x) -> np.ndarray:
     out = np.empty((np.atleast_2d(x).shape[0], model.truncation))
     cols = [gather for *_, gather in model.coordinate_factors]
     for rows, tables in _blocks(model, np.atleast_2d(x), None):
-        vals = tables[0] if model.family == "custom" else tables[0][:, cols[0]]
+        vals = tables[0][:, cols[0]]
         for table, col in zip(tables[1:], cols[1:]):
             vals *= table[:, col]  # into one block temporary: faster than into ``out``
         out[rows] = vals
@@ -402,15 +369,10 @@ def _grid_axes(X: np.ndarray):
 
 def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
     """:func:`_feature_sum` on a tensor grid of d >= 2 axes nested in any
-    order (see :func:`_grid_axes`), or None to leave X to the block loop:
-    not such a grid, an axis value outside the box, a table entry that is
-    not finite, or an axis so long that its tables would outgrow a block.
-
-    With ``A_j = T_j[:, prefixes[:, j]]`` for j < d-1 and ``A_{d-1} =
-    T_{d-1} @ C``, the sums are ``(A_0 * ... * A_{d-2}) @ A_{d-1}^T`` (a
-    row-wise product first), over :func:`point_blocks`, in coordinate order.
-    """
-    dim = model.domain.dim
+    order (see :func:`_grid_axes`; the README gives the method), or None to
+    leave X to the block loop: not such a grid, an axis value outside the
+    box, a table entry that is not finite, or an axis whose tables outgrow a block."""
+    dim = len(model.coordinate_factors)
     found = _grid_axes(X) if dim > 1 and X.shape[0] and X.shape[1] == dim else None
     if found is None or max(map(len, found[0])) * model._sum_plan[-1] > BLOCK_VALUES:
         return None
@@ -436,32 +398,19 @@ def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
 
 
 def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """``sum_k alpha_k phi_k(x)`` at each row x of an (N, d) array, by sum factorization.
-
-    ``power``, ``trig``: the products ``sqrt(w_k) alpha_k`` fill a (J_d, P)
-    matrix C (see :attr:`FeatureModel._sum_plan`).  A tensor grid in any
-    axis order takes :func:`_grid_sum`.  Otherwise each block's tables, one
-    row per point, are contracted: ``T_d @ C`` for the last coordinate,
-    times the prefix columns ``T_j[:, prefixes[:, j]]`` of the others in
-    order, summed over the P prefixes; no (N, K) array is built.
-    ``custom`` looks its rows up.  Rows agree with
-    ``eval_features(model, X) @ alpha`` to the rounding of a K-term sum.
-    An empty array of any width gives (0,) without a check.
-    """
-    beta = np.sqrt(model.weights) * alpha
-    width = None
-    if model.family != "custom":
-        prefixes, places, shape, width = model._sum_plan
-        C = np.zeros(shape)
-        C[places] = beta
-        grid = _grid_sum(model, X, prefixes, C)
-        if grid is not None:
-            return grid
+    """``sum_k alpha_k phi_k(x)`` at each row x of an (N, d) array by sum
+    factorization through :attr:`FeatureModel._sum_plan` (the README gives the
+    method), on a tensor grid by :func:`_grid_sum`; no (N, K) array is built.
+    Rows agree with ``eval_features(model, X) @ alpha`` to the rounding of a
+    K-term sum.  An empty array of any width gives (0,) without a check."""
+    prefixes, places, shape, width = model._sum_plan
+    C = np.zeros(shape)
+    C[places] = np.sqrt(model.weights) * alpha
+    grid = _grid_sum(model, X, prefixes, C)
+    if grid is not None:
+        return grid
     values = np.empty(X.shape[0])
     for rows, tables in _blocks(model, X, width):
-        if model.family == "custom":
-            values[rows] = tables[0] @ beta
-            continue
         S = tables[-1] @ C
         for j, table in enumerate(tables[:-1]):
             S *= table[:, prefixes[:, j]]
@@ -470,26 +419,17 @@ def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.nd
 
 
 def _feature_adjoint(model: FeatureModel, X: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``eval_features(model, X).T @ c`` for an (N, d) array, the transpose
-    of :func:`_feature_sum`: per block, ``A = c * prod_{j<d} T_j[:, prefixes[:, j]]``
-    (one column per prefix), and ``T_d^T A`` is summed into the (J_d, P)
-    matrix whose places hold the K results; no (N, K) array is built.
-    ``custom`` sums ``c @`` its looked-up rows.  Checks as :func:`_blocks`.
-    """
-    if model.family == "custom":
-        G, width = np.zeros(model.truncation), None
-    else:
-        prefixes, places, shape, width = model._sum_plan
-        G = np.zeros(shape)
+    """``eval_features(model, X).T @ c`` for an (N, d) array, the transpose of
+    :func:`_feature_sum` through the same plan and blocks (the README gives the
+    method); no (N, K) array is built.  Checks as :func:`_blocks`."""
+    prefixes, places, shape, width = model._sum_plan
+    G = np.zeros(shape)
     for rows, tables in _blocks(model, X, width):
-        if model.family == "custom":
-            G += c[rows] @ tables[0]
-            continue
         A = np.repeat(c[rows, None], shape[1], axis=1)
         for j, table in enumerate(tables[:-1]):
             A *= table[:, prefixes[:, j]]
         G += tables[-1].T @ A
-    return np.sqrt(model.weights) * (G if model.family == "custom" else G[places])
+    return np.sqrt(model.weights) * G[places]
 
 
 def tabulated(model: FeatureModel, points) -> np.ndarray:
@@ -498,11 +438,24 @@ def tabulated(model: FeatureModel, points) -> np.ndarray:
     ``custom`` table holds only its tabulated points."""
     if model.family != "custom":
         return np.ones(len(points), dtype=bool)
-    X = model.domain.project(np.reshape(points, (-1, model.domain.dim)))
+    X = np.reshape(points, (-1, model.domain.dim))
+    X = np.clip(model.domain._checked(X), model.domain.lower, model.domain.upper)
     found = np.empty(X.shape[0], dtype=bool)
     for rows in point_blocks(model, X.shape[0]):
         found[rows] = _table_lookup(model, X[rows])[1]
     return found
+
+
+def _decay_weights(decay, degrees: np.ndarray) -> np.ndarray:
+    """``decay ** degree`` per feature; ValueError naming the decay and the
+    first degree whose weight is not a finite positive real (0 on underflow)."""
+    with np.errstate(over="ignore", under="ignore"):
+        weights = decay ** degrees.astype(float)
+    bad = np.flatnonzero(~((weights > 0) & (weights < np.inf)))
+    if bad.size:
+        raise ValueError(f"decay {decay!r} gives weight {float(weights[bad[0]])!r} at degree "
+                         f"{int(degrees[bad[0]])}; weights must be finite positive reals")
+    return weights
 
 
 def _integer(name: str, value) -> int:

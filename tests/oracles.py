@@ -8,7 +8,8 @@ polished in long double, the dual pairing as a dot product, a fit started
 from c = 0 rather than from the package's l2 start, and sampling checks
 that can falsify (never certify) the monotonicity and semi-definiteness
 of the tensor, a row-by-row read of the CLI's CSV input, the graded index
-tables enumerated by generators and the sum plan grouped by a dict.  The package
+tables enumerated by generators, the sum plan grouped by a dict, and a
+custom table's features, sums and adjoint by their own formulas.  The package
 computes each of these
 quantities by one route only; these are the second routes the tests hold
 it to.  The summability diagnostic of a truncation lives here too, since
@@ -25,8 +26,8 @@ import numpy as np
 
 from mkinterp.commands import CliInputError
 from mkinterp.exceptions import DimensionMismatch
-from mkinterp.features import (FeatureModel, _table, eval_features, point_blocks,
-                               require_even_order)
+from mkinterp.features import (TABLE_TOLERANCE, FeatureModel, _table, eval_features,
+                               point_blocks, require_even_order)
 from mkinterp.interpolant import Interpolant, NodeSet
 from mkinterp.solver import SolveReport, _minimize_even_power
 from mkinterp.tensors import FeatureGram, contract_m, contract_m_minus_1
@@ -393,19 +394,19 @@ def _graded(dim):
     return chain.from_iterable(_compositions(total, dim) for total in _naturals())
 
 
-def graded_multi_indices(dim: int, count) -> np.ndarray:
+def graded_multi_indices(dim: int, count: int) -> np.ndarray:
     """``features.graded_multi_indices`` by generators, one index at a time."""
-    indices = list(islice(_graded(dim), max(0, math.ceil(count))))
+    indices = list(islice(_graded(dim), max(0, count)))
     return np.asarray(indices, int).reshape(-1, dim)
 
 
-def trig_indices(dim: int, count) -> tuple:
+def trig_indices(dim: int, count: int) -> tuple:
     """``features._trig_indices`` by generators: each multi-index of
     :func:`_graded` expanded by ``itertools.product`` of its cosine/sine choices."""
     terms = chain.from_iterable(
         _cartesian(*[[(f, 1), (f, 2)] if f else [(0, 0)] for f in alpha])
         for alpha in _graded(dim))
-    table = np.asarray(list(islice(terms, max(0, math.ceil(count)))), int).reshape(-1, dim, 2)
+    table = np.asarray(list(islice(terms, max(0, count))), int).reshape(-1, dim, 2)
     return table[..., 0], table[..., 1]
 
 
@@ -418,3 +419,27 @@ def sum_plan(model: FeatureModel) -> tuple:
     widths = [_table(model, j, np.empty(0)).shape[1] for j in range(model.domain.dim)]
     return (prefixes, (gathers[:, -1], np.array(prefix_of)), (widths[-1], len(ids)),
             sum(widths) + 2 * len(ids))
+
+
+def custom_rows(model: FeatureModel, X) -> np.ndarray:
+    """The custom-table row of each in-box point of X, one point at a time:
+    the first table point within ``TABLE_TOLERANCE`` of it, clamped onto the box."""
+    X = np.clip(np.reshape(X, (-1, model.domain.dim)), model.domain.lower, model.domain.upper)
+    hits = [np.flatnonzero(np.all(np.abs(model.table_points - x) <= TABLE_TOLERANCE, axis=1))[0]
+            for x in X]
+    return model.table_features[np.array(hits, dtype=int)]
+
+
+def custom_contractions(model: FeatureModel, X, alpha, c) -> tuple:
+    """``(eval_features, _feature_sum, _feature_adjoint)`` of a custom table at
+    the rows of X by the family's own branches, from before it went through the
+    sum plan: the looked-up rows times ``sqrt(w)``; ``rows @ beta`` per block,
+    ``beta = sqrt(w) alpha``; ``sqrt(w) * sum c[rows] @ rows`` over the blocks.
+    The blocks are :func:`point_blocks` at the sum plan's width, because a
+    matrix-vector product's bits depend on a row's place in its block."""
+    rows, root = custom_rows(model, X), np.sqrt(model.weights)
+    sums, G = np.empty(rows.shape[0]), np.zeros(model.truncation)
+    for block in point_blocks(model, rows.shape[0], model._sum_plan[-1]):
+        sums[block] = rows[block] @ (root * alpha)
+        G += c[block] @ rows[block]
+    return rows * root, sums, root * G

@@ -208,6 +208,19 @@ class TestDocumentedInputChecks:
         assert main(["fit", data, "--out", str(tmp_path / "o.json"), f"--domain={domain}"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("kernel, flags, message", [
+        ("power", ["--decay", "1e-300"], "decay 1e-300 gives weight 0.0 at degree 2"),
+        ("trig", ["--decay", "1e-300"], "decay 1e-300 gives weight 0.0 at degree 2"),
+        ("power", ["--decay", "1e300"], "decay 1e+300 gives weight inf at degree 2"),
+        ("power", ["--truncation", "1076"], "decay 0.5 gives weight 0.0 at degree 1075")])
+    def test_default_weights_out_of_range_exit_2(self, tmp_path, capsys, kernel, flags, message):
+        data = write(tmp_path / "d.csv", DATA_2ROW)
+        out = tmp_path / "o.json"
+        assert main(["fit", data, "--out", str(out), "--kernel", kernel, *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message}; weights must be finite positive reals\n")
+        assert not out.exists()
+
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         data = write(tmp_path / "empty.csv", "")
         assert main(["fit", data, "--out", str(tmp_path / "o.json")]) == 2

@@ -65,6 +65,14 @@ def test_malformed_inputs_of_a_tree_match_its_own(tmp_path):
     assert codes["m_close.json"] == (2, "error: nodes 0 and 1 coincide\n")
     assert codes["m_nan_node.json"] == (2, "error: nodes and values must be finite\n")
     assert codes["m_dup.csv"] == (2, "error: duplicate points at rows 2 and 4\n")
+    assert codes["m_custom.json"] == codes["m_custom.csv"] == (5, "")
+    work = runs[0][1]
+    assert (work / "m_custom_grid.csv").read_text().splitlines()[1:] == [
+        "-1.0,,untabulated", "0.0,3.375,", "1.0,,untabulated"]
+    rows = (work / "m_custom_v.csv").read_text().splitlines()
+    assert rows[0] == "x1,s,flag"
+    assert [row.split(",")[2] for row in rows[1:]] == ["", "untabulated", "outside_domain"]
+    assert float(rows[1].split(",")[1]) > 0
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +10,19 @@ from mkinterp import (
     DimensionMismatch,
     Domain,
     FeatureModel,
+    NodeSet,
     OddOrderUnsupported,
     PointOutsideDomain,
     UntabulatedPoint,
     domain_grid,
     eval_features,
+    fit,
+    from_json,
     graded_multi_indices,
+    to_json,
 )
 from mkinterp import features
-from mkinterp.features import BLOCK_VALUES, point_blocks
+from mkinterp.features import BLOCK_VALUES, point_blocks, tabulated
 import oracles
 from oracles import check_summability, eval_kernel2, eval_multikernel
 
@@ -26,6 +31,12 @@ BOX = Domain([-1.0], [1.0])
 
 def monomials(k):
     return FeatureModel.power_series(BOX, k, weights=np.ones(k))
+
+
+def face_table():
+    """A 1-d custom table at the faces of BOX and at 0.5, two features wide."""
+    return FeatureModel.custom_table([[-1.0], [0.5], [1.0]], [[1.0, -1.0], [1.0, 0.5], [1.0, 1.0]],
+                                     domain=BOX)
 
 
 class TestDomain:
@@ -40,16 +51,23 @@ class TestDomain:
             Domain(lower, upper)
 
     def test_clamps_near_face(self):
-        x = BOX.project([1.0 + 5e-13])
-        assert x[0] == 1.0
+        # x**3 at 1 + 5e-13 is not 1: the point is clamped onto the face first
+        assert eval_features(monomials(4), [1.0 + 5e-13]).tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert eval_features(monomials(4), [-1.0 - 5e-13]).tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert tabulated(face_table(), [[1.0 + 5e-13], [-1.0 - 5e-13]]).tolist() == [True, True]
 
     def test_rejects_outside(self):
         with pytest.raises(PointOutsideDomain):
-            BOX.project([1.5])
+            eval_features(monomials(2), [1.5])
+        with pytest.raises(PointOutsideDomain):
+            tabulated(face_table(), [[1.5]])
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(PointOutsideDomain):
-            BOX.project([0.0, 0.0])
+            eval_features(monomials(2), [0.0, 0.0])
+        box2 = Domain([-1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(PointOutsideDomain):
+            eval_features(FeatureModel.power_series(box2, 3), [[0.0], [0.5]])
 
     def test_contains_is_per_row(self):
         box2 = Domain([-1.0, 0.0], [1.0, 2.0])
@@ -67,11 +85,17 @@ class TestDomain:
             domain_grid(BOX, 1)
 
     def test_project_batch_clamps_and_rejects(self):
-        np.testing.assert_array_equal(
-            BOX.project([[0.5], [-1.0 - 5e-13]]), [[0.5], [-1.0]]
-        )
-        with pytest.raises(PointOutsideDomain):
-            BOX.project([[0.5], [1.5]])
+        model = monomials(4)
+        assert same_bits(eval_features(model, [[0.5], [-1.0 - 5e-13]]),
+                         eval_features(model, [[0.5], [-1.0]]))
+        table = face_table()
+        points = [[0.5], [-1.0 - 5e-13], [0.25]]
+        assert tabulated(table, points).tolist() == [True, True, False]
+        assert same_bits(eval_features(table, points[:2]), eval_features(table, [[0.5], [-1.0]]))
+        for call in (lambda: eval_features(model, [[0.5], [1.5]]),
+                     lambda: tabulated(table, [[0.5], [1.5]])):
+            with pytest.raises(PointOutsideDomain):
+                call()
 
 
 class TestGradedIndices:
@@ -125,11 +149,39 @@ class TestGradedIndices:
 
     @pytest.mark.parametrize("family", ["power_series", "trigonometric"])
     @pytest.mark.parametrize("truncation, message", [
-        (8.5, "weights must be K finite positive reals"),
+        (8.5, "truncation must be an integer, got 8.5"),
         (-3, "truncation K must be at least 1")])
     def test_bad_truncation_message(self, family, truncation, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             getattr(FeatureModel, family)(Domain([-1.0, -1.0], [1.0, 1.0]), truncation)
+
+    def test_constructor_takes_k_by_the_integer_rule_first(self):
+        # a string K once reached ``K < 1`` and raised a TypeError
+        with pytest.raises(ValueError, match="^truncation must be an integer, got '1'$"):
+            FeatureModel(BOX, "power", "1", np.ones(1), exponents=np.zeros((1, 1), int))
+
+    @pytest.mark.parametrize("count", [8.5, True, "8", np.float64(-0.5)], ids=repr)
+    def test_graded_indices_refuse_a_count_that_is_no_integer(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"count must be an integer, got {count!r}")):
+            graded_multi_indices(2, count)
+
+    # 0.5 ** 1074 is the least subnormal, 0.5 ** 1075 underflows to 0
+    @pytest.mark.parametrize("family, last", [("power_series", 1075), ("trigonometric", 2149)])
+    def test_underflowing_default_weights_name_the_decay_and_degree(self, family, last):
+        build = getattr(FeatureModel, family)
+        message = "decay 0.5 gives weight 0.0 at degree 1075; weights must be finite positive reals"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(BOX, last + 1)
+        assert build(BOX, last).weights[-1] == 0.5 ** 1074
+
+    @pytest.mark.parametrize("family", ["power_series", "trigonometric"])
+    @pytest.mark.parametrize("decay, weight, degree", [
+        (1e300, "inf", 2), (1e-300, "0.0", 2), (-0.5, "-0.5", 1), (0.0, "0.0", 1)])
+    def test_default_weights_name_the_first_bad_degree(self, family, decay, weight, degree):
+        message = (f"decay {decay!r} gives weight {weight} at degree {degree}; "
+                   "weights must be finite positive reals")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(FeatureModel, family)(Domain([-1.0, -1.0], [1.0, 1.0]), 12, decay=decay)
 
 
 ORACLE_COUNTS = [0, 1, 2, 7, 8.0, 8.5, 20, 81, 120, 800, 3000]
@@ -168,17 +220,23 @@ class TestEnumerationMatchesTheGenerators:
         return None
 
     def test_graded_multi_indices(self, dim, count):
-        assert_identical(graded_multi_indices(dim, count), oracles.graded_multi_indices(dim, count))
+        if float(count).is_integer():
+            assert_identical(graded_multi_indices(dim, count),
+                             oracles.graded_multi_indices(dim, int(count)))
+        else:  # no count is rounded: a fraction is refused
+            with pytest.raises(ValueError, match="count must be an integer"):
+                graded_multi_indices(dim, count)
 
     def test_power_exponents(self, dim, count):
         model = self.model("power_series", dim, count)
         if model is not None:
-            assert_identical(model.exponents, oracles.graded_multi_indices(dim, count))
+            assert_identical(model.exponents, oracles.graded_multi_indices(dim, int(count)))
 
     def test_trig_frequencies_and_kinds(self, dim, count):
-        expected = oracles.trig_indices(dim, count)
-        assert_identical(features._trig_indices(dim, count), expected)
         model = self.model("trigonometric", dim, count)
+        if float(count).is_integer():
+            expected = oracles.trig_indices(dim, int(count))
+            assert_identical(features._trig_indices(dim, int(count)), expected)
         if model is not None:
             assert_identical((model.frequencies, model.trig_kinds), expected)
 
@@ -287,9 +345,9 @@ class TestBatchedEvalFeatures:
 
 
 def reference_features(model, X):
-    """Direct per-column oracle: each coordinate's factor is computed for
-    all K columns (both cos and sin for trig, one kept by ``np.where``)."""
-    X = model.domain.project(X)
+    """Direct per-column oracle at in-box points: each coordinate's factor is
+    computed for all K columns (both cos and sin for trig, one kept by ``np.where``)."""
+    X = np.clip(X, model.domain.lower, model.domain.upper)
     vals = np.ones((X.shape[0], model.truncation))
     for j in range(model.domain.dim):
         if model.family == "power":
@@ -458,7 +516,7 @@ class TestDistinctValueTables:
         assert same_bits(got, reference_features(model, X))
         assert same_bits(got, row_by_row(model, X))
         # the signed zero reaches the output: odd powers and sines keep it
-        first = model.domain.project(X)[:, 0]
+        first = np.clip(X, model.domain.lower, model.domain.upper)[:, 0]
         rows = (first == 0.0) & np.signbit(first)
         assert np.any(rows) and np.any((got[rows] == 0.0) & np.signbit(got[rows]))
 
@@ -672,8 +730,8 @@ class TestFeatureAdjoint:
         model, X = adjoint_case(family, dim, rng)
         c = rng.standard_normal(X.shape[0])
         whole = features._feature_adjoint(model, X, c)
-        width = None if family == "custom" else model._sum_plan[-1]
-        rows_per_block(monkeypatch, 7, width or max(model.truncation, model.table_points.size))
+        width = model._sum_plan[-1]
+        rows_per_block(monkeypatch, 7, width)  # custom: K + 2 exceeds the table's 12 d entries
         assert len(point_blocks(model, X.shape[0], width)) == 5
         split = features._feature_adjoint(model, X, c)
         V = eval_features(model, X)
@@ -684,6 +742,78 @@ class TestFeatureAdjoint:
         model = build("trig", Domain([-1.0, -1.0], [1.0, 1.0]), 9)
         t = features._feature_adjoint(model, np.empty((0, 2)), np.empty(0))
         assert same_bits(t, np.zeros(9))
+
+
+def custom_case(dim, rng, points=12, K=40):
+    """A custom table of `points` points of [-1, 1.5]^dim, K features wide
+    and spanning eight decades, and 150 of its points (two on faces, one
+    clamped onto one)."""
+    box = Domain([-1.0] * dim, [1.5] * dim)
+    table = rng.uniform(-1.0, 1.5, (points, dim))
+    table[:2, 0] = [-1.0, 1.5]
+    feats = rng.standard_normal((points, K)) * 10.0 ** rng.integers(-4, 4, (points, K))
+    model = FeatureModel.custom_table(table, feats, weights=rng.uniform(0.5, 2.0, K), domain=box)
+    X = table[rng.integers(0, points, 150)]
+    X[:2] = table[1]
+    X[1, 0] += 5e-13
+    return model, X
+
+
+class TestCustomContractions:
+    """A custom table is one coordinate whose factor table is the block's
+    looked-up rows: the gather, the sum plan and its transpose give the
+    family's own formulas (``oracles.custom_contractions``) bit for bit, and
+    a block's lookup stays within its ``BLOCK_VALUES`` however wide the table."""
+
+    @pytest.mark.parametrize("rows", [None, 7, 23])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bit_identical_to_the_family_formulas(self, dim, rows, monkeypatch):
+        rng = np.random.default_rng(40 + dim)
+        model, X = custom_case(dim, rng)
+        alpha, c = rng.standard_normal(model.truncation), rng.standard_normal(X.shape[0])
+        if rows is not None:
+            rows_per_block(monkeypatch, rows, model._sum_plan[-1])
+            assert len(point_blocks(model, X.shape[0], model._sum_plan[-1])) > 1
+        features_, sums, adjoint = oracles.custom_contractions(model, X, alpha, c)
+        assert same_bits(eval_features(model, X), features_)
+        assert same_bits(features._feature_sum(model, X, alpha), sums)
+        assert same_bits(features._feature_adjoint(model, X, c), adjoint)
+
+    def test_one_coordinate_in_the_sum_plan(self):
+        model, _ = custom_case(2, np.random.default_rng(5))
+        K = model.truncation
+        assert len(model.coordinate_factors) == 1
+        assert same_bits(model.coordinate_factors[0][0], np.arange(K))
+        prefixes, (last, prefix), shape, width = model._sum_plan
+        assert prefixes.shape == (1, 0) and shape == (K, 1) and width == K + 2
+        assert last.tolist() == list(range(K)) and prefix.tolist() == [0] * K
+
+    def test_a_tensor_grid_takes_the_block_loop(self, monkeypatch):
+        axis = np.array([-0.5, 0.0, 0.5])
+        X = tensor_grid(axis, axis)
+        model = FeatureModel.custom_table(X, np.random.default_rng(6).standard_normal((9, 4)),
+                                          domain=Domain([-1.0, -1.0], [1.0, 1.0]))
+        monkeypatch.setattr(features, "_grid_axes", lambda X: pytest.fail("grid route taken"))
+        alpha = np.ones(4)
+        assert same_bits(features._feature_sum(model, X, alpha),
+                         oracles.custom_contractions(model, X, alpha, np.ones(9))[1])
+
+    @pytest.mark.parametrize("call", ["sum", "adjoint"])
+    def test_lookup_stays_within_its_blocks(self, call):
+        # 1,000 table points and K = 2: the plan's K + 2 values per row would
+        # let a block's (B, P, d) lookup temporary grow with the table
+        rng = np.random.default_rng(7)
+        model, _ = custom_case(1, rng, points=1000, K=2)
+        X = model.table_points[rng.integers(0, 1000, 4000)]
+        contract = {"sum": lambda: features._feature_sum(model, X, np.ones(2)),
+                    "adjoint": lambda: features._feature_adjoint(model, X, np.ones(4000))}[call]
+        tracemalloc.start()
+        try:
+            contract()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * BLOCK_VALUES  # the output, one lookup and its temporaries
 
 
 class TestSummability:
@@ -710,25 +840,25 @@ class TestSummability:
 
 
 class TestCustomTable:
-    def test_json_round_trip(self, tmp_path):
-        doc = {
-            "points": [[0.0], [0.5], [1.0]],
-            "features": [[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]],
-            "domain": {"lower": [0.0], "upper": [1.0]},
-        }
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        model = FeatureModel.custom_table_from_json(path)
-        np.testing.assert_allclose(eval_features(model, [0.5]), [1.0, 0.5])
-        assert eval_kernel2(model, [0.0], [1.0]) == pytest.approx(1.0)
+    def test_json_round_trip(self):
+        # a custom table reaches a file only inside a model: through to_json and from_json
+        model = FeatureModel.custom_table([[0.0], [0.5], [1.0]],
+                                          [[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]],
+                                          domain=Domain([0.0], [1.0]))
+        s = fit(model, NodeSet(np.array([[0.0], [1.0]]), np.array([1.0, 2.0])), 4)
+        loaded = from_json(to_json(s)).model
+        assert same_bits(loaded.table_points, model.table_points)
+        assert same_bits(loaded.table_features, model.table_features)
+        np.testing.assert_allclose(eval_features(loaded, [0.5]), [1.0, 0.5])
+        assert eval_kernel2(loaded, [0.0], [1.0]) == pytest.approx(1.0)
 
     def test_point_dimension_must_match_domain(self):
         with pytest.raises(DimensionMismatch, match="dimension 2"):
             FeatureModel.custom_table([[0.0, 0.0], [1.0, 1.0]], [[1.0], [1.0]], domain=BOX)
 
     def test_parsed_document(self):
-        model = FeatureModel.custom_table_from_json(
-            {"points": [[0.0], [1.0]], "features": [[1.0, 0.0], [1.0, 1.0]]})
+        doc = json.loads('{"points": [[0.0], [1.0]], "features": [[1.0, 0.0], [1.0, 1.0]]}')
+        model = FeatureModel.custom_table(doc["points"], doc["features"])  # domain: the points' box
         assert model.truncation == 2
         np.testing.assert_array_equal(model.domain.lower, [0.0])
         np.testing.assert_array_equal(eval_features(model, [1.0]), [1.0, 1.0])

@@ -17,6 +17,7 @@ from mkinterp import (
     NodeSet,
     NotConverged,
     PointOutsideDomain,
+    SingularDesignWarning,
     SolverOptions,
     UntabulatedPoint,
     ZeroFunction,
@@ -939,3 +940,56 @@ class TestIntegralParameters:
     def test_other_orders_refused(self, m):
         with pytest.raises(ValueError):
             fit(FeatureModel.power_series(BOX, 8), NODES5, m)
+
+
+SPELLINGS = [int, np.int64, float, np.float64]
+REFUSED = [lambda v: True, lambda v: v + 0.5, str]  # a bool, a fraction, a string
+
+
+def chain(family, dim, seed, K, m):
+    """build -> fit -> to_json -> from_json -> evaluate_many on seeded nodes
+    of [-1, 1]^dim, with K and m as spelled.  A custom table is K features
+    wide at the nodes and the evaluation points, so its K reaches the
+    library through the model file's ``truncation``, which holds K and m as
+    JSON numbers: floats for a float spelling.  Returns both JSON texts and
+    the values, or the text of the error that stopped the chain."""
+    rng = np.random.default_rng(seed)
+    box = Domain([-1.0] * dim, [1.0] * dim)
+    n = int(rng.integers(2, 6))
+    nodes = NodeSet(rng.uniform(-0.9, 0.9, (n, dim)), rng.uniform(-2.0, 2.0, n))
+    X = rng.uniform(-1.0, 1.0, (6, dim))
+    if family == "custom":
+        table = np.vstack([nodes.points, X])
+        model = FeatureModel.custom_table(table, rng.standard_normal((n + 6, int(K))),
+                                          weights=rng.uniform(0.5, 2.0, int(K)), domain=box)
+    else:
+        model = FAMILIES[family](box, K, decay=0.7)
+    try:
+        text = to_json(fit(model, nodes, m))
+        doc = {**json.loads(text), "truncation": float(K) if isinstance(K, float) else int(K),
+               "order": float(m) if isinstance(m, float) else int(m)}
+        loaded = from_json(json.dumps(doc))
+        return text, to_json(loaded), evaluate_many(loaded, X).tobytes()
+    except (NotConverged, SingularDesignWarning) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["power", "trig", "custom"]), dim=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, 10),
+       m=st.sampled_from([2, 4, 6]), spell_K=st.sampled_from(SPELLINGS),
+       spell_m=st.sampled_from(SPELLINGS), refuse=st.sampled_from(REFUSED))
+def test_spellings_run_the_chain_bit_for_bit(family, dim, seed, extra, m, spell_K, spell_m,
+                                             refuse):
+    K = 5 + extra  # at least the 5 nodes a seed may draw, so the design can have full rank
+    assert chain(family, dim, seed, spell_K(K), spell_m(m)) == chain(family, dim, seed, K, m)
+    box, one = Domain([-1.0] * dim, [1.0] * dim), NodeSet(np.full((1, dim), 0.5), np.ones(1))
+    doc = json.loads(to_json(fit(FeatureModel.power_series(box, K), one, m)))
+    refusals = [("order", lambda: fit(FeatureModel.power_series(box, K), one, refuse(m))),
+                ("order", lambda: from_json(json.dumps({**doc, "order": refuse(m)}))),
+                ("truncation", lambda: from_json(json.dumps({**doc, "truncation": refuse(K)})))]
+    if family != "custom":
+        refusals.append(("truncation", lambda: FAMILIES[family](box, refuse(K))))
+    for name, call in refusals:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()

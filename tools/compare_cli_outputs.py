@@ -53,8 +53,15 @@ def _model_file(nodes: bytes) -> bytes:
             + b', "values": [1.0, 2.0], "coefficients": [1.0, 1.0]}')
 
 
+# A hand-written 1-d model whose custom table holds the nodes 0 and 0.5.
+CUSTOM_MODEL = (b'{"family": "custom", "domain": {"lower": [-1.0], "upper": [1.0]}, '
+                b'"truncation": 2, "weights": [1.0, 2.0], "order": 4, '
+                b'"nodes": [[0.0], [0.5]], "values": [1.0, 2.0], "coefficients": [1.0, 0.5], '
+                b'"table_points": [[0.0], [0.5]], "table_features": [[1.0, 0.0], [1.0, 0.5]]}')
+
 # (file, bytes, invocation): each file is written into the workload's
-# directory and read by its invocation.  The first gives `eval` a model.
+# directory and read by its invocation.  The first gives `eval` a model, and
+# so does `m_custom.json` (the CLI's one route into a custom table).
 MALFORMED = [
     ("m_good.csv", b"x1,y\n0,1\n0.5,2\n", ["fit", "m_good.csv", "--out", "m_good.json"]),
     ("m_quoted.csv", b'x1,y\n"0",1\n0.5,"2"\n', ["fit", "m_quoted.csv", "--out", "m_quoted.json"]),
@@ -69,6 +76,11 @@ MALFORMED = [
     ("m_nan_node.json", _model_file(b"[[0.0], [NaN]]"),
      ["eval", "m_nan_node.json", "--grid", "3", "--out", "m_nan_node_v.csv"]),
     ("m_dup.csv", b"x1,y\n0,1\n0.5,2\n0,3\n", ["fit", "m_dup.csv", "--out", "m_dup.json"]),
+    ("m_custom.json", CUSTOM_MODEL,
+     ["eval", "m_custom.json", "--grid", "3", "--out", "m_custom_grid.csv"]),
+    # tabulated, untabulated and outside the domain
+    ("m_custom.csv", b"x1\n0.5\n0.25\n2\n",
+     ["eval", "m_custom.json", "--points", "m_custom.csv", "--out", "m_custom_v.csv"]),
 ]
 
 
