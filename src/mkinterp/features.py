@@ -35,6 +35,10 @@ TABLE_TOLERANCE = 1e-9
 # (0.5 MiB of float64), so its temporaries stay small whatever N is.
 BLOCK_VALUES = 1 << 16
 
+# Largest truncation K a family enumerates: its index tables hold about K ints
+# (8 MiB) per coordinate, and a larger K is refused before any is built.
+MAX_TRUNCATION = 1 << 20
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -99,7 +103,9 @@ def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
 def _graded(dim, count, size) -> np.ndarray:
     """Weak compositions into `dim` parts, (M, dim), by increasing total, each
     total in decreasing-lex order, up to the first total at which the sum of
-    ``size(total)`` reaches the int `count`."""
+    ``size(total)`` reaches the int `count`; ValueError past ``MAX_TRUNCATION``."""
+    if count > MAX_TRUNCATION:
+        raise ValueError(f"truncation K must be at most {MAX_TRUNCATION}, got {count}")
     top, have = -1, 0
     while have < count:
         top, have = top + 1, have + size(top + 1)
@@ -438,8 +444,9 @@ def tabulated(model: FeatureModel, points) -> np.ndarray:
     ``custom`` table holds only its tabulated points."""
     if model.family != "custom":
         return np.ones(len(points), dtype=bool)
-    X = np.reshape(points, (-1, model.domain.dim))
-    X = np.clip(model.domain._checked(X), model.domain.lower, model.domain.upper)
+    X = np.atleast_2d(np.asarray(points, dtype=float))
+    if X.shape[0]:  # checked as eval_features checks them, width first
+        X = np.clip(model.domain._checked(X), model.domain.lower, model.domain.upper)
     found = np.empty(X.shape[0], dtype=bool)
     for rows in point_blocks(model, X.shape[0]):
         found[rows] = _table_lookup(model, X[rows])[1]

@@ -18,13 +18,14 @@ from .exceptions import NotConverged
 from .features import (Domain, FeatureModel, domain_grid, eval_features, point_blocks,
                        require_even_order)
 from .interpolant import NodeSet, _solved, banach_norm_direct, feature_coefficients
-from .solver import SolverOptions, _abs_pow, _minimize_even_power, pair_products
+from .solver import SolverOptions, _abs_pow, _dual_bound, _minimize_even_power, pair_products
 
 # A point stops once its Newton decrement -grad F . step is this small relative to F.
 _DECREMENT_TOL = 1e-12
 # A point's descent runs where ||r_2||_m times (1 + this) reaches the best P_m found.
 _REACH_MARGIN = 1e-9
-# Fewest points of a descent that pay for the table of the nodes' pair products.
+# Fewest points of a descent that pay for the table of the nodes' pair products,
+# and for the duality-gap stop test.
 _PAIR_ROWS = 16
 # Points per axis of the grid on which a convergence study takes the fill distance.
 _FILL_GRID_PER_DIM = 201
@@ -38,21 +39,32 @@ def _least_squares(V, B):
     return thetas.T, B - thetas.T @ V
 
 
-def _descend(V, B, z, m, opts: SolverOptions):
-    """``(P_m, iterations, stop_reasons)`` at each row of B, from the stack z:
+def _range_basis(V):
+    """An orthonormal basis of range(V^T), by one QR of V^T, or None where
+    n >= K: null(V) is then {0} and gives no lower bound on P_m."""
+    n, K = V.shape
+    return np.linalg.qr(V.T)[0] if n < K else None
+
+
+def _descend(V, B, z, m, opts: SolverOptions, basis=None):
+    """``(P_m, iterations, stop_reasons, thetas)`` at each row of B, from the stack z:
     the core on ``q / m``, ``q = sum_k |b - V^T theta|_k^p``, one step at each
     continuation exponent, then order m (see README).  ``iterations`` counts
-    a point's accepted Newton steps, within ``opts.max_iterations``.
+    a point's accepted Newton steps, within ``opts.max_iterations``.  A stack
+    of at least ``_PAIR_ROWS`` points given ``basis`` (:func:`_range_basis`)
+    also stops on the duality gap.
     """
-    pairs = pair_products(V.T) if len(B) >= _PAIR_ROWS else None
+    stacked = len(B) >= _PAIR_ROWS
+    pairs = pair_products(V.T) if stacked else None
     steps = 0
     for p in ((3, 3.5) if m == 4 else range(3, m))[:opts.max_iterations]:
         z, _, _, taken, _ = _minimize_even_power(V.T, -B, None, z, p, 1, dtol=_DECREMENT_TOL,
                                                  pairs=pairs)
         steps = steps + taken
-    _, F, _, iterations, reasons = _minimize_even_power(
-        V.T, -B, None, z, m, opts.max_iterations - steps, dtol=_DECREMENT_TOL, pairs=pairs)
-    return np.maximum(m * F, 0.0) ** (1.0 / m), steps + iterations, reasons
+    z, F, _, iterations, reasons = _minimize_even_power(
+        V.T, -B, None, z, m, opts.max_iterations - steps, dtol=_DECREMENT_TOL, pairs=pairs,
+        basis=basis if stacked else None)
+    return np.maximum(m * F, 0.0) ** (1.0 / m), steps + iterations, reasons, z
 
 
 def _max_power(V, B, m, opts: SolverOptions, best: float) -> float:
@@ -124,7 +136,9 @@ class PowerReport:
     ``iterations`` counts the Newton steps of each point's P_m descent, its
     continuation steps included; ``stop_reasons`` says how each ended, as
     :class:`~mkinterp.solver.SolveReport` does (``"converged"`` once the
-    Newton decrement is small relative to P_m^m).
+    Newton decrement or the duality gap is small relative to P_m^m).
+    ``p_m_lower`` is the duality bound at each point's last iterate, at most
+    P_m there, and 0 where the nodes are at least K.
     """
 
     eval_points: np.ndarray
@@ -134,6 +148,7 @@ class PowerReport:
     order: int
     iterations: np.ndarray
     stop_reasons: np.ndarray
+    p_m_lower: np.ndarray
 
 
 def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
@@ -150,8 +165,9 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
     opts = opts or SolverOptions()
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
     V = eval_features(model, nodes.points)
+    basis = _range_basis(V)
     count = eval_points.shape[0]
-    p_m, p_2 = np.empty(count), np.empty(count)
+    p_m, p_2, lower = np.empty(count), np.empty(count), np.zeros(count)
     iterations, reasons = np.empty(count, dtype=int), np.empty(count, dtype="U14")
     for rows in point_blocks(model, count):
         B = eval_features(model, eval_points[rows])
@@ -160,8 +176,12 @@ def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
         if m == 2:
             p_m[rows], iterations[rows], reasons[rows] = p_2[rows], 0, "converged"
         else:
-            p_m[rows], iterations[rows], reasons[rows] = _descend(V, B, thetas, m, opts)
-    return PowerReport(eval_points, p_m, p_2, error_bound(f_norm, p_m), m, iterations, reasons)
+            p_m[rows], iterations[rows], reasons[rows], thetas = _descend(
+                V, B, thetas, m, opts, basis)
+        if basis is not None:
+            lower[rows] = _dual_bound(V.T, basis, thetas @ V - B, thetas, m)
+    return PowerReport(eval_points, p_m, p_2, error_bound(f_norm, p_m), m, iterations, reasons,
+                       lower)
 
 
 @dataclass(frozen=True)

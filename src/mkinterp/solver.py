@@ -192,6 +192,28 @@ def _newton_directions(W, R, G, rows, p, lam, pairs):
     return steps
 
 
+def _dual_bound(W, basis, r, z, p):
+    """Hoelder's lower bound on ``min_z ||u + W z||_p`` at each row of the stack z,
+    from its residual ``r = u + W z``; ``basis`` is an orthonormal basis of range(W).
+
+    ``lambda = psi - basis basis^T psi``, ``psi = sign(r)|r|^{p-1}``, is orthogonal to
+    range(W), so ``lambda . r`` does not depend on z, and ``|lambda . r| / ||lambda||_q``
+    (``q = p/(p-1)``) bounds every residual's p-norm from below.  Less the rounding
+    allowance ``a``, clipped at 0: the computed basis spans range(W + dW) with
+    ``||dW|| <~ eps ||W||_F`` (first term), and the dot product rounds (second term).
+    """
+    eps, K = np.finfo(float).eps, r.shape[-1]
+    psi = r * _abs_pow(r, p - 2)
+    dual = psi - (psi @ basis) @ basis.T
+    terms = dual * r
+    allowance = (eps * np.linalg.norm(W) * math.sqrt(K) * np.linalg.norm(z, axis=-1)
+                 * np.linalg.norm(dual, axis=-1) + K * eps * np.abs(terms).sum(axis=-1))
+    dual_norm = (np.abs(dual) ** (p / (p - 1))).sum(axis=-1) ** ((p - 1) / p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (np.abs(terms.sum(axis=-1)) - allowance) / dual_norm
+    return np.where((bound > 0) & np.isfinite(bound), bound, 0.0)
+
+
 def _potential(W, u, ell, z, p, lam):
     """``(r, F, magnitude)`` at each row of the stack z (or at one vector z):
     ``r = u + W z``, the core's F and the summed magnitude of F's terms
@@ -214,7 +236,7 @@ def _gradient(W, ell, r, z, p, lam):
 
 
 def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dtol=None,
-                         pairs=None):
+                         pairs=None, basis=None):
     """Damped Newton on ``F(z) = (1/p) sum_k |u + W z|_k^p + ell . z + (lam/2)|z|^2``
     for each row of the (N, n) stack Z, the rows in lock-step (see README).
 
@@ -222,13 +244,17 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
     and ``lam >= 0``.  A row stops once its gradient norm is at most ``gtol``
     or its Newton decrement at most ``dtol F`` (None: not tested), or after
     ``max_iterations`` (an int or one per row).  ``pairs``: the
-    :func:`pair_products` of W, or None.  Returns ``(Z, F, gnorm,
-    iterations, stop_reasons)``, one entry per row.
+    :func:`pair_products` of W, or None.  ``basis``: an orthonormal basis of
+    range(W), with no ``ell`` or ``lam``; a row whose last decrement was at
+    most ``sqrt(dtol) F`` then also stops, before its next Newton system, once
+    :func:`_dual_bound` puts F within ``dtol F`` of its minimum.  Returns
+    ``(Z, F, gnorm, iterations, stop_reasons)``, one entry per row.
     """
     z = np.array(Z, dtype=float)  # a copy: rows are updated in place
     N = z.shape[0]
     budget = np.broadcast_to(max_iterations, N)
     iterations, reasons = np.zeros(N, dtype=int), np.full(N, "", dtype="U14")
+    near = np.zeros(N, dtype=bool)  # rows whose last decrement was at most sqrt(dtol) F
 
     with np.errstate(over="ignore", invalid="ignore"):
         r, F, magnitude = _potential(W, u, ell, z, p, lam)
@@ -238,6 +264,12 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
         while rows.size:
             g, f = gnorm[rows], F[rows]
             converged = gtol is not None and g <= gtol
+            if basis is not None and near[rows].any():
+                at = rows[near[rows]]
+                lower = _dual_bound(W, basis, r[at], z[at], p)
+                certified = np.zeros(N, dtype=bool)
+                certified[at] = F[at] - _abs_pow(lower, p) / p <= dtol * F[at]
+                converged = converged | certified[rows]
             finite = np.isfinite(g) & np.isfinite(f)
             spent = iterations[rows] >= budget[rows]
             go = ~(converged | spent) & finite
@@ -249,6 +281,8 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
                     break
             step = _newton_directions(W, r, grad, rows, p, lam, pairs)
             slope = np.vecdot(grad[rows], step)
+            if basis is not None:
+                near[rows] = -slope <= math.sqrt(dtol) * f
             small = dtol is not None and -slope <= dtol * f
             if np.any(small):
                 reasons[rows[small]] = "converged"

@@ -221,6 +221,16 @@ class TestDocumentedInputChecks:
             f"error: {message}; weights must be finite positive reals\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kernel", ["power", "trig"])
+    def test_truncation_too_large_to_enumerate_exits_2(self, tmp_path, capsys, kernel):
+        data = write(tmp_path / "d.csv", DATA_2ROW)
+        out = tmp_path / "o.json"
+        assert main(["fit", data, "--out", str(out), "--kernel", kernel,
+                     "--truncation", str(10 ** 12)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: truncation K must be at most 1048576, got {10 ** 12}\n")
+        assert not out.exists()
+
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         data = write(tmp_path / "empty.csv", "")
         assert main(["fit", data, "--out", str(tmp_path / "o.json")]) == 2

@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import py_compile
 import re
 import sys
 from pathlib import Path
@@ -115,6 +117,26 @@ def test_peak_rss_of_each_step_is_printed(monkeypatch, capsys):
             parent, change = re.fullmatch(r"(\d+\.\d\d) -> (\d+\.\d\d) MiB",
                                           line[len(prefix):]).groups()
             assert 1.0 < float(parent) < 1024.0 and 1.0 < float(change) < 1024.0
+
+
+def test_steps_read_no_bytecode_from_the_tree(tmp_path):
+    # the tree's __pycache__ holds a cli.pyc that passes the timestamp check
+    # against cli.py (same size and mtime) but prints something else
+    package = tmp_path / "src" / "mkinterp"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    cli, stamp = package / "cli.py", (1_000_000_000, 1_000_000_000)
+    cli.write_text('print("cached")\n')
+    os.utime(cli, stamp)
+    cached = package / "__pycache__" / f"cli.{sys.implementation.cache_tag}.pyc"
+    py_compile.compile(str(cli), cfile=str(cached), doraise=True,
+                       invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+    cli.write_text('print("source")\n')
+    os.utime(cli, stamp)
+    work = tmp_path / "work"
+    work.mkdir()
+    [(_, code, _, stdout, _)] = compare.run([[]], tmp_path / "src", work)
+    assert (code, stdout) == (0, "source\n")
 
 
 def test_every_workload_by_default(ran):

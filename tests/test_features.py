@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,11 @@ class TestDomain:
         box2 = Domain([-1.0, -1.0], [1.0, 1.0])
         with pytest.raises(PointOutsideDomain):
             eval_features(FeatureModel.power_series(box2, 3), [[0.0], [0.5]])
+        # a row of width 2 is refused, not read as two 1-d points
+        for call in (eval_features, tabulated):
+            with pytest.raises(PointOutsideDomain,
+                               match="point has dimension 2, domain has dimension 1"):
+                call(face_table(), [[0.0, 0.5]])
 
     def test_contains_is_per_row(self):
         box2 = Domain([-1.0, 0.0], [1.0, 2.0])
@@ -159,6 +165,25 @@ class TestGradedIndices:
         # a string K once reached ``K < 1`` and raised a TypeError
         with pytest.raises(ValueError, match="^truncation must be an integer, got '1'$"):
             FeatureModel(BOX, "power", "1", np.ones(1), exponents=np.zeros((1, 1), int))
+
+    @pytest.mark.parametrize("family", ["power_series", "trigonometric"])
+    def test_truncation_too_large_to_enumerate_refused_up_front(self, family):
+        # nothing is enumerated: 10**12 one-coordinate indices would be 8 TB
+        message = f"truncation K must be at most {features.MAX_TRUNCATION}, got {10 ** 12}"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(FeatureModel, family)(BOX, 10 ** 12)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("family", ["power_series", "trigonometric"])
+    def test_truncation_bound_is_inclusive(self, family, monkeypatch):
+        monkeypatch.setattr(features, "MAX_TRUNCATION", 9)
+        build = getattr(FeatureModel, family)
+        assert build(Domain([-1.0, -1.0], [1.0, 1.0]), 9).weights.shape == (9,)
+        with pytest.raises(ValueError, match="^truncation K must be at most 9, got 10$"):
+            build(Domain([-1.0, -1.0], [1.0, 1.0]), 10)
+        with pytest.raises(ValueError, match="^truncation K must be at most 9, got 10$"):
+            graded_multi_indices(3, 10)
 
     @pytest.mark.parametrize("count", [8.5, True, "8", np.float64(-0.5)], ids=repr)
     def test_graded_indices_refuse_a_count_that_is_no_integer(self, count):

@@ -5,6 +5,7 @@ import pytest
 
 import mkinterp.features
 import mkinterp.power
+import mkinterp.solver
 import mkinterp.tensors
 from mkinterp import (
     Domain,
@@ -359,6 +360,97 @@ class TestLockStepPowerValues:
         report = power_report(STUDY_MODEL, study_nodes(8), 2, STUDY_GRID)
         assert np.all(report.iterations == 0)
         assert set(report.stop_reasons) == {"converged"}
+
+
+class TestDualityCertificate:
+    """``PowerReport.p_m_lower``: Hoelder's bound ``|lambda . b| / ||lambda||_q`` over
+    lambda in null(V), less its rounding allowance, at each point's last iterate;
+    a descent of at least ``_PAIR_ROWS`` points also stops on it."""
+
+    # (family, dim, K, n): every design has n < K, so null(V) is not {0}
+    DESIGNS = [("power", 1, 10, 4), ("trig", 1, 15, 5), ("power", 2, 21, 8),
+               ("trig", 2, 30, 10), ("power", 3, 35, 12), ("trig", 3, 40, 12)]
+
+    @staticmethod
+    def design(family, dim, K, n, points=24):
+        box = Domain([-1.0] * dim, [1.0] * dim)
+        build = FeatureModel.power_series if family == "power" else FeatureModel.trigonometric
+        rng = np.random.default_rng([dim, K, n])
+        nodes = NodeSet(rng.uniform(-1.0, 1.0, (n, dim)), np.zeros(n))
+        return build(box, K, 0.7), nodes, rng.uniform(-1.0, 1.0, (points, dim))
+
+    @pytest.mark.parametrize("m", [4, 6])
+    @pytest.mark.parametrize("family, dim, K, n", DESIGNS)
+    def test_lower_bound_brackets_the_long_double_minimum(self, family, dim, K, n, m):
+        model, nodes, points = self.design(family, dim, K, n)
+        report = power_report(model, nodes, m, points)
+        reference = power_values_long_double(model, nodes, m, points).astype(float)
+        V, B = eval_features(model, nodes.points), eval_features(model, points)
+        thetas, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
+        upper = np.linalg.norm(B - thetas.T @ V, ord=m, axis=1)
+        assert set(report.stop_reasons) == {"converged"}
+        assert np.all(report.p_m_lower <= reference)
+        assert np.all(report.p_m_lower <= report.p_m)
+        assert np.all(report.p_m <= upper * (1.0 + 1e-12))
+        # away from the nodes the bound is tight, well inside the descent's stop
+        np.testing.assert_allclose(report.p_m_lower, report.p_m, rtol=1e-8, atol=0.0)
+
+    def test_no_bound_without_a_null_space_or_at_a_node(self):
+        model, nodes, points = self.design("trig", 2, 30, 10)
+        at_nodes = power_report(model, nodes, 4, np.vstack([points, nodes.points]))
+        assert np.all(at_nodes.p_m_lower[len(points):] == 0.0)
+        assert np.all(at_nodes.p_m_lower <= at_nodes.p_m)
+        # n >= K: null(V) = {0}, and the report holds zeros
+        few = FeatureModel.trigonometric(model.domain, 9, 0.7)
+        assert np.all(power_report(few, nodes, 4, points).p_m_lower == 0.0)
+
+    def test_order_two_bound_is_p2(self):
+        # at the l2 minimizer lambda is the residual itself: the bound is its 2-norm
+        model, nodes, points = self.design("power", 2, 21, 8)
+        report = power_report(model, nodes, 2, points)
+        np.testing.assert_allclose(report.p_m_lower, report.p_2, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("route", ["pair table", "per row"])
+    def test_gap_stop_saves_newton_systems_and_no_bit(self, monkeypatch, route):
+        # the benchmark's power-bound inputs: 225 points, one block
+        model, nodes, grid = TestLockStepPowerValues.benchmark_case()
+        if route == "per row":
+            monkeypatch.setattr(mkinterp.power, "pair_products", lambda W: None)
+        directions, formed = mkinterp.solver._newton_directions, []
+
+        def counting(W, R, G, rows, *args):
+            formed.append(rows.size)
+            return directions(W, R, G, rows, *args)
+
+        monkeypatch.setattr(mkinterp.solver, "_newton_directions", counting)
+        gap = power_report(model, nodes, 4, grid)
+        with_gap = sum(formed)
+        formed.clear()
+        monkeypatch.setattr(mkinterp.power, "_range_basis", lambda V: None)
+        decrement = power_report(model, nodes, 4, grid)
+        without_gap = sum(formed)
+        np.testing.assert_array_equal(gap.p_m, decrement.p_m)
+        np.testing.assert_array_equal(gap.iterations, decrement.iterations)
+        np.testing.assert_array_equal(gap.stop_reasons, decrement.stop_reasons)
+        assert set(gap.stop_reasons) == {"converged"}
+        # the decrement stop solves one system per point that no step uses
+        assert without_gap == int(decrement.iterations.sum()) + len(grid)
+        assert with_gap <= without_gap - 150
+        assert np.all((0.0 < gap.p_m_lower) & (gap.p_m_lower <= gap.p_m))
+        assert np.all(decrement.p_m_lower == 0.0)
+
+    def test_small_stacks_skip_the_gap_test(self, monkeypatch):
+        # power_function's one point and a study's pruned stacks: no bound is formed
+        model, nodes, points = self.design("trig", 2, 30, 10)
+        bounds = []
+
+        def recording(W, basis, r, z, p):
+            bounds.append(len(r))
+            return np.zeros(len(r))
+
+        monkeypatch.setattr(mkinterp.solver, "_dual_bound", recording)
+        power_report(model, nodes, 4, points[:mkinterp.power._PAIR_ROWS - 1])
+        assert bounds == []
 
 
 class TestConvergenceStudy:

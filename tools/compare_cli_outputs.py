@@ -21,7 +21,10 @@ peak RSS in both trees, which does not change the exit status: a small
 launcher process (this script, run with ``--serve``) starts the steps and
 reads each one's ``ru_maxrss`` with ``os.wait4``, so no step inherits the
 resident set of this process, which has loaded numpy; a step still reads
-at least the launcher's own, about 15 MiB.
+at least the launcher's own, about 15 MiB.  Each tree's launcher and steps
+get their own empty ``PYTHONPYCACHEPREFIX``, so neither tree reads bytecode
+from a ``__pycache__``: a tree with fresh bytecode would otherwise show a
+lower peak RSS on every step than a copied tree without.
 """
 
 from __future__ import annotations
@@ -102,12 +105,14 @@ def malformed(work: Path) -> list:
 
 def run(steps, src: Path, work: Path) -> list:
     """``(args, exit code, stderr, stdout, peak RSS in KiB)`` of each invocation,
-    run in ``work`` with ``src`` on ``PYTHONPATH`` by one launcher process."""
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_VARS})
+    run in ``work`` with ``src`` on ``PYTHONPATH`` by one launcher process, with
+    an empty bytecode cache of their own."""
     results = []
-    with subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--serve"], cwd=work,
-                          env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                          text=True) as launcher:
+    with tempfile.TemporaryDirectory() as cache, subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--serve"], cwd=work,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=cache,
+                     **{var: "1" for var in BLAS_VARS}),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as launcher:
         for args in steps:
             launcher.stdin.write(json.dumps([sys.executable, "-m", "mkinterp.cli", *args]) + "\n")
             launcher.stdin.flush()
