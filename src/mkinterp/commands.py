@@ -50,6 +50,7 @@ _DEFAULTS = {
     "seed": 0,
     "grid": 101,
     "fnorm": 1.0,
+    "node_counts": None,
 }
 
 
@@ -90,10 +91,10 @@ def _merge_settings(args) -> dict:
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
         for key, value in read_config(args.config).items():
-            if key not in _DEFAULTS and key != "node_counts":
+            if key not in _DEFAULTS:
                 raise CliInputError(f"unknown config key {key!r}")
             cfg[key] = value
-    for key in list(_DEFAULTS) + ["node_counts"]:
+    for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -160,12 +161,8 @@ def read_points_csv(path: str, expect_values: bool, allow_empty: bool = False):
 
 
 def _table(path: str, rows: list, width: int, first: int) -> np.ndarray:
-    """The (n, width) table of CSV rows, the first of them row ``first``.
-
-    Empty rows add no cells, so rows of ``width`` finite numbers convert with
-    one ``float`` per cell at once.  Any other rows are checked one by one:
-    the first bad row raises CliInputError, and blank rows are dropped.
-    """
+    """The (n, width) table of CSV rows, the first of them row ``first``; the first bad
+    row raises CliInputError, and blank rows are dropped."""
     if set(map(len, rows)) <= {0, width}:
         with suppress(ValueError):  # a cell that is not a number
             table = np.reshape(list(map(float, chain.from_iterable(rows))), (-1, width))
@@ -194,13 +191,9 @@ def _node_set(points, values) -> NodeSet:
 
 
 def _cells(chunk: np.ndarray, dense: bool) -> tuple:
-    """CSV cells of a column chunk: ``repr`` of a float, blank for NaN, else ``str``.
-
-    ``repr`` (shortest round-trip, never quoted) runs once per float if
-    ``dense``, else once per distinct float, told apart by bit pattern.  Also
-    returns ``dense`` for the next chunk: this one was, or had over half its
-    floats distinct.
-    """
+    """CSV cells of a column chunk: ``repr`` of a float (once per float if ``dense``, else
+    once per distinct bit pattern), blank for NaN, else ``str``; and ``dense`` for the next
+    chunk: this one was, or had over half its floats distinct."""
     if chunk.dtype.kind != "f":
         return list(map(str, chunk.tolist())), dense
     if dense:
@@ -214,11 +207,8 @@ def _cells(chunk: np.ndarray, dense: bool) -> tuple:
 
 
 def _write_csv(path: str, header, *columns) -> None:
-    """Write equal-length 1-d arrays as CSV columns under ``header`` (see ``_cells``).
-
-    Each ``CSV_CHUNK_ROWS`` rows are built as one string and written at once,
-    so a large output's Python objects are never all alive together.
-    """
+    """Write equal-length 1-d arrays as CSV columns under ``header`` (see ``_cells``),
+    ``CSV_CHUNK_ROWS`` rows to one string and one write."""
     dense = [False] * len(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -322,7 +312,7 @@ def cmd_study(args) -> int:
     cfg = _merge_settings(args)
     try:
         counts = [int(piece) for piece in str(cfg["node_counts"]).split(",")]
-    except (KeyError, ValueError):
+    except ValueError:
         raise CliInputError("node_counts must be a comma-separated integer list") from None
     if not counts or counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
         raise CliInputError("node_counts must be strictly increasing and at least 1")

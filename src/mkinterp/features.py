@@ -124,14 +124,9 @@ def graded_multi_indices(dim: int, count: int) -> np.ndarray:
 
 
 def _trig_indices(dim, count):
-    """Frequency/kind tables, each (count, dim) for an int `count`, of the
-    tensorized trigonometric family: the multi-indices of :func:`_graded` in
-    turn, each expanded into every choice of cosine or sine per nonzero
-    frequency, cosine first and the first coordinate slowest (choice s of r
-    takes the sine at the i-th nonzero frequency if bit r-1-i of s is set).
-
-    Kinds: 0 = constant, 1 = cos(pi*j*x), 2 = sin(pi*j*x).
-    """
+    """Frequency/kind tables, each (count, dim) for an int `count`, of the tensorized
+    trigonometric family (kinds 0 = constant, 1 = cos(pi*j*x), 2 = sin(pi*j*x)): the
+    multi-indices of :func:`_graded`, each expanded into its cosine/sine choices (see README)."""
     alpha = _graded(dim, count, lambda total: sum(  # r nonzero parts, 2**r choices each
         comb(dim, r) * comb(total - 1, r - 1) << r for r in range(1, dim + 1)) if total else 1)
     nonzero = alpha != 0
@@ -254,12 +249,10 @@ class FeatureModel:
 
     @cached_property
     def _sum_plan(self) -> tuple:
-        """How :func:`_feature_sum` groups the features, built once per model:
-        the P distinct prefixes (first d-1 gather indices, see
-        :attr:`coordinate_factors`) as a (P, d-1) array in order of first
-        appearance, each feature's distinct place in a (J_d, P) matrix (its
-        last index, its prefix), that shape, and the values a block holds per
-        point (its factor tables, S and one gathered (B, P) temporary)."""
+        """How :func:`_feature_sum` groups the features, built once per model: the P
+        distinct prefixes (first d-1 gather indices) as a (P, d-1) array in order of first
+        appearance, each feature's place in a (J_d, P) matrix, that shape, and the values
+        a block holds per point."""
         gathers = np.stack([factors[-1] for factors in self.coordinate_factors], axis=1)
         widths = [int(gather.max()) + 1 for gather in gathers.T]
         key = np.zeros(len(gathers), dtype=np.int64)
@@ -404,11 +397,9 @@ def _grid_sum(model: FeatureModel, X: np.ndarray, prefixes, C):
 
 
 def _feature_sum(model: FeatureModel, X: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """``sum_k alpha_k phi_k(x)`` at each row x of an (N, d) array by sum
-    factorization through :attr:`FeatureModel._sum_plan` (the README gives the
-    method), on a tensor grid by :func:`_grid_sum`; no (N, K) array is built.
-    Rows agree with ``eval_features(model, X) @ alpha`` to the rounding of a
-    K-term sum.  An empty array of any width gives (0,) without a check."""
+    """``sum_k alpha_k phi_k(x)`` at each row x of an (N, d) array by sum factorization
+    (see README), on a tensor grid by :func:`_grid_sum`, with no (N, K) array; an empty
+    array of any width gives (0,) without a check."""
     prefixes, places, shape, width = model._sum_plan
     C = np.zeros(shape)
     C[places] = np.sqrt(model.weights) * alpha

@@ -44,14 +44,9 @@ def _sweep_direction(dim: int) -> np.ndarray:
 
 
 def _coincident_pair(pts: np.ndarray) -> tuple:
-    """Squared distance and ``(i, j)``, i < j, of the first closest pair of
-    finite rows if within ``MIN_NODE_SEPARATION``, else ``(inf, None)``.
-
-    Sort and sweep on :func:`_sweep_direction`: each row is compared with the
-    later rows whose projections lie within its window, ``MIN_NODE_SEPARATION
-    * ||u||_2`` plus its rounding bound, k places apart at once for k = 1, 2,
-    ... while any window holds one; O(n log n) for scattered rows, O(n) memory.
-    """
+    """Squared distance and ``(i, j)``, i < j, of the first closest pair of finite rows
+    if within ``MIN_NODE_SEPARATION``, else ``(inf, None)``: sort and sweep on
+    :func:`_sweep_direction` (see README)."""
     n, dim = pts.shape
     u = _sweep_direction(dim)
     slack = 4 * (dim + 2) * np.finfo(float).eps  # relative rounding of projections, distances

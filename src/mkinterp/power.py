@@ -10,6 +10,7 @@ residual norm is P_2.  A target of known norm errs by at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .exceptions import NotConverged
 from .features import (Domain, FeatureModel, domain_grid, eval_features, point_blocks,
                        require_even_order)
 from .interpolant import NodeSet, _solved, banach_norm_direct, feature_coefficients
-from .solver import SolverOptions, _abs_pow, _dual_bound, _minimize_even_power, pair_products
+from .solver import SolverOptions, _abs_pow, _minimize_even_power
 
 # A point stops once its Newton decrement -grad F . step is this small relative to F.
 _DECREMENT_TOL = 1e-12
@@ -27,6 +28,8 @@ _REACH_MARGIN = 1e-9
 # Fewest points of a descent that pay for the table of the nodes' pair products,
 # and for the duality-gap stop test.
 _PAIR_ROWS = 16
+# Largest table of the nodes' pair products (2 MiB); past it Hessians are formed per row.
+_PAIR_VALUES = 1 << 18
 # Points per axis of the grid on which a convergence study takes the fill distance.
 _FILL_GRID_PER_DIM = 201
 
@@ -46,16 +49,48 @@ def _range_basis(V):
     return np.linalg.qr(V.T)[0] if n < K else None
 
 
+def pair_products(W):
+    """``(M, index)``: the K x n(n+1)/2 table ``M[:, j] = W[:, a] W[:, b]`` over the pairs
+    a <= b and each pair's column (either order), so ``W^T diag(d) W = (d @ M)[index]``;
+    None past ``_PAIR_VALUES`` doubles."""
+    K, n = W.shape
+    width = n * (n + 1) // 2
+    if K * width > _PAIR_VALUES:
+        return None
+    M, index = np.empty((K, width)), np.empty((n, n), dtype=np.intp)
+    lo = 0
+    for a in range(n):
+        np.multiply(W[:, a:], W[:, a, None], out=M[:, lo:lo + n - a])
+        index[a, a:] = index[a:, a] = np.arange(lo, lo + n - a)
+        lo += n - a
+    return M, index
+
+
+def _dual_bound(W, basis, r, z, p):
+    """Hoelder's lower bound on ``min_z ||u + W z||_p`` at each row of the stack z, from
+    its residual ``r = u + W z`` and an orthonormal ``basis`` of range(W), less its
+    rounding allowance and clipped at 0 (see README)."""
+    eps, K = np.finfo(float).eps, r.shape[-1]
+    psi = r * _abs_pow(r, p - 2)
+    dual = psi - (psi @ basis) @ basis.T
+    terms = dual * r
+    allowance = (eps * np.linalg.norm(W) * math.sqrt(K) * np.linalg.norm(z, axis=-1)
+                 * np.linalg.norm(dual, axis=-1) + K * eps * np.abs(terms).sum(axis=-1))
+    dual_norm = (np.abs(dual) ** (p / (p - 1))).sum(axis=-1) ** ((p - 1) / p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (np.abs(terms.sum(axis=-1)) - allowance) / dual_norm
+    return np.where((bound > 0) & np.isfinite(bound), bound, 0.0)
+
+
 def _descend(V, B, z, m, opts: SolverOptions, basis=None):
-    """``(P_m, iterations, stop_reasons, thetas)`` at each row of B, from the stack z:
-    the core on ``q / m``, ``q = sum_k |b - V^T theta|_k^p``, one step at each
-    continuation exponent, then order m (see README).  ``iterations`` counts
-    a point's accepted Newton steps, within ``opts.max_iterations``.  A stack
-    of at least ``_PAIR_ROWS`` points given ``basis`` (:func:`_range_basis`)
-    also stops on the duality gap.
-    """
+    """``(P_m, iterations, stop_reasons, thetas)`` at each row of B from the stack z: one core
+    step at each continuation exponent, then order m (see README), within
+    ``opts.max_iterations`` steps a point.  A stack of at least ``_PAIR_ROWS`` points uses
+    the pair table and, given ``basis`` (:func:`_range_basis`), stops on the duality gap."""
     stacked = len(B) >= _PAIR_ROWS
     pairs = pair_products(V.T) if stacked else None
+    lower = None if basis is None or not stacked else (
+        lambda r, z: _abs_pow(_dual_bound(V.T, basis, r, z, m), m) / m)
     steps = 0
     for p in ((3, 3.5) if m == 4 else range(3, m))[:opts.max_iterations]:
         z, _, _, taken, _ = _minimize_even_power(V.T, -B, None, z, p, 1, dtol=_DECREMENT_TOL,
@@ -63,7 +98,7 @@ def _descend(V, B, z, m, opts: SolverOptions, basis=None):
         steps = steps + taken
     z, F, _, iterations, reasons = _minimize_even_power(
         V.T, -B, None, z, m, opts.max_iterations - steps, dtol=_DECREMENT_TOL, pairs=pairs,
-        basis=basis if stacked else None)
+        lower=lower)
     return np.maximum(m * F, 0.0) ** (1.0 / m), steps + iterations, reasons, z
 
 

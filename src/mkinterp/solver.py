@@ -32,8 +32,6 @@ _NOISE = 1e-15
 # Doubles per chunk of stacked Hessians, packed pair sums included (1 MiB): few
 # numpy calls, little memory.
 _HESSIAN_VALUES = 1 << 17
-# Largest table of the nodes' pair products (2 MiB); past it Hessians are formed per row.
-_PAIR_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -110,52 +108,20 @@ def _abs_pow(r, p):
 
 
 def _hessian(W, r, p, out=None):
-    """``(p-1) W^T diag(|r|^{p-2}) W``, PSD, as ``(p-1) Y^T Y``, into ``out`` if given.
-
-    ``Y = diag(|r|^{(p-2)/2}) W``; numpy forms ``Y^T Y`` on one buffer by a
-    symmetric rank-K update, which halves the flops of a general product
-    and makes H exactly symmetric.  The row scale is :func:`_abs_pow`'s, so
-    at integral ``(p-2)/2`` it is a product of the residuals.
-    """
+    """``(p-1) W^T diag(|r|^{p-2}) W`` as ``(p-1) Y^T Y``, ``Y = diag(|r|^{(p-2)/2}) W``:
+    one symmetric rank-K update, exactly symmetric, into ``out`` if given."""
     Y = W * _abs_pow(r, (p - 2) / 2)[:, None]
     H = np.matmul(Y.T, Y, out=out)
     H *= p - 1
     return H
 
 
-def pair_products(W):
-    """``(M, index)``: the K x n(n+1)/2 table ``M[:, j] = W[:, a] W[:, b]`` over the
-    pairs a <= b, and the n x n position of each pair (either order) in it; None
-    when the table would exceed ``_PAIR_VALUES`` doubles.
-
-    A Hessian is linear in its row weights, ``W^T diag(d) W = (d @ M)[index]``
-    (the Khatri-Rao product of W with itself, halved by symmetry), so a stack of
-    Hessians is one matrix product with M.
-    """
-    K, n = W.shape
-    width = n * (n + 1) // 2
-    if K * width > _PAIR_VALUES:
-        return None
-    M, index = np.empty((K, width)), np.empty((n, n), dtype=np.intp)
-    lo = 0
-    for a in range(n):
-        np.multiply(W[:, a:], W[:, a, None], out=M[:, lo:lo + n - a])
-        index[a, a:] = index[a:, a] = np.arange(lo, lo + n - a)
-        lo += n - a
-    return M, index
-
-
 def _newton_directions(W, R, G, rows, p, lam, pairs):
-    """Newton steps of the given rows of a stack, residuals R (N x K) and gradients G (N x n).
-
-    The Hessians go through in chunks of at most ``_HESSIAN_VALUES`` doubles,
-    one stacked solve per chunk; if LAPACK rejects a chunk its rows are
-    solved one at a time.  With ``pairs``, the table of :func:`pair_products`,
-    a chunk's Hessians are one product with it (its packed products count in
-    the chunk), else each row's is ``_hessian``.  A row whose Hessian stays
-    singular, or whose Newton step is not a descent direction, steps along
-    ``-grad``.
-    """
+    """Newton steps of the given rows of a stack, residuals R (N x K) and gradients G (N x n),
+    in chunks of at most ``_HESSIAN_VALUES`` doubles, a chunk's Hessians from the pair table
+    ``pairs`` (its packed products counted) if given, else by :func:`_hessian`.  A chunk
+    LAPACK rejects is solved row by row; a row whose Hessian stays singular, or whose step
+    is not a descent direction, steps along ``-grad``."""
     n = G.shape[1]
     steps = np.empty((rows.size, n))
     packed = 0 if pairs is None else pairs[0].shape[1]
@@ -192,64 +158,34 @@ def _newton_directions(W, R, G, rows, p, lam, pairs):
     return steps
 
 
-def _dual_bound(W, basis, r, z, p):
-    """Hoelder's lower bound on ``min_z ||u + W z||_p`` at each row of the stack z,
-    from its residual ``r = u + W z``; ``basis`` is an orthonormal basis of range(W).
-
-    ``lambda = psi - basis basis^T psi``, ``psi = sign(r)|r|^{p-1}``, is orthogonal to
-    range(W), so ``lambda . r`` does not depend on z, and ``|lambda . r| / ||lambda||_q``
-    (``q = p/(p-1)``) bounds every residual's p-norm from below.  Less the rounding
-    allowance ``a``, clipped at 0: the computed basis spans range(W + dW) with
-    ``||dW|| <~ eps ||W||_F`` (first term), and the dot product rounds (second term).
-    """
-    eps, K = np.finfo(float).eps, r.shape[-1]
-    psi = r * _abs_pow(r, p - 2)
-    dual = psi - (psi @ basis) @ basis.T
-    terms = dual * r
-    allowance = (eps * np.linalg.norm(W) * math.sqrt(K) * np.linalg.norm(z, axis=-1)
-                 * np.linalg.norm(dual, axis=-1) + K * eps * np.abs(terms).sum(axis=-1))
-    dual_norm = (np.abs(dual) ** (p / (p - 1))).sum(axis=-1) ** ((p - 1) / p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = (np.abs(terms.sum(axis=-1)) - allowance) / dual_norm
-    return np.where((bound > 0) & np.isfinite(bound), bound, 0.0)
-
-
-def _potential(W, u, ell, z, p, lam):
-    """``(r, F, magnitude)`` at each row of the stack z (or at one vector z):
-    ``r = u + W z``, the core's F and the summed magnitude of F's terms
-    (the scale of its rounding noise)."""
+def _state(W, u, ell, z, p, lam):
+    """``(r, F, magnitude, grad, gnorm)`` of the core at each row of the stack z (or at
+    one vector z): ``r = u + W z``, F, the summed magnitude of F's terms (the scale of its
+    rounding noise), the gradient and its norm."""
     r = z @ W.T + u
-    power_sum = _abs_pow(r, p).sum(axis=-1) / p
-    if lam:
-        power_sum += 0.5 * lam * np.vecdot(z, z)
-    if ell is None:
-        return r, power_sum, power_sum
-    return r, power_sum + np.vecdot(z, ell), power_sum + np.vecdot(np.abs(z), np.abs(ell))
-
-
-def _gradient(W, ell, r, z, p, lam):
-    """The core's gradient at each row of z, from its residual ``r = u + W z``."""
+    F = _abs_pow(r, p).sum(axis=-1) / p
     grad = (r * _abs_pow(r, p - 2)) @ W
     if lam:
+        F += 0.5 * lam * np.vecdot(z, z)
         grad = grad + lam * z
-    return grad if ell is None else grad + ell
+    magnitude = F
+    if ell is not None:
+        F, magnitude = F + np.vecdot(z, ell), F + np.vecdot(np.abs(z), np.abs(ell))
+        grad = grad + ell
+    return r, F, magnitude, grad, np.sqrt(np.vecdot(grad, grad))
 
 
 def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dtol=None,
-                         pairs=None, basis=None):
+                         pairs=None, lower=None):
     """Damped Newton on ``F(z) = (1/p) sum_k |u + W z|_k^p + ell . z + (lam/2)|z|^2``
-    for each row of the (N, n) stack Z, the rows in lock-step (see README).
-
-    W is K x n, u an (N, K) stack or 0, ``ell`` an n-vector or None, p >= 2
-    and ``lam >= 0``.  A row stops once its gradient norm is at most ``gtol``
-    or its Newton decrement at most ``dtol F`` (None: not tested), or after
-    ``max_iterations`` (an int or one per row).  ``pairs``: the
-    :func:`pair_products` of W, or None.  ``basis``: an orthonormal basis of
-    range(W), with no ``ell`` or ``lam``; a row whose last decrement was at
-    most ``sqrt(dtol) F`` then also stops, before its next Newton system, once
-    :func:`_dual_bound` puts F within ``dtol F`` of its minimum.  Returns
-    ``(Z, F, gnorm, iterations, stop_reasons)``, one entry per row.
-    """
+    for each row of the (N, n) stack Z, in lock-step (see README).  W is K x n, u an (N, K)
+    stack or 0, ``ell`` an n-vector or None, p >= 2 and ``lam >= 0``.  A row stops once its
+    gradient norm is at most ``gtol``, its Newton decrement at most ``dtol F`` (None: not
+    tested), or after ``max_iterations`` (an int or one per row).  ``pairs``: a pair table
+    of W (``power.pair_products``) or None.  ``lower(r, z)``, given with ``dtol``: a lower
+    bound on the minimal F of each given row; a row whose last decrement was at most
+    ``sqrt(dtol) F`` also stops, before its next Newton system, once F is within ``dtol F``
+    of it.  Returns ``(Z, F, gnorm, iterations, stop_reasons)``, one entry per row."""
     z = np.array(Z, dtype=float)  # a copy: rows are updated in place
     N = z.shape[0]
     budget = np.broadcast_to(max_iterations, N)
@@ -257,18 +193,15 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
     near = np.zeros(N, dtype=bool)  # rows whose last decrement was at most sqrt(dtol) F
 
     with np.errstate(over="ignore", invalid="ignore"):
-        r, F, magnitude = _potential(W, u, ell, z, p, lam)
-        grad = _gradient(W, ell, r, z, p, lam)
-        gnorm = np.sqrt(np.vecdot(grad, grad))
+        r, F, magnitude, grad, gnorm = _state(W, u, ell, z, p, lam)
         rows = np.arange(N)  # the rows still descending
         while rows.size:
             g, f = gnorm[rows], F[rows]
             converged = gtol is not None and g <= gtol
-            if basis is not None and near[rows].any():
+            if lower is not None and near[rows].any():
                 at = rows[near[rows]]
-                lower = _dual_bound(W, basis, r[at], z[at], p)
                 certified = np.zeros(N, dtype=bool)
-                certified[at] = F[at] - _abs_pow(lower, p) / p <= dtol * F[at]
+                certified[at] = F[at] - lower(r[at], z[at]) <= dtol * F[at]
                 converged = converged | certified[rows]
             finite = np.isfinite(g) & np.isfinite(f)
             spent = iterations[rows] >= budget[rows]
@@ -281,7 +214,7 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
                     break
             step = _newton_directions(W, r, grad, rows, p, lam, pairs)
             slope = np.vecdot(grad[rows], step)
-            if basis is not None:
+            if lower is not None:
                 near[rows] = -slope <= math.sqrt(dtol) * f
             small = dtol is not None and -slope <= dtol * f
             if np.any(small):
@@ -294,10 +227,8 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
             for _ in range(_MAX_BACKTRACKS):
                 at = rows[pending]
                 cand = z[at] + eta * step[pending]
-                cand_r, cand_F, cand_magnitude = _potential(
+                cand_r, cand_F, cand_magnitude, cand_grad, cand_gnorm = _state(
                     W, u if np.ndim(u) < 2 else u[at], ell, cand, p, lam)
-                cand_grad = _gradient(W, ell, cand_r, cand, p, lam)
-                cand_gnorm = np.sqrt(np.vecdot(cand_grad, cand_grad))
                 drop = cand_F - F[at]
                 decrease = _ARMIJO * eta * slope[pending]
                 accept = (drop <= decrease + noise[pending]) & (
@@ -364,7 +295,7 @@ def _continued_start(W, c, m, y, lam, max_iterations, gtol):
             W, 0.0, -y, _rescale(W, c, y, p)[None], p, 1, lam, gtol)
         c, steps = Z[0], steps + int(taken[0])
     c = _rescale(W, c, y, m)
-    if _potential(W, 0.0, -y, c, m, lam)[1] <= _potential(W, 0.0, -y, start, m, lam)[1]:
+    if _state(W, 0.0, -y, c, m, lam)[1] <= _state(W, 0.0, -y, start, m, lam)[1]:
         return c, steps
     return start, steps
 

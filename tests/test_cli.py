@@ -400,6 +400,17 @@ class TestEval:
         # the model's nodes, the CLI's flags, and evaluate_many on the grid's 5 axis values
         assert tested == [3, 25, 5]
 
+    def test_overflowing_sum_exits_2_without_csv(self, tmp_path, capsys):
+        # t = V^T c = (5e102, 5e102): alpha = t^3 = 1.25e308 is finite, s(1) = 2.5e308 is not
+        doc = {"family": "power", "domain": {"lower": [-1.0], "upper": [1.0]},
+               "truncation": 2, "weights": [1.0, 1.0], "order": 4, "nodes": [[0.0], [0.5]],
+               "values": [1.0, 2.0], "coefficients": [-5e102, 1e103]}
+        path = write(tmp_path / "m.json", json.dumps(doc))
+        out = tmp_path / "v.csv"
+        assert main(["eval", path, "--grid", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: interpolant overflows at point [1.0]\n"
+        assert not out.exists()
+
     def test_schema_mismatch_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", "{}")
         assert main(["eval", bad, "--out", str(tmp_path / "v.csv")]) == 2
@@ -561,6 +572,11 @@ class TestStudy:
                                            "warning: singular design (truncation K=9 < n=32)\n")
         rows = read_rows(result)
         assert [row[0] for row in rows] == ["n", "4", "16", "32"]
+
+    def test_missing_node_counts_exit_2(self, tmp_path, capsys):
+        assert main(["study", "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: node_counts must be a comma-separated integer list\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = self.run_study(tmp_path)

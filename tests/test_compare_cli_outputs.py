@@ -58,8 +58,9 @@ def test_malformed_inputs_of_a_tree_match_its_own(tmp_path):
         runs.append((compare.run(compare.malformed(work), src, work), work))
     assert [args for args, *_ in runs[0][0]] == [args for *_, args in compare.MALFORMED]
     assert compare.differences("w", *runs) == []
-    codes = {name: (code, err) for (name, *_), (_, code, err, *_) in zip(compare.MALFORMED,
-                                                                          runs[0][0])}
+    # keyed by the file an invocation reads, else by its subcommand
+    codes = {name or args[0]: (code, err)
+             for (name, _, args), (_, code, err, *_) in zip(compare.MALFORMED, runs[0][0])}
     assert codes["m_good.csv"] == codes["m_quoted.csv"] == (0, "")
     assert codes["m_late.csv"] == (2, "error: m_late.csv:2050: expected 1 fields\n")
     assert codes["m_nan.csv"] == (2, "error: m_nan.csv:3: non-finite field\n")
@@ -68,7 +69,12 @@ def test_malformed_inputs_of_a_tree_match_its_own(tmp_path):
     assert codes["m_nan_node.json"] == (2, "error: nodes and values must be finite\n")
     assert codes["m_dup.csv"] == (2, "error: duplicate points at rows 2 and 4\n")
     assert codes["m_custom.json"] == codes["m_custom.csv"] == (5, "")
+    assert codes["m_overflow.json"] == (2, "error: interpolant overflows at point [1.0]\n")
+    code, err = codes["study"]
+    assert code == 3 and err.startswith("error: solver stopped (stalled) at residual ")
+    assert err.endswith(" after 8 iterations\n")
     work = runs[0][1]
+    assert not (work / "m_overflow_v.csv").exists() and not (work / "m_stall.csv").exists()
     assert (work / "m_custom_grid.csv").read_text().splitlines()[1:] == [
         "-1.0,,untabulated", "0.0,3.375,", "1.0,,untabulated"]
     rows = (work / "m_custom_v.csv").read_text().splitlines()

@@ -11,12 +11,14 @@ from mkinterp import (
     Domain,
     FeatureModel,
     NodeSet,
+    NotConverged,
     SolverOptions,
     convergence_study,
     domain_grid,
     error_bound,
     eval_features,
     fill_distance,
+    fit,
     power_function,
     power_report,
 )
@@ -440,20 +442,41 @@ class TestDualityCertificate:
         assert np.all(decrement.p_m_lower == 0.0)
 
     def test_small_stacks_skip_the_gap_test(self, monkeypatch):
-        # power_function's one point and a study's pruned stacks: no bound is formed
+        # power_function's one point and a study's pruned stacks: the core gets no bound
         model, nodes, points = self.design("trig", 2, 30, 10)
-        bounds = []
+        core, given = mkinterp.power._minimize_even_power, []
 
-        def recording(W, basis, r, z, p):
-            bounds.append(len(r))
-            return np.zeros(len(r))
+        def recording(W, u, ell, Z, p, *args, lower=None, **kwargs):
+            given.append((len(Z), p, lower is not None))
+            return core(W, u, ell, Z, p, *args, lower=lower, **kwargs)
 
-        monkeypatch.setattr(mkinterp.solver, "_dual_bound", recording)
-        power_report(model, nodes, 4, points[:mkinterp.power._PAIR_ROWS - 1])
-        assert bounds == []
+        monkeypatch.setattr(mkinterp.power, "_minimize_even_power", recording)
+        rows = mkinterp.power._PAIR_ROWS
+        power_report(model, nodes, 4, points[:rows - 1])
+        assert given == [(rows - 1, 3, False), (rows - 1, 3.5, False), (rows - 1, 4, False)]
+        given.clear()
+        power_report(model, nodes, 4, points[:rows])
+        assert given == [(rows, 3, False), (rows, 3.5, False), (rows, 4, True)]
 
 
 class TestConvergenceStudy:
+    def test_unconverged_row_raises_with_its_report(self):
+        # `mkinterp study --node-counts 4,8 --kernel trig --truncation 9 --order 4 --grid 11
+        # --tol 1e-300`: the first row's fit stalls at the rounding floor
+        model = FeatureModel.trigonometric(BOX, 9, 0.5)
+        f_alpha = np.random.default_rng(0).standard_normal(9)
+        opts = SolverOptions(residual_tol=1e-300)
+        with pytest.raises(NotConverged) as raised:
+            convergence_study(model, f_alpha, 4, [4, 8], domain_grid(BOX, 11), opts)
+        report = raised.value.report
+        assert (report.stop_reason, report.iterations) == ("stalled", 8)
+        points = mkinterp.power._equispaced_nodes(BOX, 4)
+        with pytest.raises(NotConverged) as alone:
+            fit(model, NodeSet(points, eval_features(model, points) @ f_alpha), 4, opts)
+        np.testing.assert_array_equal(report.coefficients, alone.value.report.coefficients)
+        assert report.residual_norm == alone.value.report.residual_norm
+        assert str(raised.value) == str(alone.value)
+
     def test_error_decreases_and_bound_dominates(self):
         model = FeatureModel.trigonometric(BOX, 21, decay=0.7)
         rng = np.random.default_rng(42)

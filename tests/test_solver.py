@@ -24,15 +24,14 @@ from mkinterp import (
     solve_regularized,
 )
 
+from mkinterp.power import pair_products
 from mkinterp.solver import (
     _abs_pow,
     _certifies_full_rank,
-    _gradient,
     _hessian,
     _minimize_even_power,
-    _potential,
     _rescale,
-    pair_products,
+    _state,
 )
 from oracles import zero_start_solve
 
@@ -152,8 +151,8 @@ class TestSolveMultilinear:
         assert not report.converged
         assert report.iterations == 2
         assert start.iterations == 1
-        assert (_potential(GRAM.V.T, 0.0, -y, report.coefficients, 4, 0.0)[1]
-                < _potential(GRAM.V.T, 0.0, -y, start.coefficients, 4, 0.0)[1])
+        assert (_state(GRAM.V.T, 0.0, -y, report.coefficients, 4, 0.0)[1]
+                < _state(GRAM.V.T, 0.0, -y, start.coefficients, 4, 0.0)[1])
         assert report.stop_reason == "max_iterations"
 
     def test_failed_newton_solve_falls_back_to_descent(self, monkeypatch):
@@ -168,7 +167,7 @@ class TestSolveMultilinear:
         reports = [zero_start_solve(gram, 4, y, max_iterations=k) for k in range(21)]
         assert reports[-1].iterations > 0
         assert np.all(np.isfinite(reports[-1].coefficients))
-        F = [_potential(gram.V.T, 0.0, -y, r.coefficients, 4, 0.0)[1] for r in reports]
+        F = [_state(gram.V.T, 0.0, -y, r.coefficients, 4, 0.0)[1] for r in reports]
         assert np.all(np.diff(F) <= 0)
 
     def test_non_finite_iterate_stops_at_once(self):
@@ -387,10 +386,10 @@ class TestRealExponentCore:
         lam, h, n = 0.3, 1e-6, z.size
 
         def F(z):
-            return _potential(W, u, ell, z, p, lam)[1]
+            return _state(W, u, ell, z, p, lam)[1]
 
         def grad(z):
-            return _gradient(W, ell, W @ z + u, z, p, lam)
+            return _state(W, u, ell, z, p, lam)[3]
 
         H = _hessian(W, W @ z + u, p) + lam * np.eye(n)
         for i, e in enumerate(np.eye(n)):
@@ -410,7 +409,7 @@ class TestRealExponentCore:
             warnings.simplefilter("error")
             z, F, gnorm, iterations, reasons = _minimize_even_power(
                 W, u[None], ell, z0, p, 1)
-            F0 = _potential(W, u[None], ell, z0, p, 0.0)[1]
+            F0 = _state(W, u[None], ell, z0, p, 0.0)[1]
         assert iterations.tolist() == [1] and reasons.tolist() == ["max_iterations"]
         assert np.all(np.isfinite(z)) and np.all(np.isfinite(gnorm))
         assert F[0] < F0[0]

@@ -7,8 +7,8 @@ for each one named by a ``--workload`` option, which may be repeated, the
 script writes the seeded inputs into one temporary directory per tree and
 runs there, as ``python -m mkinterp.cli`` with that tree on ``PYTHONPATH``,
 the invocations of ``USAGE`` (help texts and usage errors) and of
-``MALFORMED`` (reads of odd or bad CSV inputs), then every prerequisite and
-CLI step.  It compares the two directories file by file,
+``MALFORMED`` (odd or bad inputs, an overflow and a stalled study), then
+every prerequisite and CLI step.  It compares the two directories file by file,
 with the exit code, stderr and stdout of each step.  Paths of the tree and of
 the directory are masked in stderr and stdout.  It prints every difference and exits
 0 only if everything is identical, 1 otherwise.  A CSV that differs in
@@ -49,11 +49,11 @@ USAGE = [["--help"], *([command, "--help"] for command in ("fit", "eval", "power
          ["study"]]
 
 
-def _model_file(nodes: bytes) -> bytes:
-    """A 1-d ``power`` model file of two nodes, ``nodes`` its JSON member."""
+def _model_file(nodes: bytes, coefficients: bytes = b"[1.0, 1.0]") -> bytes:
+    """A 1-d ``power`` model file of two nodes, ``nodes`` and ``coefficients`` its JSON members."""
     return (b'{"family": "power", "domain": {"lower": [-1.0], "upper": [1.0]}, "truncation": 2, '
             b'"weights": [1.0, 1.0], "order": 4, "nodes": ' + nodes
-            + b', "values": [1.0, 2.0], "coefficients": [1.0, 1.0]}')
+            + b', "values": [1.0, 2.0], "coefficients": ' + coefficients + b'}')
 
 
 # A hand-written 1-d model whose custom table holds the nodes 0 and 0.5.
@@ -63,8 +63,9 @@ CUSTOM_MODEL = (b'{"family": "custom", "domain": {"lower": [-1.0], "upper": [1.0
                 b'"table_points": [[0.0], [0.5]], "table_features": [[1.0, 0.0], [1.0, 0.5]]}')
 
 # (file, bytes, invocation): each file is written into the workload's
-# directory and read by its invocation.  The first gives `eval` a model, and
-# so does `m_custom.json` (the CLI's one route into a custom table).
+# directory and read by its invocation (None: the invocation reads no file).
+# The first gives `eval` a model, and so does `m_custom.json` (the CLI's one
+# route into a custom table).
 MALFORMED = [
     ("m_good.csv", b"x1,y\n0,1\n0.5,2\n", ["fit", "m_good.csv", "--out", "m_good.json"]),
     ("m_quoted.csv", b'x1,y\n"0",1\n0.5,"2"\n', ["fit", "m_quoted.csv", "--out", "m_quoted.json"]),
@@ -84,6 +85,12 @@ MALFORMED = [
     # tabulated, untabulated and outside the domain
     ("m_custom.csv", b"x1\n0.5\n0.25\n2\n",
      ["eval", "m_custom.json", "--points", "m_custom.csv", "--out", "m_custom_v.csv"]),
+    # t = V^T c = (5e102, 5e102): alpha = t^3 is finite, but s(1) = 2.5e308 is not
+    ("m_overflow.json", _model_file(b"[[0.0], [0.5]]", b"[-5e102, 1e103]"),
+     ["eval", "m_overflow.json", "--grid", "3", "--out", "m_overflow_v.csv"]),
+    # the first row's fit stalls at the rounding floor: exit 3
+    (None, None, ["study", "--node-counts", "4,8", "--kernel", "trig", "--truncation", "9",
+                  "--order", "4", "--grid", "11", "--tol", "1e-300", "--out", "m_stall.csv"]),
 ]
 
 
@@ -99,7 +106,8 @@ def run_steps(workloads, name, seed, src: Path, work: Path) -> list:
 def malformed(work: Path) -> list:
     """Write the ``MALFORMED`` inputs into ``work``; returns their invocations."""
     for name, data, _ in MALFORMED:
-        (work / name).write_bytes(data)
+        if name:
+            (work / name).write_bytes(data)
     return [args for _, _, args in MALFORMED]
 
 
