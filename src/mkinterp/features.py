@@ -80,9 +80,8 @@ class Domain:
         """``x`` as a float array; PointOutsideDomain at the first point outside."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim > 2 or x.shape[-1] != self.dim:
-            raise PointOutsideDomain(
-                f"point has dimension {x.shape[-1]}, domain has dimension {self.dim}"
-            )
+            shape = f"shape {x.shape}" if x.ndim > 2 else f"dimension {x.shape[-1]}"
+            raise PointOutsideDomain(f"point has {shape}, domain has dimension {self.dim}")
         inside = self.contains(x)
         if not np.all(inside):
             bad = x if x.ndim == 1 else x[np.argmin(inside)]
@@ -348,6 +347,8 @@ def _grid_axes(X: np.ndarray):
     or None; O(N d) comparisons, no sort (the README gives the strides)."""
     bits, dim = X.view(np.int64), X.shape[1]
     changes = [column != column[0] for column in bits.T]
+    if sum(change.any() for change in changes) < 2:  # a point or a line
+        return None
     strides = [int(change.argmax()) if change.any() else change.size for change in changes]
     order = sorted(range(dim), key=lambda j: -strides[j])  # stable: size-1 axes tie
     sizes, span = [0] * dim, X.shape[0]

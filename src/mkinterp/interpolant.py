@@ -76,7 +76,7 @@ def _coincident_pair(pts: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Pairwise-distinct data points with their values."""
+    """One or more pairwise-distinct data points with their values."""
 
     points: np.ndarray
     values: np.ndarray
@@ -88,6 +88,8 @@ class NodeSet:
         vals = np.asarray(self.values, dtype=float)
         if pts.ndim != 2:
             raise DimensionMismatch("points must be an (n, d) array")
+        if not pts.shape[0]:
+            raise DimensionMismatch("node set has no points")
         if vals.ndim != 1 or vals.size != pts.shape[0]:
             raise DimensionMismatch("values must be one per point")
         object.__setattr__(self, "points", pts)
@@ -265,8 +267,7 @@ def from_json(text: str) -> Interpolant:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("interpolant document must be a JSON object")
-    for key in ("family", "domain", "truncation", "order", "nodes", "values",
-                "coefficients"):
+    for key in ("family", "domain", "truncation", "order", "nodes", "values", "coefficients"):
         _member(doc, key)
     model = _model_from_doc(doc)
     nodes = NodeSet(np.asarray(doc["nodes"], float), np.asarray(doc["values"], float))
@@ -274,8 +275,6 @@ def from_json(text: str) -> Interpolant:
     coefficients = np.asarray(doc["coefficients"], dtype=float)
     if coefficients.shape != (nodes.n,) or not np.all(np.isfinite(coefficients)):
         raise ValueError(f"coefficients must be {nodes.n} finite numbers, one per node")
-    if nodes.n == 0:
-        raise DimensionMismatch("interpolant document has no nodes")
     with np.errstate(over="ignore", invalid="ignore"):
         t = _feature_adjoint(model, nodes.points, coefficients)
         s = Interpolant(model, nodes, order, coefficients, t)

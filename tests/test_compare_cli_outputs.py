@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "compare_cli_outputs.py"
+SRC, TOOL = ROOT / "src", ROOT / "tools" / "compare_cli_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_cli_outputs", TOOL)
 compare = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare)
@@ -50,17 +50,59 @@ def test_help_text_differences_are_named(tmp_path):
     assert ["--help"] in compare.USAGE and ["fit", "--help"] in compare.USAGE
 
 
-def test_malformed_inputs_of_a_tree_match_its_own(tmp_path):
-    src = ROOT / "src"
-    runs = []
-    for name in ("a", "b"):
-        work = run_dir(tmp_path, name, {})
-        runs.append((compare.run(compare.malformed(work), src, work), work))
-    assert [args for args, *_ in runs[0][0]] == [args for *_, args in compare.MALFORMED]
-    assert compare.differences("w", *runs) == []
+@pytest.fixture
+def ran(monkeypatch):
+    """The ``(group, tree)`` of each ``fixed_steps`` and ``run_steps`` call, which run nothing."""
+    calls = []
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(compare, "fixed_steps", lambda src, work: calls.append(("cli", src)) or [])
+    monkeypatch.setattr(compare, "run_steps", lambda workloads, name, seed, src, work:
+                        calls.append((name, src)) or [])
+    return calls
+
+
+def test_workload_option_picks_the_workloads_in_order(ran, capsys):
+    argv = [str(SRC), str(SRC), "--seed", "3", "--workload", "power_bound",
+            "--workload", "eval_grid", "--workload", "power_bound"]
+    assert compare.main(argv) == 0
+    groups = ["cli", "power_bound", "eval_grid"]
+    assert ran == [(name, SRC) for name in groups for _ in range(2)]
+    assert capsys.readouterr().out.splitlines() == [f"{name}: 0 steps, 0 files, identical"
+                                                    for name in groups]
+
+
+@pytest.mark.parametrize("names", [[], ["fit_large"], ["eval_grid", "fit_large", "power_bound"]])
+def test_fixed_cases_run_once_per_tree_whatever_the_workloads(ran, names):
+    argv = [str(SRC), str(SRC), "--seed", "3"] + [f"--workload={name}" for name in names]
+    assert compare.main(argv) == 0
+    assert [name for name, _ in ran].count("cli") == 2
+
+
+def test_fixed_cases_run_once_per_tree_and_match_their_own(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(compare, "run_steps", lambda *args: [])
+    seen, differences = {}, compare.differences
+
+    def keep(name, parent, change):  # each step and output file of the parent's run
+        seen[name] = parent[0], {p.name: p.read_bytes() for p in parent[1].iterdir()}
+        return differences(name, parent, change)
+
+    monkeypatch.setattr(compare, "differences", keep)
+    assert compare.main([str(SRC), str(SRC), "--seed", "3", "--workload", "eval_grid"]) == 0
+    steps, files = seen["cli"]
+    invocations = compare.USAGE + [args for *_, args in compare.MALFORMED]
+    assert [args for args, *_ in steps] == invocations
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"cli: {len(invocations)} steps, {len(files)} files, identical"
+    assert lines[1 + len(invocations):] == ["eval_grid: 0 steps, 0 files, identical"]
+    for line, args in zip(lines[1:], invocations):
+        rss = re.fullmatch(re.escape(f"cli: mkinterp {' '.join(args)}: peak RSS ")
+                           + r"(\d+\.\d\d) -> (\d+\.\d\d) MiB", line)
+        assert rss and all(1.0 < float(mib) < 1024.0 for mib in rss.groups()), line
+    assert [code for _, code, *_ in steps[:len(compare.USAGE)]] == [0] * 5 + [2] * 4
     # keyed by the file an invocation reads, else by its subcommand
-    codes = {name or args[0]: (code, err)
-             for (name, _, args), (_, code, err, *_) in zip(compare.MALFORMED, runs[0][0])}
+    codes = {name or args[0]: (code, err) for (name, _, args), (_, code, err, *_)
+             in zip(compare.MALFORMED, steps[len(compare.USAGE):])}
     assert codes["m_good.csv"] == codes["m_quoted.csv"] == (0, "")
     assert codes["m_late.csv"] == (2, "error: m_late.csv:2050: expected 1 fields\n")
     assert codes["m_nan.csv"] == (2, "error: m_nan.csv:3: non-finite field\n")
@@ -73,56 +115,13 @@ def test_malformed_inputs_of_a_tree_match_its_own(tmp_path):
     code, err = codes["study"]
     assert code == 3 and err.startswith("error: solver stopped (stalled) at residual ")
     assert err.endswith(" after 8 iterations\n")
-    work = runs[0][1]
-    assert not (work / "m_overflow_v.csv").exists() and not (work / "m_stall.csv").exists()
-    assert (work / "m_custom_grid.csv").read_text().splitlines()[1:] == [
+    assert "m_overflow_v.csv" not in files and "m_stall.csv" not in files
+    assert files["m_custom_grid.csv"].decode().splitlines()[1:] == [
         "-1.0,,untabulated", "0.0,3.375,", "1.0,,untabulated"]
-    rows = (work / "m_custom_v.csv").read_text().splitlines()
+    rows = files["m_custom_v.csv"].decode().splitlines()
     assert rows[0] == "x1,s,flag"
     assert [row.split(",")[2] for row in rows[1:]] == ["", "untabulated", "outside_domain"]
     assert float(rows[1].split(",")[1]) > 0
-
-
-@pytest.fixture
-def ran(monkeypatch):
-    """The ``(workload, tree)`` of each ``run_steps`` call, which runs nothing."""
-    calls = []
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(compare, "run_steps", lambda workloads, name, seed, src, work:
-                        calls.append((name, src)) or [])
-    return calls
-
-
-def test_workload_option_picks_the_workloads_in_order(ran, capsys):
-    src = ROOT / "src"
-    argv = [str(src), str(src), "--seed", "3", "--workload", "power_bound",
-            "--workload", "eval_grid", "--workload", "power_bound"]
-    assert compare.main(argv) == 0
-    assert ran == [("power_bound", src), ("power_bound", src), ("eval_grid", src),
-                   ("eval_grid", src)]
-    assert capsys.readouterr().out.splitlines() == ["power_bound: 0 steps, 0 files, identical",
-                                                    "eval_grid: 0 steps, 0 files, identical"]
-
-
-def test_peak_rss_of_each_step_is_printed(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(compare, "run_steps", lambda workloads, name, seed, src, work:
-                        compare.run(compare.malformed(work), src, work))
-    src = ROOT / "src"
-    argv = [str(src), str(src), "--seed", "3", "--workload", "eval_grid", "--workload", "fit_large"]
-    assert compare.main(argv) == 0
-    lines, per_workload = capsys.readouterr().out.splitlines(), 1 + len(compare.MALFORMED)
-    assert len(lines) == 2 * per_workload
-    for name, block in zip(["eval_grid", "fit_large"],
-                           [lines[:per_workload], lines[per_workload:]]):
-        assert block[0].startswith(f"{name}: {len(compare.MALFORMED)} steps, ")
-        assert block[0].endswith(", identical")
-        for line, (*_, args) in zip(block[1:], compare.MALFORMED):
-            prefix = f"{name}: mkinterp {' '.join(args)}: peak RSS "
-            assert line.startswith(prefix), line
-            parent, change = re.fullmatch(r"(\d+\.\d\d) -> (\d+\.\d\d) MiB",
-                                          line[len(prefix):]).groups()
-            assert 1.0 < float(parent) < 1024.0 and 1.0 < float(change) < 1024.0
 
 
 def test_steps_read_no_bytecode_from_the_tree(tmp_path):
@@ -146,15 +145,13 @@ def test_steps_read_no_bytecode_from_the_tree(tmp_path):
 
 
 def test_every_workload_by_default(ran):
-    src = ROOT / "src"
-    assert compare.main([str(src), str(src), "--seed", "3"]) == 0
-    assert [name for name, _ in ran[::2]] == ["eval_grid", "fit_large", "power_bound"]
+    assert compare.main([str(SRC), str(SRC), "--seed", "3"]) == 0
+    assert [name for name, _ in ran[::2]] == ["cli", "eval_grid", "fit_large", "power_bound"]
 
 
 def test_unknown_workload_is_a_usage_error(ran, capsys):
-    src = ROOT / "src"
     with pytest.raises(SystemExit) as exit_info:
-        compare.main([str(src), str(src), "--seed", "3", "--workload", "eval_gird"])
+        compare.main([str(SRC), str(SRC), "--seed", "3", "--workload", "eval_gird"])
     assert exit_info.value.code == 2
     assert "unknown workload 'eval_gird'" in capsys.readouterr().err
     assert ran == []

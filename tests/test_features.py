@@ -75,6 +75,11 @@ class TestDomain:
                                match="point has dimension 2, domain has dimension 1"):
                 call(face_table(), [[0.0, 0.5]])
 
+    def test_array_of_three_dimensions_is_named_by_its_shape(self):
+        with pytest.raises(PointOutsideDomain, match=re.escape(
+                "point has shape (2, 2, 1), domain has dimension 1")):
+            eval_features(monomials(2), np.zeros((2, 2, 1)))
+
     def test_contains_is_per_row(self):
         box2 = Domain([-1.0, 0.0], [1.0, 2.0])
         pts = np.array([[0.0, 1.0], [1.0 + 5e-13, 2.0], [1.5, 1.0], [0.0, -0.1],

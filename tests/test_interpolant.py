@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkinterp import (
+    DimensionMismatch,
     Domain,
     DuplicateNodes,
     FeatureModel,
@@ -64,6 +65,11 @@ class TestNodeSet:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicateNodes):
             NodeSet(np.array([[0.0], [0.0]]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("points", [np.empty((0, 1)), np.empty(0), np.empty((0, 3))])
+    def test_no_points_rejected(self, points):
+        with pytest.raises(DimensionMismatch, match="^node set has no points$"):
+            NodeSet(points, np.empty(0))
 
     def test_near_duplicates_rejected(self):
         with pytest.raises(DuplicateNodes):
@@ -503,6 +509,10 @@ class TestEvaluateMany:
             X[-1, 1] = 0.5
         elif case == "equal_start":  # the fast axis has no stride of its own
             X = tensor_grid(axes[0], np.concatenate([axes[1][:1], axes[1]]))
+        elif case == "one_point":
+            X = X[:1]
+        elif case == "line":  # the slow axis at a constant fast coordinate
+            X = X[::11]
         elif case == "one_dimension":
             return family_fit("trig", 1), axes[0][:, None]
         elif case == "custom":
@@ -513,13 +523,17 @@ class TestEvaluateMany:
         return family_fit("power" if case == "changed" else "trig", 2), X
 
     @pytest.mark.parametrize("case", ["changed", "signed_zero", "swapped", "equal_start",
-                                      "one_dimension", "custom", "last_row"])
+                                      "one_point", "line", "one_dimension", "custom", "last_row"])
     def test_grids_the_route_leaves_to_the_block_loop(self, case, monkeypatch):
         s, X = self.fall_through_case(case)
         got = evaluate_many(s, X)
         assert np.array_equal(got.view(np.int64),
                               self.block_route(monkeypatch, s, X).view(np.int64))
         assert within_sum_bound(s, X, got)
+        if case in ("one_point", "line"):
+            assert features._grid_axes(X) is None
+        if case == "one_point":
+            assert np.float64(evaluate(s, X[0])).view(np.int64) == got.view(np.int64)[0]
 
     def test_grid_with_a_late_point_outside_names_it(self, monkeypatch):
         s = family_fit("trig", 3)

@@ -2,14 +2,15 @@
 
     python3 tools/compare_cli_outputs.py PARENT_SRC CHANGE_SRC --seed 3 [--workload NAME ...]
 
-For each workload of ``bench/workloads.py`` (imported, never modified), or
-for each one named by a ``--workload`` option, which may be repeated, the
-script writes the seeded inputs into one temporary directory per tree and
-runs there, as ``python -m mkinterp.cli`` with that tree on ``PYTHONPATH``,
-the invocations of ``USAGE`` (help texts and usage errors) and of
-``MALFORMED`` (odd or bad inputs, an overflow and a stalled study), then
-every prerequisite and CLI step.  It compares the two directories file by file,
-with the exit code, stderr and stdout of each step.  Paths of the tree and of
+It runs ``USAGE`` (help texts and usage errors) and ``MALFORMED`` (odd or
+bad inputs, an overflow and a stalled study) once per tree, as the group
+``cli``; then, for each workload of ``bench/workloads.py`` (imported, never
+modified) or each one named by a repeatable ``--workload`` option, it writes
+the seeded inputs and runs every prerequisite and CLI step.  Each group runs
+in one temporary directory per tree, each step as ``python -m mkinterp.cli``
+with the tree on ``PYTHONPATH``, and the two directories are compared file
+by file, with the exit code, stderr and stdout of each step, in one line
+such as ``cli: 22 steps, 18 files, identical``.  Paths of the tree and of
 the directory are masked in stderr and stdout.  It prints every difference and exits
 0 only if everything is identical, 1 otherwise.  A CSV that differs in
 values only (same header, same row count) is summarised per column: the
@@ -62,7 +63,7 @@ CUSTOM_MODEL = (b'{"family": "custom", "domain": {"lower": [-1.0], "upper": [1.0
                 b'"nodes": [[0.0], [0.5]], "values": [1.0, 2.0], "coefficients": [1.0, 0.5], '
                 b'"table_points": [[0.0], [0.5]], "table_features": [[1.0, 0.0], [1.0, 0.5]]}')
 
-# (file, bytes, invocation): each file is written into the workload's
+# (file, bytes, invocation): each file is written into the ``cli`` group's
 # directory and read by its invocation (None: the invocation reads no file).
 # The first gives `eval` a model, and so does `m_custom.json` (the CLI's one
 # route into a custom table).
@@ -94,21 +95,20 @@ MALFORMED = [
 ]
 
 
-def run_steps(workloads, name, seed, src: Path, work: Path) -> list:
-    """``(args, exit code, stderr, stdout)`` of ``USAGE``, ``MALFORMED`` and
-    each step of a workload, run in ``work``."""
-    workload = workloads.WORKLOADS[name](seed, workloads.FULL, work)
-    workload.generate()
-    steps = USAGE + malformed(work) + [args for args, _ in workload.prerequisites()]
-    return run(steps + [step.args for step in workload.cli_steps()], src, work)
-
-
-def malformed(work: Path) -> list:
-    """Write the ``MALFORMED`` inputs into ``work``; returns their invocations."""
+def fixed_steps(src: Path, work: Path) -> list:
+    """:func:`run` of ``USAGE`` and ``MALFORMED`` in ``work``, which they alone write."""
     for name, data, _ in MALFORMED:
         if name:
             (work / name).write_bytes(data)
-    return [args for _, _, args in MALFORMED]
+    return run(USAGE + [args for _, _, args in MALFORMED], src, work)
+
+
+def run_steps(workloads, name, seed, src: Path, work: Path) -> list:
+    """:func:`run` of each prerequisite and CLI step of a workload in ``work``."""
+    workload = workloads.WORKLOADS[name](seed, workloads.FULL, work)
+    workload.generate()
+    steps = [args for args, _ in workload.prerequisites()]
+    return run(steps + [step.args for step in workload.cli_steps()], src, work)
 
 
 def run(steps, src: Path, work: Path) -> list:
@@ -226,7 +226,7 @@ def json_keys(parent: bytes, change: bytes):
 
 
 def differences(name, parent, change) -> list:
-    """Lines naming each step and file in which two runs of a workload differ;
+    """Lines naming each step and file in which two runs of a group differ;
     a step's peak RSS, if given, is not compared."""
     (parent_steps, parent_dir), (change_steps, change_dir) = parent, change
     found = []
@@ -271,12 +271,13 @@ def main(argv=None) -> int:
             parser.error(f"unknown workload {name!r}; choose from {', '.join(workloads.WORKLOADS)}")
     found = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
+        for name in ["cli", *names]:
             runs = []
             for label, src in zip(("parent", "change"), trees):
                 work = Path(tmp) / f"{name}-{label}"
                 work.mkdir()
-                runs.append((run_steps(workloads, name, args.seed, src, work), work))
+                runs.append((fixed_steps(src, work) if name == "cli"
+                             else run_steps(workloads, name, args.seed, src, work), work))
             diff = differences(name, *runs)
             print(f"{name}: {len(runs[0][0])} steps, "
                   f"{sum(1 for p in runs[0][1].rglob('*') if p.is_file())} files, "
