@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import os
 import py_compile
 import re
@@ -78,27 +80,40 @@ def test_fixed_cases_run_once_per_tree_whatever_the_workloads(ran, names):
     assert [name for name, _ in ran].count("cli") == 2
 
 
-def test_fixed_cases_run_once_per_tree_and_match_their_own(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(compare, "run_steps", lambda *args: [])
-    seen, differences = {}, compare.differences
+@pytest.fixture(scope="module")
+def fixed_run():
+    """The parent's ``cli`` steps and files, and the lines printed, of one stubbed ``main``."""
+    seen, differences, out = {}, compare.differences, io.StringIO()
 
     def keep(name, parent, change):  # each step and output file of the parent's run
         seen[name] = parent[0], {p.name: p.read_bytes() for p in parent[1].iterdir()}
         return differences(name, parent, change)
 
-    monkeypatch.setattr(compare, "differences", keep)
-    assert compare.main([str(SRC), str(SRC), "--seed", "3", "--workload", "eval_grid"]) == 0
-    steps, files = seen["cli"]
-    invocations = compare.USAGE + [args for *_, args in compare.MALFORMED]
-    assert [args for args, *_ in steps] == invocations
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == f"cli: {len(invocations)} steps, {len(files)} files, identical"
-    assert lines[1 + len(invocations):] == ["eval_grid: 0 steps, 0 files, identical"]
-    for line, args in zip(lines[1:], invocations):
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(sys, "path", list(sys.path))
+        patch.setattr(compare, "run_steps", lambda *args: [])
+        patch.setattr(compare, "differences", keep)
+        assert compare.main([str(SRC), str(SRC), "--seed", "3", "--workload", "eval_grid"]) == 0
+    return (*seen["cli"], out.getvalue().splitlines())
+
+
+INVOCATIONS = compare.USAGE + [args for *_, args in compare.MALFORMED]
+
+
+def test_peak_rss_of_each_step_is_printed(fixed_run):
+    _, files, lines = fixed_run
+    assert lines[0] == f"cli: {len(INVOCATIONS)} steps, {len(files)} files, identical"
+    assert lines[1 + len(INVOCATIONS):] == ["eval_grid: 0 steps, 0 files, identical"]
+    for line, args in zip(lines[1:], INVOCATIONS):
         rss = re.fullmatch(re.escape(f"cli: mkinterp {' '.join(args)}: peak RSS ")
                            + r"(\d+\.\d\d) -> (\d+\.\d\d) MiB", line)
         assert rss and all(1.0 < float(mib) < 1024.0 for mib in rss.groups()), line
+
+
+def test_malformed_inputs_of_a_tree_match_its_own(fixed_run):
+    steps, files, lines = fixed_run
+    assert [args for args, *_ in steps] == INVOCATIONS
+    assert lines[0].endswith(", identical")  # and main returned 0
     assert [code for _, code, *_ in steps[:len(compare.USAGE)]] == [0] * 5 + [2] * 4
     # keyed by the file an invocation reads, else by its subcommand
     codes = {name or args[0]: (code, err) for (name, _, args), (_, code, err, *_)
