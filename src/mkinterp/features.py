@@ -321,13 +321,8 @@ def _blocks(model: FeatureModel, X: np.ndarray, width):
 
 
 def eval_features(model: FeatureModel, x) -> np.ndarray:
-    """Evaluate ``(phi_1, ..., phi_K)`` at points of the domain.
-
-    A point of shape (d,) gives a (K,) vector; an (N, d) array gives the
-    (N, K) array whose row i holds the features at point i.  The work runs
-    in blocks of rows (see :func:`_blocks`), so its temporaries do not
-    grow with N.
-    """
+    """Evaluate ``(phi_1, ..., phi_K)`` at a point (d,), a (K,) vector, or at each row of
+    an (N, d) array, an (N, K) array, in blocks of rows (:func:`_blocks`)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((np.atleast_2d(x).shape[0], model.truncation))
     cols = [gather for *_, gather in model.coordinate_factors]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -122,14 +123,18 @@ class Interpolant:
         """The node Gram V, rebuilt from the model on each access."""
         return FeatureGram.from_model(self.model, self.nodes.points)
 
+    @cached_property
+    def _alpha(self) -> np.ndarray:
+        """``t ** (m-1)``, formed on first use and read-only (see :func:`feature_coefficients`)."""
+        alpha = self.t ** (self.order - 1)
+        alpha.flags.writeable = False
+        return alpha
+
 
 def fit(model: FeatureModel, nodes: NodeSet, m: int,
         opts: SolverOptions | None = None) -> Interpolant:
-    """Solve the multi-linear system and wrap the result.
-
-    Raises :class:`NotConverged` (carrying the best-effort report) if the
-    solver cannot meet its residual tolerance.
-    """
+    """Solve the multi-linear system and wrap the result; :class:`NotConverged`, carrying
+    the best-effort report, if the solver cannot meet its residual tolerance."""
     s = _solved(model, nodes, m, opts)
     if not s.report.converged:
         raise NotConverged(s.report)
@@ -148,8 +153,9 @@ def _solved(model: FeatureModel, nodes: NodeSet, m: int, opts: SolverOptions | N
 
 
 def feature_coefficients(s: Interpolant) -> np.ndarray:
-    """Expansion coefficients ``alpha_k = (v_k . c)^{m-1}`` of the interpolant, in O(K)."""
-    return s.t ** (s.order - 1)
+    """Expansion coefficients ``alpha_k = (v_k . c)^{m-1}`` of the interpolant, formed once
+    per interpolant (O(K)) and shared, read-only, by every later call."""
+    return s._alpha
 
 
 def evaluate(s: Interpolant, x) -> float:
@@ -158,12 +164,8 @@ def evaluate(s: Interpolant, x) -> float:
 
 
 def evaluate_many(s: Interpolant, points) -> np.ndarray:
-    """Evaluate the interpolant at the rows of an (N, d) array.
-
-    Contracts the per-coordinate factor tables with the coefficients (see
-    :func:`~mkinterp.features._feature_sum`), per tensor grid or block of
-    rows, so no (N, K) array is built and only the result grows with N.
-    """
+    """Evaluate the interpolant at the rows of an (N, d) array by sum factorization
+    (:func:`~mkinterp.features._feature_sum`), with no (N, K) array."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     return _feature_sum(s.model, X, feature_coefficients(s))
 

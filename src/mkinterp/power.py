@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .exceptions import NotConverged
-from .features import (Domain, FeatureModel, domain_grid, eval_features, point_blocks,
-                       require_even_order)
+from .exceptions import DimensionMismatch, NotConverged
+from .features import (BLOCK_VALUES, Domain, FeatureModel, domain_grid, eval_features,
+                       point_blocks, require_even_order)
 from .interpolant import NodeSet, _solved, banach_norm_direct, feature_coefficients
 from .solver import SolverOptions, _abs_pow, _minimize_even_power
 
@@ -35,9 +36,8 @@ _FILL_GRID_PER_DIM = 201
 
 
 def _least_squares(V, B):
-    """The stacked l2 minimizers (N x n) and residuals ``B - theta^T V`` of the
-    feature block B (N x K) on nodes V (n x K), by one least-squares solve
-    with N right-hand sides; the residuals' row norms are P_2."""
+    """The l2 minimizers (N x n) and residuals ``B - theta^T V`` (row norms P_2) of the
+    feature block B (N x K) on nodes V (n x K), by one solve with N right-hand sides."""
     thetas, *_ = np.linalg.lstsq(V.T, B.T, rcond=None)
     return thetas.T, B - thetas.T @ V
 
@@ -119,27 +119,29 @@ def _max_power(V, B, m, opts: SolverOptions, best: float) -> float:
 
 def power_function(model: FeatureModel, nodes: NodeSet, m: int, x,
                    opts: SolverOptions | None = None) -> float:
-    """Order-m power function at the one point x: :func:`power_report` there.
-
-    Returns ``q*^{1/m}`` where ``q*`` is the minimum of the even-power
-    objective above; zero (up to solver tolerance) whenever x is a node or
-    the features are exactly representable on the nodes.
-    """
+    """Order-m power function at the one point x: :func:`power_report` there; zero (up to
+    solver tolerance) at a node or where the nodes represent the features exactly."""
     return float(power_report(model, nodes, m, np.atleast_2d(x), opts=opts).p_m[0])
 
 
 def fill_distance(nodes: NodeSet, domain: Domain, grid_per_dim: int) -> float:
-    """Grid approximation of ``sup_x min_i ||x - x_i||_2``.
-
-    The sup is taken over a uniform tensor grid, so the result is accurate
-    to the grid spacing, the diagonal of one grid cell.  Raises ValueError if
-    it overflows.
-    """
+    """``sup_x min_i ||x - x_i||_2`` over a uniform tensor grid, so to within the diagonal
+    of one grid cell.  DimensionMismatch for nodes of another dimension than the
+    domain's; ValueError if it overflows."""
+    points, dim = nodes.points, domain.dim
+    if points.shape[1] != dim:
+        raise DimensionMismatch(f"nodes have dimension {points.shape[1]}, domain has "
+                                f"dimension {dim}")
     grid = domain_grid(domain, grid_per_dim)
     nearest_sq = np.full(grid.shape[0], np.inf)
+    # blocks of grid points against blocks of nodes, at most BLOCK_VALUES differences each
+    per_block = min(len(points), max(1, BLOCK_VALUES // dim))
+    step = max(1, BLOCK_VALUES // (per_block * dim))
     with np.errstate(over="ignore"):
-        for node in nodes.points:
-            np.minimum(nearest_sq, np.sum((grid - node) ** 2, axis=1), out=nearest_sq)
+        for lo, at in product(range(0, len(grid), step), range(0, len(points), per_block)):
+            near = nearest_sq[lo:lo + step]
+            part = grid[lo:lo + step, None] - points[None, at:at + per_block]
+            np.minimum(near, np.sum(part ** 2, axis=2).min(axis=1), out=near)
     h = float(np.sqrt(nearest_sq.max()))
     if not np.isfinite(h):
         raise ValueError("fill distance overflows on this domain")
@@ -147,11 +149,8 @@ def fill_distance(nodes: NodeSet, domain: Domain, grid_per_dim: int) -> float:
 
 
 def error_bound(f_norm: float, p_m):
-    """Pointwise bound ``2 ||f|| P_m(x)`` on the interpolation error, elementwise.
-
-    Raises ValueError for a negative or non-finite ``f_norm``, a negative
-    ``p_m``, or a bound that is not finite (an overflow or a non-finite p_m).
-    """
+    """Pointwise bound ``2 ||f|| P_m(x)`` on the interpolation error, elementwise; ValueError
+    for a negative or non-finite ``f_norm``, a negative ``p_m`` or a bound not finite."""
     if not 0.0 <= f_norm < np.inf:
         raise ValueError(f"f_norm must be finite and nonnegative, got {f_norm}")
     p_m = np.asarray(p_m, dtype=float)
@@ -188,13 +187,8 @@ class PowerReport:
 
 def power_report(model: FeatureModel, nodes: NodeSet, m: int, eval_points,
                  f_norm: float = 1.0, opts: SolverOptions | None = None) -> PowerReport:
-    """Evaluate P_m, the classical P_2, and the error bound at each point.
-
-    The node features are built once; the points go through in blocks
-    (see :func:`point_blocks`), one feature evaluation and one multi-RHS
-    least-squares solve per block, which gives P_2 and starts P_m, and one
-    lock-step descent of the block's points per exponent.
-    """
+    """Evaluate P_m, the classical P_2, and the error bound at each point, a block of
+    points (:func:`point_blocks`) at a time (see README)."""
     m = require_even_order(m)
     error_bound(f_norm, 0.0)  # a bad f_norm fails before any P_m work
     opts = opts or SolverOptions()
@@ -247,37 +241,42 @@ def _equispaced_nodes(domain: Domain, n: int) -> np.ndarray:
 
 def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
                       eval_grid, opts: SolverOptions | None = None) -> StudyResult:
-    """Fill-distance refinement study for a target in the truncated span.
+    """Fill-distance refinement study for the target ``f = sum_k f_alpha[k] phi_k``.
 
-    The target is ``f = sum_k f_alpha[k] phi_k``, whose norm with exponent
-    m/(m-1) is exact from its coefficients.  Each row fits the order-m
-    interpolant on `n` equispaced nodes of the 1-d domain and records the
-    fill distance (on a grid of ``_FILL_GRID_PER_DIM`` points), the worst
-    error over `eval_grid`, and the worst pointwise bound ``2 ||f|| P_m``
-    (from the row's largest P_m, see ``_max_power``).
+    Each row fits the order-m interpolant on `n` equispaced nodes of the 1-d
+    domain and records the fill distance (on a grid of ``_FILL_GRID_PER_DIM``
+    points), the worst error over `eval_grid` and the worst bound ``2 ||f|| P_m``
+    (``_max_power``); each block of the grid is evaluated once, for every row.
+    ValueError, before any fit, for an f_alpha that is not K finite numbers or
+    an empty grid.
     """
     m = require_even_order(m)
     opts = opts or SolverOptions()
     f_alpha = np.asarray(f_alpha, dtype=float)
+    if f_alpha.shape != (model.truncation,) or not np.all(np.isfinite(f_alpha)):
+        raise ValueError(f"f_alpha must be {model.truncation} finite numbers, one per feature")
     eval_grid = np.atleast_2d(np.asarray(eval_grid, dtype=float))
+    if not eval_grid.size:
+        raise ValueError("eval_grid has no points")
     f_norm = banach_norm_direct(f_alpha, m / (m - 1))
-    rows = []
+    fits = []
     for n in node_counts:
         pts = _equispaced_nodes(model.domain, n)
         V = eval_features(model, pts)
-        nodes = NodeSet(pts, V @ f_alpha)
-        s = _solved(model, nodes, m, opts, V)
+        s = _solved(model, NodeSet(pts, V @ f_alpha), m, opts, V)
         if not s.report.converged:
             raise NotConverged(s.report)
-        alpha = feature_coefficients(s)
-        max_error = max_power = 0.0
-        for block in point_blocks(model, eval_grid.shape[0]):
-            B = eval_features(model, eval_grid[block])
-            max_error = max(max_error, float(np.abs(B @ f_alpha - B @ alpha).max()))
-            max_power = _max_power(V, B, m, opts, max_power)
-        max_bound = float(error_bound(f_norm, max_power))
-        h = fill_distance(nodes, model.domain, _FILL_GRID_PER_DIM)
-        rows.append(StudyRow(n=int(n), h=h, max_error=max_error, max_bound=max_bound))
+        fits.append((int(n), s, V))
+    errors, powers = [0.0] * len(fits), [0.0] * len(fits)
+    for block in point_blocks(model, eval_grid.shape[0]):
+        B = eval_features(model, eval_grid[block])
+        target = B @ f_alpha
+        for i, (_, s, V) in enumerate(fits):
+            errors[i] = max(errors[i], float(np.abs(target - B @ feature_coefficients(s)).max()))
+            powers[i] = _max_power(V, B, m, opts, powers[i])
+    rows = [StudyRow(n=n, h=fill_distance(s.nodes, model.domain, _FILL_GRID_PER_DIM),
+                     max_error=error, max_bound=float(error_bound(f_norm, power)))
+            for (n, s, _), error, power in zip(fits, errors, powers)]
     slope = None
     if len(rows) >= 2 and all(r.max_error > 0 for r in rows):
         hs = np.log([r.h for r in rows])

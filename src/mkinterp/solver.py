@@ -116,25 +116,24 @@ def _hessian(W, r, p, out=None):
     return H
 
 
-def _newton_directions(W, R, G, rows, p, lam, pairs):
-    """Newton steps of the given rows of a stack, residuals R (N x K) and gradients G (N x n),
-    in chunks of at most ``_HESSIAN_VALUES`` doubles, a chunk's Hessians from the pair table
-    ``pairs`` (its packed products counted) if given, else by :func:`_hessian`.  A chunk
-    LAPACK rejects is solved row by row; a row whose Hessian stays singular, or whose step
-    is not a descent direction, steps along ``-grad``."""
-    n = G.shape[1]
-    steps = np.empty((rows.size, n))
+def _newton_directions(W, R, G, p, lam, pairs):
+    """Newton steps and their slopes ``G . step`` at each row of a stack, residuals R (N x K)
+    and gradients G (N x n), in chunks of at most ``_HESSIAN_VALUES`` doubles, a chunk's
+    Hessians from the pair table ``pairs`` (its packed products counted) if given, else by
+    :func:`_hessian`.  A chunk LAPACK rejects is solved row by row; a row whose Hessian stays
+    singular, or whose step is not a descent direction, steps along ``-grad``."""
+    N, n = G.shape
+    steps = np.empty((N, n))
     packed = 0 if pairs is None else pairs[0].shape[1]
     chunk = max(1, _HESSIAN_VALUES // (n * n + packed))
-    for lo in range(0, rows.size, chunk):
-        at, part = rows[lo:lo + chunk], steps[lo:lo + chunk]
+    for lo in range(0, N, chunk):
+        r, g, part = R[lo:lo + chunk], G[lo:lo + chunk], steps[lo:lo + chunk]
         if pairs is None:
-            H = np.empty((at.size, n, n))
-            for i, h in zip(at, H):
-                _hessian(W, R[i], p, out=h)
+            H = np.empty((len(r), n, n))
+            for row, h in zip(r, H):
+                _hessian(W, row, p, out=h)
         else:
             M, index = pairs
-            r = R[at]
             weights = _abs_pow(r, p - 2)
             weights *= p - 1
             H = (weights @ M)[:, index]
@@ -142,20 +141,23 @@ def _newton_directions(W, R, G, rows, p, lam, pairs):
         # it also makes a zero Hessian (z = 0 with u = 0 and p > 2) solvable
         diagonal = H.reshape(len(H), n * n)[:, :: n + 1]
         scale = diagonal.sum(axis=1) / n
-        diagonal += lam
+        if lam:  # skipped at 0, bit for bit: a Hessian's diagonal is never -0.0
+            diagonal += lam
         diagonal += _RIDGE_FLOOR * np.where(scale != 0, scale, 1.0)[:, None]
         try:
-            part[:] = -np.linalg.solve(H, G[at, :, None])[..., 0]
+            part[:] = -np.linalg.solve(H, g[:, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            for h, g, step in zip(H, G[at], part):
+            for h, row, step in zip(H, g, part):
                 try:
-                    step[:] = -np.linalg.solve(h, g)
+                    step[:] = -np.linalg.solve(h, row)
                 except np.linalg.LinAlgError:
-                    step[:] = -g
-    uphill = ~(np.vecdot(G[rows], steps) < 0)
+                    step[:] = -row
+    slopes = np.vecdot(G, steps)
+    uphill = ~(slopes < 0)
     if uphill.any():
-        steps[uphill] = -G[rows[uphill]]
-    return steps
+        steps[uphill] = -G[uphill]
+        slopes[uphill] = np.vecdot(G[uphill], steps[uphill])
+    return steps, slopes
 
 
 def _state(W, u, ell, z, p, lam):
@@ -188,74 +190,83 @@ def _minimize_even_power(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None, dt
     of it.  Returns ``(Z, F, gnorm, iterations, stop_reasons)``, one entry per row."""
     z = np.array(Z, dtype=float)  # a copy: rows are updated in place
     N = z.shape[0]
-    budget = np.broadcast_to(max_iterations, N)
+    out_z, out_F, out_gnorm = np.empty_like(z), np.empty(N), np.empty(N)
     iterations, reasons = np.zeros(N, dtype=int), np.full(N, "", dtype="U14")
+    # the rows still descending, compacted: row i of each array is row rows[i] of the stack
+    rows, it, budget = np.arange(N), np.zeros(N, dtype=int), np.full(N, max_iterations)
     near = np.zeros(N, dtype=bool)  # rows whose last decrement was at most sqrt(dtol) F
+
+    def leave(done, why):
+        """Write the rows marked ``done`` back, stopped for ``why``; the others' state."""
+        done, keep = (slice(None), slice(0)) if done.all() else (done, ~done)
+        at = rows[done]
+        out_z[at], out_F[at], out_gnorm[at], iterations[at], reasons[at] = (
+            z[done], F[done], gnorm[done], it[done], why)
+        return [a[keep] for a in (rows, z, r, F, magnitude, grad, gnorm, it, budget, near)] + [
+            u[keep] if np.ndim(u) == 2 else u]
 
     with np.errstate(over="ignore", invalid="ignore"):
         r, F, magnitude, grad, gnorm = _state(W, u, ell, z, p, lam)
-        rows = np.arange(N)  # the rows still descending
         while rows.size:
-            g, f = gnorm[rows], F[rows]
-            converged = gtol is not None and g <= gtol
-            if lower is not None and near[rows].any():
-                at = rows[near[rows]]
-                certified = np.zeros(N, dtype=bool)
-                certified[at] = F[at] - lower(r[at], z[at]) <= dtol * F[at]
-                converged = converged | certified[rows]
-            finite = np.isfinite(g) & np.isfinite(f)
-            spent = iterations[rows] >= budget[rows]
+            converged = gtol is not None and gnorm <= gtol
+            if lower is not None and near.any():
+                certified = np.zeros(rows.size, dtype=bool)
+                certified[near] = F[near] - lower(r[near], z[near]) <= dtol * F[near]
+                converged = converged | certified
+            finite = np.isfinite(gnorm) & np.isfinite(F)
+            spent = it >= budget
             go = ~(converged | spent) & finite
             if not go.all():
-                reasons[rows] = np.where(converged, "converged", np.where(
+                why = np.where(converged, "converged", np.where(
                     finite, np.where(spent, "max_iterations", ""), "non_finite"))
-                rows, g, f = rows[go], g[go], f[go]
+                rows, z, r, F, magnitude, grad, gnorm, it, budget, near, u = leave(~go, why[~go])
                 if not rows.size:
                     break
-            step = _newton_directions(W, r, grad, rows, p, lam, pairs)
-            slope = np.vecdot(grad[rows], step)
+            step, slope = _newton_directions(W, r, grad, p, lam, pairs)
             if lower is not None:
-                near[rows] = -slope <= math.sqrt(dtol) * f
-            small = dtol is not None and -slope <= dtol * f
-            if np.any(small):
-                reasons[rows[small]] = "converged"
-                go = ~small
-                rows, g, step, slope = rows[go], g[go], step[go], slope[go]
-            noise = _NOISE * magnitude[rows]
-            pending = np.arange(rows.size)  # positions in rows still searching
-            eta = 1.0
+                near = -slope <= math.sqrt(dtol) * F
+            if dtol is not None and (small := -slope <= dtol * F).any():
+                rows, z, r, F, magnitude, grad, gnorm, it, budget, near, u = leave(
+                    small, "converged")
+                if not rows.size:
+                    break
+                step, slope = step[~small], slope[~small]
+            noise = _NOISE * magnitude
+            pending, eta = slice(None), 1.0  # the first trial takes the whole stack
             for _ in range(_MAX_BACKTRACKS):
-                at = rows[pending]
-                cand = z[at] + eta * step[pending]
-                cand_r, cand_F, cand_magnitude, cand_grad, cand_gnorm = _state(
-                    W, u if np.ndim(u) < 2 else u[at], ell, cand, p, lam)
-                drop = cand_F - F[at]
+                cand = z[pending] + eta * step[pending]
+                trial = _state(W, u[pending] if np.ndim(u) == 2 else u, ell, cand, p, lam)
+                drop = trial[1] - F[pending]
                 decrease = _ARMIJO * eta * slope[pending]
                 accept = (drop <= decrease + noise[pending]) & (
                     (drop <= np.minimum(decrease, -noise[pending]))
-                    | (cand_gnorm < (1.0 - _ARMIJO * eta) * g[pending]))
-                hit = at[accept]
-                z[hit], r[hit], F[hit], magnitude[hit] = (
-                    cand[accept], cand_r[accept], cand_F[accept], cand_magnitude[accept])
-                grad[hit], gnorm[hit] = cand_grad[accept], cand_gnorm[accept]
-                iterations[hit] += 1
+                    | (trial[4] < (1.0 - _ARMIJO * eta) * gnorm[pending]))
+                if isinstance(pending, slice):
+                    if accept.all():
+                        z, (r, F, magnitude, grad, gnorm) = cand, trial
+                        it += 1
+                        break
+                    pending = np.arange(rows.size)
+                hit = pending[accept]
+                z[hit] = cand[accept]
+                for state, value in zip((r, F, magnitude, grad, gnorm), trial):
+                    state[hit] = value[accept]
+                it[hit] += 1
                 pending = pending[~accept]
                 if not pending.size:
                     break
                 eta *= _SHRINK
-            if pending.size:
-                reasons[rows[pending]] = "stalled"
-                go = np.ones(rows.size, dtype=bool)
-                go[pending] = False
-                rows = rows[go]
-    return z, F, gnorm, iterations, reasons
+            else:
+                stalled = np.zeros(rows.size, dtype=bool)
+                stalled[pending] = True
+                rows, z, r, F, magnitude, grad, gnorm, it, budget, near, u = leave(
+                    stalled, "stalled")
+    return out_z, out_F, out_gnorm, iterations, reasons
 
 
 def _rescale(W, c, y, p):
-    """c times ``(y . c / sum_k |t_k|^p)^{1/p}``, ``t = W c``, the homogeneity of order p.
-
-    Left unscaled when either sum is not positive.
-    """
+    """c times ``(y . c / sum_k |t_k|^p)^{1/p}``, ``t = W c``, the homogeneity of order p;
+    unscaled when either sum is not positive."""
     t = W @ c
     denom = float(_abs_pow(t, p).sum())
     num = float(y @ c)
@@ -266,9 +277,7 @@ def _rescale(W, c, y, p):
 
 def _certifies_full_rank(G: np.ndarray, K: int) -> bool:
     """Eigenvalue certificate that the n x K design behind ``G = V V^T`` has rank n:
-    ``lambda_min > 1e4 n K eps lambda_max`` (see README).  False proves nothing;
-    near-singular and overflowed Grams are left to the SVD.
-    """
+    ``lambda_min > 1e4 n K eps lambda_max`` (see README).  False proves nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         eigenvalues = np.linalg.eigvalsh(G)
     delta = 1e4 * G.shape[0] * K * np.finfo(float).eps
@@ -331,23 +340,17 @@ def _solve(gram: FeatureGram, m: int, y, sigma: float, opts: SolverOptions | Non
 
 def solve_multilinear(gram: FeatureGram, m: int, y,
                       opts: SolverOptions | None = None) -> SolveReport:
-    """Solve ``A_m c^{m-1} = y`` by damped Newton on the convex potential.
-
-    Returns a report whose ``converged`` flag certifies
-    ``||A_m c^{m-1} - y||_2 <= residual_tol``; otherwise its ``stop_reason``
-    says why the solve ended, with the last iterate and its diagnostics.
-    """
+    """Solve ``A_m c^{m-1} = y`` by damped Newton on the convex potential; the report's
+    ``converged`` certifies ``||A_m c^{m-1} - y||_2 <= residual_tol``, else its
+    ``stop_reason`` says why the solve ended, with the last iterate."""
     return _solve(gram, m, y, 0.0, opts)
 
 
 def solve_regularized(gram: FeatureGram, m: int, y, sigma: float,
                       opts: SolverOptions | None = None) -> SolveReport:
-    """Minimize ``||A_m c^{m-1} - y||^2 + sigma A_m c^m`` by one Newton solve.
-
-    ``converged`` certifies ``||A_m c^{m-1} + lam c - y||_2 <= residual_tol``
-    with ``lam = sigma m / (2(m-1))``; ``residual_norm`` is the misfit
-    ``||A_m c^{m-1} - y||_2``.
-    """
+    """Minimize ``||A_m c^{m-1} - y||^2 + sigma A_m c^m`` by one Newton solve: ``converged``
+    certifies ``||A_m c^{m-1} + lam c - y||_2 <= residual_tol``, ``lam = sigma m / (2(m-1))``;
+    ``residual_norm`` is the misfit ``||A_m c^{m-1} - y||_2``."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     return _solve(gram, m, y, sigma, opts)

@@ -8,8 +8,9 @@ polished in long double, the dual pairing as a dot product, a fit started
 from c = 0 rather than from the package's l2 start, and sampling checks
 that can falsify (never certify) the monotonicity and semi-definiteness
 of the tensor, a row-by-row read of the CLI's CSV input, the graded index
-tables enumerated by generators, the sum plan grouped by a dict, and a
-custom table's features, sums and adjoint by their own formulas.  The package
+tables enumerated by generators, the sum plan grouped by a dict, a
+custom table's features, sums and adjoint by their own formulas, and the
+damped-Newton core as it was before it compacted its rows.  The package
 computes each of these
 quantities by one route only; these are the second routes the tests hold
 it to.  The summability diagnostic of a truncation lives here too, since
@@ -29,6 +30,7 @@ from mkinterp.exceptions import DimensionMismatch
 from mkinterp.features import (TABLE_TOLERANCE, FeatureModel, _table, eval_features,
                                point_blocks, require_even_order)
 from mkinterp.interpolant import Interpolant, NodeSet
+from mkinterp import solver as _solver
 from mkinterp.solver import SolveReport, _minimize_even_power
 from mkinterp.tensors import FeatureGram, contract_m, contract_m_minus_1
 
@@ -443,3 +445,115 @@ def custom_contractions(model: FeatureModel, X, alpha, c) -> tuple:
         sums[block] = rows[block] @ (root * alpha)
         G += c[block] @ rows[block]
     return rows * root, sums, root * G
+
+
+def newton_directions_reference(W, R, G, rows, p, lam, pairs):
+    """The Newton core's directions as they were before its rows were compacted:
+    the steps of the given ``rows`` of the full stacks R and G, gathered per chunk, with
+    ``lam`` added to every diagonal; the slopes are left to the caller."""
+    n = G.shape[1]
+    steps = np.empty((rows.size, n))
+    packed = 0 if pairs is None else pairs[0].shape[1]
+    chunk = max(1, _solver._HESSIAN_VALUES // (n * n + packed))
+    for lo in range(0, rows.size, chunk):
+        at, part = rows[lo:lo + chunk], steps[lo:lo + chunk]
+        if pairs is None:
+            H = np.empty((at.size, n, n))
+            for i, h in zip(at, H):
+                _solver._hessian(W, R[i], p, out=h)
+        else:
+            M, index = pairs
+            r = R[at]
+            weights = _solver._abs_pow(r, p - 2)
+            weights *= p - 1
+            H = (weights @ M)[:, index]
+        # relative to H's scale, which tiny residuals (P_m near nodes) make tiny;
+        # it also makes a zero Hessian (z = 0 with u = 0 and p > 2) solvable
+        diagonal = H.reshape(len(H), n * n)[:, :: n + 1]
+        scale = diagonal.sum(axis=1) / n
+        diagonal += lam
+        diagonal += _solver._RIDGE_FLOOR * np.where(scale != 0, scale, 1.0)[:, None]
+        try:
+            part[:] = -np.linalg.solve(H, G[at, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            for h, g, step in zip(H, G[at], part):
+                try:
+                    step[:] = -np.linalg.solve(h, g)
+                except np.linalg.LinAlgError:
+                    step[:] = -g
+    uphill = ~(np.vecdot(G[rows], steps) < 0)
+    if uphill.any():
+        steps[uphill] = -G[rows[uphill]]
+    return steps
+
+
+def minimize_even_power_reference(W, u, ell, Z, p, max_iterations, lam=0.0, gtol=None,
+                                  dtol=None, pairs=None, lower=None):
+    """:func:`mkinterp.solver._minimize_even_power` as it was before its rows were
+    compacted: the reference the compacted core is held to bit for bit.  The state of
+    every row stays in the full (N, ...) arrays; each round gathers the rows still
+    descending by an index array and each line-search trial scatters its accepted rows
+    back; the slopes are formed again from the gathered gradients."""
+    z = np.array(Z, dtype=float)  # a copy: rows are updated in place
+    N = z.shape[0]
+    budget = np.broadcast_to(max_iterations, N)
+    iterations, reasons = np.zeros(N, dtype=int), np.full(N, "", dtype="U14")
+    near = np.zeros(N, dtype=bool)  # rows whose last decrement was at most sqrt(dtol) F
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, F, magnitude, grad, gnorm = _solver._state(W, u, ell, z, p, lam)
+        rows = np.arange(N)  # the rows still descending
+        while rows.size:
+            g, f = gnorm[rows], F[rows]
+            converged = gtol is not None and g <= gtol
+            if lower is not None and near[rows].any():
+                at = rows[near[rows]]
+                certified = np.zeros(N, dtype=bool)
+                certified[at] = F[at] - lower(r[at], z[at]) <= dtol * F[at]
+                converged = converged | certified[rows]
+            finite = np.isfinite(g) & np.isfinite(f)
+            spent = iterations[rows] >= budget[rows]
+            go = ~(converged | spent) & finite
+            if not go.all():
+                reasons[rows] = np.where(converged, "converged", np.where(
+                    finite, np.where(spent, "max_iterations", ""), "non_finite"))
+                rows, g, f = rows[go], g[go], f[go]
+                if not rows.size:
+                    break
+            step = newton_directions_reference(W, r, grad, rows, p, lam, pairs)
+            slope = np.vecdot(grad[rows], step)
+            if lower is not None:
+                near[rows] = -slope <= math.sqrt(dtol) * f
+            small = dtol is not None and -slope <= dtol * f
+            if np.any(small):
+                reasons[rows[small]] = "converged"
+                go = ~small
+                rows, g, step, slope = rows[go], g[go], step[go], slope[go]
+            noise = _solver._NOISE * magnitude[rows]
+            pending = np.arange(rows.size)  # positions in rows still searching
+            eta = 1.0
+            for _ in range(_solver._MAX_BACKTRACKS):
+                at = rows[pending]
+                cand = z[at] + eta * step[pending]
+                cand_r, cand_F, cand_magnitude, cand_grad, cand_gnorm = _solver._state(
+                    W, u if np.ndim(u) < 2 else u[at], ell, cand, p, lam)
+                drop = cand_F - F[at]
+                decrease = _solver._ARMIJO * eta * slope[pending]
+                accept = (drop <= decrease + noise[pending]) & (
+                    (drop <= np.minimum(decrease, -noise[pending]))
+                    | (cand_gnorm < (1.0 - _solver._ARMIJO * eta) * g[pending]))
+                hit = at[accept]
+                z[hit], r[hit], F[hit], magnitude[hit] = (
+                    cand[accept], cand_r[accept], cand_F[accept], cand_magnitude[accept])
+                grad[hit], gnorm[hit] = cand_grad[accept], cand_gnorm[accept]
+                iterations[hit] += 1
+                pending = pending[~accept]
+                if not pending.size:
+                    break
+                eta *= _solver._SHRINK
+            if pending.size:
+                reasons[rows[pending]] = "stalled"
+                go = np.ones(rows.size, dtype=bool)
+                go[pending] = False
+                rows = rows[go]
+    return z, F, gnorm, iterations, reasons

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -32,10 +33,16 @@ def test_a_tree_against_itself_at_smoke_sizes(capsys, workload):
     assert lines[0] == (f"{workload} seed 1, 2 rounds (smoke sizes), library steps: "
                         + ", ".join(STEPS[workload]))
     assert lines[1].startswith("  parent  median ") and lines[2].startswith("  change  median ")
-    assert lines[3].startswith("change / parent  median ")
-    assert lines[3].endswith("of 2 rounds")
+    ratio = (r"median \d+\.\d{3}, quartiles \d+\.\d{3}-\d+\.\d{3}; "
+             r"the change was faster in [012] of 2 rounds")
+    assert re.fullmatch("change / parent  " + ratio, lines[3])
+    # then each step's paired ratio, in the order the steps run
+    width = len(STEPS[workload])
+    for step, line in zip(STEPS[workload], lines[4:4 + width], strict=True):
+        assert re.fullmatch(f"  {re.escape(step)}  {ratio}", line)
     outcomes = "{" + ", ".join(f'"{step}: ok": 2' for step in STEPS[workload]) + "}"
-    assert lines[4:] == [f"  parent  outcomes {outcomes}", f"  change  outcomes {outcomes}"]
+    assert lines[4 + width:] == [f"  parent  outcomes {outcomes}",
+                                 f"  change  outcomes {outcomes}"]
     # the trees were loaded under their own names; the test's package is untouched
     assert sys.modules["mkinterp"] is mkinterp
     assert sys.modules["ab_parent"].__file__ == str(SRC / "mkinterp" / "__init__.py")
@@ -52,3 +59,9 @@ def test_usage_errors(capsys, argv, message):
         ab_lib.main([str(SRC), str(SRC), *argv])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_paired_ratio_line():
+    # ratios 0.5, 1.0 and 1.25: a tie counts as no win
+    assert ab_lib.paired([1.0, 2.0, 4.0], [0.5, 2.0, 5.0]) == (
+        "median 1.000, quartiles 0.750-1.125; the change was faster in 1 of 3 rounds")

@@ -662,6 +662,21 @@ class TestFeatureCoefficients:
             feature_coefficients(s), s.gram.V.T @ s.coefficients, rtol=1e-12
         )
 
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_formed_once_and_shared_read_only(self, m):
+        # the load's overflow check forms alpha; evaluation and later calls share it
+        s = from_json(to_json(fit(MODEL2, NODES, m)))
+        alpha = feature_coefficients(s)
+        np.testing.assert_array_equal(alpha, s.t ** (m - 1))
+        assert not alpha.flags.writeable
+        with pytest.raises(ValueError):
+            alpha[0] = 0.0
+        evaluate_many(s, [[0.25], [0.5]])
+        assert feature_coefficients(s) is alpha
+        fresh = fit(MODEL2, NODES, m)
+        assert evaluate(fresh, [0.5]) == evaluate(s, [0.5])
+        assert feature_coefficients(fresh) is feature_coefficients(fresh)
+
 
 class TestNorms:
     def test_direct_norm_example(self):

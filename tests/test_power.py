@@ -8,6 +8,7 @@ import mkinterp.power
 import mkinterp.solver
 import mkinterp.tensors
 from mkinterp import (
+    DimensionMismatch,
     Domain,
     FeatureModel,
     NodeSet,
@@ -157,6 +158,41 @@ class TestFillDistance:
         diffs = grid[:, None, :] - pts[None, :, :]
         expected = float(np.sqrt(np.sum(diffs ** 2, axis=2)).min(axis=1).max())
         assert fill_distance(NodeSet(pts, np.zeros(17)), box2, 31) == expected
+
+    @pytest.mark.parametrize("dim, node_dim", [(2, 1), (2, 3), (1, 2)])
+    def test_nodes_of_another_dimension_refused(self, dim, node_dim):
+        # 1-d nodes once broadcast over both axes of a 2-d grid and returned 1.4142
+        box = Domain([-1.0] * dim, [1.0] * dim)
+        nodes = NodeSet(np.zeros((1, node_dim)), np.zeros(1))
+        with pytest.raises(DimensionMismatch,
+                           match=f"nodes have dimension {node_dim}, domain has dimension {dim}"):
+            fill_distance(nodes, box, 5)
+
+    @pytest.mark.parametrize("values", [1, 7, 60, mkinterp.features.BLOCK_VALUES])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_match_the_loop_over_nodes(self, monkeypatch, dim, values):
+        # one node at a time over the whole grid, the loop the blocks replace; the blocks
+        # hold at most `values` differences (at least one node against one grid point)
+        box = Domain([-1.0] * dim, [2.0] * dim)
+        pts = np.random.default_rng([44, dim]).uniform(-1, 2, size=(13, dim))
+        grid = domain_grid(box, 7)
+        nearest_sq = np.full(len(grid), np.inf)
+        for node in pts:
+            np.minimum(nearest_sq, np.sum((grid - node) ** 2, axis=1), out=nearest_sq)
+        total, sizes = np.sum, []
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return total(a, *args, **kwargs)
+
+        monkeypatch.setattr(mkinterp.power, "BLOCK_VALUES", values)
+        monkeypatch.setattr(np, "sum", recording)
+        h = fill_distance(NodeSet(pts, np.zeros(13)), box, 7)
+        monkeypatch.setattr(np, "sum", total)
+        assert h == float(np.sqrt(nearest_sq.max()))
+        # the squared differences of each block, 13 nodes by 7^dim grid points in all
+        assert sum(sizes) == 13 * 7 ** dim * dim
+        assert max(sizes) <= max(values, dim)
 
 
 class TestErrorBound:
@@ -420,9 +456,9 @@ class TestDualityCertificate:
             monkeypatch.setattr(mkinterp.power, "pair_products", lambda W: None)
         directions, formed = mkinterp.solver._newton_directions, []
 
-        def counting(W, R, G, rows, *args):
-            formed.append(rows.size)
-            return directions(W, R, G, rows, *args)
+        def counting(W, R, G, *args):
+            formed.append(len(R))  # the rows still descending, compacted
+            return directions(W, R, G, *args)
 
         monkeypatch.setattr(mkinterp.solver, "_newton_directions", counting)
         gap = power_report(model, nodes, 4, grid)
@@ -492,6 +528,23 @@ class TestConvergenceStudy:
         assert result.bound_dominates(1e-6 * (1 + f_norm))
         assert result.slope is not None and result.slope > 0
 
+    @pytest.mark.parametrize("f_alpha, grid, message", [
+        (np.ones(20), domain_grid(BOX, 11), "f_alpha must be 21 finite numbers, one per feature"),
+        (np.ones((21, 1)), domain_grid(BOX, 11), "f_alpha must be 21 finite numbers"),
+        (np.full(21, np.nan), domain_grid(BOX, 11), "f_alpha must be 21 finite numbers"),
+        (np.ones(21), np.empty((0, 1)), "eval_grid has no points"),
+        (np.ones(21), [], "eval_grid has no points"),
+    ], ids=["short", "column", "nan", "no rows", "empty list"])
+    def test_bad_target_or_empty_grid_refused_before_any_fit(self, monkeypatch, f_alpha,
+                                                             grid, message):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(mkinterp.power, "_solved", no_fit)
+        model = FeatureModel.trigonometric(BOX, 21, decay=0.7)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(model, f_alpha, 4, [4, 8], grid)
+
     def test_node_features_evaluated_once_per_row(self, monkeypatch):
         calls = []
 
@@ -503,9 +556,11 @@ class TestConvergenceStudy:
         monkeypatch.setattr(mkinterp.tensors, "eval_features", counting)
         model = FeatureModel.trigonometric(BOX, 21, decay=0.7)
         f_alpha = np.random.default_rng(42).standard_normal(21)
+        # blocks of 40 points: the grid in three blocks
+        monkeypatch.setattr(mkinterp.features, "BLOCK_VALUES", 40 * 21)
         convergence_study(model, f_alpha, 4, [4, 8], domain_grid(BOX, 101))
-        # per row: the nodes once, then the grid in one block
-        assert calls == [(4, 1), (101, 1), (8, 1), (101, 1)]
+        # per row the nodes once, then each block of the grid once for both rows
+        assert calls == [(4, 1), (8, 1), (40, 1), (40, 1), (21, 1)]
 
     @pytest.mark.parametrize("seed", [8, 11])
     def test_study_fits_converge_for_every_target(self, seed):

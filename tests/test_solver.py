@@ -24,7 +24,7 @@ from mkinterp import (
     solve_regularized,
 )
 
-from mkinterp.power import pair_products
+from mkinterp.power import _dual_bound, pair_products
 from mkinterp.solver import (
     _abs_pow,
     _certifies_full_rank,
@@ -33,6 +33,7 @@ from mkinterp.solver import (
     _rescale,
     _state,
 )
+import oracles
 from oracles import zero_start_solve
 
 GRAM = FeatureGram(np.array([[1.0, 0.0], [1.0, 1.0]]))
@@ -498,23 +499,110 @@ class TestLockStepCore:
         assert set(reference[4]) == {"converged"}
 
     def test_budgets_per_row(self, monkeypatch):
-        # a row leaves the lock-step once its own budget is spent
+        # a row leaves the lock-step once its own budget is spent: round k forms the Newton
+        # systems of rows k, ..., 5 alone, compacted, and bit for bit those the reference
+        # core gathers for the same rows
         W, U, Z = self.stack()
         directions, formed = mkinterp.solver._newton_directions, []
 
-        def recording(W, R, G, rows, p, lam, pairs):
-            formed.append(rows.tolist())
-            return directions(W, R, G, rows, p, lam, pairs)
+        def recording(W, R, G, p, lam, pairs):
+            formed.append((R.copy(), G.copy()))
+            return directions(W, R, G, p, lam, pairs)
+
+        reference_directions, gathered = oracles.newton_directions_reference, []
+
+        def gathering(W, R, G, rows, p, lam, pairs):
+            gathered.append((rows.tolist(), R[rows], G[rows]))
+            return reference_directions(W, R, G, rows, p, lam, pairs)
 
         monkeypatch.setattr(mkinterp.solver, "_newton_directions", recording)
+        monkeypatch.setattr(oracles, "newton_directions_reference", gathering)
         z, _, _, iterations, reasons = _minimize_even_power(W, U, None, Z, 4, np.arange(6))
+        oracles.minimize_even_power_reference(W, U, None, Z, 4, np.arange(6))
         np.testing.assert_array_equal(iterations, np.arange(6))
         assert set(reasons) == {"max_iterations"}
-        assert formed == [list(range(k, 6)) for k in range(1, 6)]
+        assert [rows for rows, _, _ in gathered] == [list(range(k, 6)) for k in range(1, 6)]
+        assert len(formed) == len(gathered)
+        for (R, G), (_, R_rows, G_rows) in zip(formed, gathered):
+            np.testing.assert_array_equal(R, R_rows)
+            np.testing.assert_array_equal(G, G_rows)
         np.testing.assert_array_equal(z[0], Z[0])
         for k in range(1, 6):
             rerun = _minimize_even_power(W, U, None, Z, 4, k)
             np.testing.assert_allclose(z[k], rerun[0][k], rtol=1e-12, atol=1e-14)
+
+
+class TestCompactedCore:
+    """The core against ``oracles.minimize_even_power_reference``, the core as it was before
+    it compacted its rows: the same Z, F, gradient norms, steps and stop reasons, bit for
+    bit (NaN where the reference has NaN)."""
+
+    VARIANTS = ("decrement", "gradient", "ridge", "both tolerances", "floor", "pair table",
+                "duality bound", "budgets", "rejected chunk")
+
+    @staticmethod
+    def case(N, p, variant, K=24, n=5):
+        """``(W, u, ell, Z, max_iterations, keywords)`` of a seeded stack."""
+        rng = np.random.default_rng([N, int(2 * p), TestCompactedCore.VARIANTS.index(variant)])
+        W, U = rng.standard_normal((K, n)), rng.standard_normal((N, K))
+        Z, ell, u = 0.1 * rng.standard_normal((N, n)), None, -U
+        budget, keywords = 50, {"dtol": DTOL}
+        if variant in ("gradient", "ridge", "both tolerances"):
+            ell = rng.standard_normal(n)
+            u = -U if variant == "both tolerances" else 0.0
+            keywords = {"gtol": 1e-9, "lam": 0.25 if variant == "ridge" else 0.0}
+            if variant == "both tolerances":
+                keywords["dtol"] = DTOL
+        elif variant == "floor":  # no tolerance: every row descends until no step passes
+            budget, keywords = 200, {}
+        elif variant in ("pair table", "duality bound"):
+            keywords["pairs"] = pair_products(W)
+            if variant == "duality bound":
+                basis = np.linalg.qr(W)[0]
+                keywords["lower"] = lambda r, z: _abs_pow(_dual_bound(W, basis, r, z, p), p) / p
+        elif variant == "budgets":
+            budget = rng.integers(0, 6, N)
+        if variant in ("budgets", "rejected chunk"):
+            u[-1] *= 1e100  # F overflows: the last row ends non_finite
+        if variant == "rejected chunk":  # row 0's Hessian is rank one under the ridge (N = 1 too)
+            Z[0], u[0] = 0.0, 0.0
+            u[0, 3] = 1.5
+        return W, u, ell, Z, budget, keywords
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("p", [3, 3.5, 4, 6])
+    @pytest.mark.parametrize("N", [1, 4, 16, 40])
+    def test_matches_the_reference_bit_for_bit(self, monkeypatch, N, p, variant):
+        W, u, ell, Z, budget, keywords = self.case(N, p, variant)
+        solve, rejected, bounded = np.linalg.solve, [], []
+        if variant == "rejected chunk":
+            # LAPACK's refusal of every stacked chunk and of each singular Hessian
+            def rejecting_solve(a, b):
+                if np.ndim(a) == 3 or np.linalg.cond(a) > 1e10:
+                    rejected.append(np.ndim(a))
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(a, b)
+
+            monkeypatch.setattr(np.linalg, "solve", rejecting_solve)
+        if variant == "duality bound":
+            bound = keywords["lower"]
+            keywords["lower"] = lambda r, z: bounded.append(len(r)) or bound(r, z)
+        got = _minimize_even_power(W, u, ell, Z, p, budget, **keywords)
+        want = oracles.minimize_even_power_reference(W, u, ell, Z, p, budget, **keywords)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)  # NaN matches NaN
+        reasons = set(got[4])
+        if variant == "floor":
+            assert reasons == {"stalled"}
+        if variant == "budgets" or (variant == "rejected chunk" and N > 1):
+            assert got[4][-1] == "non_finite"
+        if variant == "budgets" and N > 1:
+            assert "max_iterations" in reasons
+        if variant == "rejected chunk":
+            assert 3 in rejected and (N == 1 or 2 in rejected)
+        if variant == "duality bound" and N > 1:
+            assert bounded
 
 
 def trig_3d_case():

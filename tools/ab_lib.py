@@ -14,7 +14,9 @@ steps import.  ``--smoke`` takes the benchmark's reduced sizes.
 
 It prints, per tree, the median and quartiles of the round totals and each
 step's median, then the median and quartiles of the paired ratio
-change / parent and the number of rounds in which the change was faster.
+change / parent and the number of rounds in which the change was faster,
+for the totals and, below them, for each step, so that a gain confined to
+one step shows.
 A drift of the machine's speed reaches both sides of a pair, so a gain far
 below the benchmark's spread (about 10%, see ``bench/README.md``) shows.
 Exits 0, or 1 when a step's outcome is ``failed`` or differs between trees;
@@ -104,6 +106,16 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def paired(parent, change) -> str:
+    """Median and quartiles of the paired ratios change / parent, and the rounds in which
+    the change was faster."""
+    ratios = [b / a for a, b in zip(parent, change)]
+    q1, q2, q3 = quartiles(ratios)
+    wins = sum(ratio < 1.0 for ratio in ratios)
+    return (f"median {q2:.3f}, quartiles {q1:.3f}-{q3:.3f}; "
+            f"the change was faster in {wins} of {len(ratios)} rounds")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -151,11 +163,9 @@ def main(argv=None) -> int:
         print(f"{label:>8}  median {q2:.4f} s, quartiles {q1:.4f}-{q3:.4f} s;  "
               + ", ".join(f"{step.name} {statistics.median(times):.4f} s"
                           for step, times in zip(steps[0], side)))
-    ratios = [b / a for a, b in zip(*totals)]
-    q1, q2, q3 = quartiles(ratios)
-    wins = sum(ratio < 1.0 for ratio in ratios)
-    print(f"change / parent  median {q2:.3f}, quartiles {q1:.3f}-{q3:.3f}; "
-          f"the change was faster in {wins} of {args.rounds} rounds")
+    print(f"change / parent  {paired(*totals)}")
+    for step, parent, change in zip(steps[0], *per_step):
+        print(f"  {step.name}  {paired(parent, change)}")
     for label, counts in zip(LABELS, outcomes):
         print(f"{label:>8}  outcomes "
               + json.dumps({f"{name}: {kind}": count for (name, kind), count in counts.items()}))
