@@ -24,11 +24,12 @@ import numpy as np
 from .exceptions import DuplicateNodes, NotConverged, SingularDesignWarning
 from .features import Domain, FeatureModel, _distinct, domain_grid, tabulated
 from .interpolant import (
+    Interpolant,
     NodeSet,
-    _solved,
     banach_norm_direct,
     banach_norm_via_tensor,
     evaluate_many,
+    fit,
     from_json,
     to_json,
 )
@@ -231,7 +232,10 @@ def cmd_fit(args) -> int:
     with warnings.catch_warnings():
         # the library warns before any Newton step; here that ends the fit
         warnings.simplefilter("error", SingularDesignWarning)
-        s = _solved(model, nodes, cfg["order"], SolverOptions(residual_tol=cfg["tol"]))
+        try:
+            s = fit(model, nodes, cfg["order"], SolverOptions(residual_tol=cfg["tol"]))
+        except NotConverged as err:  # written as it stands, then exit 3
+            s = Interpolant(model, nodes, cfg["order"], err.report.coefficients, err.report)
     if not np.isfinite(s.report.residual_norm):
         # an overflowed iterate has no faithful JSON form; write nothing
         raise NotConverged(s.report, "solver overflowed (non-finite residual); "

@@ -54,6 +54,8 @@ class Domain:
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("domain bounds must be vectors of equal length")
+        if not lower.size:
+            raise ValueError("domain must have at least one dimension")
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.all(np.isfinite(upper - lower))  # inf - inf is NaN
         if not finite:
@@ -91,6 +93,7 @@ class Domain:
 
 def domain_grid(domain: Domain, per_dim: int) -> np.ndarray:
     """Uniform tensor grid over the box, endpoints included, row-major."""
+    per_dim = _integer("grid points per dimension", per_dim)
     if per_dim < 2:
         raise ValueError(f"grid must be at least 2 points per dimension, got {per_dim}")
     axes = [np.linspace(domain.lower[j], domain.upper[j], per_dim)
@@ -117,8 +120,10 @@ def _graded(dim, count, size) -> np.ndarray:
 def graded_multi_indices(dim: int, count: int) -> np.ndarray:
     """First `count` multi-indices in graded lexicographic order, (count, dim):
     none for a count below 1; a count that is no integer (see :func:`_integer`)
-    is refused."""
+    or a dim below 1 is refused."""
     count = _integer("count", count)
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     return _graded(dim, count, lambda total: comb(total + dim - 1, dim - 1))[:max(0, count)]
 
 
@@ -200,6 +205,8 @@ class FeatureModel:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         if points.shape[0] != features.shape[0]:
             raise DimensionMismatch("points and features row counts differ")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(features))):
+            raise ValueError("table points and features must be finite")
         if domain is None:
             lo, hi = points.min(axis=0), points.max(axis=0)
             flat = hi - lo <= 0

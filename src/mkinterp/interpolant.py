@@ -3,7 +3,7 @@
 A fitted interpolant of even order m expands in the feature basis as
 ``s_m = sum_k alpha_k phi_k`` with ``alpha_k = (v_k . c)^{m-1}``, the
 tensor-basis form ``B_m(x) c^{m-1}`` at O(K) per evaluation from the K
-numbers ``t_k = v_k . c`` that an :class:`Interpolant` holds; ``t`` and the
+numbers ``t_k = v_k . c`` that an :class:`Interpolant` derives; ``t`` and the
 evaluation are the two directions of the sum factorization, and neither
 forms a feature array.  Its norm with exponent ``p = m/(m-1)`` equals
 ``(A_m c^m)^{1-1/m}``; both routes are exposed so the identity can be
@@ -108,14 +108,13 @@ class NodeSet:
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Immutable fitted interpolant holding ``t = V^T c`` (K floats), not the
-    n x K node Gram V; all evaluation methods are pure."""
+    """Immutable fitted interpolant; it derives ``t = V^T c`` (K floats), not the
+    n x K node Gram V, and all evaluation methods are pure."""
 
     model: FeatureModel
     nodes: NodeSet
     order: int
     coefficients: np.ndarray
-    t: np.ndarray
     report: SolveReport | None = None
 
     @property
@@ -124,9 +123,18 @@ class Interpolant:
         return FeatureGram.from_model(self.model, self.nodes.points)
 
     @cached_property
+    def t(self) -> np.ndarray:
+        """``t = V^T c`` (``_feature_adjoint``), formed on first use and read-only."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed fit has no finite t
+            t = _feature_adjoint(self.model, self.nodes.points, self.coefficients)
+        t.flags.writeable = False
+        return t
+
+    @cached_property
     def _alpha(self) -> np.ndarray:
         """``t ** (m-1)``, formed on first use and read-only (see :func:`feature_coefficients`)."""
-        alpha = self.t ** (self.order - 1)
+        with np.errstate(over="ignore"):  # from_json refuses an overflowed alpha
+            alpha = self.t ** (self.order - 1)
         alpha.flags.writeable = False
         return alpha
 
@@ -135,21 +143,11 @@ def fit(model: FeatureModel, nodes: NodeSet, m: int,
         opts: SolverOptions | None = None) -> Interpolant:
     """Solve the multi-linear system and wrap the result; :class:`NotConverged`, carrying
     the best-effort report, if the solver cannot meet its residual tolerance."""
-    s = _solved(model, nodes, m, opts)
-    if not s.report.converged:
-        raise NotConverged(s.report)
-    return s
-
-
-def _solved(model: FeatureModel, nodes: NodeSet, m: int, opts: SolverOptions | None = None,
-            V: np.ndarray | None = None) -> Interpolant:
-    """The order-m interpolant of `nodes`, converged or not; V: the node features, if at hand."""
     from .solver import solve_multilinear
-    gram = FeatureGram.from_model(model, nodes.points) if V is None else FeatureGram(V)
-    report = solve_multilinear(gram, m, nodes.values, opts)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed fit has no finite t
-        t = _feature_adjoint(model, nodes.points, report.coefficients)
-    return Interpolant(model, nodes, require_even_order(m), report.coefficients, t, report)
+    report = solve_multilinear(FeatureGram.from_model(model, nodes.points), m, nodes.values, opts)
+    if not report.converged:
+        raise NotConverged(report)
+    return Interpolant(model, nodes, require_even_order(m), report.coefficients, report)
 
 
 def feature_coefficients(s: Interpolant) -> np.ndarray:
@@ -186,8 +184,7 @@ def banach_norm_direct(alpha, p: float) -> float:
 
 def banach_norm_via_tensor(s: Interpolant) -> float:
     """``(A_m c^m)^{1-1/m}``; equals the l_{m/(m-1)} norm of the coefficients."""
-    value = float(np.sum(s.t ** s.order))
-    return float(max(value, 0.0) ** ((s.order - 1) / s.order))
+    return float(np.sum(s.t ** s.order)) ** ((s.order - 1) / s.order)  # even powers: >= 0
 
 
 def gateaux_coefficients(alpha, p: float) -> np.ndarray:
@@ -277,10 +274,7 @@ def from_json(text: str) -> Interpolant:
     coefficients = np.asarray(doc["coefficients"], dtype=float)
     if coefficients.shape != (nodes.n,) or not np.all(np.isfinite(coefficients)):
         raise ValueError(f"coefficients must be {nodes.n} finite numbers, one per node")
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = _feature_adjoint(model, nodes.points, coefficients)
-        s = Interpolant(model, nodes, order, coefficients, t)
-        finite = np.all(np.isfinite(feature_coefficients(s)))
-    if not finite:
+    s = Interpolant(model, nodes, order, coefficients)
+    if not np.all(np.isfinite(feature_coefficients(s))):
         raise ValueError(f"feature coefficients overflow at order {doc['order']!r}")
     return s

@@ -17,10 +17,11 @@ from itertools import product
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotConverged
-from .features import (BLOCK_VALUES, Domain, FeatureModel, domain_grid, eval_features,
-                       point_blocks, require_even_order)
-from .interpolant import NodeSet, _solved, banach_norm_direct, feature_coefficients
-from .solver import SolverOptions, _abs_pow, _minimize_even_power
+from .features import (BLOCK_VALUES, Domain, FeatureModel, _integer, domain_grid,
+                       eval_features, point_blocks, require_even_order)
+from .interpolant import Interpolant, NodeSet, banach_norm_direct, feature_coefficients
+from .solver import SolverOptions, _abs_pow, _minimize_even_power, solve_multilinear
+from .tensors import FeatureGram
 
 # A point stops once its Newton decrement -grad F . step is this small relative to F.
 _DECREMENT_TOL = 1e-12
@@ -247,8 +248,8 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
     domain and records the fill distance (on a grid of ``_FILL_GRID_PER_DIM``
     points), the worst error over `eval_grid` and the worst bound ``2 ||f|| P_m``
     (``_max_power``); each block of the grid is evaluated once, for every row.
-    ValueError, before any fit, for an f_alpha that is not K finite numbers or
-    an empty grid.
+    ValueError, before any fit, for an f_alpha that is not K finite numbers, an
+    empty grid, or node counts that are not integers, at least 1 and strictly increasing.
     """
     m = require_even_order(m)
     opts = opts or SolverOptions()
@@ -259,24 +260,28 @@ def convergence_study(model: FeatureModel, f_alpha, m: int, node_counts,
     if not eval_grid.size:
         raise ValueError("eval_grid has no points")
     f_norm = banach_norm_direct(f_alpha, m / (m - 1))
+    counts = [_integer("node count", n) for n in node_counts]
+    if any(b <= a for a, b in zip([0, *counts], counts)):
+        raise ValueError("node_counts must be strictly increasing and at least 1")
     fits = []
-    for n in node_counts:
+    for n in counts:
         pts = _equispaced_nodes(model.domain, n)
         V = eval_features(model, pts)
-        s = _solved(model, NodeSet(pts, V @ f_alpha), m, opts, V)
-        if not s.report.converged:
-            raise NotConverged(s.report)
-        fits.append((int(n), s, V))
+        nodes = NodeSet(pts, V @ f_alpha)
+        report = solve_multilinear(FeatureGram(V), m, nodes.values, opts)
+        if not report.converged:  # `fit` would evaluate V again
+            raise NotConverged(report)
+        fits.append((Interpolant(model, nodes, m, report.coefficients, report), V))
     errors, powers = [0.0] * len(fits), [0.0] * len(fits)
     for block in point_blocks(model, eval_grid.shape[0]):
         B = eval_features(model, eval_grid[block])
         target = B @ f_alpha
-        for i, (_, s, V) in enumerate(fits):
+        for i, (s, V) in enumerate(fits):
             errors[i] = max(errors[i], float(np.abs(target - B @ feature_coefficients(s)).max()))
             powers[i] = _max_power(V, B, m, opts, powers[i])
-    rows = [StudyRow(n=n, h=fill_distance(s.nodes, model.domain, _FILL_GRID_PER_DIM),
+    rows = [StudyRow(n=s.nodes.n, h=fill_distance(s.nodes, model.domain, _FILL_GRID_PER_DIM),
                      max_error=error, max_bound=float(error_bound(f_norm, power)))
-            for (n, s, _), error, power in zip(fits, errors, powers)]
+            for (s, _), error, power in zip(fits, errors, powers)]
     slope = None
     if len(rows) >= 2 and all(r.max_error > 0 for r in rows):
         hs = np.log([r.h for r in rows])

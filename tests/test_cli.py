@@ -271,14 +271,17 @@ class TestDocumentedInputChecks:
         doc = json.loads(out.read_text())
         assert (doc["order"], doc["truncation"]) == (4, 2)
 
-    # a model file's custom table: two points for three feature rows, and a
-    # table three wide under a truncation (and weights) of 2 or 4
+    # a model file's custom table: two points for three feature rows, a table
+    # three wide under a truncation (and weights) of 2 or 4, and a NaN feature
     CUSTOM_EDITS = {
         "rows": ({"table_points": [[0.0], [1.0]]}, "points and features row counts differ"),
         "width_2": ({"truncation": 2, "weights": [1.0, 1.0]},
                     "weights must be K finite positive reals"),
         "width_4": ({"truncation": 4, "weights": [1.0] * 4},
                     "weights must be K finite positive reals"),
+        "nan_feature": ({"table_features": [[1.0, 0.0, 0.0], [1.0, np.nan, 0.25],
+                                            [1.0, 1.0, 1.0]]},
+                        "table points and features must be finite"),
     }
 
     @pytest.mark.parametrize("case", list(CUSTOM_EDITS))

@@ -126,11 +126,12 @@ def test_malformed_inputs_of_a_tree_match_its_own(fixed_run):
     assert codes["m_nan_node.json"] == (2, "error: nodes and values must be finite\n")
     assert codes["m_dup.csv"] == (2, "error: duplicate points at rows 2 and 4\n")
     assert codes["m_custom.json"] == codes["m_custom.csv"] == (5, "")
+    assert codes["m_custom_nan.json"] == (2, "error: table points and features must be finite\n")
     assert codes["m_overflow.json"] == (2, "error: interpolant overflows at point [1.0]\n")
     code, err = codes["study"]
     assert code == 3 and err.startswith("error: solver stopped (stalled) at residual ")
     assert err.endswith(" after 8 iterations\n")
-    assert "m_overflow_v.csv" not in files and "m_stall.csv" not in files
+    assert not {"m_overflow_v.csv", "m_stall.csv", "m_custom_nan_v.csv"} & set(files)
     assert files["m_custom_grid.csv"].decode().splitlines()[1:] == [
         "-1.0,,untabulated", "0.0,3.375,", "1.0,,untabulated"]
     rows = files["m_custom_v.csv"].decode().splitlines()

@@ -95,6 +95,21 @@ class TestDomain:
         with pytest.raises(ValueError, match="grid must be at least 2 points per dimension, got 1"):
             domain_grid(BOX, 1)
 
+    def test_rejects_no_dimension(self):
+        with pytest.raises(ValueError, match="^domain must have at least one dimension$"):
+            Domain([], [])
+
+    @pytest.mark.parametrize("size", [3.0, np.float64(3.0), np.int64(3)], ids=repr)
+    def test_integral_grid_size_runs_as_the_int(self, size):
+        box2 = Domain([-1.0, 0.0], [1.0, 2.0])
+        assert domain_grid(box2, size).tobytes() == domain_grid(box2, 3).tobytes()
+
+    @pytest.mark.parametrize("size", [2.5, True, "3"], ids=repr)
+    def test_grid_size_that_is_no_integer_refused(self, size):
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid points per dimension must be an integer, got {size!r}")):
+            domain_grid(BOX, size)
+
     def test_project_batch_clamps_and_rejects(self):
         model = monomials(4)
         assert same_bits(eval_features(model, [[0.5], [-1.0 - 5e-13]]),
@@ -194,6 +209,11 @@ class TestGradedIndices:
     def test_graded_indices_refuse_a_count_that_is_no_integer(self, count):
         with pytest.raises(ValueError, match=re.escape(f"count must be an integer, got {count!r}")):
             graded_multi_indices(2, count)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_graded_indices_refuse_a_dim_below_one(self, dim):
+        with pytest.raises(ValueError, match=f"^dim must be at least 1, got {dim}$"):
+            graded_multi_indices(dim, 3)
 
     # 0.5 ** 1074 is the least subnormal, 0.5 ** 1075 underflows to 0
     @pytest.mark.parametrize("family, last", [("power_series", 1075), ("trigonometric", 2149)])
@@ -328,6 +348,17 @@ class TestBatchedEvalFeatures:
         got = eval_features(model, X)
         assert got.shape == (N, model.truncation)
         np.testing.assert_array_equal(got, row_by_row(model, X))
+
+    @pytest.mark.parametrize("points, feats", [
+        ([[0.0], [1.0]], [[1.0, 0.0], [1.0, np.nan]]),
+        ([[0.0], [np.inf]], [[1.0, 0.0], [1.0, 1.0]]),
+        ([[np.nan], [1.0]], [[1.0, 0.0], [1.0, 1.0]]),
+    ], ids=["nan_feature", "inf_point", "nan_point"])
+    def test_custom_table_refuses_non_finite_entries(self, points, feats):
+        with pytest.raises(ValueError, match="^table points and features must be finite$"):
+            FeatureModel.custom_table(points, feats)
+        with pytest.raises(ValueError, match="^table points and features must be finite$"):
+            FeatureModel.custom_table(points, feats, domain=Domain([-1.0], [1.0]))
 
     def test_custom_table_lookup(self):
         pts = np.linspace(0.0, 1.0, 7)[:, None]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import time
@@ -868,8 +869,8 @@ def large_model_text():
 
 
 class TestHeldFeatureProducts:
-    """A fitted interpolant holds ``t = V^T c``, formed by the transpose of
-    the sum factorization, and rebuilds its Gram on access."""
+    """A fitted interpolant derives ``t = V^T c`` on first use, by the transpose
+    of the sum factorization, and rebuilds its Gram on access."""
 
     @pytest.fixture
     def interpolants(self, tmp_path, monkeypatch):
@@ -887,6 +888,27 @@ class TestHeldFeatureProducts:
         fitted, reloaded, cli_written, cli_loaded = interpolants
         assert fitted.t.tobytes() == reloaded.t.tobytes()
         assert cli_written.t.tobytes() == cli_loaded.t.tobytes()
+
+    def test_t_follows_the_coefficients(self):
+        model = FeatureModel.trigonometric(BOX, 9)
+        nodes = NodeSet(np.array([[-0.5], [0.0], [0.5]]), np.array([1.0, -0.5, 2.0]))
+        s = fit(model, nodes, 4)
+        doubled = dataclasses.replace(s, coefficients=2 * s.coefficients)
+        t = features._feature_adjoint(model, nodes.points, 2 * s.coefficients)
+        assert doubled.t.tobytes() == t.tobytes()
+        assert not doubled.t.flags.writeable
+        assert evaluate(doubled, [0.25]) == pytest.approx(8 * evaluate(s, [0.25]), rel=1e-14)
+
+    def test_serializing_a_fit_forms_no_t(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args))
+            return features._feature_adjoint(*args)
+
+        monkeypatch.setattr(interpolant, "_feature_adjoint", counting)
+        to_json(fit(MODEL2, NODES, 4))
+        assert calls == []
 
     def test_loading_builds_no_node_gram(self):
         text = large_model_text()

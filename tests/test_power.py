@@ -528,22 +528,40 @@ class TestConvergenceStudy:
         assert result.bound_dominates(1e-6 * (1 + f_norm))
         assert result.slope is not None and result.slope > 0
 
-    @pytest.mark.parametrize("f_alpha, grid, message", [
-        (np.ones(20), domain_grid(BOX, 11), "f_alpha must be 21 finite numbers, one per feature"),
-        (np.ones((21, 1)), domain_grid(BOX, 11), "f_alpha must be 21 finite numbers"),
-        (np.full(21, np.nan), domain_grid(BOX, 11), "f_alpha must be 21 finite numbers"),
-        (np.ones(21), np.empty((0, 1)), "eval_grid has no points"),
-        (np.ones(21), [], "eval_grid has no points"),
-    ], ids=["short", "column", "nan", "no rows", "empty list"])
+    @pytest.mark.parametrize("f_alpha, grid, counts, message", [
+        (np.ones(20), domain_grid(BOX, 11), [4, 8],
+         "f_alpha must be 21 finite numbers, one per feature"),
+        (np.ones((21, 1)), domain_grid(BOX, 11), [4, 8], "f_alpha must be 21 finite numbers"),
+        (np.full(21, np.nan), domain_grid(BOX, 11), [4, 8], "f_alpha must be 21 finite numbers"),
+        (np.ones(21), np.empty((0, 1)), [4, 8], "eval_grid has no points"),
+        (np.ones(21), [], [4, 8], "eval_grid has no points"),
+        (np.ones(21), domain_grid(BOX, 11), [8.5], "node count must be an integer, got 8.5"),
+        (np.ones(21), domain_grid(BOX, 11), [True, 8], "node count must be an integer, got True"),
+        (np.ones(21), domain_grid(BOX, 11), [8, 8],
+         "node_counts must be strictly increasing and at least 1"),
+        (np.ones(21), domain_grid(BOX, 11), [8, 4],
+         "node_counts must be strictly increasing and at least 1"),
+        (np.ones(21), domain_grid(BOX, 11), [0, 4],
+         "node_counts must be strictly increasing and at least 1"),
+    ], ids=["short", "column", "nan", "no rows", "empty list", "fractional count",
+            "bool count", "equal counts", "decreasing counts", "zero count"])
     def test_bad_target_or_empty_grid_refused_before_any_fit(self, monkeypatch, f_alpha,
-                                                             grid, message):
+                                                             grid, counts, message):
         def no_fit(*args):
             raise AssertionError("a fit ran")
 
-        monkeypatch.setattr(mkinterp.power, "_solved", no_fit)
+        monkeypatch.setattr(mkinterp.power, "solve_multilinear", no_fit)
         model = FeatureModel.trigonometric(BOX, 21, decay=0.7)
         with pytest.raises(ValueError, match=message):
-            convergence_study(model, f_alpha, 4, [4, 8], grid)
+            convergence_study(model, f_alpha, 4, counts, grid)
+
+    def test_integral_float_counts_give_int_rows(self):
+        model = FeatureModel.trigonometric(BOX, 21, decay=0.7)
+        f_alpha = np.random.default_rng(42).standard_normal(21)
+        grid = domain_grid(BOX, 11)
+        floats = convergence_study(model, f_alpha, 4, [4.0, np.int64(8)], grid)
+        assert floats == convergence_study(model, f_alpha, 4, [4, 8], grid)
+        assert [type(row.n) for row in floats.rows] == [int, int]
 
     def test_node_features_evaluated_once_per_row(self, monkeypatch):
         calls = []

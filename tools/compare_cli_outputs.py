@@ -86,6 +86,9 @@ MALFORMED = [
     # tabulated, untabulated and outside the domain
     ("m_custom.csv", b"x1\n0.5\n0.25\n2\n",
      ["eval", "m_custom.json", "--points", "m_custom.csv", "--out", "m_custom_v.csv"]),
+    # a NaN in the custom table
+    ("m_custom_nan.json", CUSTOM_MODEL.replace(b"[1.0, 0.5]]}", b"[1.0, NaN]]}"),
+     ["eval", "m_custom_nan.json", "--grid", "3", "--out", "m_custom_nan_v.csv"]),
     # t = V^T c = (5e102, 5e102): alpha = t^3 is finite, but s(1) = 2.5e308 is not
     ("m_overflow.json", _model_file(b"[[0.0], [0.5]]", b"[-5e102, 1e103]"),
      ["eval", "m_overflow.json", "--grid", "3", "--out", "m_overflow_v.csv"]),
